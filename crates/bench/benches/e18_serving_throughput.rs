@@ -33,17 +33,26 @@
 //! row, so the first multi-core runner refreshes the scaling curve
 //! mechanically by re-running this bench with `--save-baseline`.
 //!
+//! **Pair-pass ablation** (`…/pair_pass/{sort_reference,counting}`, ns
+//! per pass): the kernel's counting Lemma-4 pair pass against the
+//! sort-based pass it replaced ([`sv_bench::sortpass`]), both on warm
+//! groupings of `one_one_chain(2, 11)` module 0 (22 attributes, 2,048
+//! rows) over seeded visible sets hiding 1–7 attributes, answers
+//! asserted equal.
+//!
 //! CI gates (see `docs/BENCHMARKS.md`): absolute 2× regression bound on
-//! the batched ns/probe, within-run `one_at_a_time / batched ≥ 3`.
+//! the batched ns/probe, within-run `one_at_a_time / batched ≥ 3` and
+//! `sort_reference / counting ≥ 2`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+use sv_bench::sortpass;
 use sv_core::safety::{ProbeRequest, WorkflowOracles};
 use sv_core::{SafetyOracle, StandaloneModule};
-use sv_relation::AttrSet;
+use sv_relation::{AttrSet, InternedRelation};
 use sv_workflow::{library, ModuleId, Workflow};
 
 /// Independent workflow instances (tenants).
@@ -70,6 +79,15 @@ const GAMMAS: [u128; 5] = [2, 4, 8, 16, 64];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Enumeration budget for materializing the module relations.
 const BUDGET: u128 = 1 << 20;
+/// Wires per level of the pair-pass ablation's `one_one_chain(2, _)`:
+/// module 0 has 22 attributes and 2,048 rows.
+const PAIR_WIRES: usize = 11;
+/// Seeded visible sets per hidden-set size in the pair-pass ablation.
+const PAIR_SETS: usize = 64;
+/// Hidden-set sizes of the pair-pass ablation.
+const PAIR_HIDDEN: std::ops::RangeInclusive<u32> = 1..=7;
+/// Timed rounds per pair-pass variant (alternating); the best is kept.
+const PAIR_ROUNDS: usize = 15;
 
 /// One serving request: which instance/module, which view, which Γ.
 #[derive(Clone, Copy)]
@@ -257,6 +275,68 @@ fn run_batched_sharded(stream: &[Probe], wf: &Workflow, threads: usize) -> f64 {
     start.elapsed().as_nanos() as f64
 }
 
+/// One Lemma-4 pair pass for a `(key, probe)` word pair, resolving both
+/// groupings from the kernel's cache.
+type PairPass = fn(&InternedRelation, (u64, u64), &mut Vec<u64>) -> usize;
+
+fn sort_reference_pass(ir: &InternedRelation, (k, p): (u64, u64), scratch: &mut Vec<u64>) -> usize {
+    sortpass::min_group_distinct(&ir.group_index_word(k), &ir.group_index_word(p), scratch)
+}
+
+fn counting_pass(ir: &InternedRelation, (k, p): (u64, u64), scratch: &mut Vec<u64>) -> usize {
+    ir.min_group_distinct_words_with(k, p, scratch)
+}
+
+/// The pair-pass ablation: ns per Lemma-4 pair pass for the sort-based
+/// reference and the kernel's counting pass, on the same warm groupings
+/// and `(key, probe)` words. Both variants resolve their two groupings
+/// from the kernel's cache on every pass, so they differ only in the
+/// pass. Returns (sort reference ns, counting ns).
+fn run_pair_pass_ablation() -> (f64, f64) {
+    let wf = library::one_one_chain(2, PAIR_WIRES);
+    let m = StandaloneModule::from_workflow_module(&wf, ModuleId(0), BUDGET).unwrap();
+    let ir = m.kernel();
+    let (iw, ow) = (
+        m.inputs().as_word().expect("k = 22 fits a word"),
+        m.outputs().as_word().expect("k = 22 fits a word"),
+    );
+    let mut rng = StdRng::seed_from_u64(0xE18_9A55);
+    let mut pairs: Vec<(u64, u64)> = Vec::new();
+    for hidden in PAIR_HIDDEN {
+        for _ in 0..PAIR_SETS {
+            let mut h = 0u64;
+            while h.count_ones() < hidden {
+                h |= 1 << rng.gen_range(0..m.k());
+            }
+            pairs.push((iw & !h, ow & !h));
+        }
+    }
+    let mut scratch = Vec::new();
+    let mut answers = |pass: PairPass| -> Vec<usize> {
+        pairs.iter().map(|&q| pass(ir, q, &mut scratch)).collect()
+    };
+    // Warm-up (builds every grouping, grows the scratch) and the
+    // correctness anchor.
+    assert_eq!(
+        answers(sort_reference_pass),
+        answers(counting_pass),
+        "pair passes disagree"
+    );
+    let mut round = |pass: PairPass| {
+        let start = Instant::now();
+        for &q in &pairs {
+            std::hint::black_box(pass(ir, q, &mut scratch));
+        }
+        start.elapsed().as_nanos() as f64 / pairs.len() as f64
+    };
+    let (mut best_sort, mut best_counting) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..PAIR_ROUNDS {
+        best_sort = best_sort.min(round(sort_reference_pass));
+        best_counting = best_counting.min(round(counting_pass));
+    }
+    (best_sort, best_counting)
+}
+
 fn run_serving_experiment(_c: &mut Criterion) {
     let wf = workflow();
     let mut best_one = f64::INFINITY;
@@ -299,6 +379,9 @@ fn run_serving_experiment(_c: &mut Criterion) {
         "e18_serving_throughput/oracle/kernel_misses_batched",
         batched_misses as f64,
     );
+    let (sort_ns, counting_ns) = run_pair_pass_ablation();
+    criterion::record_metric("e18_serving_throughput/pair_pass/sort_reference", sort_ns);
+    criterion::record_metric("e18_serving_throughput/pair_pass/counting", counting_ns);
 
     // Multi-core scaling rows: instances sharded across serving threads.
     let stream = make_stream(0xE18);

@@ -15,3 +15,4 @@ pub mod baseline;
 pub mod experiments;
 pub mod flatscan;
 pub mod layerscan;
+pub mod sortpass;

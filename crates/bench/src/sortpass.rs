@@ -1,0 +1,81 @@
+//! Retained **sort-based pair-pass reference** for the Lemma-4 kernel —
+//! the pass `InternedRelation::min_group_distinct` ran before the
+//! counting pair pass replaced it, kept so `e18_serving_throughput` can
+//! measure the counting pass against the exact code path it replaced
+//! (`pair_pass/{sort_reference,counting}`).
+//!
+//! It reads only the public [`GroupIndex`] columns: each row's
+//! `(key group, probe group)` pair becomes one `u64` code, the codes are
+//! sorted and deduplicated — `O(rows log rows)` per pass — and the
+//! shortest run of codes sharing a key group is the answer.
+
+use sv_relation::GroupIndex;
+
+/// Over the groups of `kg`, the minimum number of distinct `pg` groups
+/// among their rows, or `usize::MAX` on an empty relation, computed by
+/// sorting the pair codes in `scratch`. `kg` and `pg` must group the
+/// same relation.
+#[must_use]
+pub fn min_group_distinct(kg: &GroupIndex, pg: &GroupIndex, scratch: &mut Vec<u64>) -> usize {
+    if kg.row_group.is_empty() {
+        return usize::MAX;
+    }
+    let pn = u64::from(pg.n_groups);
+    scratch.clear();
+    scratch.extend(
+        kg.row_group
+            .iter()
+            .zip(&pg.row_group)
+            .map(|(&k, &p)| u64::from(k) * pn + u64::from(p)),
+    );
+    scratch.sort_unstable();
+    scratch.dedup();
+    let mut min = usize::MAX;
+    let mut cur_key = scratch[0] / pn;
+    let mut count = 0usize;
+    for &code in scratch.iter() {
+        let k = code / pn;
+        if k == cur_key {
+            count += 1;
+        } else {
+            min = min.min(count);
+            cur_key = k;
+            count = 1;
+        }
+    }
+    min.min(count)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sv_core::StandaloneModule;
+    use sv_relation::{InternedRelation, Relation, Schema};
+    use sv_workflow::{library, ModuleId};
+
+    #[test]
+    fn sort_reference_agrees_with_the_counting_kernel() {
+        let wf = library::one_one_chain(1, 4);
+        let m = StandaloneModule::from_workflow_module(&wf, ModuleId(0), 1 << 21).unwrap();
+        let ir = m.kernel();
+        let mut scratch = Vec::new();
+        for key in 0u64..(1 << m.k()) {
+            for probe in (0u64..(1 << m.k())).step_by(7) {
+                let kg = ir.group_index_word(key);
+                let pg = ir.group_index_word(probe);
+                assert_eq!(
+                    min_group_distinct(&kg, &pg, &mut scratch),
+                    ir.min_group_distinct_words(key, probe),
+                    "{key:#b}/{probe:#b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_relation_answers_usize_max() {
+        let ir = InternedRelation::from_relation(&Relation::empty(Schema::booleans(&["a", "b"])));
+        let (kg, pg) = (ir.group_index_word(0b01), ir.group_index_word(0b10));
+        assert_eq!(min_group_distinct(&kg, &pg, &mut Vec::new()), usize::MAX);
+    }
+}

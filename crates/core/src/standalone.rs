@@ -468,7 +468,7 @@ impl StandaloneModule {
     /// **Batched** [`privacy_level_word`](Self::privacy_level_word):
     /// answers a whole slice of visible-set words through one kernel
     /// batch call ([`InternedRelation::min_group_distinct_batch_with`]),
-    /// so group-index work and pair-code passes amortize across the
+    /// so group-index work and pair passes amortize across the
     /// requests — duplicate visible sets (and distinct sets sharing the
     /// same visible-input/visible-output split) pay for one evaluation.
     /// `out` is cleared and refilled with one level per input word.

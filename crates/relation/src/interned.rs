@@ -13,11 +13,18 @@
 //!   projected sub-tuple `π_S(t)` to a **dense `u32` group id**. The
 //!   per-set [`GroupIndex`] is computed once and memoized (keyed by the
 //!   set's bitmask word for schemas of ≤ 64 attributes, by [`AttrSet`]
-//!   beyond that).
+//!   beyond that). A grouping is numbered by **direct addressing**
+//!   (`O(rows)`, no sort) when its mixed-radix code space is at most
+//!   4 × rows; larger code spaces — the full-row dedup grouping, most
+//!   high-cardinality sets — sort the row codes instead (`O(rows log
+//!   rows)`), because a table the size of the code space would then
+//!   cost more to clear and scan than the sort.
 //! * [`InternedRelation::min_group_distinct`] — the entire Lemma-4 inner
-//!   loop — walks two cached id columns through a reusable scratch
-//!   buffer: **zero heap allocation per probe** once the group indexes
-//!   are warm.
+//!   loop — is one `O(rows)` **counting pass** over two cached id
+//!   columns: a counting sort buckets the rows by key group, and a stamp
+//!   array counts each bucket's distinct probe groups, all in one
+//!   reusable scratch buffer: **zero heap allocation per probe** once
+//!   the group indexes are warm.
 //! * [`ValueInterner`] is the generic sub-tuple → dense-id map used by
 //!   the interned natural join (provenance assembly, §4) and by group
 //!   computation when mixed-radix codes would overflow `u64`.
@@ -37,7 +44,7 @@
 //! **sharded** (readers of different sets never touch the same lock)
 //! with **once-per-set publication** (a cold set is built by exactly
 //! one thread — racing readers block on that set's [`std::sync::OnceLock`]
-//! slot, not on the cache), and per-probe pair-code buffers come from a
+//! slot, not on the cache), and per-probe pair-pass buffers come from a
 //! [`ScratchPool`] so concurrent probes never serialize on one shared
 //! scratch. The only writer is [`InternedRelation::append_rows`]
 //! (`&mut self`), which Rust's aliasing rules already exclude from
@@ -66,9 +73,18 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 /// far above the worker counts the sweep layer uses.
 const GROUP_SHARDS: usize = 16;
 
+/// Groupings whose mixed-radix code space is at most this many times the
+/// row count are numbered by direct addressing; larger ones sort. The
+/// addressing table holds one `u32` per code and is cleared and scanned
+/// once, so the factor keeps it within twice the size of the `u64` row
+/// codes the grouping computes anyway. Beyond it (the full-row grouping
+/// of a 22-attribute module spans 2²² codes for 2,048 rows) the table
+/// would cost more than sorting the row codes.
+const DIRECT_ADDRESS_FACTOR: u64 = 4;
+
 /// A pool of reusable `u64` probe buffers shared by concurrent readers.
 ///
-/// The Lemma-4 pair-code walk needs one scratch buffer per *in-flight*
+/// The Lemma-4 pair pass needs one scratch buffer per *in-flight*
 /// probe, not per caller: [`with`](Self::with) pops a buffer (or makes a
 /// fresh one when all are in use), runs the closure, and returns the
 /// buffer to the pool. The pool mutex is held only for the pop and the
@@ -89,8 +105,9 @@ pub struct ScratchPool {
     pool: Mutex<Vec<Vec<u64>>>,
 }
 
-/// Maximum buffers a [`ScratchPool`] retains (each grows to the hot
-/// relation's row count): bounds idle residency at 8 buffers while
+/// Maximum buffers a [`ScratchPool`] retains (each grows to at most
+/// three times the hot relation's row count: key-group bucket ends,
+/// bucketed rows, probe-group stamps): bounds idle residency at 8 buffers while
 /// still covering the serving/sweep thread counts the ROADMAP targets.
 const MAX_POOLED: usize = 8;
 
@@ -357,8 +374,9 @@ impl GroupIndex {
 #[derive(Clone, Debug)]
 enum GroupLookup {
     /// Mixed-radix path: `base` holds the build-time codes in ascending
-    /// order (group id = rank), `appended` the codes first seen by an
-    /// append (group ids `base.len()..`).
+    /// order (group id = rank), allocated at exactly the build-time
+    /// group count, and `appended` the codes first seen by an append
+    /// (group ids `base.len()..`).
     Radix {
         base: Vec<u64>,
         appended: HashMap<u64, u32>,
@@ -373,9 +391,11 @@ enum GroupLookup {
 /// safety probe runs on.
 ///
 /// Construction is `O(attrs × rows)`; each distinct attribute set pays
-/// one `O(rows log rows)` grouping pass, after which probes touching it
-/// are allocation-free (cache lookups borrow their keys, the pair
-/// scratch buffer is reused under a lock). Streaming rows in through
+/// one grouping pass — `O(attrs × rows)` by direct addressing when its
+/// code space is at most 4 × rows, `O(rows log rows)` by sorting above
+/// that — after which probes touching it are allocation-free (cache
+/// lookups borrow their keys, the pair-pass scratch comes from a pool)
+/// and cost one `O(rows)` counting pass. Streaming rows in through
 /// [`append_rows`](Self::append_rows) extends the warm groupings
 /// instead of rebuilding them.
 ///
@@ -410,8 +430,7 @@ pub struct InternedRelation {
     word_groups: GroupCache<u64>,
     /// Sharded group cache for wider schemas.
     wide_groups: GroupCache<AttrSet>,
-    /// Pooled `(key_gid, probe_gid)` code buffers: concurrent probes
-    /// each borrow their own.
+    /// Pooled pair-pass buffers: concurrent probes each borrow their own.
     scratch: ScratchPool,
 }
 
@@ -577,25 +596,22 @@ impl InternedRelation {
         let n = self.n_rows;
         let (sizes, fits_radix) = self.radix_sizes(attrs);
         if fits_radix {
-            // Mixed-radix fast path: one u64 code per row.
-            let codes: Vec<u64> = (0..n)
-                .map(|row| {
-                    let mut c: u64 = 0;
-                    for (&a, &s) in attrs.iter().zip(sizes.iter()) {
-                        c = c * s + u64::from(self.cols[a][row]);
-                    }
-                    c
-                })
-                .collect();
+            // Mixed-radix fast path: one u64 code per row, built column
+            // by column.
+            let mut codes = vec![0u64; n];
+            for (&a, &s) in attrs.iter().zip(&sizes) {
+                for (c, &v) in codes.iter_mut().zip(&self.cols[a]) {
+                    *c = *c * s + u64::from(v);
+                }
+            }
             // Densify: group id = rank of the row's code.
-            let mut sorted = codes.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let row_group: Vec<u32> = codes
-                .iter()
-                .map(|c| sorted.binary_search(c).expect("own code") as u32)
-                .collect();
-            let mut representative = vec![u32::MAX; sorted.len()];
+            let space: u64 = sizes.iter().product();
+            let (row_group, base) = if space <= DIRECT_ADDRESS_FACTOR.saturating_mul(n as u64) {
+                densify_direct(&codes, space)
+            } else {
+                densify_sorted(&codes)
+            };
+            let mut representative = vec![u32::MAX; base.len()];
             for (row, &g) in row_group.iter().enumerate() {
                 let slot = &mut representative[g as usize];
                 if *slot == u32::MAX {
@@ -604,10 +620,10 @@ impl InternedRelation {
             }
             GroupIndex {
                 row_group,
-                n_groups: sorted.len() as u32,
+                n_groups: base.len() as u32,
                 representative,
                 lookup: GroupLookup::Radix {
-                    base: sorted,
+                    base,
                     appended: HashMap::new(),
                 },
                 new_group_epoch: self.epoch,
@@ -670,8 +686,10 @@ impl InternedRelation {
     /// least one genuinely new row landed.
     ///
     /// Cost: `O(batch × (attrs + cached groupings × log groups))` — the
-    /// streaming alternative to an `O(rows log rows)` full rebuild per
-    /// cached grouping. Returns the number of new rows.
+    /// streaming alternative to rebuilding every cached grouping, which
+    /// costs `O(rows)` per grouping with a code space of at most
+    /// 4 × rows and `O(rows log rows)` per larger one. Returns the
+    /// number of new rows.
     ///
     /// # Errors
     /// Rejects rows violating the schema (arity or domain) before any
@@ -904,11 +922,14 @@ impl InternedRelation {
     /// of distinct `probe` sub-tuples, or `usize::MAX` on an empty
     /// relation.
     ///
-    /// Allocation-free once both group indexes are cached and the
-    /// scratch pool is warm: the pair codes go through a pooled buffer
-    /// ([`ScratchPool`]), so concurrent probes each hold their own
-    /// buffer and never serialize on a shared scratch. Pinned-buffer
-    /// callers (one buffer per sweep worker) can still use
+    /// One `O(rows)` counting pass (a counting sort of the rows by key
+    /// group, then a stamp array counting each bucket's distinct probe
+    /// groups; it stops early once some group shows a single probe
+    /// sub-tuple, the least possible). Allocation-free once both group
+    /// indexes are cached and the scratch pool is warm: the pass runs in
+    /// a pooled buffer ([`ScratchPool`]), so concurrent probes each hold
+    /// their own buffer and never serialize on a shared scratch.
+    /// Pinned-buffer callers (one buffer per sweep worker) can still use
     /// [`min_group_distinct_with`](Self::min_group_distinct_with) /
     /// [`min_group_distinct_words_with`](Self::min_group_distinct_words_with).
     #[must_use]
@@ -929,7 +950,7 @@ impl InternedRelation {
 
     /// [`min_group_distinct`](Self::min_group_distinct) through a
     /// caller-owned scratch buffer. Group-index caches are still shared
-    /// (read-mostly `RwLock`), but the per-probe pair-code buffer is the
+    /// (read-mostly `RwLock`), but the per-probe pair-pass buffer is the
     /// caller's — the form the parallel lattice sweep uses, one buffer
     /// per worker shard.
     #[must_use]
@@ -941,7 +962,7 @@ impl InternedRelation {
     ) -> usize {
         let kg = self.group_index(key);
         let pg = self.group_index(probe);
-        min_group_distinct_in(&kg, &pg, self.n_rows, scratch)
+        min_group_distinct_in(&kg, &pg, scratch)
     }
 
     /// Word-keyed [`min_group_distinct_with`](Self::min_group_distinct_with)
@@ -955,12 +976,11 @@ impl InternedRelation {
     ) -> usize {
         let kg = self.group_index_word(key);
         let pg = self.group_index_word(probe);
-        min_group_distinct_in(&kg, &pg, self.n_rows, scratch)
+        min_group_distinct_in(&kg, &pg, scratch)
     }
 
     fn min_group_distinct_indexed(&self, kg: &GroupIndex, pg: &GroupIndex) -> usize {
-        self.scratch
-            .with(|buf| min_group_distinct_in(kg, pg, self.n_rows, buf))
+        self.scratch.with(|buf| min_group_distinct_in(kg, pg, buf))
     }
 
     /// **Batched** Lemma-4 probes: answers a whole slice of word-encoded
@@ -968,7 +988,7 @@ impl InternedRelation {
     /// amortizes across the batch — each distinct attribute set is
     /// resolved against the cache (and computed, if cold) **at most once
     /// per batch**, and each distinct `(key, probe)` pair pays exactly
-    /// one pair-code pass, fanned out to every duplicate probe. This is
+    /// one pair pass, fanned out to every duplicate probe. This is
     /// the kernel entry point of the serving layer (`sv-core`'s
     /// `SafetyOracle::is_safe_batch`).
     ///
@@ -1046,14 +1066,14 @@ impl InternedRelation {
         let indexes: Vec<Arc<GroupIndex>> =
             words.iter().map(|&w| self.group_index_word(w)).collect();
         let at = |w: u64| &indexes[words.binary_search(&w).expect("collected above")];
-        // Distinct (key, probe) pairs: one pair-code pass each.
+        // Distinct (key, probe) pairs: one pair pass each.
         let mut pairs: Vec<(u64, u64)> =
             probes.iter().map(|&(k, p)| (k & mask, p & mask)).collect();
         pairs.sort_unstable();
         pairs.dedup();
         let answers: Vec<usize> = pairs
             .iter()
-            .map(|&(k, p)| min_group_distinct_in(at(k), at(p), self.n_rows, scratch))
+            .map(|&(k, p)| min_group_distinct_in(at(k), at(p), scratch))
             .collect();
         out.extend(probes.iter().map(|&(k, p)| {
             answers[pairs
@@ -1064,42 +1084,24 @@ impl InternedRelation {
 
     /// Grouped distinct counting with materialized keys — the
     /// compatibility form of the Lemma-4 condition
-    /// (`π_key`-group → number of distinct `π_probe` values).
+    /// (`π_key`-group → number of distinct `π_probe` values), through
+    /// the same counting pair pass as the probes.
     #[must_use]
     pub fn group_count_distinct(&self, key: &AttrSet, probe: &AttrSet) -> HashMap<Tuple, usize> {
         let kg = self.group_index(key);
         let pg = self.group_index(probe);
-        let pn = u64::from(pg.n_groups);
+        let key_attrs: Vec<AttrId> = key
+            .iter()
+            .filter(|a| a.index() < self.schema.len())
+            .collect();
         let mut counts: HashMap<Tuple, usize> = HashMap::with_capacity(kg.n_groups as usize);
-        if self.n_rows == 0 {
-            return counts;
-        }
         self.scratch.with(|scratch| {
-            scratch.clear();
-            scratch.extend(
-                kg.row_group
-                    .iter()
-                    .zip(pg.row_group.iter())
-                    .map(|(&k, &p)| u64::from(k) * pn + u64::from(p)),
-            );
-            scratch.sort_unstable();
-            scratch.dedup();
-            let key_attrs: Vec<AttrId> = key
-                .iter()
-                .filter(|a| a.index() < self.schema.len())
-                .collect();
-            let mut i = 0usize;
-            while i < scratch.len() {
-                let g = scratch[i] / pn;
-                let mut j = i;
-                while j < scratch.len() && scratch[j] / pn == g {
-                    j += 1;
-                }
-                let row = kg.representative[g as usize] as usize;
+            pair_pass(&kg, &pg, scratch, |g, distinct| {
+                let row = kg.representative[g] as usize;
                 let key_tuple = Tuple::new(key_attrs.iter().map(|&a| self.value(row, a)).collect());
-                counts.insert(key_tuple, j - i);
-                i = j;
-            }
+                counts.insert(key_tuple, distinct);
+                true
+            });
         });
         counts
     }
@@ -1214,41 +1216,114 @@ fn extend_gid<F: Fn(usize) -> Value>(
     row_group.push(gid);
 }
 
-/// The Lemma-4 pair-code walk over two cached group-id columns, writing
-/// through an arbitrary scratch buffer (pooled or per-worker).
-fn min_group_distinct_in(
-    kg: &GroupIndex,
-    pg: &GroupIndex,
-    n_rows: usize,
-    scratch: &mut Vec<u64>,
-) -> usize {
-    if n_rows == 0 {
-        return usize::MAX;
+/// Densifies row codes from a code space of `space` codes by direct
+/// addressing: returns each row's group id (the rank of its code among
+/// the distinct codes) and the distinct codes in ascending order,
+/// allocated at exactly their count.
+fn densify_direct(codes: &[u64], space: u64) -> (Vec<u32>, Vec<u64>) {
+    // `slot[code]`: `u32::MAX` while absent, `0` once seen, then the
+    // code's group id after the ascending numbering pass.
+    let mut slot = vec![u32::MAX; space as usize];
+    for &c in codes {
+        slot[c as usize] = 0;
     }
-    let pn = u64::from(pg.n_groups);
-    scratch.clear();
-    scratch.extend(
-        kg.row_group
-            .iter()
-            .zip(pg.row_group.iter())
-            .map(|(&k, &p)| u64::from(k) * pn + u64::from(p)),
-    );
-    scratch.sort_unstable();
-    scratch.dedup();
-    let mut min = usize::MAX;
-    let mut cur_key = scratch[0] / pn;
-    let mut count = 0usize;
-    for &code in scratch.iter() {
-        let k = code / pn;
-        if k == cur_key {
-            count += 1;
-        } else {
-            min = min.min(count);
-            cur_key = k;
-            count = 1;
+    let distinct = slot.iter().filter(|&&s| s == 0).count();
+    let mut base = Vec::with_capacity(distinct);
+    for (code, s) in slot.iter_mut().enumerate() {
+        if *s == 0 {
+            *s = base.len() as u32;
+            base.push(code as u64);
         }
     }
-    min.min(count)
+    let row_group = codes.iter().map(|&c| slot[c as usize]).collect();
+    (row_group, base)
+}
+
+/// [`densify_direct`] for code spaces too large to address: sorts the
+/// codes and ranks each row by binary search.
+fn densify_sorted(codes: &[u64]) -> (Vec<u32>, Vec<u64>) {
+    let mut base = codes.to_vec();
+    base.sort_unstable();
+    base.dedup();
+    // Retained as the grouping's lookup: keep the group count, not the
+    // row count.
+    base.shrink_to_fit();
+    let row_group = codes
+        .iter()
+        .map(|c| base.binary_search(c).expect("own code") as u32)
+        .collect();
+    (row_group, base)
+}
+
+/// The Lemma-4 pair pass over two cached group-id columns of one
+/// relation: calls `visit(key_group, distinct)` with the number of
+/// distinct `pg` groups among the rows of each `kg` group, in ascending
+/// key-group order, until `visit` returns `false`.
+///
+/// `O(rows + groups)` and allocation-free once `scratch` (pooled or
+/// per-worker) has grown to `kg.n_groups + rows + pg.n_groups` words:
+/// a counting sort buckets the rows' probe groups by key group, then a
+/// stamp per probe group (the last bucket that counted it) counts each
+/// bucket's distinct probe groups.
+fn pair_pass(
+    kg: &GroupIndex,
+    pg: &GroupIndex,
+    scratch: &mut Vec<u64>,
+    mut visit: impl FnMut(usize, usize) -> bool,
+) {
+    let (kn, pn, n) = (
+        kg.n_groups as usize,
+        pg.n_groups as usize,
+        kg.row_group.len(),
+    );
+    if scratch.len() < kn + n + pn {
+        scratch.resize(kn + n + pn, 0);
+    }
+    let (ends, rest) = scratch.split_at_mut(kn);
+    let (bucketed, rest) = rest.split_at_mut(n);
+    let stamps = &mut rest[..pn];
+    // Counting sort: bucket sizes, then their starts, then scatter —
+    // after which `ends[k]` is the end of bucket `k`.
+    ends.fill(0);
+    for &k in &kg.row_group {
+        ends[k as usize] += 1;
+    }
+    let mut start = 0u64;
+    for e in ends.iter_mut() {
+        let size = *e;
+        *e = start;
+        start += size;
+    }
+    for (&k, &p) in kg.row_group.iter().zip(&pg.row_group) {
+        let at = &mut ends[k as usize];
+        bucketed[*at as usize] = u64::from(p);
+        *at += 1;
+    }
+    stamps.fill(u64::MAX);
+    let mut begin = 0usize;
+    for (k, &end) in ends.iter().enumerate() {
+        let mut distinct = 0usize;
+        for &p in &bucketed[begin..end as usize] {
+            let stamp = &mut stamps[p as usize];
+            distinct += usize::from(*stamp != k as u64);
+            *stamp = k as u64;
+        }
+        begin = end as usize;
+        if !visit(k, distinct) {
+            return;
+        }
+    }
+}
+
+/// The Lemma-4 minimum over [`pair_pass`]: `usize::MAX` on an empty
+/// relation, and an early exit at 1, the least count a group can show.
+fn min_group_distinct_in(kg: &GroupIndex, pg: &GroupIndex, scratch: &mut Vec<u64>) -> usize {
+    let mut min = usize::MAX;
+    pair_pass(kg, pg, scratch, |_, distinct| {
+        min = min.min(distinct);
+        min > 1
+    });
+    min
 }
 
 #[cfg(test)]
@@ -1292,6 +1367,39 @@ mod tests {
         // Empty set: one group holding everything.
         let g = ir.group_index(&AttrSet::new());
         assert_eq!(g.n_groups, 1);
+    }
+
+    #[test]
+    fn groupings_retain_codes_at_their_group_count() {
+        // 24 boolean attributes over 2,048 rows: attributes 0–2 carry
+        // the row number's low three bits, 3–12 are constant, and 13–23
+        // carry the row number's eleven bits.
+        let names: Vec<String> = (0..24).map(|a| format!("a{a}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let rows = (0..2048u32)
+            .map(|r| {
+                (0..24)
+                    .map(|a| match a {
+                        0..=2 => (r >> a) & 1,
+                        3..=12 => 0,
+                        _ => (r >> (a - 13)) & 1,
+                    })
+                    .collect()
+            })
+            .collect();
+        let ir = InternedRelation::from_relation(&rel(&names, rows));
+        // Attributes 0–2 span 8 codes (direct addressing); attributes
+        // 0–13 span 2^14 > 4 × 2,048 codes (sorted). Both hold 8 groups.
+        let direct: Vec<u32> = (0..3).collect();
+        let sorted: Vec<u32> = (0..14).collect();
+        for ids in [direct, sorted] {
+            let g = ir.group_index(&AttrSet::from_indices(&ids));
+            assert_eq!(g.n_groups, 8);
+            let GroupLookup::Radix { base, .. } = &g.lookup else {
+                panic!("boolean codes fit the radix path");
+            };
+            assert_eq!(base.capacity(), 8, "{} attributes", ids.len());
+        }
     }
 
     #[test]

@@ -1,45 +1,48 @@
 //! Property suite for **incremental appends** through the interned
 //! kernel: on random append schedules (mixed batch sizes, duplicates,
-//! fresh domain values, empty bases), an incrementally maintained
-//! [`InternedRelation`] is indistinguishable from a kernel rebuilt from
-//! scratch, and both agree with the row-at-a-time reference semantics
-//! (`ops::reference`) — the ISSUE-3 acceptance property
-//! `incremental ≡ full rebuild ≡ reference`.
+//! fresh domain values, empty bases, wide domains), an incrementally
+//! maintained [`InternedRelation`] is indistinguishable from a kernel
+//! rebuilt from scratch, and both agree with the row-at-a-time reference
+//! semantics (`ops::reference`) — the streaming acceptance property
+//! `incremental ≡ full rebuild ≡ reference`. Every grouping equals a
+//! naive densify of the column store: build-time sub-tuples in ascending
+//! order (first-seen on the interner path), appended ones in first-seen
+//! order.
 
+mod common;
+
+use common::{random_schema, random_value, BuildLog, Coverage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sv_relation::{ops, AttrDef, AttrSet, Domain, InternedRelation, Relation, Schema, Tuple};
-
-/// A random schema of 2–4 attributes with domain sizes 2–4.
-fn random_schema(rng: &mut StdRng) -> Schema {
-    let n = rng.gen_range(2usize..5);
-    Schema::new(
-        (0..n)
-            .map(|i| AttrDef {
-                name: format!("a{i}"),
-                domain: Domain::new(rng.gen_range(2u32..5)),
-            })
-            .collect(),
-    )
-}
 
 fn random_row(rng: &mut StdRng, schema: &Schema) -> Tuple {
     Tuple::new(
         schema
             .iter()
-            .map(|(_, d)| rng.gen_range(0u32..d.domain.size()))
+            .map(|(_, d)| random_value(rng, d.domain.size()))
             .collect(),
     )
 }
 
 /// Asserts the incrementally maintained kernel is equivalent to a fresh
 /// build over the accumulated relation, for every attribute-set pair:
-/// same row count, groupings, Lemma-4 probes, grouped counts (against
-/// the reference semantics), and projections.
-fn assert_equivalent(inc: &InternedRelation, acc: &Relation, ctx: &str) {
+/// same row count, groupings (each equal to the naive densify, with
+/// `log` holding the streamed kernel's build-time row counts), Lemma-4
+/// probes, grouped counts (against the reference semantics), and
+/// projections.
+fn assert_equivalent(
+    inc: &InternedRelation,
+    acc: &Relation,
+    log: &mut BuildLog,
+    cov: &mut Coverage,
+    ctx: &str,
+) {
     let rebuilt = InternedRelation::from_relation(acc);
     assert_eq!(inc.n_rows(), acc.len(), "{ctx}: row count");
     let k = acc.schema().len();
+    log.check_all(inc, cov, &format!("{ctx}, streamed"));
+    BuildLog::new(k).check_all(&rebuilt, cov, &format!("{ctx}, rebuilt"));
     let mut scratch = Vec::new();
     for key_mask in 0u64..(1 << k) {
         let key = AttrSet::from_word(key_mask);
@@ -72,8 +75,12 @@ fn assert_equivalent(inc: &InternedRelation, acc: &Relation, ctx: &str) {
 #[test]
 fn random_append_schedules_match_rebuild_and_reference() {
     let mut rng = StdRng::seed_from_u64(0x5EED_A99E);
+    let mut coverage = Coverage::default();
     for case in 0..30 {
-        let schema = random_schema(&mut rng);
+        // 2–4 attributes; every fourth schema has three wide ones.
+        let wide = case % 4 == 3;
+        let n = rng.gen_range(if wide { 3usize } else { 2 }..5);
+        let schema = random_schema(&mut rng, n, wide);
         // Base: sometimes empty, sometimes a handful of rows.
         let n_base = if case % 5 == 0 {
             0
@@ -90,6 +97,8 @@ fn random_append_schedules_match_rebuild_and_reference() {
         for _ in 0..rng.gen_range(0usize..4) {
             let _ = inc.group_index(&AttrSet::from_word(rng.gen_range(0u64..(1 << k))));
         }
+        let mut log = BuildLog::new(k);
+        log.note(&inc, inc.n_rows());
         let mut expected_epoch = 0u64;
         for step in 0..rng.gen_range(1usize..5) {
             // Mixed batches: fresh random rows + duplicates of existing.
@@ -102,7 +111,9 @@ fn random_append_schedules_match_rebuild_and_reference() {
                     }
                 })
                 .collect();
+            let rows_before = inc.n_rows();
             let added = inc.append_rows(&batch).unwrap();
+            log.note(&inc, rows_before);
             let merged = acc.insert_batch(&batch).unwrap();
             assert_eq!(added, merged, "case {case} step {step}: layers agree");
             if added > 0 {
@@ -113,9 +124,11 @@ fn random_append_schedules_match_rebuild_and_reference() {
                 expected_epoch,
                 "case {case} step {step}: epoch ticks iff rows landed"
             );
-            assert_equivalent(&inc, &acc, &format!("case {case} step {step}"));
+            let ctx = format!("case {case} step {step}");
+            assert_equivalent(&inc, &acc, &mut log, &mut coverage, &ctx);
         }
     }
+    coverage.assert_complete(true);
 }
 
 #[test]
@@ -181,10 +194,13 @@ fn append_to_empty_then_duplicates_only() {
     // Everything-duplicate batch on a non-empty relation leaves the
     // epoch (and caches) untouched.
     let batch = vec![Tuple::new(vec![0, 1, 1]), Tuple::new(vec![1, 0, 0])];
+    let mut log = BuildLog::new(3);
     assert_eq!(inc.append_rows(&batch).unwrap(), 2);
+    log.note(&inc, 0);
     acc.insert_batch(&batch).unwrap();
     assert_eq!(inc.epoch(), 1);
     assert_eq!(inc.append_rows(&batch).unwrap(), 0);
     assert_eq!(inc.epoch(), 1, "pure-duplicate batch: no new epoch");
-    assert_equivalent(&inc, &acc, "empty-base schedule");
+    let mut coverage = Coverage::default();
+    assert_equivalent(&inc, &acc, &mut log, &mut coverage, "empty-base schedule");
 }

@@ -3,24 +3,16 @@
 //! empty relations, streamed appends), the batched kernel entry point is
 //! indistinguishable from probing one at a time, and both agree with the
 //! row-at-a-time reference semantics — the ISSUE-4 acceptance property
-//! `batched ≡ sequential ≡ reference` at the kernel layer.
+//! `batched ≡ sequential ≡ reference` at the kernel layer. Every grouping
+//! the probes run on — direct-addressed, sorted and interned, before and
+//! after appends — equals a naive densify of the column store.
 
+mod common;
+
+use common::{random_schema, random_value, BuildLog, Coverage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sv_relation::{ops, AttrDef, AttrSet, Domain, InternedRelation, Relation, Schema, Tuple};
-
-/// A random schema of 3–8 attributes with domain sizes 2–4.
-fn random_schema(rng: &mut StdRng) -> Schema {
-    let n = rng.gen_range(3usize..=8);
-    Schema::new(
-        (0..n)
-            .map(|i| AttrDef {
-                name: format!("a{i}"),
-                domain: Domain::new(rng.gen_range(2u32..5)),
-            })
-            .collect(),
-    )
-}
+use sv_relation::{ops, AttrSet, InternedRelation, Relation, Schema, Tuple};
 
 fn random_rows(rng: &mut StdRng, schema: &Schema, max_rows: usize) -> Vec<Vec<u32>> {
     let n = rng.gen_range(0..=max_rows);
@@ -28,7 +20,7 @@ fn random_rows(rng: &mut StdRng, schema: &Schema, max_rows: usize) -> Vec<Vec<u3
         .map(|_| {
             schema
                 .iter()
-                .map(|(_, d)| rng.gen_range(0u32..d.domain.size()))
+                .map(|(_, d)| random_value(rng, d.domain.size()))
                 .collect()
         })
         .collect()
@@ -67,8 +59,10 @@ fn reference_answer(r: &Relation, key: &AttrSet, probe: &AttrSet) -> usize {
 #[test]
 fn batched_equals_sequential_equals_reference() {
     let mut rng = StdRng::seed_from_u64(0xE18);
+    let mut coverage = Coverage::default();
     for trial in 0..30 {
-        let schema = random_schema(&mut rng);
+        let n = rng.gen_range(3usize..=8);
+        let schema = random_schema(&mut rng, n, trial % 3 == 0);
         let k = schema.len();
         let rows = random_rows(&mut rng, &schema, 40);
         let r = Relation::from_values(schema, rows).expect("rows fit the schema");
@@ -77,6 +71,7 @@ fn batched_equals_sequential_equals_reference() {
         let probes = random_batch(&mut rng, k, len);
 
         let batched = ir.min_group_distinct_batch(&probes);
+        BuildLog::new(k).check_all(&ir, &mut coverage, &format!("trial {trial}"));
         assert_eq!(batched.len(), probes.len());
         for (i, &(kw, pw)) in probes.iter().enumerate() {
             // Sequential kernel probe.
@@ -97,28 +92,40 @@ fn batched_equals_sequential_equals_reference() {
         ir.min_group_distinct_batch_with(&probes, &mut scratch, &mut out);
         assert_eq!(out, batched, "trial {trial}: scratch variant diverges");
     }
+    coverage.assert_complete(false);
 }
 
 #[test]
 fn batched_probes_survive_streamed_appends() {
     let mut rng = StdRng::seed_from_u64(0x5E21E);
+    let mut coverage = Coverage::default();
     for trial in 0..15 {
-        let schema = random_schema(&mut rng);
+        let n = rng.gen_range(3usize..=8);
+        let schema = random_schema(&mut rng, n, trial % 3 == 0);
         let k = schema.len();
         let base = random_rows(&mut rng, &schema, 20);
         let mut acc = Relation::from_values(schema.clone(), base).expect("valid base");
         let mut ir = InternedRelation::from_relation(&acc);
         let probes = random_batch(&mut rng, k, 12);
-        // Warm the batch once so appends must extend the group indexes
-        // the batch materialized.
+        // Warm the batch, plus every single-attribute and empty grouping
+        // (small code spaces: direct-addressed), so appends must extend
+        // the group indexes already built.
         let _ = ir.min_group_distinct_batch(&probes);
+        for a in 0..k {
+            let _ = ir.group_index_word(1 << a);
+        }
+        let _ = ir.group_index_word(0);
+        let mut log = BuildLog::new(k);
+        log.note(&ir, ir.n_rows());
 
         for step in 0..3 {
             let batch: Vec<Tuple> = random_rows(&mut rng, &schema, 8)
                 .into_iter()
                 .map(Tuple::new)
                 .collect();
+            let rows_before = ir.n_rows();
             ir.append_rows(&batch).expect("in-domain rows");
+            log.note(&ir, rows_before);
             let all_rows: Vec<Tuple> = acc
                 .rows()
                 .iter()
@@ -132,8 +139,12 @@ fn batched_probes_survive_streamed_appends() {
                 rebuilt.min_group_distinct_batch(&probes),
                 "trial {trial} step {step}: streamed ≠ rebuilt"
             );
+            let ctx = format!("trial {trial} step {step}");
+            log.check_all(&ir, &mut coverage, &format!("{ctx}, streamed"));
+            BuildLog::new(k).check_all(&rebuilt, &mut coverage, &format!("{ctx}, rebuilt"));
         }
     }
+    coverage.assert_complete(true);
 }
 
 #[test]

@@ -1,0 +1,201 @@
+//! Shared by the kernel property suites: the naive grouping model every
+//! [`GroupIndex`](sv_relation::GroupIndex) is checked against, the
+//! classification of a grouping by the path that builds it, and the
+//! value generator for wide (interner) domains.
+
+use rand::rngs::StdRng;
+use rand::Rng;
+use sv_relation::{AttrDef, AttrId, Domain, InternedRelation, Schema, Value};
+
+/// Which kernel path builds a grouping: the kernel numbers mixed-radix
+/// codes by direct addressing when the code space is at most
+/// `DIRECT_ADDRESS_FACTOR` × rows, sorts them above that, and interns
+/// sub-tuples whose codes overflow `u64`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum GroupingPath {
+    Direct,
+    Sorted,
+    Interned,
+}
+
+/// The kernel's direct-addressing cutoff, as a multiple of the rows.
+const DIRECT_ADDRESS_FACTOR: u128 = 4;
+
+/// Domain size of the wide attributes: three of them overflow a `u64`
+/// mixed-radix code, so their groupings take the interner path.
+const WIDE_DOMAIN: u32 = u32::MAX;
+
+fn attrs_of(schema: &Schema, word: u64) -> Vec<usize> {
+    (0..schema.len()).filter(|&a| word >> a & 1 == 1).collect()
+}
+
+/// The path a grouping by `word` takes when built over `rows` rows.
+fn grouping_path(schema: &Schema, word: u64, rows: usize) -> GroupingPath {
+    let space = attrs_of(schema, word)
+        .into_iter()
+        .map(|a| u128::from(schema.attr(AttrId(a as u32)).domain.size()))
+        .fold(1u128, u128::saturating_mul);
+    if space > u128::from(u64::MAX) {
+        GroupingPath::Interned
+    } else if space <= DIRECT_ADDRESS_FACTOR * rows as u128 {
+        GroupingPath::Direct
+    } else {
+        GroupingPath::Sorted
+    }
+}
+
+/// A schema of `n` attributes with domain sizes 2–4, whose first three
+/// attributes are wide when `wide` is set.
+pub fn random_schema(rng: &mut StdRng, n: usize, wide: bool) -> Schema {
+    Schema::new(
+        (0..n)
+            .map(|i| AttrDef {
+                name: format!("a{i}"),
+                domain: Domain::new(if wide && i < 3 {
+                    WIDE_DOMAIN
+                } else {
+                    rng.gen_range(2u32..5)
+                }),
+            })
+            .collect(),
+    )
+}
+
+/// A random value of a domain of `size` values; wide domains draw from a
+/// handful of spread-out values so their groups still share rows.
+pub fn random_value(rng: &mut StdRng, size: u32) -> Value {
+    if size == WIDE_DOMAIN {
+        [0, 1, 1_000_000_000, 4_000_000_000][rng.gen_range(0usize..4)]
+    } else {
+        rng.gen_range(0..size)
+    }
+}
+
+/// Asserts the kernel's grouping by `word` equals a naive densify of
+/// its column store, and returns the path that built it: sub-tuples of
+/// the first `built_rows` rows (those present when the grouping was
+/// built) rank in ascending order (mixed-radix codes order exactly like
+/// sub-tuples compared attribute by attribute) or, on the interner
+/// path, take ids in first-seen order; sub-tuples first seen in later,
+/// appended rows take the next ids in first-seen order.
+fn assert_grouping(ir: &InternedRelation, word: u64, built_rows: usize, ctx: &str) -> GroupingPath {
+    let attrs = attrs_of(ir.schema(), word);
+    let sub = |row: usize| -> Vec<Value> {
+        attrs
+            .iter()
+            .map(|&a| ir.value(row, AttrId(a as u32)))
+            .collect()
+    };
+    let path = grouping_path(ir.schema(), word, built_rows);
+    let mut ids: Vec<Vec<Value>> = Vec::new();
+    for row in 0..built_rows {
+        let s = sub(row);
+        if !ids.contains(&s) {
+            ids.push(s);
+        }
+    }
+    if path != GroupingPath::Interned {
+        ids.sort();
+    }
+    for row in built_rows..ir.n_rows() {
+        let s = sub(row);
+        if !ids.contains(&s) {
+            ids.push(s);
+        }
+    }
+    let row_group: Vec<u32> = (0..ir.n_rows())
+        .map(|row| {
+            let s = sub(row);
+            ids.iter()
+                .position(|t| *t == s)
+                .expect("every row has a group") as u32
+        })
+        .collect();
+    let representative: Vec<u32> = (0..ids.len() as u32)
+        .map(|g| row_group.iter().position(|&r| r == g).expect("dense ids") as u32)
+        .collect();
+    let g = ir.group_index_word(word);
+    assert_eq!(
+        g.n_groups as usize,
+        ids.len(),
+        "{ctx}: n_groups of {word:#b}"
+    );
+    assert_eq!(g.row_group, row_group, "{ctx}: row_group of {word:#b}");
+    assert_eq!(
+        g.representative, representative,
+        "{ctx}: representative of {word:#b}"
+    );
+    path
+}
+
+/// The row count each of a kernel's groupings was built over, read
+/// through the kernel's public cache probe, so that groupings warmed
+/// before appends are checked as extended and cold ones as fresh builds.
+pub struct BuildLog {
+    built: Vec<Option<usize>>,
+}
+
+impl BuildLog {
+    /// An empty log for a schema of `k` attributes.
+    pub fn new(k: usize) -> Self {
+        Self {
+            built: vec![None; 1 << k],
+        }
+    }
+
+    /// Logs every grouping `ir` has cached that the log lacks as built
+    /// over `rows` rows: call after each kernel call that can build
+    /// groupings, with the row count before that call.
+    pub fn note(&mut self, ir: &InternedRelation, rows: usize) {
+        for (word, built) in self.built.iter_mut().enumerate() {
+            if built.is_none() && ir.group_new_group_epoch_word(word as u64).is_some() {
+                *built = Some(rows);
+            }
+        }
+    }
+
+    /// Checks every grouping of `ir` with [`assert_grouping`], building
+    /// the missing ones over the current rows, and tallies their paths.
+    pub fn check_all(&mut self, ir: &InternedRelation, cov: &mut Coverage, ctx: &str) {
+        for (word, built) in self.built.iter_mut().enumerate() {
+            let rows = *built.get_or_insert(ir.n_rows());
+            let path = assert_grouping(ir, word as u64, rows, ctx);
+            cov.record(path, ir.n_rows() > rows);
+        }
+    }
+}
+
+/// Tallies the grouping paths a suite exercised, so a generator change
+/// cannot silently drop one side of the cutoff.
+#[derive(Debug, Default)]
+pub struct Coverage {
+    direct: usize,
+    sorted: usize,
+    interned: usize,
+    appended_direct: usize,
+}
+
+impl Coverage {
+    /// Records one checked grouping; `appended` when rows arrived after
+    /// it was built.
+    fn record(&mut self, path: GroupingPath, appended: bool) {
+        match path {
+            GroupingPath::Direct => self.direct += 1,
+            GroupingPath::Sorted => self.sorted += 1,
+            GroupingPath::Interned => self.interned += 1,
+        }
+        if appended && path == GroupingPath::Direct {
+            self.appended_direct += 1;
+        }
+    }
+
+    /// Asserts every path was checked, and direct-addressed groupings
+    /// after appends when `appends` is set.
+    pub fn assert_complete(&self, appends: bool) {
+        assert!(
+            self.direct > 0 && self.sorted > 0 && self.interned > 0,
+            "{self:?}"
+        );
+        assert!(!appends || self.appended_direct > 0, "{self:?}");
+    }
+}
