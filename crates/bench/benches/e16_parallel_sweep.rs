@@ -115,18 +115,14 @@ fn record_pruning_stats(_c: &mut Criterion) {
         criterion::record_metric(&format!("{base}/visited"), s.visited as f64);
         criterion::record_metric(&format!("{base}/pruned"), s.pruned as f64);
         criterion::record_metric(&format!("{base}/visited_fraction"), s.visited_fraction());
-        // Trie-frontier counters: under border enumeration (PR 10) the
-        // per-mask coverage queries are gone (`frontier_queries` is 0)
-        // and the walks' emission/jump counts are the enumeration
-        // effort. `minimal_sets` walks are layer-barriered, so its
-        // counters are exact at any thread count; `min_cost`'s are
-        // recorded from the serial run above. `frontier_nodes` is the
-        // canonical trie shape — for `min_cost` that is the discovered
-        // safe-mask antichain the border walk skipped against.
-        criterion::record_metric(
-            &format!("{base}/frontier_queries"),
-            s.frontier_queries as f64,
-        );
+        // Trie-frontier counters: both sweeps enumerate only the
+        // uncovered border, so the walks' emission/jump counts are the
+        // whole enumeration effort. `minimal_sets` walks are
+        // layer-barriered, so its counters are exact at any thread
+        // count; `min_cost`'s are recorded from the serial run above.
+        // `frontier_nodes` is the canonical trie shape — for `min_cost`
+        // that is the discovered safe-mask antichain the border walk
+        // skipped against.
         criterion::record_metric(&format!("{base}/border_visited"), s.border_visited as f64);
         criterion::record_metric(&format!("{base}/border_jumps"), s.border_jumps as f64);
         criterion::record_metric(&format!("{base}/frontier_nodes"), s.frontier_nodes as f64);

@@ -1,11 +1,11 @@
 //! Retained **exhaustive layer-enumeration reference** for the border
-//! sweep — the PR 6 algorithm `minimal_sets_sweep_frontier` shipped
-//! before PR 10, kept as a budgeted serial baseline so
-//! `e20_frontier_scaling` can measure uncovered-border enumeration
-//! against the exact code path it replaced.
+//! sweep — the algorithm `minimal_sets_sweep_frontier` ran before it
+//! enumerated only the uncovered border, kept (as its only copy) as a
+//! budgeted serial baseline so `e20_frontier_scaling` can measure
+//! uncovered-border enumeration against the code path it replaced.
 //!
 //! The antichain is the real bitwise-trie [`Frontier`] (coverage queries
-//! are sublinear, exactly as in the shipped exhaustive mode); what this
+//! are sublinear, exactly as in the replaced sweep); what this
 //! reference pays is the **enumeration**: every `C(k, p)` mask of every
 //! swept layer is materialized via Gosper's hack and coverage-tested,
 //! even when the frontier already covers almost all of them.
@@ -36,10 +36,10 @@ pub struct LayerScanOutcome {
 /// trie coverage queries, stopping as soon as `enum_budget` masks have
 /// been materialized.
 ///
-/// Mirrors `sv_core::sweep`'s exhaustive (`without_border`) mode: masks
-/// are visited in (popcount, mask) order via Gosper's hack, covered
-/// masks are skipped without probing, and a fully-covered layer cuts
-/// off the remaining lattice (Proposition 1).
+/// The replaced sweep, serially: masks are visited in (popcount, mask)
+/// order via Gosper's hack, covered masks are skipped without probing,
+/// and a fully-covered layer cuts off the remaining lattice
+/// (Proposition 1).
 #[must_use]
 pub fn layer_scan_minimal_sets(
     module: &StandaloneModule,
@@ -118,8 +118,8 @@ mod tests {
                 minimal_sets_sweep_frontier(&m, gamma, &SweepConfig::serial()).unwrap();
             assert!(out.completed);
             assert_eq!(out.sets, frontier.len() as u64, "gamma={gamma}");
-            // Both modes probe exactly the uncovered masks, so the
-            // probe ledger matches even though the enumeration differs.
+            // Both probe exactly the uncovered masks, so the probe
+            // ledger matches even though the enumeration differs.
             assert_eq!(out.visited, stats.visited, "gamma={gamma}");
             assert_eq!(out.visited, stats.border_visited, "gamma={gamma}");
             assert!(

@@ -58,6 +58,11 @@ impl ModuleLens {
         self.module
     }
 
+    /// Local position -> global attribute id, in global-id order.
+    pub(crate) fn globals(&self) -> &[AttrId] {
+        &self.globals
+    }
+
     /// Maps a local attribute set to global ids.
     #[must_use]
     pub fn to_global(&self, local: &AttrSet) -> AttrSet {

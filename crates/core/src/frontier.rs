@@ -92,10 +92,8 @@
 //! [`dominated_by`](Frontier::dominated_by)) take `&self` and the type
 //! is `Sync`, so sweep workers share one read-only snapshot per layer
 //! and merge discoveries behind the layer barrier (see
-//! [`crate::sweep::minimal_sets_sweep`]). The only interior mutability
-//! is the relaxed [`queries`](Frontier::queries) counter.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! [`crate::sweep::minimal_sets_sweep`]). There is no interior
+//! mutability.
 
 /// "No subtree" sentinel (empty root; never a live interior child).
 const NIL: u32 = u32::MAX;
@@ -144,7 +142,7 @@ struct Node {
 /// assert!(!f.covers(0b0010));
 /// assert!(f.dominated_by(0b0100), "0b1100 is a superset");
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Frontier {
     k: u32,
     /// Node arena; freed slots recycled through `free`.
@@ -172,37 +170,11 @@ pub struct Frontier {
     block_minpop: Vec<u32>,
     block_maxpop: Vec<u32>,
     block_pop: Vec<u32>,
-    /// Coverage/domination queries answered (relaxed; deterministic
-    /// under the layer-barriered sweeps, which query each enumerated
-    /// mask exactly once regardless of thread count).
-    queries: AtomicU64,
-}
-
-impl Clone for Frontier {
-    fn clone(&self) -> Self {
-        Self {
-            k: self.k,
-            nodes: self.nodes.clone(),
-            root: self.root,
-            len: self.len,
-            free: self.free.clone(),
-            live: self.live.clone(),
-            occ: self.occ.clone(),
-            slot_mask: self.slot_mask.clone(),
-            slot_free: self.slot_free.clone(),
-            block_and: self.block_and.clone(),
-            block_or: self.block_or.clone(),
-            block_minpop: self.block_minpop.clone(),
-            block_maxpop: self.block_maxpop.clone(),
-            block_pop: self.block_pop.clone(),
-            queries: AtomicU64::new(self.queries.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl PartialEq for Frontier {
-    /// Structural set equality: same width, same members (query
-    /// counters are instrumentation and do not participate).
+    /// Structural set equality: same width, same members (the arena
+    /// layout, free lists and digests do not participate).
     fn eq(&self, other: &Self) -> bool {
         self.k == other.k && self.members_ascending() == other.members_ascending()
     }
@@ -241,7 +213,6 @@ impl Frontier {
             block_minpop: Vec::new(),
             block_maxpop: Vec::new(),
             block_pop: Vec::new(),
-            queries: AtomicU64::new(0),
         }
     }
 
@@ -291,19 +262,6 @@ impl Frontier {
         self.nodes.len() - self.free.len()
     }
 
-    /// Coverage/domination queries answered so far
-    /// ([`covers`](Self::covers) + [`dominated_by`](Self::dominated_by)
-    /// calls; insertions use internal uncounted walks). Exact for
-    /// single-threaded callers; concurrent queries may lose increments
-    /// (the counter deliberately avoids an atomic read-modify-write on
-    /// the query hot path — the sweeps tally their own exact,
-    /// CI-gated totals worker-locally instead, see
-    /// [`crate::sweep::SweepStats::frontier_queries`]).
-    #[must_use]
-    pub fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
-    }
-
     #[inline]
     fn assert_mask(&self, mask: u64) {
         assert!(
@@ -342,17 +300,11 @@ impl Frontier {
     /// let f = sv_core::Frontier::from_masks(4, [0b0011]);
     /// assert!(f.covers(0b1011));
     /// assert!(!f.covers(0b1001));
-    /// assert_eq!(f.queries(), 2);
     /// ```
     #[must_use]
     #[inline]
     pub fn covers(&self, mask: u64) -> bool {
         self.assert_mask(mask);
-        // Unlocked increment: cheaper than a lock-prefixed RMW on the
-        // hot path, at the cost of lost updates under concurrent
-        // queries (see [`Self::queries`]).
-        self.queries
-            .store(self.queries.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         self.covers_raw(mask)
     }
 
@@ -372,11 +324,6 @@ impl Frontier {
     #[inline]
     pub fn dominated_by(&self, mask: u64) -> bool {
         self.assert_mask(mask);
-        // Unlocked increment: cheaper than a lock-prefixed RMW on the
-        // hot path, at the cost of lost updates under concurrent
-        // queries (see [`Self::queries`]).
-        self.queries
-            .store(self.queries.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         self.dominated_raw(mask)
     }
 
@@ -1194,7 +1141,6 @@ mod tests {
             assert_eq!(f.dominated_by(mask), dominated, "dominated {mask:#07b}");
             assert_eq!(f.contains(mask), members.contains(&mask));
         }
-        assert_eq!(f.queries(), 2 << 5, "one covers + one dominated per mask");
     }
 
     #[test]
@@ -1243,14 +1189,12 @@ mod tests {
     }
 
     #[test]
-    fn clone_and_equality_ignore_instrumentation() {
+    fn clone_and_equality_are_structural() {
         let f = Frontier::from_masks(4, [0b0011, 0b0100]);
-        let _ = f.covers(0b1111);
         let g = f.clone();
         assert_eq!(f, g);
-        assert_eq!(g.queries(), f.queries(), "clone carries the counter");
         let h = Frontier::from_masks(4, [0b0100, 0b0011]);
-        assert_eq!(f, h, "equality is structural, not query-count");
+        assert_eq!(f, h, "equality ignores insertion order");
         assert_ne!(f, Frontier::new(4));
     }
 

@@ -27,11 +27,12 @@
 //!   with sublinear coverage/domination queries,
 //!   minimality-maintaining insertion, and up-set algebra — the engine
 //!   behind the sweeps' Proposition-1 pruning;
-//! * [`sweep`] — the **parallel work-stealing lattice sweep**: sharded
-//!   subset enumeration with a shared branch-and-bound best-cost bound
-//!   and Proposition-1 antichain pruning, plus [`sweep::WorkflowSweeper`]
-//!   driving per-module sweeps (with hoisted cost slices) for the
-//!   composition and instance-derivation layers;
+//! * [`sweep`] — the **parallel work-stealing lattice sweep**: one
+//!   enumerator that walks only the uncovered border of the
+//!   Proposition-1 antichain, with a shared branch-and-bound best-cost
+//!   bound, plus [`sweep::WorkflowSweeper`] driving per-module sweeps
+//!   (with hoisted cost slices) over one [`safety::WorkflowOracles`]
+//!   module store for the composition and instance-derivation layers;
 //! * [`compose`] — Theorem 4: assembling workflow privacy from
 //!   standalone guarantees in all-private workflows, plus the exhaustive
 //!   workflow-privacy verifier over function-generated possible worlds;

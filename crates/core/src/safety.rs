@@ -65,9 +65,10 @@
 //! on an in-flight append, and epoch-conditioned requests
 //! ([`ProbeRequest::epoch`]) let clients detect an append that slipped
 //! between deriving a question and asking it
-//! ([`CoreError::StaleEpoch`]). The legacy `&mut self` appends
-//! ([`WorkflowOracles::ingest_execution`] /
-//! [`WorkflowOracles::append_execution`]) remain for exclusive owners.
+//! ([`CoreError::StaleEpoch`]). That batch path is the only way
+//! workflow rows enter a [`WorkflowOracles`]; the workflow sweeper
+//! ([`crate::sweep::WorkflowSweeper`]) reads its modules from the same
+//! store rather than keeping copies.
 //!
 //! The instrumented black-box interface of the Theorem-3 experiments
 //! ([`crate::oracle::SafeViewOracle`]) sits *on top* of this layer:
@@ -81,11 +82,11 @@
 //! `2^k` hidden-set masks **serially** through a `&dyn
 //! SafetyOracle`. They are deliberately kept simple: they are the
 //! executable specification the property suites compare the parallel
-//! work-stealing sweep ([`crate::sweep`]) against, and the path of
-//! choice when the caller already owns a warm [`MemoSafetyOracle`]
-//! (repeat derivations over the same module, e.g. a Γ sweep). New
-//! callers that sweep a cold lattice — especially for large `k` —
-//! should go through [`crate::sweep`] instead.
+//! uncovered-border sweep ([`crate::sweep`]) against at 1/2/4/8
+//! threads, and the path of choice when the caller already owns a warm
+//! [`MemoSafetyOracle`] (repeat derivations over the same module, e.g.
+//! a Γ sweep). New callers that sweep a cold lattice — especially for
+//! large `k` — should go through [`crate::sweep`] instead.
 //!
 //! ### The antichain pruning invariant (Proposition 1)
 //!
@@ -97,9 +98,10 @@
 //! known-safe set without probing it. [`minimal_safe_hidden_sets`]
 //! exploits this by enumerating masks in ascending-popcount order and
 //! skipping supersets of already-found minimal sets; the parallel sweep
-//! strengthens it with a layer cutoff (once a whole popcount layer is
-//! covered by the antichain, every higher layer is covered too and the
-//! remaining up-sets are skipped wholesale — see
+//! never even enumerates those supersets (it walks only the antichain's
+//! uncovered border) and adds a layer cutoff (once a whole popcount
+//! layer is covered by the antichain, every higher layer is covered too
+//! and the remaining up-sets are skipped wholesale — see
 //! [`crate::sweep::minimal_sets_sweep`]).
 
 use crate::error::CoreError;
@@ -1125,10 +1127,11 @@ impl WorkflowOracles {
 
     /// The **streaming** constructor: every private module starts with
     /// an empty relation (no executions recorded) and grows through
-    /// [`ingest_execution`](Self::ingest_execution) /
-    /// [`append_execution`](Self::append_execution) as provenance
-    /// arrives. Privacy answers are with respect to the executions
-    /// recorded so far.
+    /// [`ingest_batch`](Self::ingest_batch) (or
+    /// [`validate_batch`](Self::validate_batch) →
+    /// [`apply_batch`](Self::apply_batch)) as provenance arrives.
+    /// Privacy answers are with respect to the executions recorded so
+    /// far.
     ///
     /// # Errors
     /// Propagates structural workflow errors.
@@ -1154,8 +1157,8 @@ impl WorkflowOracles {
         }
     }
 
-    /// Exclusive access to one entry's oracle (no locking: `&mut self`
-    /// proves no reader exists).
+    /// Exclusive access to one entry's oracle for the restore paths (no
+    /// locking: `&mut self` proves no reader exists).
     fn oracle_mut(entry: &mut OracleEntry) -> &mut MemoSafetyOracle {
         entry.oracle.get_mut().expect("module oracle lock poisoned")
     }
@@ -1163,9 +1166,9 @@ impl WorkflowOracles {
     /// Re-reads every module's relation epoch and publishes the vector
     /// through the seqlock pair: bump to odd, store, bump back to even.
     /// Callers must be serialized with each other (the single-writer
-    /// contract of the ingest lane / `&mut` ownership); concurrent
-    /// [`epoch_snapshot`](Self::epoch_snapshot) readers retry instead
-    /// of blocking.
+    /// contract of the ingest lane, or `&mut` ownership for the restore
+    /// paths); concurrent [`epoch_snapshot`](Self::epoch_snapshot)
+    /// readers retry instead of blocking.
     fn publish_epochs(&self) {
         self.epoch_seq.fetch_add(1, Ordering::AcqRel);
         for e in &self.entries {
@@ -1290,57 +1293,6 @@ impl WorkflowOracles {
         self.apply_batch(validated)
     }
 
-    /// Ingests one workflow execution (a full provenance row over the
-    /// **workflow** schema, e.g. from [`Workflow::run`]): each private
-    /// module appends its projection of the row. Returns the total
-    /// number of new module rows (a module already holding its
-    /// projection contributes 0 — only *its* caches stay fully warm).
-    ///
-    /// Atomic across modules: every projection is validated
-    /// ([`StandaloneModule::validate_executions`]) before any module is
-    /// touched, so a row that is invalid for one module mutates none.
-    ///
-    /// # Errors
-    /// Propagates append validation failures (domains, FD).
-    pub fn ingest_execution(&mut self, row: &sv_relation::Tuple) -> Result<usize, CoreError> {
-        let projections: Vec<sv_relation::Tuple> =
-            self.entries.iter().map(|e| row.project(&e.attrs)).collect();
-        for (e, p) in self.entries.iter_mut().zip(&projections) {
-            Self::oracle_mut(e)
-                .module()
-                .validate_executions(std::slice::from_ref(p))?;
-        }
-        let mut added = 0;
-        for (e, p) in self.entries.iter_mut().zip(&projections) {
-            added += Self::oracle_mut(e)
-                .append_execution(std::slice::from_ref(p))
-                .expect("validated above");
-        }
-        self.publish_epochs();
-        Ok(added)
-    }
-
-    /// Streams executions (rows over the **module** sub-schema) into
-    /// one module's oracle; see
-    /// [`MemoSafetyOracle::append_execution`].
-    ///
-    /// # Errors
-    /// [`CoreError::MissingOracle`] for an uncovered module id;
-    /// propagates append validation failures.
-    pub fn append_execution(
-        &mut self,
-        id: ModuleId,
-        rows: &[sv_relation::Tuple],
-    ) -> Result<usize, CoreError> {
-        let &idx = self
-            .by_id
-            .get(&id)
-            .ok_or(CoreError::MissingOracle { module: id.index() })?;
-        let added = Self::oracle_mut(&mut self.entries[idx]).append_execution(rows)?;
-        self.publish_epochs();
-        Ok(added)
-    }
-
     /// Replaces one module's state with rows recovered from durable
     /// storage ([`StandaloneModule::from_recovered`]): `rows` in kernel
     /// arrival order, `epoch` the recorded generation counter. The
@@ -1383,7 +1335,7 @@ impl WorkflowOracles {
     /// applied-row sequence): each module's rows are its projections of
     /// the ledger, first-occurrence order, duplicates dropped — exactly
     /// the state that replaying the ledger through
-    /// [`ingest_execution`](Self::ingest_execution) would build — and
+    /// [`ingest_batch`](Self::ingest_batch) would build — and
     /// its epoch is set to the recorded value (which after a compaction
     /// is *not* the row count, so it must travel explicitly).
     ///
@@ -1831,7 +1783,7 @@ mod tests {
     #[test]
     fn streaming_workflow_oracles_ingest_provenance_rows() {
         let w = fig1_workflow();
-        let mut oracles = WorkflowOracles::for_workflow_streaming(&w).unwrap();
+        let oracles = WorkflowOracles::for_workflow_streaming(&w).unwrap();
         assert_eq!(oracles.module_ids().len(), 3);
         // Nothing recorded yet: vacuously safe everywhere.
         {
@@ -1843,7 +1795,7 @@ mod tests {
         for x0 in 0..2u32 {
             for x1 in 0..2u32 {
                 let row = w.run(&[x0, x1]).unwrap();
-                total += oracles.ingest_execution(&row).unwrap();
+                total += oracles.ingest_batch(&IngestBatch::new(vec![row])).unwrap();
             }
         }
         assert!(total > 0);
@@ -1869,7 +1821,6 @@ mod tests {
                 );
             }
         }
-        assert!(oracles.append_execution(ModuleId(9), &[]).is_err());
     }
 
     #[test]
@@ -1877,9 +1828,12 @@ mod tests {
         // A row whose projection is *fresh and valid* for m1 but
         // FD-contradicting for m2 must leave every module untouched.
         let w = fig1_workflow();
-        let mut oracles = WorkflowOracles::for_workflow_streaming(&w).unwrap();
+        let oracles = WorkflowOracles::for_workflow_streaming(&w).unwrap();
+        let ingest = |row: &sv_relation::Tuple| {
+            oracles.ingest_batch(&IngestBatch::from_rows(std::slice::from_ref(row)))
+        };
         let row1 = w.run(&[0, 0]).unwrap();
-        oracles.ingest_execution(&row1).unwrap();
+        ingest(&row1).unwrap();
 
         // fig1 schema: a1,a2 (m1 inputs), a3..a5 (m1 outputs; a3,a4
         // feed m2, a4,a5 feed m3), a6 (m2 output), a7 (m3 output).
@@ -1888,7 +1842,7 @@ mod tests {
         let mut bad = row1.clone();
         bad.set(sv_relation::AttrId(1), 1); // a2: (0,0) → (0,1), fresh for m1
         bad.set(sv_relation::AttrId(5), 1 - row1.get(sv_relation::AttrId(5)));
-        let err = oracles.ingest_execution(&bad).unwrap_err();
+        let err = ingest(&bad).unwrap_err();
         assert_eq!(err, CoreError::NotAFunction.at_row(0));
 
         for id in oracles.module_ids() {
@@ -1902,7 +1856,7 @@ mod tests {
         }
         // The corrected row then lands everywhere.
         let row2 = w.run(&[0, 1]).unwrap();
-        assert!(oracles.ingest_execution(&row2).unwrap() > 0);
+        assert!(ingest(&row2).unwrap() > 0);
     }
 
     #[test]

@@ -254,9 +254,8 @@ impl StandaloneModule {
     /// **before** mutating anything, as a standalone non-mutating
     /// query: arity/domain validation plus the FD `I -> O` precheck
     /// against recorded and in-batch executions. Multi-module ingest
-    /// ([`crate::safety::WorkflowOracles::ingest_execution`],
-    /// [`crate::sweep::WorkflowSweeper::ingest_execution`]) validates
-    /// every module's projection through this first, so a row that is
+    /// ([`crate::safety::WorkflowOracles::validate_batch`]) validates
+    /// every module's projection through this first, so a frame that is
     /// invalid for *any* module mutates *no* module.
     ///
     /// # Errors

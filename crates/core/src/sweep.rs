@@ -3,17 +3,34 @@
 //! The standalone Secure-View problem is an exponential search
 //! (Theorem 3 shows `2^Ω(k)` oracle calls are unavoidable), so the only
 //! levers are (a) pruning the lattice and (b) sharding it across
-//! threads. This module provides both, behind one [`SweepConfig`]:
+//! threads. Both sweeps ([`min_cost_sweep`], [`minimal_sets_sweep`])
+//! run one enumerator that does both, configured by one
+//! [`SweepConfig`] (the worker count):
 //!
-//! * **Work stealing.** The mask space is split into fixed-size shards
-//!   claimed off a shared atomic cursor; fast workers drain more shards,
-//!   so load balances regardless of where the expensive probes cluster.
-//!   All workers share **one** concurrent [`MemoSafetyOracle`] (its
-//!   level cache is sharded and `&self`-probed, see [`crate::safety`]),
-//!   so a mask probed by one worker is a warm hit for every other —
-//!   cross-shard memo reuse replaces the per-worker cold clones of the
-//!   earlier design. Each worker pins its **own kernel scratch buffer**
-//!   ([`MemoSafetyOracle::is_safe_hidden_word_with`]), so shards never
+//! * **Uncovered-border enumeration.** Proposition 1 makes safety
+//!   monotone in the hidden set, so the ⊆-minimal safe sets form an
+//!   antichain generating all safe sets by superset closure, and the
+//!   up-set of every known safe set can be skipped unprobed. The sweep
+//!   walks the lattice popcount layer by popcount layer (a barrier per
+//!   layer keeps it equivalent to the serial ascending-popcount scan),
+//!   keeps the safe sets found so far in a bitwise-trie [`Frontier`]
+//!   ([`crate::frontier`]), and produces each layer with one serial
+//!   [`Frontier::uncovered_in_layer`] walk that emits only the masks
+//!   *not* covered — covered regions are skipped in path-compressed
+//!   jumps and never materialized. Once a whole layer is covered,
+//!   every higher layer is covered too and the sweep stops. Enumeration
+//!   cost scales with the border (`SweepStats::border_visited`, exact at
+//!   any thread count) instead of the lattice, which is what takes the
+//!   sweeps to `k = 28`.
+//! * **Work stealing.** Each layer's uncovered runs are cut into chunks
+//!   of at most 256 masks (by combinatorial rank) and claimed off a
+//!   shared atomic cursor; fast workers drain more chunks, so load
+//!   balances regardless of where the expensive probes cluster. All
+//!   workers share **one** concurrent [`MemoSafetyOracle`] (its level
+//!   cache is sharded and `&self`-probed, see [`crate::safety`]), so a
+//!   mask probed by one worker is a warm hit for every other. Each
+//!   worker pins its **own kernel scratch buffer**
+//!   ([`MemoSafetyOracle::is_safe_hidden_word_with`]), so chunks never
 //!   contend on probe buffers.
 //! * **Branch-and-bound** ([`min_cost_sweep`]). A shared `AtomicU64`
 //!   best-cost bound lets every worker skip masks that cannot improve
@@ -21,38 +38,17 @@
 //!   masks resolve deterministically (lexicographically smallest safe
 //!   mask of minimum cost — exactly the serial reference answer,
 //!   regardless of thread count).
-//! * **Monotone antichain pruning** ([`minimal_sets_sweep`]).
-//!   Proposition 1 makes safety monotone in the hidden set, so the
-//!   ⊆-minimal safe sets form an antichain generating all safe sets by
-//!   superset closure. The sweep walks the lattice popcount layer by
-//!   popcount layer (a barrier per layer keeps it equivalent to the
-//!   serial ascending-popcount scan), skips every mask in the up-set of
-//!   the antichain found so far, and — once an entire layer is covered —
-//!   cuts off all higher layers wholesale without enumerating them.
-//!   The antichain lives in a bitwise-trie [`Frontier`]
-//!   ([`crate::frontier`]): the per-mask up-set test is the sublinear
-//!   [`Frontier::covers`] query against a read-only per-layer snapshot,
-//!   and the layer barrier merges each worker's sorted discoveries
-//!   straight into the trie ([`minimal_sets_sweep_frontier`] exposes
-//!   the trie itself).
-//! * **Uncovered-border enumeration** (PR 10, [`SweepConfig::border`],
-//!   on by default). Instead of materializing every `C(k, p)` mask of a
-//!   layer and testing each against the frontier, one serial
-//!   [`Frontier::uncovered_in_layer`] trie walk emits only the masks
-//!   *not* covered — skipping covered up-set regions in path-compressed
-//!   jumps — and workers steal disjoint uncovered runs. Enumeration
-//!   cost scales with the border (`SweepStats::border_visited`, exact at
-//!   any thread count) instead of the lattice, which is what pushes the
-//!   sweeps from `k = 24` to `k = 28+`.
 //!
 //! Every entry point reports [`SweepStats`] (visited vs. pruned masks)
 //! for observability; `visited + pruned == lattice` always holds.
 //!
-//! [`WorkflowSweeper`] lifts the per-module sweeps to workflows: it
-//! materializes each private module **once**, hoists global→local cost
-//! slices out of the per-call loop ([`WorkflowSweeper::localize_costs`]),
-//! and backs the composition entry points
-//! ([`crate::compose::union_of_standalone_optima_sweep`],
+//! [`WorkflowSweeper`] lifts the per-module sweeps to workflows. It
+//! reads every private module from one [`WorkflowOracles`] store — the
+//! modules its probes answer from, fed only through the store's
+//! [`IngestBatch`](crate::safety::IngestBatch) path — hoists
+//! global→local cost slices out of the per-call loop
+//! ([`WorkflowSweeper::localize_costs`]), and backs the composition
+//! entry points ([`crate::compose::union_of_standalone_optima_sweep`],
 //! [`crate::public::greedy_general_solution_sweep`]) and the
 //! `sv-optimize` instance derivations.
 //!
@@ -61,48 +57,31 @@
 //!   workflow-level calls ([`WorkflowSweeper::union_of_optima`],
 //!   [`WorkflowSweeper::minimal_sets_all`] and the `from_sweeper`
 //!   derivations riding it) steal *modules* off a shared cursor and
-//!   nest the intra-module shard pool under the same [`SweepConfig`]
+//!   nest the intra-module chunk pool under the same [`SweepConfig`]
 //!   thread budget — per-module results stay deterministic, counters
 //!   merge into one [`SweepStats`].
 //!
 //! The serial enumerations in [`crate::safety`] remain the executable
 //! specification; the property suites assert sweep ≡ serial ≡
-//! brute-force worlds for every configuration.
+//! brute-force worlds at 1/2/4/8 threads.
 
 use crate::compose::ModuleLens;
 use crate::error::CoreError;
 use crate::frontier::{BorderRun, Frontier};
-use crate::safety::MemoSafetyOracle;
+use crate::safety::{MemoSafetyOracle, OracleGuard, SafetyOracle, WorkflowOracles};
 use crate::standalone::{StandaloneModule, MAX_DENSE_ATTRS};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use sv_relation::{AttrId, AttrSet};
+use sv_relation::AttrSet;
 use sv_workflow::{ModuleId, Workflow};
 
-/// How a lattice sweep runs: worker count and whether monotone pruning
-/// is enabled.
+/// How a lattice sweep runs: its worker count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Number of worker threads (clamped to `1..=64`). `1` runs the
-    /// sharded sweep on the calling thread — same code path, no spawns.
+    /// sweep on the calling thread — same code path, no spawns.
     pub threads: usize,
-    /// Enables the branch-and-bound cost cutoff ([`min_cost_sweep`]) and
-    /// the antichain up-set skip ([`minimal_sets_sweep`]). Disabling it
-    /// probes every enumerated mask — the ablation baseline the benches
-    /// chart pruning against.
-    pub prune: bool,
-    /// Enumerates each popcount layer through the frontier's
-    /// **uncovered-border walk** ([`Frontier::uncovered_in_layer`]):
-    /// workers receive disjoint uncovered runs and never issue a
-    /// per-mask coverage query, so enumeration cost scales with the
-    /// border instead of `C(k, p)`. Disabling it
-    /// ([`without_border`](Self::without_border)) falls back to
-    /// exhaustive layer enumeration with one [`Frontier::covers`] test
-    /// per mask — the PR 6 path, kept as the within-run comparison
-    /// baseline. Only meaningful when `prune` is set (the ablation
-    /// enumerates everything regardless).
-    pub border: bool,
 }
 
 impl Default for SweepConfig {
@@ -112,28 +91,20 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    /// Single-threaded, pruned, border-enumerated — the default, and
-    /// the configuration the rewired serial entry points use.
+    /// Single-threaded — the default, and the configuration the serial
+    /// entry points use.
     #[must_use]
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            prune: true,
-            border: true,
-        }
+        Self::parallel(1)
     }
 
-    /// Pruned, border-enumerated sweep over `threads` workers.
+    /// A sweep over `threads` workers.
     #[must_use]
     pub fn parallel(threads: usize) -> Self {
-        Self {
-            threads,
-            prune: true,
-            border: true,
-        }
+        Self { threads }
     }
 
-    /// Pruned sweep over all available cores
+    /// A sweep over all available cores
     /// (`std::thread::available_parallelism`).
     #[must_use]
     pub fn auto() -> Self {
@@ -142,22 +113,6 @@ impl SweepConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
         )
-    }
-
-    /// Disables pruning (ablation baseline).
-    #[must_use]
-    pub fn without_pruning(mut self) -> Self {
-        self.prune = false;
-        self
-    }
-
-    /// Disables border enumeration: layers are enumerated exhaustively
-    /// with a per-mask coverage query (the comparison baseline the
-    /// benches gate the border speedup against).
-    #[must_use]
-    pub fn without_border(mut self) -> Self {
-        self.border = false;
-        self
     }
 
     fn worker_count(&self) -> usize {
@@ -173,29 +128,20 @@ pub struct SweepStats {
     pub lattice: u64,
     /// Masks actually probed through an oracle.
     pub visited: u64,
-    /// Masks skipped — by the branch-and-bound cost bound, by the
-    /// antichain up-set test, or by the whole-layer cutoff (which prunes
-    /// without even enumerating). `visited + pruned == lattice`.
+    /// Masks skipped — covered by the frontier (never enumerated), cut
+    /// by the branch-and-bound cost bound, or cut off with a whole
+    /// layer. `visited + pruned == lattice`.
     pub pruned: u64,
-    /// Coverage queries answered by the trie frontier
-    /// ([`Frontier::covers`]) during an antichain sweep — one per
-    /// enumerated mask, so the count is deterministic at any thread
-    /// count (layer barriers make each mask queried exactly once).
-    /// Zero under border enumeration (the walk replaces per-mask
-    /// queries) and for the exhaustive branch-and-bound sweep, which
-    /// carries no frontier.
-    pub frontier_queries: u64,
     /// Live trie nodes of the final frontier ([`Frontier::node_count`])
     /// — deterministic: the trie shape is canonical in the member set.
-    /// Under border-mode branch-and-bound this is the discovered
-    /// safe-mask antichain; zero for the exhaustive branch-and-bound
-    /// sweep, which carries no frontier.
+    /// For [`min_cost_sweep`] this is the discovered safe-mask
+    /// antichain.
     pub frontier_nodes: u64,
     /// Masks emitted by the uncovered-border walks
-    /// ([`Frontier::uncovered_in_layer`]) — the layers' entire
-    /// enumeration cost under `border` mode. Each layer's walk runs
-    /// against the barrier-merged frontier snapshot, so the count is
-    /// exact at any thread count. Zero when border enumeration is off.
+    /// ([`Frontier::uncovered_in_layer`]) — the sweep's entire
+    /// enumeration cost. Each layer's walk runs against the
+    /// barrier-merged frontier snapshot, so the count is exact at any
+    /// thread count.
     pub border_visited: u64,
     /// Covered subtrees the border walks skipped whole (one
     /// path-compressed descent each, in place of up to `C(k, p)`
@@ -213,7 +159,6 @@ impl SweepStats {
         self.lattice += other.lattice;
         self.visited += other.visited;
         self.pruned += other.pruned;
-        self.frontier_queries += other.frontier_queries;
         self.frontier_nodes += other.frontier_nodes;
         self.border_visited += other.border_visited;
         self.border_jumps += other.border_jumps;
@@ -242,7 +187,7 @@ fn check_k(k: usize) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Masks per work-stealing shard. Small enough that 8 workers load-
+/// Masks per work-stealing chunk. Small enough that 8 workers load-
 /// balance a `2^12` lattice, large enough that the atomic cursor is
 /// cold compared to the probes.
 const SHARD: u64 = 256;
@@ -303,10 +248,10 @@ fn run_workers<F: Fn() + Sync>(n: usize, worker: F) {
 /// jobs are claimed off a shared atomic cursor, so fast modules drain
 /// quickly and the pool stays busy however unevenly the per-module
 /// lattices are sized — the cross-module analogue of the intra-module
-/// shard stealing. Both levels nest under **one** [`SweepConfig`]: with
+/// chunk stealing. Both levels nest under **one** [`SweepConfig`]: with
 /// `W = config.threads` workers and `M` jobs, `min(W, M)` outer workers
 /// claim modules and each claimed module sweeps with the remaining
-/// `W / min(W, M)` threads as its intra-module shard pool, so the total
+/// `W / min(W, M)` threads as its intra-module chunk pool, so the total
 /// concurrency never exceeds the configured budget.
 ///
 /// `f(idx, inner)` runs one module's sweep under the nested `inner`
@@ -315,7 +260,7 @@ fn run_workers<F: Fn() + Sync>(n: usize, worker: F) {
 /// `from_sweeper` derivations route through here). Results come back in
 /// module order — and because every per-module sweep is deterministic at
 /// any thread count, the whole cross-module sweep is too: parallel ≡
-/// serial for every `(threads, prune)` configuration (property-tested in
+/// serial at every thread count (property-tested in
 /// `tests/serve_prop.rs`).
 ///
 /// # Errors
@@ -334,10 +279,7 @@ where
         return Ok(Vec::new());
     }
     let outer = config.worker_count().min(n_modules);
-    let inner = SweepConfig {
-        threads: (config.worker_count() / outer).max(1),
-        ..*config
-    };
+    let inner = SweepConfig::parallel((config.worker_count() / outer).max(1));
     let cursor = AtomicU64::new(0);
     let cancelled = AtomicBool::new(false);
     let slots: Vec<Mutex<Option<Result<T, CoreError>>>> =
@@ -376,23 +318,20 @@ where
 
 /// Minimum-cost safe hidden set by parallel branch-and-bound sweep.
 ///
-/// Deterministic for every `(threads, prune, border)` configuration:
-/// returns the lexicographically smallest safe mask of minimum cost,
-/// exactly like the serial reference
-/// [`crate::safety::min_cost_safe_hidden`].
+/// Deterministic at every thread count: returns the lexicographically
+/// smallest safe mask of minimum cost, exactly like the serial
+/// reference [`crate::safety::min_cost_safe_hidden`].
 ///
-/// Under the default border mode the sweep walks the lattice popcount
-/// layer by popcount layer, keeps the safe masks discovered so far as a
-/// [`Frontier`], and enumerates each layer through its uncovered border
-/// — a mask containing a known safe mask can never beat the recorded
-/// `(cost, mask)`-lexicographic best (costs are non-negative and a
-/// strict superset is numerically larger), so covered subtrees are
-/// skipped whole, bound-aware. Two extra cutoffs fall out: a layer
-/// whose border is empty covers every higher layer (stop), and a layer
-/// whose cheapest-possible cost (sum of the `p` smallest attribute
-/// costs) exceeds the bound cannot improve it, nor can any layer above
-/// (stop). [`SweepConfig::without_border`] falls back to the flat
-/// numeric-order shard sweep.
+/// The sweep walks the lattice popcount layer by popcount layer, keeps
+/// the safe masks discovered so far as a [`Frontier`], and enumerates
+/// each layer through its uncovered border — a mask containing a known
+/// safe mask can never beat the recorded `(cost, mask)`-lexicographic
+/// best (costs are non-negative and a strict superset is numerically
+/// larger), so covered subtrees are skipped whole, bound-aware. Two
+/// extra cutoffs fall out: a layer whose border is empty covers every
+/// higher layer (stop), and a layer whose cheapest-possible cost (sum
+/// of the `p` smallest attribute costs) exceeds the bound cannot
+/// improve it, nor can any layer above (stop).
 ///
 /// # Errors
 /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
@@ -408,98 +347,6 @@ pub fn min_cost_sweep(
     let k = module.k();
     check_k(k)?;
     assert_eq!(costs.len(), k, "one cost per attribute");
-    if config.prune && config.border {
-        return min_cost_sweep_border(module, costs, gamma, config);
-    }
-    let total: u64 = 1u64 << k;
-    let workers = config.worker_count();
-    let table = CostTable::new(costs);
-
-    let cursor = AtomicU64::new(0);
-    // Branch-and-bound state. Readers load `bound` then `best_mask`;
-    // the writer (under the mutex) stores `best_mask` *first*, then
-    // `bound` with Release, so a reader that observes a bound value also
-    // observes a best-mask no older than that bound's update. Stale
-    // best-mask reads are always conservative (they only ever cause an
-    // extra probe or prune a mask that is provably not the final
-    // optimum — see the tie-break argument in the worker).
-    let bound = AtomicU64::new(u64::MAX);
-    let best_mask = AtomicU64::new(u64::MAX);
-    let best = Mutex::new(None::<(u64, u64)>); // (cost, mask)
-    let stats = Mutex::new(SweepStats {
-        lattice: total,
-        threads: workers,
-        ..SweepStats::default()
-    });
-
-    // One concurrent oracle shared by every worker: levels cached by
-    // one shard are warm hits for all others. Workers pin their own
-    // kernel scratch so probes never contend on a shared buffer.
-    let oracle = MemoSafetyOracle::new(module.clone());
-    run_workers(workers, || {
-        let mut scratch: Vec<u64> = Vec::new();
-        let mut visited = 0u64;
-        let mut pruned = 0u64;
-        loop {
-            let start = cursor.fetch_add(SHARD, Ordering::Relaxed);
-            if start >= total {
-                break;
-            }
-            let end = (start + SHARD).min(total);
-            for mask in start..end {
-                let cost = table.cost(mask);
-                if config.prune {
-                    // A mask is prunable iff it cannot beat the current
-                    // best under the (cost, mask) lexicographic order.
-                    // The true optimum (c*, m*) is never pruned: bound
-                    // never drops below c*, and when bound == c* the
-                    // best-mask atomic holds a genuine safe c*-cost mask
-                    // ≤ m*, which equals m* only once m* is recorded.
-                    let b = bound.load(Ordering::Acquire);
-                    if cost > b || (cost == b && mask >= best_mask.load(Ordering::Acquire)) {
-                        pruned += 1;
-                        continue;
-                    }
-                }
-                visited += 1;
-                if oracle.is_safe_hidden_word_with(mask, gamma, &mut scratch) {
-                    let mut slot = best.lock().expect("lock");
-                    let improves = match *slot {
-                        None => true,
-                        Some((bc, bm)) => cost < bc || (cost == bc && mask < bm),
-                    };
-                    if improves {
-                        *slot = Some((cost, mask));
-                        best_mask.store(mask, Ordering::Release);
-                        bound.store(cost, Ordering::Release);
-                    }
-                }
-            }
-        }
-        let mut s = stats.lock().expect("lock");
-        s.visited += visited;
-        s.pruned += pruned;
-    });
-
-    let found = best
-        .into_inner()
-        .expect("lock")
-        .map(|(cost, mask)| (AttrSet::from_word(mask), cost));
-    Ok((found, stats.into_inner().expect("lock")))
-}
-
-/// The border-enumerated branch-and-bound sweep behind
-/// [`min_cost_sweep`]'s default mode; see its documentation for the
-/// pruning argument.
-fn min_cost_sweep_border(
-    module: &StandaloneModule,
-    costs: &[u64],
-    gamma: u128,
-    config: &SweepConfig,
-) -> Result<(Option<(AttrSet, u64)>, SweepStats), CoreError> {
-    let k = module.k();
-    let workers = config.worker_count();
-    let binom = binomials(k);
     let table = CostTable::new(costs);
     // Per-layer cost floor: a popcount-p mask costs at least the sum of
     // the p smallest attribute costs — non-decreasing in p, so a layer
@@ -511,99 +358,168 @@ fn min_cost_sweep_border(
         floor[p] = floor[p - 1].saturating_add(sorted[p - 1]);
     }
 
+    // Branch-and-bound state. Readers load `bound` then `best_mask`;
+    // the writer (under the mutex) stores `best_mask` *first*, then
+    // `bound` with Release, so a reader that observes a bound value also
+    // observes a best-mask no older than that bound's update. Stale
+    // best-mask reads are always conservative (they only ever cause an
+    // extra probe or prune a mask that is provably not the final
+    // optimum — see the tie-break argument below).
+    let bound = AtomicU64::new(u64::MAX);
+    let best_mask = AtomicU64::new(u64::MAX);
+    let best = Mutex::new(None::<(u64, u64)>); // (cost, mask)
+
+    // One concurrent oracle shared by every worker: levels cached by
+    // one chunk are warm hits for all others.
+    let oracle = MemoSafetyOracle::new(module.clone());
     // Antichain of the safe masks discovered so far: covered masks are
     // supersets of a recorded safe mask and can never improve the
     // (cost, mask)-lexicographic best.
     let mut frontier = Frontier::new(k);
-    let mut stats = SweepStats {
-        lattice: 1u64 << k,
-        threads: workers,
-        ..SweepStats::default()
-    };
-    let bound = AtomicU64::new(u64::MAX);
-    let best_mask = AtomicU64::new(u64::MAX);
-    let best = Mutex::new(None::<(u64, u64)>); // (cost, mask)
-    let oracle = MemoSafetyOracle::new(module.clone());
-
-    for p in 0..=k {
-        let layer_total = binom[k][p];
-        if floor[p] > bound.load(Ordering::Acquire) {
-            // Cost floor cutoff: every mask at this layer and above is
-            // strictly costlier than a safe mask already in hand.
-            stats.pruned += binom[k][p..=k].iter().sum::<u64>();
-            break;
-        }
-        let scan = frontier.uncovered_in_layer(p);
-        stats.border_visited += scan.masks;
-        stats.border_jumps += scan.jumps;
-        stats.pruned += layer_total - scan.masks;
-        if scan.masks == 0 && !frontier.is_empty() {
-            // Fully covered layer ⇒ every higher layer is covered too.
-            stats.pruned += binom[k][p + 1..=k].iter().sum::<u64>();
-            break;
-        }
-        let chunks = chunk_runs(&binom, k, p, &scan.runs);
-        let cursor = AtomicU64::new(0);
-        let layer_visited = AtomicU64::new(0);
-        let layer_pruned = AtomicU64::new(0);
-        let runs = Mutex::new(Vec::<Vec<u64>>::new());
-        let layer_workers = workers.min(chunks.len().max(1));
-        run_workers(layer_workers, || {
-            let mut scratch: Vec<u64> = Vec::new();
-            let mut visited = 0u64;
-            let mut pruned = 0u64;
-            let mut local_found: Vec<u64> = Vec::new();
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
-                let Some(&(first, len)) = chunks.get(i) else {
-                    break;
+    let stats = sweep_layers(
+        &mut frontier,
+        config,
+        |p| floor[p] > bound.load(Ordering::Acquire),
+        |mask, scratch| {
+            // A mask is prunable iff it cannot beat the current best
+            // under the (cost, mask) lexicographic order. The true
+            // optimum (c*, m*) is never pruned: bound never drops below
+            // c*, and when bound == c* the best-mask atomic holds a
+            // genuine safe c*-cost mask ≤ m*, which equals m* only once
+            // m* is recorded.
+            let cost = table.cost(mask);
+            let b = bound.load(Ordering::Acquire);
+            if cost > b || (cost == b && mask >= best_mask.load(Ordering::Acquire)) {
+                return None;
+            }
+            let safe = oracle.is_safe_hidden_word_with(mask, gamma, scratch);
+            if safe {
+                let mut slot = best.lock().expect("lock");
+                let improves = match *slot {
+                    None => true,
+                    Some((bc, bm)) => cost < bc || (cost == bc && mask < bm),
                 };
-                let mut mask = first;
-                for j in 0..len {
-                    let cost = table.cost(mask);
-                    // Same pruning/tie-break contract as the flat sweep:
-                    // the true optimum is never pruned.
-                    let b = bound.load(Ordering::Acquire);
-                    if cost > b || (cost == b && mask >= best_mask.load(Ordering::Acquire)) {
-                        pruned += 1;
-                    } else {
-                        visited += 1;
-                        if oracle.is_safe_hidden_word_with(mask, gamma, &mut scratch) {
-                            local_found.push(mask);
-                            let mut slot = best.lock().expect("lock");
-                            let improves = match *slot {
-                                None => true,
-                                Some((bc, bm)) => cost < bc || (cost == bc && mask < bm),
-                            };
-                            if improves {
-                                *slot = Some((cost, mask));
-                                best_mask.store(mask, Ordering::Release);
-                                bound.store(cost, Ordering::Release);
-                            }
-                        }
-                    }
-                    if j + 1 < len {
-                        mask = next_same_popcount(mask);
-                    }
+                if improves {
+                    *slot = Some((cost, mask));
+                    best_mask.store(mask, Ordering::Release);
+                    bound.store(cost, Ordering::Release);
                 }
             }
-            layer_visited.fetch_add(visited, Ordering::Relaxed);
-            layer_pruned.fetch_add(pruned, Ordering::Relaxed);
-            if !local_found.is_empty() {
-                runs.lock().expect("lock").push(local_found);
-            }
-        });
-        stats.visited += layer_visited.load(Ordering::Relaxed);
-        stats.pruned += layer_pruned.load(Ordering::Relaxed);
-        merge_layer_runs(&mut frontier, runs.into_inner().expect("lock"));
-    }
-
-    stats.frontier_nodes = frontier.node_count() as u64;
+            Some(safe)
+        },
+    );
     let found = best
         .into_inner()
         .expect("lock")
         .map(|(cost, mask)| (AttrSet::from_word(mask), cost));
     Ok((found, stats))
+}
+
+/// The one lattice enumerator behind both sweeps. Walks layers
+/// `0..=k` in ascending popcount order; each layer is produced by one
+/// serial [`Frontier::uncovered_in_layer`] walk over the frontier as
+/// the previous layer barrier left it, probed on the worker pool
+/// ([`probe_layer`]), and its safe masks are merged into `frontier`
+/// before the next layer starts. `stop(p)` ends the sweep before layer
+/// `p` (the min-cost floor cutoff); a fully covered layer ends it too,
+/// since every higher layer is then covered as well. Either cutoff
+/// counts the remaining layers as pruned.
+fn sweep_layers(
+    frontier: &mut Frontier,
+    config: &SweepConfig,
+    stop: impl Fn(usize) -> bool,
+    probe: impl Fn(u64, &mut Vec<u64>) -> Option<bool> + Sync,
+) -> SweepStats {
+    let k = frontier.k();
+    let binom = binomials(k);
+    let workers = config.worker_count();
+    let mut stats = SweepStats {
+        lattice: 1u64 << k,
+        threads: workers,
+        ..SweepStats::default()
+    };
+    for p in 0..=k {
+        if stop(p) {
+            stats.pruned += binom[k][p..].iter().sum::<u64>();
+            break;
+        }
+        let scan = frontier.uncovered_in_layer(p);
+        stats.border_visited += scan.masks;
+        stats.border_jumps += scan.jumps;
+        if scan.masks == 0 {
+            // Fully covered layer (only possible once a safe set is
+            // known) ⇒ every higher layer is covered too.
+            stats.pruned += binom[k][p..].iter().sum::<u64>();
+            break;
+        }
+        stats.pruned += binom[k][p] - scan.masks;
+        let chunks = chunk_runs(&binom, k, p, &scan.runs);
+        let layer = probe_layer(&chunks, workers, &probe);
+        stats.visited += layer.visited;
+        stats.pruned += layer.pruned;
+        merge_layer_runs(frontier, layer.runs);
+    }
+    stats.frontier_nodes = frontier.node_count() as u64;
+    stats
+}
+
+/// One layer's worker results.
+#[derive(Default)]
+struct LayerProbes {
+    /// Masks probed through the oracle.
+    visited: u64,
+    /// Masks the probe closure skipped unprobed.
+    pruned: u64,
+    /// One ascending run of safe masks per worker that found any.
+    runs: Vec<Vec<u64>>,
+}
+
+/// Probes one layer's `chunks` on up to `workers` threads: chunks are
+/// claimed off an atomic cursor, and `probe(mask, scratch)` answers
+/// `None` for a mask it skips unprobed, else whether the mask is safe.
+/// A worker claims chunks in ascending order and masks ascend within a
+/// chunk, so each worker's safe masks come back as one ascending run.
+fn probe_layer(
+    chunks: &[(u64, u64)],
+    workers: usize,
+    probe: &(impl Fn(u64, &mut Vec<u64>) -> Option<bool> + Sync),
+) -> LayerProbes {
+    let cursor = AtomicU64::new(0);
+    let out = Mutex::new(LayerProbes::default());
+    run_workers(workers.min(chunks.len()), || {
+        let mut scratch: Vec<u64> = Vec::new();
+        let mut visited = 0u64;
+        let mut pruned = 0u64;
+        let mut found: Vec<u64> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
+            let Some(&(first, len)) = chunks.get(i) else {
+                break;
+            };
+            let mut mask = first;
+            for j in 0..len {
+                match probe(mask, &mut scratch) {
+                    None => pruned += 1,
+                    Some(safe) => {
+                        visited += 1;
+                        if safe {
+                            found.push(mask);
+                        }
+                    }
+                }
+                if j + 1 < len {
+                    mask = next_same_popcount(mask);
+                }
+            }
+        }
+        let mut out = out.lock().expect("lock");
+        out.visited += visited;
+        out.pruned += pruned;
+        if !found.is_empty() {
+            out.runs.push(found);
+        }
+    });
+    out.into_inner().expect("lock")
 }
 
 /// Splits a layer's uncovered runs into work-stealing chunks of at most
@@ -698,7 +614,7 @@ fn next_same_popcount(v: u64) -> u64 {
 ///
 /// Result and order are identical to the serial reference
 /// [`crate::safety::minimal_safe_hidden_sets`] (ascending popcount,
-/// ascending mask within a layer) for every configuration. Thin wrapper
+/// ascending mask within a layer) at every thread count. Thin wrapper
 /// over [`minimal_sets_sweep_frontier`], which keeps the antichain as a
 /// queryable [`Frontier`].
 ///
@@ -718,24 +634,16 @@ pub fn minimal_sets_sweep(
 /// consumers ([`crate::requirements::cardinality_constraints_from_frontier`],
 /// [`WorkflowSweeper::union_of_optima`]) keep querying.
 ///
-/// In the default **border mode** (`config.border`, honoured when
-/// pruning is on) each layer is produced by one serial
+/// Each layer is produced by one serial
 /// [`Frontier::uncovered_in_layer`] walk: covered up-set regions are
 /// skipped in path-compressed trie jumps and never materialized, the
 /// surviving ascending runs are split into ≤ 256-mask chunks by
 /// combinatorial rank, and workers claim chunks off an atomic cursor and
-/// probe every mask they are handed — zero per-mask `covers` calls, so
-/// `SweepStats::frontier_queries` is 0 and the exact enumeration effort
-/// is `border_visited`/`border_jumps`. With [`SweepConfig::without_border`]
-/// the pre-PR-10 path runs instead: workers enumerate the whole layer by
-/// rank shards and test each mask with the trie's sublinear
-/// [`Frontier::covers`]. Either way each layer's workers share one
-/// read-only snapshot of the frontier (`&self` queries), and the layer
-/// barrier merges their sorted discovery runs straight into the trie in
-/// (popcount, mask) order — no intermediate collect-and-resort. The
-/// whole-layer cutoff fires when the frontier covered every mask of the
-/// layer (border: the walk emits nothing; exhaustive: coverage count ==
-/// layer total), which covers every higher layer too.
+/// probe every mask they are handed — the exact enumeration effort is
+/// `border_visited`/`border_jumps`. The layer barrier merges the
+/// workers' sorted discovery runs straight into the trie in
+/// (popcount, mask) order, and a layer whose walk emits nothing is the
+/// cutoff certificate for every higher layer.
 ///
 /// # Errors
 /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
@@ -755,12 +663,12 @@ pub fn minimal_sets_sweep_frontier(
 /// Every seed mask is revalidated against *this* module's oracle before
 /// it enters the frontier — no monotonicity of the data is assumed. A
 /// still-safe seed makes its whole strict up-set skippable from layer 0
-/// (in border mode those masks are never even enumerated); a seed that
-/// stopped being safe is dropped; a seed that stopped being *minimal* is
-/// evicted later by [`Frontier::insert`]'s dominance eviction when the
-/// sweep discovers the smaller safe set below it. Revalidation probes
-/// are deliberately **not** counted in `visited`/`pruned`, so
-/// `visited + pruned == lattice` stays exact in every mode.
+/// (those masks are never even enumerated); a seed that stopped being
+/// safe is dropped; a seed that stopped being *minimal* is evicted
+/// later by [`Frontier::insert`]'s dominance eviction when the sweep
+/// discovers the smaller safe set below it. Revalidation probes are
+/// deliberately **not** counted in `visited`/`pruned`, so
+/// `visited + pruned == lattice` stays exact.
 ///
 /// # Errors
 /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
@@ -772,18 +680,11 @@ pub fn minimal_sets_sweep_frontier_seeded(
 ) -> Result<(Frontier, SweepStats), CoreError> {
     let k = module.k();
     check_k(k)?;
-    let workers = config.worker_count();
-    let binom = binomials(k);
     let mut frontier = Frontier::new(k);
-    let mut stats = SweepStats {
-        lattice: 1u64 << k,
-        threads: workers,
-        ..SweepStats::default()
-    };
     // One concurrent oracle shared by every worker and every layer:
     // group caches and level memos warm once and stay warm across the
-    // layer barriers, and a mask probed by one shard is a warm hit for
-    // all others. Workers pin per-worker kernel scratch buffers.
+    // layer barriers, and a mask probed by one chunk is a warm hit for
+    // all others.
     let oracle = MemoSafetyOracle::new(module.clone());
 
     if let Some(seeds) = seeds {
@@ -803,146 +704,12 @@ pub fn minimal_sets_sweep_frontier_seeded(
             frontier.insert(m);
         }
     }
-    let border = config.prune && config.border;
-
-    for p in 0..=k {
-        let layer_total = binom[k][p];
-        if border {
-            // Border mode: one serial trie walk finds every uncovered
-            // mask of the layer as disjoint ascending runs — covered
-            // up-set regions are skipped in path-compressed jumps and
-            // never enumerated, so workers probe every mask they see
-            // (no per-mask `covers`).
-            let scan = frontier.uncovered_in_layer(p);
-            stats.border_visited += scan.masks;
-            stats.border_jumps += scan.jumps;
-            stats.pruned += layer_total - scan.masks;
-            if scan.masks == 0 {
-                // Fully covered layer ⇒ every higher layer is covered
-                // too (same argument as the exhaustive cutoff below).
-                if !frontier.is_empty() {
-                    stats.pruned += binom[k][p + 1..=k].iter().sum::<u64>();
-                    break;
-                }
-                continue;
-            }
-            let chunks = chunk_runs(&binom, k, p, &scan.runs);
-            let cursor = AtomicU64::new(0);
-            let layer_visited = AtomicU64::new(0);
-            let runs = Mutex::new(Vec::<Vec<u64>>::new());
-            let layer_workers = workers.min(chunks.len());
-            run_workers(layer_workers, || {
-                let mut scratch: Vec<u64> = Vec::new();
-                let mut visited = 0u64;
-                let mut local_found: Vec<u64> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
-                    let Some(&(first, len)) = chunks.get(i) else {
-                        break;
-                    };
-                    let mut mask = first;
-                    for j in 0..len {
-                        visited += 1;
-                        if oracle.is_safe_hidden_word_with(mask, gamma, &mut scratch) {
-                            local_found.push(mask);
-                        }
-                        if j + 1 < len {
-                            mask = next_same_popcount(mask);
-                        }
-                    }
-                }
-                layer_visited.fetch_add(visited, Ordering::Relaxed);
-                if !local_found.is_empty() {
-                    runs.lock().expect("lock").push(local_found);
-                }
-            });
-            stats.visited += layer_visited.load(Ordering::Relaxed);
-            merge_layer_runs(&mut frontier, runs.into_inner().expect("lock"));
-            continue;
-        }
-        let cursor = AtomicU64::new(0);
-        // One sorted run per worker: each worker's claimed shards are
-        // ascending (atomic cursor) and masks ascend within a shard, so
-        // its discoveries are already in ascending mask order.
-        let runs = Mutex::new(Vec::<Vec<u64>>::new());
-        let layer_visited = AtomicU64::new(0);
-        let layer_pruned = AtomicU64::new(0);
-        let layer_queries = AtomicU64::new(0);
-        // Read-only frontier snapshot shared by this layer's workers;
-        // merging waits for the barrier below.
-        let snapshot = &frontier;
-        // No point spawning more workers than the layer has shards —
-        // small layers (the lattice's bottom and top) run inline or on
-        // a couple of threads instead of paying `workers` spawns per
-        // layer barrier.
-        let layer_workers = workers.min(usize::try_from(layer_total.div_ceil(SHARD)).unwrap_or(1));
-
-        run_workers(layer_workers, || {
-            let mut scratch: Vec<u64> = Vec::new();
-            let mut visited = 0u64;
-            let mut pruned = 0u64;
-            // Queries are tallied worker-locally (one `covers` per
-            // enumerated mask) and summed at the barrier, so the exact
-            // gated total never depends on the frontier's own relaxed
-            // convenience counter.
-            let mut queries = 0u64;
-            let mut local_found: Vec<u64> = Vec::new();
-            loop {
-                let start = cursor.fetch_add(SHARD, Ordering::Relaxed);
-                if start >= layer_total {
-                    break;
-                }
-                let end = (start + SHARD).min(layer_total);
-                let mut mask = unrank_combination(&binom, k, p, start);
-                for rank in start..end {
-                    // A mask in the up-set of the antichain is safe by
-                    // Proposition 1 but cannot be minimal.
-                    let covered = snapshot.covers(mask);
-                    queries += 1;
-                    if covered {
-                        if config.prune {
-                            pruned += 1;
-                        } else {
-                            // Ablation: probe anyway, discard the answer.
-                            visited += 1;
-                            let _ = oracle.is_safe_hidden_word_with(mask, gamma, &mut scratch);
-                        }
-                    } else {
-                        visited += 1;
-                        if oracle.is_safe_hidden_word_with(mask, gamma, &mut scratch) {
-                            local_found.push(mask);
-                        }
-                    }
-                    if rank + 1 < end {
-                        mask = next_same_popcount(mask);
-                    }
-                }
-            }
-            layer_visited.fetch_add(visited, Ordering::Relaxed);
-            layer_pruned.fetch_add(pruned, Ordering::Relaxed);
-            layer_queries.fetch_add(queries, Ordering::Relaxed);
-            if !local_found.is_empty() {
-                runs.lock().expect("lock").push(local_found);
-            }
-        });
-
-        let visited = layer_visited.load(Ordering::Relaxed);
-        stats.visited += visited;
-        stats.pruned += layer_pruned.load(Ordering::Relaxed);
-        stats.frontier_queries += layer_queries.load(Ordering::Relaxed);
-        merge_layer_runs(&mut frontier, runs.into_inner().expect("lock"));
-
-        // Layer cutoff: the trie covered every enumerated mask of this
-        // layer (visited == 0 ⇔ coverage count == layer total), so every
-        // mask of every higher layer contains a covered p-subset and is
-        // covered too — skip the remaining up-sets without enumerating.
-        if config.prune && layer_total > 0 && visited == 0 && !frontier.is_empty() {
-            stats.pruned += binom[k][p + 1..=k].iter().sum::<u64>();
-            break;
-        }
-    }
-
-    stats.frontier_nodes = frontier.node_count() as u64;
+    let stats = sweep_layers(
+        &mut frontier,
+        config,
+        |_| false,
+        |mask, scratch| Some(oracle.is_safe_hidden_word_with(mask, gamma, scratch)),
+    );
     Ok((frontier, stats))
 }
 
@@ -987,19 +754,6 @@ pub type ModuleAntichains = Vec<(ModuleId, Vec<AttrSet>)>;
 /// [`Arc`]s alias the sweeper's epoch-stamped memo entries — cloning
 /// one never copies the trie.
 pub type ModuleFrontiers = Vec<(ModuleId, Arc<Frontier>)>;
-
-/// Per-module hoisted state for workflow-level sweeps: lens, globals,
-/// and the materialized standalone module.
-struct SweepModule {
-    id: ModuleId,
-    lens: ModuleLens,
-    /// The module's attributes in global-id order (= local-id order).
-    globals: Vec<AttrId>,
-    /// The same attributes as a global [`AttrSet`] (provenance-row
-    /// projection mask for streaming ingest).
-    global_set: AttrSet,
-    module: StandaloneModule,
-}
 
 /// One memoized antichain sweep: the swept [`Frontier`], its counters,
 /// and the relation epoch it was swept at. Shared out as [`Arc`]s so
@@ -1055,50 +809,64 @@ impl WorkflowCosts {
     }
 }
 
-/// Workflow-level sweep driver: every private module materialized
-/// **once**, swept (in parallel, per [`SweepConfig`]) as many times as
-/// the caller needs — union-of-optima assemblies, requirement-list
-/// derivations, greedy general solutions.
+/// Workflow-level sweeps over **one module store**: a
+/// [`WorkflowOracles`] holding every private module, swept (in
+/// parallel, per [`SweepConfig`]) as many times as the caller needs —
+/// union-of-optima assemblies, requirement-list derivations, greedy
+/// general solutions.
 ///
 /// ### Epoch-aware sweep memos
 ///
 /// Per-module sweep results (the minimal-sets antichain, min-cost
-/// optima) are memoized together with the relation epoch
-/// ([`StandaloneModule::epoch`]) they were computed at. When provenance
-/// streams in ([`ingest_execution`](Self::ingest_execution) /
-/// [`append_execution`](Self::append_execution)), only the modules
-/// whose relations actually changed are re-swept on the next
-/// derivation; the rest answer from the memo with zero probes
-/// (observable via [`sweeps_performed`](Self::sweeps_performed)).
+/// optima) are memoized together with the store's relation epoch
+/// ([`SafetyOracle::relation_epoch`]) they were computed at. Each sweep
+/// runs under the module's read guard, so an append cannot move the
+/// epoch mid-sweep. When provenance streams in — through the store's
+/// one write path, [`oracles`](Self::oracles) →
+/// [`WorkflowOracles::ingest_batch`] (or `validate_batch` →
+/// `apply_batch`), which takes `&self` — only the modules whose
+/// relations actually changed are re-swept on the next derivation; the
+/// rest answer from the memo with zero probes (observable via
+/// [`sweeps_performed`](Self::sweeps_performed)).
 ///
 /// # Examples
 /// ```
+/// use sv_core::safety::IngestBatch;
 /// use sv_core::{SweepConfig, WorkflowSweeper};
 /// use sv_workflow::library::fig1_workflow;
 ///
 /// let wf = fig1_workflow();
-/// let sweeper = WorkflowSweeper::for_workflow(&wf, 1 << 20, SweepConfig::serial()).unwrap();
+/// let sweeper = WorkflowSweeper::for_workflow_streaming(&wf, SweepConfig::serial()).unwrap();
 /// let gamma = 2;
-/// for id in sweeper.module_ids() {
+/// let ids = sweeper.module_ids();
+/// let rows = vec![wf.run(&[0, 0]).unwrap(), wf.run(&[1, 1]).unwrap()];
+/// sweeper.oracles().ingest_batch(&IngestBatch::new(rows)).unwrap();
+/// for &id in &ids {
 ///     let (antichain, stats) = sweeper.module_minimal_sets(id, gamma).unwrap();
 ///     assert!(!antichain.is_empty());
 ///     assert_eq!(stats.visited + stats.pruned, stats.lattice);
 /// }
 /// // Same question again: answered from the epoch-stamped memo.
 /// let before = sweeper.sweeps_performed();
-/// let _ = sweeper.module_minimal_sets(sweeper.module_ids()[0], gamma).unwrap();
+/// let _ = sweeper.module_minimal_sets(ids[0], gamma).unwrap();
 /// assert_eq!(sweeper.sweeps_performed(), before);
 /// ```
 pub struct WorkflowSweeper {
     config: SweepConfig,
     n_attrs: usize,
-    mods: Vec<SweepModule>,
+    /// The one module store: probes answer from it, sweeps read it, and
+    /// rows enter it only through its [`IngestBatch`](crate::safety::IngestBatch)
+    /// path.
+    oracles: WorkflowOracles,
+    /// Per-module global↔local lenses, in the store's
+    /// `private_modules()` order (the memo keys' module index).
+    lenses: Vec<ModuleLens>,
     caches: Mutex<SweepCaches>,
 }
 
 impl WorkflowSweeper {
-    /// Materializes each private module's relation (budget-capped) and
-    /// its global↔local lens.
+    /// Materializes each private module's relation (budget-capped) into
+    /// the module store, plus its global↔local lens.
     ///
     /// # Errors
     /// Propagates module-materialization failures.
@@ -1107,18 +875,18 @@ impl WorkflowSweeper {
         budget: u128,
         config: SweepConfig,
     ) -> Result<Self, CoreError> {
-        Self::build(workflow, config, |id| {
-            StandaloneModule::from_workflow_module(workflow, id, budget)
-        })
+        Self::over(
+            workflow,
+            WorkflowOracles::for_workflow(workflow, budget)?,
+            config,
+        )
     }
 
     /// The **streaming** constructor: every private module starts with
-    /// an empty relation and grows through
-    /// [`ingest_execution`](Self::ingest_execution) /
-    /// [`append_execution`](Self::append_execution) as provenance
-    /// arrives. Sweeps answer with respect to the executions recorded
-    /// so far (an empty module is vacuously safe: its antichain is the
-    /// empty hidden set).
+    /// an empty relation and grows as provenance arrives through
+    /// [`oracles`](Self::oracles)`().ingest_batch(..)`. Sweeps answer
+    /// with respect to the executions recorded so far (an empty module
+    /// is vacuously safe: its antichain is the empty hidden set).
     ///
     /// # Errors
     /// Propagates structural workflow errors.
@@ -1126,36 +894,45 @@ impl WorkflowSweeper {
         workflow: &Workflow,
         config: SweepConfig,
     ) -> Result<Self, CoreError> {
-        Self::build(workflow, config, |id| {
-            StandaloneModule::empty_from_workflow_module(workflow, id)
-        })
+        Self::over(
+            workflow,
+            WorkflowOracles::for_workflow_streaming(workflow)?,
+            config,
+        )
     }
 
-    fn build(
+    fn over(
         workflow: &Workflow,
+        oracles: WorkflowOracles,
         config: SweepConfig,
-        make: impl Fn(ModuleId) -> Result<StandaloneModule, CoreError>,
     ) -> Result<Self, CoreError> {
-        let mut mods = Vec::new();
-        for id in workflow.private_modules() {
-            let module = make(id)?;
-            let lens = ModuleLens::new(workflow, id)?;
-            let globals: Vec<AttrId> = workflow.module(id)?.attr_set().iter().collect();
-            let global_set = AttrSet::from_iter(globals.iter().copied());
-            mods.push(SweepModule {
-                id,
-                lens,
-                globals,
-                global_set,
-                module,
-            });
-        }
+        let lenses = oracles
+            .module_ids()
+            .into_iter()
+            .map(|id| ModuleLens::new(workflow, id))
+            .collect::<Result<_, _>>()?;
         Ok(Self {
             config,
             n_attrs: workflow.schema().len(),
-            mods,
+            oracles,
+            lenses,
             caches: Mutex::new(SweepCaches::default()),
         })
+    }
+
+    /// The module store every sweep reads: one memoized oracle per
+    /// private module. Probes go through it directly, and it is the
+    /// only way rows enter ([`WorkflowOracles::ingest_batch`], or
+    /// [`WorkflowOracles::validate_batch`] →
+    /// [`WorkflowOracles::apply_batch`]); the sweep memos follow its
+    /// relation epochs.
+    ///
+    /// Drop a guard from [`WorkflowOracles::oracle`] before asking the
+    /// sweeper about the same module: the sweep takes that module's
+    /// read lock again, which a writer waiting in between would block.
+    #[must_use]
+    pub fn oracles(&self) -> &WorkflowOracles {
+        &self.oracles
     }
 
     /// The sweep configuration in use.
@@ -1171,63 +948,6 @@ impl WorkflowSweeper {
     pub fn set_config(&mut self, config: SweepConfig) {
         self.config = config;
         *self.caches.lock().expect("lock") = SweepCaches::default();
-    }
-
-    /// Ingests one workflow execution (a full provenance row over the
-    /// **workflow** schema, e.g. from [`Workflow::run`]): each private
-    /// module appends its projection. Sweep memos of the modules that
-    /// gained a row go stale and re-sweep on next use; unchanged
-    /// modules keep answering from the memo. Returns the number of new
-    /// module rows.
-    ///
-    /// Atomic across modules: every projection is validated
-    /// ([`StandaloneModule::validate_executions`]) before any module is
-    /// touched, so a row that is invalid for one module mutates none.
-    ///
-    /// # Errors
-    /// Propagates append validation failures (domains, FD).
-    pub fn ingest_execution(&mut self, row: &sv_relation::Tuple) -> Result<usize, CoreError> {
-        let projections: Vec<sv_relation::Tuple> = self
-            .mods
-            .iter()
-            .map(|m| row.project(&m.global_set))
-            .collect();
-        for (m, p) in self.mods.iter().zip(&projections) {
-            m.module.validate_executions(std::slice::from_ref(p))?;
-        }
-        let mut added = 0;
-        for (m, p) in self.mods.iter_mut().zip(&projections) {
-            added += m
-                .module
-                .append_execution(std::slice::from_ref(p))
-                .expect("validated above");
-        }
-        Ok(added)
-    }
-
-    /// Streams executions (rows over the **module** sub-schema) into one
-    /// module; see [`StandaloneModule::append_execution`].
-    ///
-    /// # Errors
-    /// [`CoreError::MissingOracle`] for an uncovered module id;
-    /// propagates append validation failures.
-    pub fn append_execution(
-        &mut self,
-        id: ModuleId,
-        rows: &[sv_relation::Tuple],
-    ) -> Result<usize, CoreError> {
-        let m = self
-            .mods
-            .iter_mut()
-            .find(|m| m.id == id)
-            .ok_or(CoreError::MissingOracle { module: id.index() })?;
-        m.module.append_execution(rows)
-    }
-
-    /// The relation epoch of one covered module.
-    #[must_use]
-    pub fn module_epoch(&self, id: ModuleId) -> Option<u64> {
-        self.entry(id).map(|m| m.module.epoch())
     }
 
     /// Lattice sweeps actually executed so far — cache misses plus
@@ -1247,47 +967,63 @@ impl WorkflowSweeper {
     /// Covered module ids, in `private_modules()` order.
     #[must_use]
     pub fn module_ids(&self) -> Vec<ModuleId> {
-        self.mods.iter().map(|m| m.id).collect()
-    }
-
-    /// The materialized standalone module for `id`.
-    #[must_use]
-    pub fn module(&self, id: ModuleId) -> Option<&StandaloneModule> {
-        self.mods.iter().find(|m| m.id == id).map(|m| &m.module)
+        self.oracles.module_ids()
     }
 
     /// Global attribute ids of module `id`'s inputs (local-id order).
     #[must_use]
     pub fn global_inputs(&self, id: ModuleId) -> Option<Vec<u32>> {
-        self.entry(id).map(|m| {
-            m.module
-                .inputs()
-                .iter()
-                .map(|a| m.globals[a.index()].0)
-                .collect()
-        })
+        self.global_ids(id, StandaloneModule::inputs)
     }
 
     /// Global attribute ids of module `id`'s outputs (local-id order).
     #[must_use]
     pub fn global_outputs(&self, id: ModuleId) -> Option<Vec<u32>> {
-        self.entry(id).map(|m| {
-            m.module
-                .outputs()
+        self.global_ids(id, StandaloneModule::outputs)
+    }
+
+    /// `pick(module)` in global ids, ascending (= local-id order: local
+    /// ids follow global-id order).
+    fn global_ids(
+        &self,
+        id: ModuleId,
+        pick: impl Fn(&StandaloneModule) -> &AttrSet,
+    ) -> Option<Vec<u32>> {
+        let lens = self.lens(id)?;
+        let oracle = self.oracles.oracle(id)?;
+        Some(
+            lens.to_global(pick(oracle.module()))
                 .iter()
-                .map(|a| m.globals[a.index()].0)
-                .collect()
-        })
+                .map(|a| a.0)
+                .collect(),
+        )
     }
 
     /// Maps a module-local attribute set to global ids.
     #[must_use]
     pub fn to_global(&self, id: ModuleId, local: &AttrSet) -> Option<AttrSet> {
-        self.entry(id).map(|m| m.lens.to_global(local))
+        self.lens(id).map(|l| l.to_global(local))
     }
 
-    fn entry(&self, id: ModuleId) -> Option<&SweepModule> {
-        self.mods.iter().find(|m| m.id == id)
+    fn lens(&self, id: ModuleId) -> Option<&ModuleLens> {
+        self.lenses.iter().find(|l| l.module() == id)
+    }
+
+    fn index(&self, id: ModuleId) -> Result<usize, CoreError> {
+        self.lenses
+            .iter()
+            .position(|l| l.module() == id)
+            .ok_or(CoreError::MissingOracle { module: id.index() })
+    }
+
+    /// The read guard of the `idx`-th module. Memo paths take it
+    /// **before** the memo mutex and hold it through the sweep — never
+    /// the reverse order — so the epoch they key by cannot move under
+    /// them and an append waits for the sweep instead of deadlocking.
+    fn guard(&self, idx: usize) -> OracleGuard<'_> {
+        self.oracles
+            .oracle(self.lenses[idx].module())
+            .expect("the store covers every lens")
     }
 
     /// Localizes a global cost vector into per-module slices, **once**
@@ -1302,9 +1038,14 @@ impl WorkflowSweeper {
         WorkflowCosts {
             global: global_costs.to_vec(),
             per_module: self
-                .mods
+                .lenses
                 .iter()
-                .map(|m| m.globals.iter().map(|a| global_costs[a.index()]).collect())
+                .map(|l| {
+                    l.globals()
+                        .iter()
+                        .map(|a| global_costs[a.index()])
+                        .collect()
+                })
                 .collect(),
         }
     }
@@ -1336,7 +1077,7 @@ impl WorkflowSweeper {
         // A module with no safe subset errors inside the worker, so the
         // cross-module sweep cancels instead of finishing every other
         // lattice first (the serial loop's early exit, preserved).
-        let per_module = sweep_workflow_parallel(self.mods.len(), &self.config, |idx, inner| {
+        let per_module = sweep_workflow_parallel(self.lenses.len(), &self.config, |idx, inner| {
             let (found, s) = self.min_cost_memo(idx, costs.local(idx), gamma, inner)?;
             found
                 .ok_or(CoreError::BudgetExceeded {
@@ -1348,9 +1089,9 @@ impl WorkflowSweeper {
         })?;
         let mut hidden = AttrSet::new();
         let mut stats = SweepStats::default();
-        for (m, ((local_hidden, _), s)) in self.mods.iter().zip(per_module) {
+        for (lens, ((local_hidden, _), s)) in self.lenses.iter().zip(per_module) {
             stats.merge(&s);
-            hidden.union_with(&m.lens.to_global(&local_hidden));
+            hidden.union_with(&lens.to_global(&local_hidden));
         }
         let cost = hidden.iter().map(|a| costs.global()[a.index()]).sum();
         Ok((hidden, cost, stats))
@@ -1397,15 +1138,15 @@ impl WorkflowSweeper {
         &self,
         gammas: &[u128],
     ) -> Result<(ModuleFrontiers, SweepStats), CoreError> {
-        assert_eq!(gammas.len(), self.mods.len(), "one Γ per private module");
-        let per_module = sweep_workflow_parallel(self.mods.len(), &self.config, |idx, inner| {
+        assert_eq!(gammas.len(), self.lenses.len(), "one Γ per private module");
+        let per_module = sweep_workflow_parallel(self.lenses.len(), &self.config, |idx, inner| {
             self.minimal_sets_memo(idx, gammas[idx], inner)
         })?;
         let mut stats = SweepStats::default();
-        let mut out = Vec::with_capacity(self.mods.len());
-        for (m, (frontier, s)) in self.mods.iter().zip(per_module) {
+        let mut out = Vec::with_capacity(self.lenses.len());
+        for (lens, (frontier, s)) in self.lenses.iter().zip(per_module) {
             stats.merge(&s);
-            out.push((m.id, frontier));
+            out.push((lens.module(), frontier));
         }
         Ok((out, stats))
     }
@@ -1424,11 +1165,7 @@ impl WorkflowSweeper {
         costs: &WorkflowCosts,
         gamma: u128,
     ) -> Result<(Option<(AttrSet, u64)>, SweepStats), CoreError> {
-        let idx = self
-            .mods
-            .iter()
-            .position(|m| m.id == id)
-            .ok_or(CoreError::MissingOracle { module: id.index() })?;
+        let idx = self.index(id)?;
         self.min_cost_memo(idx, costs.local(idx), gamma, &self.config)
     }
 
@@ -1446,8 +1183,8 @@ impl WorkflowSweeper {
         gamma: u128,
         run_config: &SweepConfig,
     ) -> Result<(Option<(AttrSet, u64)>, SweepStats), CoreError> {
-        let module = &self.mods[idx].module;
-        let epoch = module.epoch();
+        let oracle = self.guard(idx);
+        let epoch = oracle.relation_epoch();
         let key = (idx, gamma, local_costs.to_vec());
         {
             let mut caches = self.caches.lock().expect("lock");
@@ -1482,7 +1219,7 @@ impl WorkflowSweeper {
                 }
             }
         }
-        let (found, stats) = min_cost_sweep(module, local_costs, gamma, run_config)?;
+        let (found, stats) = min_cost_sweep(oracle.module(), local_costs, gamma, run_config)?;
         let mut caches = self.caches.lock().expect("lock");
         caches.sweeps += 1;
         caches.min_cost.insert(
@@ -1527,11 +1264,7 @@ impl WorkflowSweeper {
         id: ModuleId,
         gamma: u128,
     ) -> Result<(Arc<Frontier>, SweepStats), CoreError> {
-        let idx = self
-            .mods
-            .iter()
-            .position(|m| m.id == id)
-            .ok_or(CoreError::MissingOracle { module: id.index() })?;
+        let idx = self.index(id)?;
         self.minimal_sets_memo(idx, gamma, &self.config)
     }
 
@@ -1545,8 +1278,8 @@ impl WorkflowSweeper {
         gamma: u128,
         run_config: &SweepConfig,
     ) -> Result<(Arc<Frontier>, SweepStats), CoreError> {
-        let module = &self.mods[idx].module;
-        let epoch = module.epoch();
+        let oracle = self.guard(idx);
+        let epoch = oracle.relation_epoch();
         // A stale (pre-append) frontier is not discarded: its members
         // seed the re-sweep. Each seed is revalidated against the new
         // relation, and still-safe seeds let the border walk skip their
@@ -1562,8 +1295,12 @@ impl WorkflowSweeper {
                 None => None,
             }
         };
-        let (frontier, stats) =
-            minimal_sets_sweep_frontier_seeded(module, gamma, run_config, seeds.as_deref())?;
+        let (frontier, stats) = minimal_sets_sweep_frontier_seeded(
+            oracle.module(),
+            gamma,
+            run_config,
+            seeds.as_deref(),
+        )?;
         let frontier = Arc::new(frontier);
         let mut caches = self.caches.lock().expect("lock");
         caches.sweeps += 1;
@@ -1582,7 +1319,8 @@ impl WorkflowSweeper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::safety::{self, KernelOracle};
+    use crate::safety::{self, IngestBatch, KernelOracle};
+    use sv_relation::{AttrId, Tuple};
     use sv_workflow::library::{fig1_workflow, one_one_chain};
 
     fn m1() -> StandaloneModule {
@@ -1631,25 +1369,11 @@ mod tests {
             for gamma in [2u128, 4, 8, 9] {
                 let serial =
                     safety::min_cost_safe_hidden(&KernelOracle::new(&m), &costs, gamma).unwrap();
-                for threads in [1usize, 2, 4] {
-                    for prune in [true, false] {
-                        for border in [true, false] {
-                            let cfg = SweepConfig {
-                                threads,
-                                prune,
-                                border,
-                            };
-                            let (found, stats) = min_cost_sweep(&m, &costs, gamma, &cfg).unwrap();
-                            assert_eq!(
-                                found, serial,
-                                "threads={threads} prune={prune} border={border}"
-                            );
-                            assert_eq!(stats.visited + stats.pruned, stats.lattice);
-                            if !prune {
-                                assert_eq!(stats.visited, stats.lattice);
-                            }
-                        }
-                    }
+                for threads in [1usize, 2, 4, 8] {
+                    let cfg = SweepConfig::parallel(threads);
+                    let (found, stats) = min_cost_sweep(&m, &costs, gamma, &cfg).unwrap();
+                    assert_eq!(found, serial, "threads={threads}");
+                    assert_eq!(stats.visited + stats.pruned, stats.lattice);
                 }
             }
         }
@@ -1660,22 +1384,11 @@ mod tests {
         let m = m1();
         for gamma in [2u128, 4, 8, 9] {
             let serial = safety::minimal_safe_hidden_sets(&KernelOracle::new(&m), gamma).unwrap();
-            for threads in [1usize, 3] {
-                for prune in [true, false] {
-                    for border in [true, false] {
-                        let cfg = SweepConfig {
-                            threads,
-                            prune,
-                            border,
-                        };
-                        let (sets, stats) = minimal_sets_sweep(&m, gamma, &cfg).unwrap();
-                        assert_eq!(
-                            sets, serial,
-                            "threads={threads} prune={prune} border={border}"
-                        );
-                        assert_eq!(stats.visited + stats.pruned, stats.lattice);
-                    }
-                }
+            for threads in [1usize, 2, 4, 8] {
+                let cfg = SweepConfig::parallel(threads);
+                let (sets, stats) = minimal_sets_sweep(&m, gamma, &cfg).unwrap();
+                assert_eq!(sets, serial, "threads={threads}");
+                assert_eq!(stats.visited + stats.pruned, stats.lattice);
             }
         }
     }
@@ -1714,8 +1427,8 @@ mod tests {
         let sweeper = WorkflowSweeper::for_workflow(&w, 1 << 20, SweepConfig::serial()).unwrap();
         assert_eq!(sweeper.module_ids().len(), 3);
         assert_eq!(sweeper.n_attrs(), 7);
-        assert!(sweeper.module(ModuleId(0)).is_some());
-        assert!(sweeper.module(ModuleId(9)).is_none());
+        assert!(sweeper.oracles().oracle(ModuleId(0)).is_some());
+        assert!(sweeper.oracles().oracle(ModuleId(9)).is_none());
         // m1 has global inputs {0, 1} and outputs {2, 3, 4}.
         assert_eq!(sweeper.global_inputs(ModuleId(0)).unwrap(), vec![0, 1]);
         assert_eq!(sweeper.global_outputs(ModuleId(0)).unwrap(), vec![2, 3, 4]);
@@ -1732,8 +1445,13 @@ mod tests {
     #[test]
     fn streaming_sweeper_resweeps_only_changed_modules() {
         let w = fig1_workflow();
-        let mut sweeper =
-            WorkflowSweeper::for_workflow_streaming(&w, SweepConfig::serial()).unwrap();
+        let sweeper = WorkflowSweeper::for_workflow_streaming(&w, SweepConfig::serial()).unwrap();
+        let ingest = |row: &Tuple| {
+            sweeper
+                .oracles()
+                .ingest_batch(&IngestBatch::from_rows(std::slice::from_ref(row)))
+                .unwrap()
+        };
         let ids = sweeper.module_ids();
         assert_eq!(ids.len(), 3);
         // No executions yet: every module is vacuously safe, so the
@@ -1746,7 +1464,7 @@ mod tests {
         for x0 in 0..2u32 {
             for x1 in 0..2u32 {
                 let row = w.run(&[x0, x1]).unwrap();
-                assert!(sweeper.ingest_execution(&row).unwrap() > 0);
+                assert!(ingest(&row) > 0);
             }
         }
         for &id in &ids {
@@ -1761,7 +1479,7 @@ mod tests {
         assert_eq!(sweeper.sweeps_performed(), after);
         // A duplicate execution changes nothing — memos stay valid.
         let row = w.run(&[0, 0]).unwrap();
-        assert_eq!(sweeper.ingest_execution(&row).unwrap(), 0);
+        assert_eq!(ingest(&row), 0);
         for &id in &ids {
             let _ = sweeper.module_minimal_sets(id, 4).unwrap();
         }
@@ -1770,13 +1488,16 @@ mod tests {
         // Streamed sweeps equal sweeps over modules rebuilt from the
         // same observed provenance.
         for &id in &ids {
-            let m = sweeper.module(id).unwrap();
-            let rebuilt = StandaloneModule::new(
-                m.relation().clone(),
-                m.inputs().clone(),
-                m.outputs().clone(),
-            )
-            .unwrap();
+            let rebuilt = {
+                let o = sweeper.oracles().oracle(id).unwrap();
+                let m = o.module();
+                StandaloneModule::new(
+                    m.relation().clone(),
+                    m.inputs().clone(),
+                    m.outputs().clone(),
+                )
+                .unwrap()
+            };
             let (streamed, _) = sweeper.module_minimal_sets(id, 4).unwrap();
             assert_eq!(streamed, rebuilt.minimal_safe_hidden_sets(4).unwrap());
         }
@@ -1831,9 +1552,10 @@ mod tests {
             assert!(!frontier.is_empty());
             let (found, stats) = sweeper.module_min_cost(id, &unit, 2).unwrap();
             // Frontier algebra must equal a fresh branch-and-bound sweep.
-            let module = sweeper.module(id).unwrap();
+            let module = sweeper.oracles().oracle(id).unwrap().module().clone();
             let (fresh, _) =
-                min_cost_sweep(module, &vec![1u64; module.k()], 2, &SweepConfig::serial()).unwrap();
+                min_cost_sweep(&module, &vec![1u64; module.k()], 2, &SweepConfig::serial())
+                    .unwrap();
             assert_eq!(found, fresh);
             assert_eq!(stats.visited + stats.pruned, stats.lattice);
             assert!(stats.border_visited > 0, "stats come from the trie sweep");
@@ -1849,52 +1571,90 @@ mod tests {
     }
 
     #[test]
-    fn frontier_stats_are_thread_and_prune_independent() {
+    fn sweeper_ingest_is_atomic_and_resweeps_only_moved_modules() {
+        // fig1: m1(a1,a2) → (a3,a4,a5), m2(a3,a4) → a6, m3(a4,a5) → a7.
+        let w = fig1_workflow();
+        let gamma = 2;
+        let sweeper =
+            WorkflowSweeper::for_workflow_streaming(&w, SweepConfig::parallel(2)).unwrap();
+        let store = sweeper.oracles();
+        let ids = sweeper.module_ids();
+        let run = |x: [u32; 2]| w.run(&x).unwrap();
+        store
+            .ingest_batch(&IngestBatch::new(vec![run([0, 0]), run([0, 1])]))
+            .unwrap();
+        let frontiers = || -> Vec<Arc<Frontier>> {
+            ids.iter()
+                .map(|&id| sweeper.module_minimal_frontier(id, gamma).unwrap().0)
+                .collect()
+        };
+        let swept = frontiers();
+        let epochs = store.epoch_snapshot();
+        let sweeps = sweeper.sweeps_performed();
+
+        // Row 1 is fresh and valid for m1 (input (1, 0) unseen) but
+        // contradicts m2's recorded (a3, a4) = (0, 1) ↦ a6 = 1; row 0
+        // is valid everywhere. The whole frame must fail.
+        let mut bad = run([0, 0]);
+        bad.set(AttrId(0), 1);
+        bad.set(AttrId(5), 0);
+        let err = store
+            .ingest_batch(&IngestBatch::new(vec![run([1, 1]), bad]))
+            .unwrap_err();
+        assert_eq!(err, CoreError::NotAFunction.at_row(1));
+        assert_eq!(store.epoch_snapshot(), epochs);
+        for (before, after) in swept.iter().zip(frontiers()) {
+            assert!(Arc::ptr_eq(before, &after), "memo survives a failed frame");
+        }
+        assert_eq!(sweeper.sweeps_performed(), sweeps);
+
+        // Execution (1, 0) is new for m1, while its m2 and m3
+        // projections repeat those of (0, 1): only m1's epoch moves,
+        // and only m1 re-sweeps.
+        store
+            .ingest_batch(&IngestBatch::new(vec![run([1, 0])]))
+            .unwrap();
+        let moved: Vec<bool> = store
+            .epoch_snapshot()
+            .iter()
+            .zip(&epochs)
+            .map(|(now, then)| now.1 != then.1)
+            .collect();
+        assert_eq!(moved, [true, false, false]);
+        let reswept = frontiers();
+        assert_eq!(sweeper.sweeps_performed(), sweeps + 1);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(!Arc::ptr_eq(&swept[i], &reswept[i]), moved[i], "{id:?}");
+            // The antichain is the serial reference over the very
+            // module the store's probes answer from.
+            let spec = {
+                let o = store.oracle(id).unwrap();
+                safety::minimal_safe_hidden_sets(&KernelOracle::new(o.module()), gamma).unwrap()
+            };
+            let sets: Vec<AttrSet> = reswept[i].iter().map(AttrSet::from_word).collect();
+            assert_eq!(sets, spec, "{id:?}");
+        }
+    }
+
+    #[test]
+    fn frontier_stats_are_thread_independent() {
         // `frontier_nodes` is the canonical trie shape of the final
-        // antichain — identical across threads, prune, and border
-        // settings. `frontier_queries` (exhaustive mode: one `covers()`
-        // per enumerated mask) and `border_visited`/`border_jumps`
-        // (border mode: the serial walk's exact emission/jump counts)
-        // are thread-independent, so either kind gates exactly in CI.
+        // antichain, and `border_visited`/`border_jumps` are the serial
+        // walk's exact emission/jump counts — all identical at every
+        // thread count, so they gate exactly in CI.
         let m = m1();
         let (f1, s1) = minimal_sets_sweep_frontier(&m, 4, &SweepConfig::serial()).unwrap();
-        // Border mode issues zero per-mask coverage queries; its effort
-        // counters are the border walk's.
-        assert_eq!(s1.frontier_queries, 0);
         assert!(s1.border_visited > 0);
         assert_eq!(s1.visited, s1.border_visited, "every emitted mask probed");
-        for prune in [true, false] {
-            for border in [true, false] {
-                let serial = SweepConfig {
-                    threads: 1,
-                    prune,
-                    border,
-                };
-                let (fs, ss) = minimal_sets_sweep_frontier(&m, 4, &serial).unwrap();
-                assert_eq!(f1, fs, "prune={prune} border={border}");
-                assert_eq!(s1.frontier_nodes, ss.frontier_nodes);
-                for threads in [2usize, 8] {
-                    let cfg = SweepConfig {
-                        threads,
-                        prune,
-                        border,
-                    };
-                    let (f2, s2) = minimal_sets_sweep_frontier(&m, 4, &cfg).unwrap();
-                    assert_eq!(f1, f2, "threads={threads} prune={prune} border={border}");
-                    assert_eq!(ss.frontier_queries, s2.frontier_queries);
-                    assert_eq!(ss.border_visited, s2.border_visited);
-                    assert_eq!(ss.border_jumps, s2.border_jumps);
-                    assert_eq!(ss.frontier_nodes, s2.frontier_nodes);
-                }
-            }
+        for threads in [2usize, 4, 8] {
+            let (f2, s2) =
+                minimal_sets_sweep_frontier(&m, 4, &SweepConfig::parallel(threads)).unwrap();
+            assert_eq!(f1, f2, "threads={threads}");
+            assert_eq!(s1.border_visited, s2.border_visited);
+            assert_eq!(s1.border_jumps, s2.border_jumps);
+            assert_eq!(s1.frontier_nodes, s2.frontier_nodes);
         }
         assert_eq!(s1.frontier_nodes, f1.node_count() as u64);
-        // The exhaustive fallback coverage-tests every enumerated mask
-        // exactly once.
-        let (fx, sx) =
-            minimal_sets_sweep_frontier(&m, 4, &SweepConfig::serial().without_border()).unwrap();
-        assert_eq!(sx.frontier_queries, fx.queries());
-        assert_eq!(sx.border_visited, 0);
     }
 
     #[test]

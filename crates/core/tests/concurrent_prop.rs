@@ -2,7 +2,7 @@
 //!
 //! * `concurrent ≡ sequential ≡ naive` — N threads (up to 8) firing
 //!   mixed-module [`WorkflowOracles::probe_batch`] streams at **one
-//!   shared instance**, interleaved with `ingest_execution` appends
+//!   shared instance**, interleaved with `ingest_batch` appends
 //!   between serving phases, must answer exactly like a fresh
 //!   sequential reference instance fed the same appends — and like the
 //!   row-at-a-time naive oracle;
@@ -13,17 +13,18 @@
 //! * [`ProbeRequest`] edge cases: the empty batch, duplicate
 //!   `(module, word)` requests inside one batch, and `StaleEpoch` for a
 //!   client whose epoch-conditioned batch raced a concurrent
-//!   `ingest_execution`.
+//!   `ingest_batch`.
 //!
 //! The threading model under test: probes take `&self` and any number
-//! of reader threads share one instance; appends take `&mut self`, so
-//! the borrow checker serializes them against all probes — the suite
-//! alternates concurrent serving phases with append phases, which is
-//! exactly the interleaving a served deployment exhibits.
+//! of reader threads share one instance; the one writer appends whole
+//! frames (`ingest_batch`, also `&self`, each module behind its own
+//! lock) — the suite alternates concurrent serving phases with append
+//! phases, which is exactly the interleaving a served deployment
+//! exhibits.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sv_core::safety::{NaiveOracle, ProbeRequest, WorkflowOracles};
+use sv_core::safety::{IngestBatch, NaiveOracle, ProbeRequest, WorkflowOracles};
 use sv_core::{CoreError, MemoSafetyOracle, SafetyOracle, StandaloneModule};
 use sv_relation::{AttrDef, AttrSet, Domain, Relation, Schema, Tuple};
 use sv_workflow::library::{fig1_workflow, one_one_chain};
@@ -162,8 +163,8 @@ fn concurrent_mixed_module_batches_match_sequential_reference() {
     for workflow in [fig1_workflow(), one_one_chain(3, 3)] {
         // One shared streaming instance (the serving deployment) and a
         // sequential reference instance fed exactly the same appends.
-        let mut shared = WorkflowOracles::for_workflow_streaming(&workflow).unwrap();
-        let mut reference = WorkflowOracles::for_workflow_streaming(&workflow).unwrap();
+        let shared = WorkflowOracles::for_workflow_streaming(&workflow).unwrap();
+        let reference = WorkflowOracles::for_workflow_streaming(&workflow).unwrap();
         let ids = shared.module_ids();
 
         // All provenance rows the workflow can produce (boolean initial
@@ -181,8 +182,9 @@ fn concurrent_mixed_module_batches_match_sequential_reference() {
         // Alternate: ingest a row into both instances, then serve a
         // concurrent mixed-module phase at 1/2/4/8 threads.
         for (round, row) in executions.iter().enumerate() {
-            shared.ingest_execution(row).unwrap();
-            reference.ingest_execution(row).unwrap();
+            let frame = IngestBatch::from_rows(std::slice::from_ref(row));
+            shared.ingest_batch(&frame).unwrap();
+            reference.ingest_batch(&frame).unwrap();
             // Per-thread request streams, interleaving modules.
             let streams: Vec<Vec<ProbeRequest>> = (0..8)
                 .map(|_| {
@@ -289,9 +291,13 @@ fn duplicate_module_word_requests_share_one_kernel_evaluation() {
 #[test]
 fn stale_epoch_raised_after_concurrent_ingest() {
     let w = fig1_workflow();
-    let mut oracles = WorkflowOracles::for_workflow_streaming(&w).unwrap();
+    let oracles = WorkflowOracles::for_workflow_streaming(&w).unwrap();
     let ids = oracles.module_ids();
-    oracles.ingest_execution(&w.run(&[0, 0]).unwrap()).unwrap();
+    let ingest = |x: [u32; 2]| {
+        let row = w.run(&x).unwrap();
+        oracles.ingest_batch(&IngestBatch::new(vec![row])).unwrap()
+    };
+    ingest([0, 0]);
 
     // A client reads the current epoch and conditions its batch on it…
     let seen_epoch = oracles.oracle(ids[0]).unwrap().relation_epoch();
@@ -303,7 +309,7 @@ fn stale_epoch_raised_after_concurrent_ingest() {
 
     // …but another writer ingests between the client's derivation and
     // its next probe: the conditioned batch must be rejected atomically.
-    oracles.ingest_execution(&w.run(&[1, 1]).unwrap()).unwrap();
+    ingest([1, 1]);
     let calls = oracles.total_calls();
     let err = oracles.probe_batch(&conditioned).unwrap_err();
     assert!(matches!(

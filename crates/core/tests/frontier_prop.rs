@@ -3,7 +3,7 @@
 //! (covers / dominated_by / union / intersect / minimality-on-insert /
 //! iteration order), and **trie-backed `minimal_sets_sweep` ≡ serial
 //! `safety::minimal_safe_hidden_sets` ≡ brute-force possible worlds**
-//! on random modules (k ≤ 12, mixed thread counts), including the
+//! on random modules (k ≤ 12, 1/2/4/8 threads), including the
 //! empty-antichain and full-layer-cutoff edges.
 
 use rand::rngs::StdRng;
@@ -189,32 +189,25 @@ fn trie_sweep_equals_serial_spec_on_random_modules() {
         for gamma in [2u128, 3, range.max(2), range.saturating_mul(4) + 1] {
             let spec = safety::minimal_safe_hidden_sets(&KernelOracle::new(&m), gamma).unwrap();
             let spec_words: Vec<u64> = spec.iter().map(|s| s.as_word().expect("k <= 64")).collect();
-            for threads in [1usize, 2, 4] {
-                for (prune, border) in [(true, true), (true, false), (false, true)] {
-                    let cfg = SweepConfig {
-                        threads,
-                        prune,
-                        border,
-                    };
-                    let (f, s) = minimal_sets_sweep_frontier(&m, gamma, &cfg).unwrap();
-                    assert_eq!(
-                        f.iter().collect::<Vec<_>>(),
-                        spec_words,
-                        "trial={trial} k={k} gamma={gamma} threads={threads} \
-                         prune={prune} border={border}"
-                    );
-                    assert_eq!(s.frontier_nodes, f.node_count() as u64);
-                    assert_eq!(s.visited + s.pruned, s.lattice);
-                    // The AttrSet wrapper sees the identical list.
-                    let (sets, _) = minimal_sets_sweep(&m, gamma, &cfg).unwrap();
-                    assert_eq!(sets, spec);
-                    if spec.is_empty() {
-                        // Empty-antichain edge: unsatisfiable Γ yields an
-                        // empty trie that covers nothing.
-                        assert!(f.is_empty());
-                        assert_eq!(s.frontier_nodes, 0);
-                        assert!(!f.covers((1u64 << k) - 1));
-                    }
+            for threads in [1usize, 2, 4, 8] {
+                let cfg = SweepConfig::parallel(threads);
+                let (f, s) = minimal_sets_sweep_frontier(&m, gamma, &cfg).unwrap();
+                assert_eq!(
+                    f.iter().collect::<Vec<_>>(),
+                    spec_words,
+                    "trial={trial} k={k} gamma={gamma} threads={threads}"
+                );
+                assert_eq!(s.frontier_nodes, f.node_count() as u64);
+                assert_eq!(s.visited + s.pruned, s.lattice);
+                // The AttrSet wrapper sees the identical list.
+                let (sets, _) = minimal_sets_sweep(&m, gamma, &cfg).unwrap();
+                assert_eq!(sets, spec);
+                if spec.is_empty() {
+                    // Empty-antichain edge: unsatisfiable Γ yields an
+                    // empty trie that covers nothing.
+                    assert!(f.is_empty());
+                    assert_eq!(s.frontier_nodes, 0);
+                    assert!(!f.covers((1u64 << k) - 1));
                 }
             }
         }
@@ -286,43 +279,17 @@ fn full_layer_cutoff_edge_is_exact() {
     let spec = safety::minimal_safe_hidden_sets(&KernelOracle::new(&m), 2).unwrap();
     assert_eq!(spec.len(), k as usize, "one minimal set per attribute");
     for threads in [1usize, 4] {
-        // Border mode: the layer-2 walk finds the whole layer covered
-        // (zero masks emitted) and the cutoff fires with zero coverage
-        // queries issued anywhere.
+        // The layer-2 walk finds the whole layer covered (zero masks
+        // emitted) and the cutoff fires.
         let cfg = SweepConfig::parallel(threads);
         let (f, s) = minimal_sets_sweep_frontier(&m, 2, &cfg).unwrap();
         assert_eq!(f.len(), k as usize);
         assert_eq!(s.visited, 1 + k, "empty mask + singletons only");
         assert_eq!(s.lattice, 1 << k);
         assert_eq!(s.pruned, s.lattice - s.visited);
-        assert_eq!(s.frontier_queries, 0, "border walks replace covers()");
         assert_eq!(s.border_visited, 1 + k, "walks emit only uncovered masks");
         assert_eq!(s.frontier_nodes, f.node_count() as u64);
-
-        // Exhaustive fallback: one coverage query per enumerated mask —
-        // layers 0, 1 and the fully-covered layer 2 that triggers the
-        // cutoff.
-        let cfg = SweepConfig::parallel(threads).without_border();
-        let (f, s) = minimal_sets_sweep_frontier(&m, 2, &cfg).unwrap();
-        assert_eq!(f.len(), k as usize);
-        assert_eq!(s.visited, 1 + k, "empty mask + singletons only");
-        assert_eq!(s.pruned, s.lattice - s.visited);
-        let layer2 = k * (k - 1) / 2;
-        assert_eq!(s.frontier_queries, 1 + k + layer2);
-        assert_eq!((s.border_visited, s.border_jumps), (0, 0));
-        assert_eq!(s.frontier_nodes, f.node_count() as u64);
     }
-    // The prune ablation enumerates every layer but finds the same
-    // antichain with a full-lattice query count.
-    let cfg = SweepConfig {
-        threads: 1,
-        prune: false,
-        border: true, // ignored without pruning
-    };
-    let (f, s) = minimal_sets_sweep_frontier(&m, 2, &cfg).unwrap();
-    assert_eq!(f.len(), k as usize);
-    assert_eq!(s.visited, s.lattice, "ablation probes everything");
-    assert_eq!(s.frontier_queries, 1 << k);
 }
 
 /// Gosper's hack: next mask of the same popcount, ascending. Must not
@@ -547,30 +514,23 @@ fn seeded_resweep_equals_fresh_sweep_after_appends() {
             let spec_words: Vec<u64> = spec.iter().map(|s| s.as_word().expect("k <= 64")).collect();
             for seeds in [&stale_frontier, &junk] {
                 for threads in [1usize, 2, 4, 8] {
-                    for border in [true, false] {
-                        let cfg = SweepConfig {
-                            threads,
-                            prune: true,
-                            border,
-                        };
-                        let (f, s) = sv_core::sweep::minimal_sets_sweep_frontier_seeded(
-                            &current,
-                            gamma,
-                            &cfg,
-                            Some(seeds),
-                        )
-                        .unwrap();
-                        assert_eq!(
-                            f.iter().collect::<Vec<_>>(),
-                            spec_words,
-                            "trial={trial} k={k} gamma={gamma} threads={threads} border={border}"
-                        );
-                        assert_eq!(
-                            s.visited + s.pruned,
-                            s.lattice,
-                            "seed revalidation probes stay out of the ledger"
-                        );
-                    }
+                    let (f, s) = sv_core::sweep::minimal_sets_sweep_frontier_seeded(
+                        &current,
+                        gamma,
+                        &SweepConfig::parallel(threads),
+                        Some(seeds),
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        f.iter().collect::<Vec<_>>(),
+                        spec_words,
+                        "trial={trial} k={k} gamma={gamma} threads={threads}"
+                    );
+                    assert_eq!(
+                        s.visited + s.pruned,
+                        s.lattice,
+                        "seed revalidation probes stay out of the ledger"
+                    );
                 }
             }
         }

@@ -15,7 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sv_core::safety::{NaiveOracle, ProbeRequest, WorkflowOracles};
+use sv_core::safety::{IngestBatch, NaiveOracle, ProbeRequest, WorkflowOracles};
 use sv_core::{
     CoreError, MemoSafetyOracle, SafetyOracle, StandaloneModule, SweepConfig, WorkflowSweeper,
 };
@@ -179,10 +179,10 @@ fn mixed_module_batches_match_sequential_probing() {
 #[test]
 fn streaming_batches_reject_stale_epochs_atomically() {
     let w = fig1_workflow();
-    let mut oracles = WorkflowOracles::for_workflow_streaming(&w).unwrap();
+    let oracles = WorkflowOracles::for_workflow_streaming(&w).unwrap();
     let ids = oracles.module_ids();
     let row = w.run(&[0, 0]).unwrap();
-    oracles.ingest_execution(&row).unwrap();
+    oracles.ingest_batch(&IngestBatch::new(vec![row])).unwrap();
     // Clients conditioned on epoch 1 are served…
     let current: Vec<ProbeRequest> = ids
         .iter()
@@ -194,7 +194,7 @@ fn streaming_batches_reject_stale_epochs_atomically() {
     // …but after more provenance arrives, the same conditioned batch is
     // rejected outright, touching no oracle.
     let row = w.run(&[1, 1]).unwrap();
-    oracles.ingest_execution(&row).unwrap();
+    oracles.ingest_batch(&IngestBatch::new(vec![row])).unwrap();
     let err = oracles.probe_batch(&current).unwrap_err();
     assert!(matches!(
         err,

@@ -238,14 +238,17 @@ impl CardinalityInstance {
         let mut modules = Vec::new();
         let (frontiers, stats) = sweeper.minimal_frontiers_all(gammas)?;
         for ((id, frontier), &gamma) in frontiers.into_iter().zip(gammas) {
-            let m = sweeper
-                .module(id)
-                .ok_or(CoreError::MissingOracle { module: id.index() })?;
-            let list: Vec<(usize, usize)> =
+            let list: Vec<(usize, usize)> = {
+                let oracle = sweeper
+                    .oracles()
+                    .oracle(id)
+                    .ok_or(CoreError::MissingOracle { module: id.index() })?;
+                let m = oracle.module();
                 cardinality_constraints_from_frontier(&frontier, m.inputs(), m.outputs())
                     .into_iter()
                     .map(|c| (c.alpha, c.beta))
-                    .collect();
+                    .collect()
+            };
             if list.is_empty() {
                 return Err(CoreError::BudgetExceeded {
                     what: "module admits no safe hiding for gamma",

@@ -19,7 +19,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use sv_core::safety::{ProbeRequest, WorkflowOracles};
+use sv_core::safety::{IngestBatch, ProbeRequest, WorkflowOracles};
 use sv_core::wire::BusyReason;
 use sv_relation::{AttrSet, Tuple};
 use sv_serve::{
@@ -62,11 +62,12 @@ fn probe_mix() -> Vec<ProbeRequest> {
 /// The ground truth: `expected[e][p]` = direct `probe_batch` answer for
 /// probe `p` after ingesting the first `e` rows.
 fn reference_table(wf: &Workflow, rows: &[Tuple], probes: &[ProbeRequest]) -> Vec<Vec<bool>> {
-    let mut oracles = WorkflowOracles::for_workflow_streaming(wf).unwrap();
+    let oracles = WorkflowOracles::for_workflow_streaming(wf).unwrap();
     let mut table = Vec::with_capacity(rows.len() + 1);
     for e in 0..=rows.len() {
         if e > 0 {
-            assert_eq!(oracles.ingest_execution(&rows[e - 1]).unwrap(), 1);
+            let frame = IngestBatch::from_rows(&rows[e - 1..e]);
+            assert_eq!(oracles.ingest_batch(&frame).unwrap(), 1);
         }
         let outcomes = oracles.probe_batch(probes).unwrap();
         assert!(outcomes.iter().all(|o| o.epoch == e as u64));

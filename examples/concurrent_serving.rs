@@ -17,15 +17,17 @@
 //! 3. show the cache economics: the distinct questions of the whole
 //!    concurrent phase cost one kernel evaluation each, however many
 //!    threads asked;
-//! 4. ingest a new execution (`&mut` — the one writer) and show
-//!    epoch-conditioned clients detecting the change ([`StaleEpoch`])
-//!    while re-conditioned clients are served concurrently again.
+//! 4. ingest a new execution through the one write path
+//!    ([`IngestBatch`], `&self`, each module behind its own lock) and
+//!    show epoch-conditioned clients detecting the change
+//!    ([`StaleEpoch`]) while re-conditioned clients are served
+//!    concurrently again.
 //!
 //! Run with: `cargo run --example concurrent_serving`
 //!
 //! [`StaleEpoch`]: secure_view::privacy::CoreError::StaleEpoch
 
-use secure_view::privacy::safety::{ProbeRequest, SafetyOracle, WorkflowOracles};
+use secure_view::privacy::safety::{IngestBatch, ProbeRequest, SafetyOracle, WorkflowOracles};
 use secure_view::privacy::CoreError;
 use secure_view::relation::AttrSet;
 use secure_view::workflow::library::fig1_workflow;
@@ -41,15 +43,16 @@ fn main() {
 
     // ── 1. One shared instance (streaming mode), plus a sequential
     //       reference instance fed identically ─────────────────────────
-    let mut shared = WorkflowOracles::for_workflow_streaming(&wf).expect("fig1 is valid");
-    let mut reference = WorkflowOracles::for_workflow_streaming(&wf).expect("fig1 is valid");
+    let shared = WorkflowOracles::for_workflow_streaming(&wf).expect("fig1 is valid");
+    let reference = WorkflowOracles::for_workflow_streaming(&wf).expect("fig1 is valid");
     let ids = shared.module_ids();
-    // Ingest three of the four possible executions up front; [1, 0] is
-    // held back so phase 4 has a genuinely new row to stream in.
+    // Ingest three of the four possible executions up front, one frame
+    // each; [1, 0] is held back so phase 4 has a genuinely new row to
+    // stream in.
     for inputs in [[0u32, 0], [0, 1], [1, 1]] {
-        let row = wf.run(&inputs).expect("fig1 executes");
-        shared.ingest_execution(&row).expect("valid provenance");
-        reference.ingest_execution(&row).expect("valid provenance");
+        let frame = IngestBatch::new(vec![wf.run(&inputs).expect("fig1 executes")]);
+        shared.ingest_batch(&frame).expect("valid provenance");
+        reference.ingest_batch(&frame).expect("valid provenance");
     }
 
     // Deterministic mixed-module request streams, one per thread.
@@ -123,11 +126,13 @@ fn main() {
         .collect();
     assert!(shared.probe_batch(&conditioned).is_ok());
 
-    // A fresh execution arrives — `ingest_execution` is `&mut self`,
-    // the one writer; the borrow checker guarantees no probe overlaps.
-    let row = wf.run(&[1, 0]).expect("fig1 executes");
-    shared.ingest_execution(&row).expect("valid provenance");
-    reference.ingest_execution(&row).expect("valid provenance");
+    // A fresh execution arrives through the one writer: `ingest_batch`
+    // validates the whole frame, then appends each module under that
+    // module's own write lock, so a probe only ever waits for the one
+    // module being appended and never sees half a frame.
+    let frame = IngestBatch::new(vec![wf.run(&[1, 0]).expect("fig1 executes")]);
+    shared.ingest_batch(&frame).expect("valid provenance");
+    reference.ingest_batch(&frame).expect("valid provenance");
 
     match shared.probe_batch(&conditioned) {
         Err(CoreError::StaleEpoch {

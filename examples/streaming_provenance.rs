@@ -8,22 +8,24 @@
 //! rebuilding its indexes and caches per row. This example runs that
 //! scenario end to end on the paper's Figure-1 workflow:
 //!
-//! 1. start a [`WorkflowSweeper`] and [`WorkflowOracles`] in streaming
-//!    mode (every private module empty — nothing observed, everything
-//!    vacuously safe);
-//! 2. ingest executions as they happen ([`Workflow::run`] →
-//!    `ingest_execution`), watching module epochs tick only for modules
-//!    whose relation actually gained a row;
+//! 1. start one [`WorkflowSweeper`] in streaming mode (every private
+//!    module empty — nothing observed, everything vacuously safe); its
+//!    [`WorkflowOracles`] store is the one copy of the modules that both
+//!    the sweeps and the probes read;
+//! 2. ingest each execution once, as it happens ([`Workflow::run`] →
+//!    an [`IngestBatch`] frame → `sweeper.oracles().ingest_batch`),
+//!    watching module epochs tick only for modules whose relation
+//!    actually gained a row;
 //! 3. after each arrival, re-derive the minimal safe hidden sets — the
 //!    epoch-stamped sweep memos re-sweep **only the modules that
 //!    changed**;
-//! 4. keep a standing `is_safe(V, Γ)` question alive on a memoized
-//!    oracle and watch the monotone shortcut answer it from the cache
-//!    when appends provably could not break it.
+//! 4. keep a standing `is_safe(V, Γ)` question alive on the same store
+//!    and watch the monotone shortcut answer it from the cache when
+//!    appends provably could not break it.
 //!
 //! Run with: `cargo run --example streaming_provenance`
 
-use secure_view::privacy::safety::{SafetyOracle, WorkflowOracles};
+use secure_view::privacy::safety::{IngestBatch, SafetyOracle};
 use secure_view::privacy::{SweepConfig, WorkflowSweeper};
 use secure_view::relation::AttrSet;
 use secure_view::workflow::library::fig1_workflow;
@@ -35,10 +37,18 @@ fn main() {
         wf.len()
     );
 
-    // ── 1. Streaming monitors: nothing observed yet ─────────────────
-    let mut sweeper = WorkflowSweeper::for_workflow_streaming(&wf, SweepConfig::auto())
+    // ── 1. One streaming monitor: nothing observed yet ──────────────
+    let sweeper = WorkflowSweeper::for_workflow_streaming(&wf, SweepConfig::auto())
         .expect("fig1 is structurally valid");
-    let mut oracles = WorkflowOracles::for_workflow_streaming(&wf).expect("fig1 is valid");
+    // The module store: sweeps read it, probes answer from it, and
+    // every execution enters it exactly once.
+    let store = sweeper.oracles();
+    let ingest = |inputs: &[u32]| {
+        let row = wf.run(inputs).expect("in-domain inputs");
+        store
+            .ingest_batch(&IngestBatch::new(vec![row]))
+            .expect("valid provenance")
+    };
     let gamma = 4;
     let ids = sweeper.module_ids();
     let (sets, _) = sweeper.module_minimal_sets(ids[0], gamma).unwrap();
@@ -53,9 +63,7 @@ fn main() {
 
     // ── 2./3. Executions arrive one at a time ───────────────────────
     for (step, inputs) in [[0u32, 0], [0, 1], [1, 0], [1, 1]].iter().enumerate() {
-        let row = wf.run(inputs).expect("in-domain inputs");
-        let new_rows = sweeper.ingest_execution(&row).unwrap();
-        oracles.ingest_execution(&row).unwrap();
+        let new_rows = ingest(inputs);
 
         let sweeps_before = sweeper.sweeps_performed();
         let mut antichain_sizes = Vec::new();
@@ -64,12 +72,11 @@ fn main() {
             antichain_sizes.push(sets.len());
         }
         let resweeps = sweeper.sweeps_performed() - sweeps_before;
-        let epochs: Vec<u64> = ids
-            .iter()
-            .map(|&id| sweeper.module_epoch(id).unwrap())
-            .collect();
-        let m1 = oracles.oracle(ids[0]).unwrap();
-        let standing_ok = m1.is_safe_hidden(&standing_hidden, gamma);
+        let epochs: Vec<u64> = store.epoch_snapshot().iter().map(|&(_, e)| e).collect();
+        let standing_ok = store
+            .oracle(ids[0])
+            .unwrap()
+            .is_safe_hidden(&standing_hidden, gamma);
         println!(
             "execution {}: x = {:?} → +{} module rows | epochs {:?} | \
              re-swept {} of {} modules | antichain sizes {:?} | \
@@ -96,8 +103,7 @@ fn main() {
     );
 
     // A duplicate execution changes nothing — memos stay warm.
-    let dup = wf.run(&[0, 0]).expect("in-domain");
-    let added = sweeper.ingest_execution(&dup).unwrap();
+    let added = ingest(&[0, 0]);
     for &id in &ids {
         let _ = sweeper.module_minimal_sets(id, gamma).unwrap();
     }
@@ -107,19 +113,19 @@ fn main() {
     );
 
     // ── 4. The monotone shortcut at the oracle layer ────────────────
-    let m1 = oracles.oracle(ids[0]).unwrap();
-    let shortcut_before = m1.monotone_shortcut_hits();
-    let misses_before = m1.misses();
-    let safe = m1.is_safe_hidden(&standing_hidden, gamma);
-    println!(
-        "\nstanding probe after the stream: safe = {safe} \
-         (cache: {} kernel evaluations total, {} monotone shortcuts, {} revalidations)",
-        m1.misses(),
-        m1.monotone_shortcut_hits(),
-        m1.revalidations(),
-    );
-    assert_eq!(m1.misses(), misses_before, "no new kernel work needed");
-    let _ = shortcut_before;
+    {
+        let m1 = store.oracle(ids[0]).unwrap();
+        let misses_before = m1.misses();
+        let safe = m1.is_safe_hidden(&standing_hidden, gamma);
+        println!(
+            "\nstanding probe after the stream: safe = {safe} \
+             (cache: {} kernel evaluations total, {} monotone shortcuts, {} revalidations)",
+            m1.misses(),
+            m1.monotone_shortcut_hits(),
+            m1.revalidations(),
+        );
+        assert_eq!(m1.misses(), misses_before, "no new kernel work needed");
+    }
 
     // The streamed state is exactly the batch state: all four
     // executions happened, so the streamed m1 equals the materialized
