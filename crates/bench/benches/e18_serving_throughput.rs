@@ -1,5 +1,5 @@
-//! E18 — **serving throughput**: the batched probe engine against the
-//! one-at-a-time serving path, at "many instances × many modules" scale.
+//! E18 — **serving throughput**: the memoized batch router against the
+//! one-at-a-time kernel path, at "many instances × many modules" scale.
 //!
 //! Workload: [`INSTANCES`] independent instances of a 4-private-module
 //! one-one workflow (`k = 20`, 1024 rows per module), serving a seeded stream of
@@ -19,11 +19,13 @@
 //!   pair pass).
 //! * `batched` — the serving engine: the stream is cut into
 //!   [`BATCH`]-sized mixed-module windows, each routed through
-//!   [`WorkflowOracles::probe_batch`] (cache partition + one kernel
-//!   batch pass per module for the distinct misses).
-//! * `sequential_memo` — ablation row isolating the cache's share: the
-//!   same memoized oracles, probed one call at a time. The batched
-//!   engine must at least match it; the gated ≥ 3× floor is
+//!   [`WorkflowOracles::probe_batch`] (whole-batch validation, then
+//!   every request through its module oracle's memoized `is_safe`; a
+//!   visible set costs one kernel evaluation however often it recurs).
+//! * `sequential_memo` — ablation row isolating the router's share: the
+//!   same memoized oracles, probed one call at a time with no batch
+//!   routing or validation. The batched engine may trail it by at most
+//!   the router's overhead (floored at 0.8); the gated ≥ 3× floor is
 //!   `one_at_a_time / batched`.
 //!
 //! **Multi-core scaling rows** (ROADMAP "multi-core scaling

@@ -31,19 +31,18 @@
 //!   workflow, materialized once and shared by every requirement-list /
 //!   instance derivation (`sv-optimize`) and the bench harness.
 //!
-//! ### The batched serving path
+//! ### One probe path
 //!
-//! At serving scale (the ROADMAP's "heavy traffic" north star), probes
-//! arrive as **streams**, not single calls. [`SafetyOracle::is_safe_batch`]
-//! answers a slice of `(visible word, Γ)` questions at once — the
-//! default implementation is the sequential loop (the executable
-//! specification), and [`MemoSafetyOracle`] overrides it to
-//! cache-partition the batch and answer all distinct misses in one
-//! kernel batch pass. [`WorkflowOracles::probe_batch`] lifts this to
-//! **mixed-module batches** of [`ProbeRequest`]s, routing each module's
-//! sub-batch to its oracle with atomic up-front validation (unknown
-//! module or stale [`ProbeRequest::epoch`] ⇒ the whole batch fails
-//! before any memo state is touched).
+//! Serving, sweeps and optimizers ask through the same memo path: a
+//! probe that misses the level cache computes one Lemma-4 pass and
+//! stamps the level, so each distinct visible set costs one kernel
+//! evaluation per module epoch however many requests (or Γ values) ask
+//! about it. [`WorkflowOracles::probe_batch`] routes **mixed-module
+//! batches** of [`ProbeRequest`]s to each module's oracle and answers
+//! every request with that oracle's [`SafetyOracle::is_safe`], after
+//! validating the whole batch up front (unknown module or stale
+//! [`ProbeRequest::epoch`] ⇒ the batch fails before any memo state is
+//! touched).
 //!
 //! ### Concurrent reads, sharded writes
 //!
@@ -217,34 +216,6 @@ pub trait SafetyOracle {
         }
         let visible = AttrSet::from_word(!hidden_word & low_mask(self.k()));
         self.is_safe(&visible, gamma)
-    }
-
-    /// **Batched probes**: answers a slice of word-encoded
-    /// `(visible set, Γ)` questions in one call. The default
-    /// implementation is the sequential loop — one
-    /// [`is_safe`](Self::is_safe) per probe — and is the executable
-    /// specification batching implementations are property-tested
-    /// against. [`MemoSafetyOracle`] overrides it to cache-partition the
-    /// batch and answer all misses in **one kernel batch pass**, which
-    /// is what makes the serving layer's group-index work amortize
-    /// across requests.
-    ///
-    /// Like [`is_safe_hidden_word`](Self::is_safe_hidden_word), the word
-    /// can only name attributes `0..64`; for wider modules each probe is
-    /// answered through the set-based path.
-    ///
-    /// An **empty** probe slice returns an empty `Vec` immediately,
-    /// touching no scratch and allocating nothing (a contract every
-    /// override upholds — serving tiers forward client batches verbatim
-    /// and empty windows are common).
-    fn is_safe_batch(&self, probes: &[(u64, u128)]) -> Vec<bool> {
-        if probes.is_empty() {
-            return Vec::new();
-        }
-        probes
-            .iter()
-            .map(|&(w, gamma)| self.is_safe(&AttrSet::from_word(w), gamma))
-            .collect()
     }
 
     /// The **versioned probe path**: the generation of the module
@@ -562,9 +533,9 @@ impl MemoSafetyOracle {
     /// monotone shortcut — appends can only raise the Lemma-4 minimum
     /// then). [`WordCacheProbe::Compute`] means the probe must
     /// (re)compute the level. This is the single home of the shortcut
-    /// soundness condition, shared by the sequential path
-    /// ([`safe_word`](Self::safe_word)), the pinned-scratch sweep path,
-    /// and the batch partition ([`SafetyOracle::is_safe_batch`]).
+    /// soundness condition, shared by the pooled-scratch path
+    /// ([`safe_word`](Self::safe_word)) and the pinned-scratch sweep
+    /// path.
     /// Takes only one shard read-lock.
     fn probe_word_cache(&self, visible_word: u64, gamma: u128) -> WordCacheProbe {
         let entry = self.word_shards[word_shard(visible_word)]
@@ -742,101 +713,6 @@ impl SafetyOracle for MemoSafetyOracle {
             return self.safe_wide(&visible, gamma);
         }
         self.safe_word(!hidden_word & low_mask(k), gamma)
-    }
-
-    /// The batched serving path: the batch is **cache-partitioned** —
-    /// epoch-current entries (and stale-but-safe entries eligible for
-    /// the monotone shortcut) answer from the memo with zero kernel
-    /// work, and every remaining probe is deduplicated to its distinct
-    /// visible word and answered in **one kernel batch pass**
-    /// ([`StandaloneModule::privacy_level_words_batch_with`]). Each
-    /// distinct missing visible set costs one kernel evaluation per
-    /// batch, no matter how many requests (or Γ values) ask about it;
-    /// the refreshed levels are epoch-stamped into the cache exactly as
-    /// the sequential path would. Warm batches take only shard
-    /// read-locks, so concurrent serving threads firing warm batches at
-    /// one shared oracle proceed in parallel.
-    fn is_safe_batch(&self, probes: &[(u64, u128)]) -> Vec<bool> {
-        if probes.is_empty() {
-            return Vec::new();
-        }
-        let k = self.module.k();
-        if k > 64 {
-            // Wide schemas have no word-keyed kernel batch; the
-            // sequential wide path (which still memoizes) is the answer.
-            return probes
-                .iter()
-                .map(|&(w, gamma)| self.is_safe(&AttrSet::from_word(w), gamma))
-                .collect();
-        }
-        self.calls.fetch_add(probes.len() as u64, Ordering::Relaxed);
-        let mask = low_mask(k);
-        let epoch = self.module.epoch();
-        let mut out = vec![false; probes.len()];
-        // Cache partition: resolve what the memo can (epoch-current
-        // entries and sound monotone shortcuts, via the same
-        // `probe_word_cache` the sequential path uses), collect the rest.
-        let mut pending: Vec<(usize, u64, u128)> = Vec::new();
-        let mut miss_words: Vec<u64> = Vec::new();
-        for (i, &(w, gamma)) in probes.iter().enumerate() {
-            if gamma <= 1 {
-                out[i] = true;
-                continue;
-            }
-            let w = w & mask;
-            match self.probe_word_cache(w, gamma) {
-                WordCacheProbe::Answer(answer) => out[i] = answer,
-                WordCacheProbe::Compute { .. } => {
-                    pending.push((i, w, gamma));
-                    miss_words.push(w);
-                }
-            }
-        }
-        if pending.is_empty() {
-            return out;
-        }
-        // One kernel pass for the misses, deduplicated by visible word.
-        miss_words.sort_unstable();
-        miss_words.dedup();
-        for &w in &miss_words {
-            if self.word_shards[word_shard(w)]
-                .read()
-                .expect("memo shard lock")
-                .contains_key(&w)
-            {
-                self.revalidations.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.misses
-            .fetch_add(miss_words.len() as u64, Ordering::Relaxed);
-        let mut levels: Vec<u128> = Vec::with_capacity(miss_words.len());
-        if self
-            .scratch
-            .with(|buf| {
-                self.module
-                    .privacy_level_words_batch_with(&miss_words, buf, &mut levels)
-            })
-            .is_none()
-        {
-            // No word split (cannot happen for k ≤ 64 modules, whose
-            // input/output sets always fit a word) — per-probe fallback.
-            levels.extend(
-                miss_words
-                    .iter()
-                    .map(|&w| self.module.privacy_level(&AttrSet::from_word(w))),
-            );
-        }
-        for (&w, &l) in miss_words.iter().zip(&levels) {
-            self.word_shards[word_shard(w)]
-                .write()
-                .expect("memo shard lock")
-                .insert(w, (l, epoch));
-        }
-        for (i, w, gamma) in pending {
-            let l = levels[miss_words.binary_search(&w).expect("deduplicated above")];
-            out[i] = l >= gamma;
-        }
-        out
     }
 
     fn calls(&self) -> u64 {
@@ -1395,11 +1271,11 @@ impl WorkflowOracles {
     }
 
     /// Routes a **mixed-module batch** of safety probes: requests are
-    /// grouped per module and each module's sub-batch is answered by its
-    /// memoized oracle in one [`SafetyOracle::is_safe_batch`] call, so
-    /// group-index and cache work amortize across every request that
-    /// shares a module — regardless of interleaving. Outcomes come back
-    /// in request order.
+    /// grouped per module, and each module answers its requests under
+    /// one read lock through its memoized oracle's
+    /// [`SafetyOracle::is_safe`] — the path sweeps and optimizers use —
+    /// so a visible set repeated anywhere in the batch costs one kernel
+    /// evaluation. Outcomes come back in request order.
     ///
     /// **Concurrent serving:** this takes `&self` — any number of
     /// serving threads fire batches at one shared instance, and warm
@@ -1416,10 +1292,13 @@ impl WorkflowOracles {
     ///
     /// **Atomic rejection:** the whole batch is validated first — every
     /// request must name a covered module and (when
-    /// [`ProbeRequest::epoch`] is set) match that module's current
+    /// [`ProbeRequest::epoch`] is set) match that module's published
     /// relation epoch. A batch containing an unknown module or a stale
     /// epoch fails *before any oracle is touched*, leaving every memo
-    /// (and its counters) exactly as it was.
+    /// (and its counters) exactly as it was. An append that races in
+    /// after validation is caught under that module's lock, before the
+    /// module answers any request; modules routed earlier in the batch
+    /// may already have answered (and warmed their memos).
     ///
     /// # Errors
     /// [`CoreError::MissingOracle`] for an uncovered module id;
@@ -1471,12 +1350,14 @@ impl WorkflowOracles {
                 }
             }
             buckets[idx].push(pos);
+            // Read the visible set here, where nothing fences: the answer
+            // loop below takes a memo shard lock per request, so a set it
+            // reads first is a cache miss that cannot overlap the next.
+            std::hint::black_box(r.visible.as_word());
         }
-        // Phase 2: per-module sub-batches through the batched oracle
-        // path, each under its module's read lock; wide visible sets
-        // (no word encoding) fall back to the per-probe path of the
-        // same oracle. Epoch conditions are re-checked under the lock:
-        // an append that raced in after phase-1 validation surfaces as
+        // Phase 2: each module answers its requests under its read
+        // lock. Epoch conditions are re-checked under the lock first: an
+        // append that raced in after phase-1 validation surfaces as
         // `StaleEpoch`, never as an answer at the wrong epoch.
         let mut out: Vec<ProbeOutcome> = requests
             .iter()
@@ -1492,33 +1373,20 @@ impl WorkflowOracles {
             }
             let oracle = entry.read();
             let epoch = oracle.relation_epoch();
-            let mut word_positions: Vec<usize> = Vec::with_capacity(bucket.len());
-            let mut word_probes: Vec<(u64, u128)> = Vec::with_capacity(bucket.len());
             for &pos in bucket {
                 let r = &requests[pos];
-                if let Some(expected) = r.epoch {
-                    if expected != epoch {
-                        return Err(CoreError::StaleEpoch {
-                            module: r.module.index(),
-                            expected,
-                            actual: epoch,
-                        });
-                    }
-                }
-                out[pos].epoch = epoch;
-                match r.visible.as_word() {
-                    Some(w) => {
-                        word_positions.push(pos);
-                        word_probes.push((w, r.gamma));
-                    }
-                    None => out[pos].safe = oracle.is_safe(&r.visible, r.gamma),
+                if let Some(expected) = r.epoch.filter(|&e| e != epoch) {
+                    return Err(CoreError::StaleEpoch {
+                        module: r.module.index(),
+                        expected,
+                        actual: epoch,
+                    });
                 }
             }
-            for (&pos, safe) in word_positions
-                .iter()
-                .zip(oracle.is_safe_batch(&word_probes))
-            {
-                out[pos].safe = safe;
+            for &pos in bucket {
+                let r = &requests[pos];
+                out[pos].safe = oracle.is_safe(&r.visible, r.gamma);
+                out[pos].epoch = epoch;
             }
         }
         Ok(out)
@@ -1859,72 +1727,101 @@ mod tests {
         assert!(ingest(&row2).unwrap() > 0);
     }
 
+    /// Figure 1's `m1` as a workflow of its own: a one-module store
+    /// whose workflow rows are `m1`'s rows.
+    fn m1_workflow() -> Workflow {
+        let mut b = sv_workflow::WorkflowBuilder::new();
+        let a = b.bool_attrs("a", 5);
+        b.module(
+            "m1",
+            &a[..2],
+            &a[2..],
+            sv_workflow::Visibility::Private,
+            sv_workflow::library::m1_fn(),
+        );
+        b.build().unwrap()
+    }
+
+    fn word_requests(probes: &[(u64, u128)]) -> Vec<ProbeRequest> {
+        probes
+            .iter()
+            .map(|&(w, g)| ProbeRequest::new(ModuleId(0), AttrSet::from_word(w), g))
+            .collect()
+    }
+
+    fn answers(oracles: &WorkflowOracles, requests: &[ProbeRequest]) -> Vec<bool> {
+        let outcomes = oracles.probe_batch(requests).unwrap();
+        outcomes.iter().map(|o| o.safe).collect()
+    }
+
     #[test]
     fn batch_probes_match_sequential_and_dedup_kernel_work() {
-        let m = m1();
-        let memo = MemoSafetyOracle::new(m.clone());
-        let naive = NaiveOracle::new(m.clone());
+        let oracles = WorkflowOracles::for_workflow(&m1_workflow(), 1 << 20).unwrap();
+        let naive = NaiveOracle::new(m1());
         // Every (visible word, Γ) pair, many duplicates, trivial Γ too.
         let probes: Vec<(u64, u128)> = (0u64..(1 << 5))
             .flat_map(|w| [1u128, 2, 4, 8, 9].map(|g| (w, g)))
             .chain([(0b00101, 4), (0b00101, 4)])
             .collect();
-        let batched = memo.is_safe_batch(&probes);
-        // The default trait impl (sequential loop) on the naive oracle
-        // is the executable specification.
-        assert_eq!(batched, naive.is_safe_batch(&probes));
+        let requests = word_requests(&probes);
+        let batched = answers(&oracles, &requests);
+        // The row-at-a-time semantics are the executable specification.
+        for (i, &(w, g)) in probes.iter().enumerate() {
+            assert_eq!(batched[i], naive.is_safe(&AttrSet::from_word(w), g), "{i}");
+        }
         // 32 distinct visible words ⇒ exactly 32 kernel evaluations for
         // the whole batch, whatever the request count.
+        let memo = oracles.oracle(ModuleId(0)).unwrap();
         assert_eq!(memo.misses(), 32);
         assert_eq!(memo.calls(), probes.len() as u64);
+        drop(memo);
         // A repeat batch is pure cache hits.
-        assert_eq!(memo.is_safe_batch(&probes), batched);
-        assert_eq!(memo.misses(), 32);
-        // Batch answers agree with the sequential memo path cache-line
-        // for cache-line.
-        let seq = MemoSafetyOracle::new(m);
-        for (i, &(w, g)) in probes.iter().enumerate() {
-            assert_eq!(seq.is_safe(&AttrSet::from_word(w), g), batched[i], "{i}");
+        assert_eq!(answers(&oracles, &requests), batched);
+        assert_eq!(oracles.total_misses(), 32);
+        // A standalone memo asked the same questions one at a time does
+        // the same kernel work.
+        let seq = MemoSafetyOracle::new(m1());
+        for &(w, g) in &probes {
+            let _ = seq.is_safe(&AttrSet::from_word(w), g);
         }
-        assert_eq!(seq.misses(), memo.misses());
+        assert_eq!(seq.misses(), oracles.total_misses());
     }
 
     #[test]
     fn batch_probes_ride_epochs_and_the_monotone_shortcut() {
         // m1 minus one execution, so a fresh row can still arrive.
-        let full = m1();
-        let partial = sv_relation::Relation::from_rows(
-            full.schema().clone(),
-            full.relation().rows()[..3].to_vec(),
-        )
-        .unwrap();
-        let mut memo = MemoSafetyOracle::new(
-            StandaloneModule::new(partial, full.inputs().clone(), full.outputs().clone()).unwrap(),
-        );
-        let probes: Vec<(u64, u128)> = (0u64..(1 << 5)).map(|w| (w, 2)).collect();
-        let first = memo.is_safe_batch(&probes);
-        let misses = memo.misses();
-        // Appending the held-back execution bumps the epoch; the next
+        let w = m1_workflow();
+        let oracles = WorkflowOracles::for_workflow_streaming(&w).unwrap();
+        let rows: Vec<_> = [[0, 0], [0, 1], [1, 0], [1, 1]]
+            .iter()
+            .map(|x| w.run(x).unwrap())
+            .collect();
+        oracles
+            .ingest_batch(&IngestBatch::from_rows(&rows[..3]))
+            .unwrap();
+        let requests = word_requests(&(0u64..(1 << 5)).map(|v| (v, 2)).collect::<Vec<_>>());
+        let _ = answers(&oracles, &requests);
+        let misses = oracles.total_misses();
+        // Ingesting the held-back execution bumps the epoch; the next
         // batch must revalidate exactly the entries whose answers could
         // have changed and take the monotone shortcut for the rest.
-        memo.append_execution(&full.relation().rows()[3..]).unwrap();
-        let second = memo.is_safe_batch(&probes);
+        oracles
+            .ingest_batch(&IngestBatch::from_rows(&rows[3..]))
+            .unwrap();
+        let second = answers(&oracles, &requests);
+        let memo = oracles.oracle(ModuleId(0)).unwrap();
         assert!(
             memo.monotone_shortcut_hits() > 0,
             "stale-safe answers shortcut"
         );
         assert!(memo.misses() > misses, "changed groupings revalidate");
-        // Equivalence against a from-scratch oracle over the new rows.
-        let rebuilt = MemoSafetyOracle::new(
-            StandaloneModule::new(
-                memo.module().relation().clone(),
-                memo.module().inputs().clone(),
-                memo.module().outputs().clone(),
-            )
-            .unwrap(),
+        // Equivalence against a store built from scratch over all rows.
+        let rebuilt = WorkflowOracles::for_workflow(&w, 1 << 20).unwrap();
+        assert_eq!(
+            memo.module().relation(),
+            rebuilt.oracle(ModuleId(0)).unwrap().module().relation()
         );
-        assert_eq!(second, rebuilt.is_safe_batch(&probes));
-        let _ = first;
+        assert_eq!(second, answers(&rebuilt, &requests));
     }
 
     #[test]

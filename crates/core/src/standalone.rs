@@ -464,40 +464,6 @@ impl StandaloneModule {
         Some((d as u128).saturating_mul(h))
     }
 
-    /// **Batched** [`privacy_level_word`](Self::privacy_level_word):
-    /// answers a whole slice of visible-set words through one kernel
-    /// batch call ([`InternedRelation::min_group_distinct_batch_with`]),
-    /// so group-index work and pair passes amortize across the
-    /// requests — duplicate visible sets (and distinct sets sharing the
-    /// same visible-input/visible-output split) pay for one evaluation.
-    /// `out` is cleared and refilled with one level per input word.
-    ///
-    /// Returns `None` when the module does not fit the ≤ 64-attribute
-    /// word fast path (`out` is left cleared); callers fall back to the
-    /// per-probe path.
-    pub fn privacy_level_words_batch_with(
-        &self,
-        visible_words: &[u64],
-        scratch: &mut Vec<u64>,
-        out: &mut Vec<u128>,
-    ) -> Option<()> {
-        out.clear();
-        let (iw, ow) = (self.inputs_word?, self.outputs_word?);
-        if self.relation.is_empty() {
-            out.extend(std::iter::repeat_n(u128::MAX, visible_words.len()));
-            return Some(());
-        }
-        let pairs: Vec<(u64, u64)> = visible_words.iter().map(|&w| (iw & w, ow & w)).collect();
-        let mut counts: Vec<usize> = Vec::with_capacity(pairs.len());
-        self.kernel
-            .min_group_distinct_batch_with(&pairs, scratch, &mut counts);
-        out.extend(visible_words.iter().zip(&counts).map(|(&w, &d)| {
-            let h = self.schema().domain_product_word(ow & !w);
-            (d as u128).saturating_mul(h)
-        }));
-        Some(())
-    }
-
     /// Row-at-a-time privacy level — the seed semantics
     /// ([`ops::reference`]), kept as the executable specification for
     /// property tests and as the benchmark baseline for the kernel.

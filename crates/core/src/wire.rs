@@ -35,9 +35,9 @@
 //! `0x86`): the applied-row count, the post-frame epochs, and
 //! [`IngestReceipt::durable_seq`] — the highest write-ahead-log
 //! sequence whose fsync covers the frame (0 when the server has no
-//! durability configured). The pre-durability acknowledgement
-//! [`Response::Ingest`] (tag `0x82`) remains decodable for
-//! compatibility with older servers.
+//! durability configured). It is the only ingest acknowledgement; tag
+//! `0x82`, the pre-durability reply, is retired and never reused — a
+//! payload carrying it decodes to [`WireError::BadTag`].
 //!
 //! The full protocol specification (tenancy model, backpressure
 //! contract, operational guide) is `docs/SERVING.md` in the repository
@@ -83,7 +83,7 @@ const TAG_REQ_PROBE: u8 = 0x01;
 const TAG_REQ_INGEST: u8 = 0x02;
 const TAG_REQ_EPOCHS: u8 = 0x03;
 const TAG_RESP_PROBE: u8 = 0x81;
-const TAG_RESP_INGEST: u8 = 0x82;
+// 0x82 (the pre-durability ingest reply) is retired; never reuse it.
 const TAG_RESP_EPOCHS: u8 = 0x83;
 const TAG_RESP_BUSY: u8 = 0x84;
 const TAG_RESP_ERROR: u8 = 0x85;
@@ -130,10 +130,6 @@ pub enum Request {
 pub enum Response {
     /// Probe outcomes, in request order.
     Probe(Vec<ProbeOutcome>),
-    /// Ingest acknowledgement (legacy, pre-durability tag). Servers now
-    /// answer [`Response::Receipt`]; this variant stays decodable so
-    /// new clients interoperate with old servers.
-    Ingest(IngestReply),
     /// Ingest acknowledgement with durability: epochs *and* the
     /// covering log sequence number.
     Receipt(IngestReceipt),
@@ -155,26 +151,17 @@ pub struct ModuleEpoch {
     pub epoch: u64,
 }
 
-/// Acknowledgement of an [`Request::Ingest`] frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IngestReply {
-    /// Total **new** module rows across all private modules (a module
-    /// already holding a row's projection contributes 0).
-    pub added: u64,
-    /// The per-module epochs after the frame was applied.
-    pub epochs: Vec<ModuleEpoch>,
-}
-
-/// Acknowledgement of an [`Request::Ingest`] frame with durability
-/// semantics ([`Response::Receipt`], wire tag `0x86`): everything
-/// [`IngestReply`] carried, plus the highest write-ahead-log sequence
-/// number whose fsync covered this frame. `durable_seq == 0` means the
+/// Acknowledgement of an [`Request::Ingest`] frame
+/// ([`Response::Receipt`], wire tag `0x86`): the applied-row count, the
+/// post-frame epochs, and the highest write-ahead-log sequence number
+/// whose fsync covered this frame. `durable_seq == 0` means the
 /// serving path has no durability configured (loopback / in-memory
 /// sinks); a nonzero value is the commit-lane guarantee that the frame
 /// survives a crash.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IngestReceipt {
-    /// Total **new** module rows across all private modules.
+    /// Total **new** module rows across all private modules (a module
+    /// already holding a row's projection contributes 0).
     pub added: u64,
     /// The per-module epochs after the frame was applied.
     pub epochs: Vec<ModuleEpoch>,
@@ -680,14 +667,6 @@ impl Response {
                     put_u64(&mut buf, o.epoch);
                 }
             }
-            Self::Ingest(reply) => {
-                buf.push(TAG_RESP_INGEST);
-                put_u64(&mut buf, reply.added);
-                put_u32(&mut buf, reply.epochs.len() as u32);
-                for me in &reply.epochs {
-                    put_module_epoch(&mut buf, me);
-                }
-            }
             Self::Receipt(receipt) => {
                 buf.push(TAG_RESP_RECEIPT);
                 put_u64(&mut buf, receipt.added);
@@ -778,15 +757,6 @@ impl Response {
                     });
                 }
                 Self::Probe(outcomes)
-            }
-            TAG_RESP_INGEST => {
-                let added = r.u64()?;
-                let n = r.count(12)?;
-                let mut epochs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    epochs.push(r.module_epoch()?);
-                }
-                Self::Ingest(IngestReply { added, epochs })
             }
             TAG_RESP_RECEIPT => {
                 let added = r.u64()?;
@@ -896,13 +866,6 @@ mod tests {
                 epoch: 0,
             },
         ]));
-        roundtrip_response(&Response::Ingest(IngestReply {
-            added: 3,
-            epochs: vec![ModuleEpoch {
-                module: ModuleId(0),
-                epoch: 5,
-            }],
-        }));
         roundtrip_response(&Response::Receipt(IngestReceipt {
             added: 3,
             epochs: vec![
@@ -1012,5 +975,17 @@ mod tests {
                 len: MAX_FRAME_LEN + 1
             })
         );
+    }
+
+    #[test]
+    fn retired_ingest_reply_tag_is_a_bad_tag() {
+        // A well-formed pre-durability reply: tag 0x82, added = 3, one
+        // module epoch (module 0 at epoch 5).
+        let mut buf = vec![0x82];
+        buf.extend_from_slice(&3u64.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&5u64.to_le_bytes());
+        assert_eq!(Response::decode(&buf), Err(WireError::BadTag { tag: 0x82 }));
     }
 }

@@ -8,7 +8,6 @@
 //! record  := len:u32 LE | checksum:u64 LE | payload (len bytes)
 //! payload := tag:u8 | body
 //!
-//! tag 0x01  IngestRow   body := tenant:u64 | seq:u64 | arity:u32 | value:u32 × arity
 //! tag 0x02  Tombstone   body := tenant:u64 | seq:u64 | upto:u64
 //! tag 0x03  Compact     body := tenant:u64 | seq:u64 | compaction_epoch:u64
 //! tag 0x04  IngestFrame body := tenant:u64 | seq:u64 | rows:u32 | arity:u32 | value:u32 × (rows × arity)
@@ -17,8 +16,10 @@
 //! An `IngestFrame` is one *whole* ingest batch in one record: because
 //! the checksum covers the full payload, a crash mid-frame leaves a
 //! torn record that the scanner truncates away — frames are atomic on
-//! disk exactly as they are in memory. `IngestRow` remains decodable
-//! for logs written before frame-atomic ingest.
+//! disk exactly as they are in memory. Tag `0x01`, the per-row record
+//! of logs written before frame-atomic ingest, is retired and never
+//! reused: a record carrying it scans as [`LogTail::Corrupt`], like any
+//! other unknown tag.
 //!
 //! All integers are little-endian. `checksum` is FNV-1a 64 over the
 //! payload bytes. `seq` is a global, strictly increasing log sequence
@@ -44,7 +45,7 @@ pub const MAX_RECORD_LEN: usize = 1 << 26;
 /// Bytes of record header (`len:u32` + `checksum:u64`).
 pub const RECORD_HEADER_LEN: usize = 12;
 
-const TAG_INGEST_ROW: u8 = 0x01;
+// 0x01 (the per-row ingest record) is retired; never reuse it.
 const TAG_TOMBSTONE: u8 = 0x02;
 const TAG_COMPACT: u8 = 0x03;
 const TAG_INGEST_FRAME: u8 = 0x04;
@@ -65,17 +66,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// to and its log sequence number.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Record {
-    /// A single provenance row (legacy, pre-frame-atomic logs). Replay
-    /// re-applies it through the same validation, so a row the live
-    /// path rejected is rejected again.
-    IngestRow {
-        /// Owning tenant.
-        tenant: u64,
-        /// Log sequence number.
-        seq: u64,
-        /// The workflow-schema row values.
-        row: Vec<Value>,
-    },
     /// One whole ingest frame, logged **after** validation but before
     /// apply: a frame in the log is by construction a frame that
     /// applies cleanly on replay. One record per frame means frame
@@ -88,7 +78,7 @@ pub enum Record {
         /// The frame's rows (workflow-schema values, arrival order).
         rows: Vec<Vec<Value>>,
     },
-    /// Retention marker: this tenant's `IngestRow` records with
+    /// Retention marker: this tenant's `IngestFrame` records with
     /// `seq <= upto` are superseded by a snapshot written immediately
     /// before this record, and may be dropped when the log is rebuilt.
     Tombstone {
@@ -118,8 +108,7 @@ impl Record {
     #[must_use]
     pub fn seq(&self) -> u64 {
         match self {
-            Self::IngestRow { seq, .. }
-            | Self::IngestFrame { seq, .. }
+            Self::IngestFrame { seq, .. }
             | Self::Tombstone { seq, .. }
             | Self::Compact { seq, .. } => *seq,
         }
@@ -129,8 +118,7 @@ impl Record {
     #[must_use]
     pub fn tenant(&self) -> u64 {
         match self {
-            Self::IngestRow { tenant, .. }
-            | Self::IngestFrame { tenant, .. }
+            Self::IngestFrame { tenant, .. }
             | Self::Tombstone { tenant, .. }
             | Self::Compact { tenant, .. } => *tenant,
         }
@@ -139,15 +127,6 @@ impl Record {
     fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Self::IngestRow { tenant, seq, row } => {
-                out.push(TAG_INGEST_ROW);
-                out.extend_from_slice(&tenant.to_le_bytes());
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&(row.len() as u32).to_le_bytes());
-                for &v in row {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
             Self::IngestFrame { tenant, seq, rows } => {
                 out.push(TAG_INGEST_FRAME);
                 out.extend_from_slice(&tenant.to_le_bytes());
@@ -209,21 +188,6 @@ impl Record {
         let mut r = PayloadReader { buf, pos: 0 };
         let tag = r.u8()?;
         let record = match tag {
-            TAG_INGEST_ROW => {
-                let tenant = r.u64()?;
-                let seq = r.u64()?;
-                let arity = r.u32()? as usize;
-                // An arity that cannot fit in the remaining bytes is
-                // corruption — reject before allocating.
-                if arity > r.remaining() / 4 {
-                    return Err(format!("row arity {arity} exceeds payload"));
-                }
-                let mut row = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    row.push(r.u32()?);
-                }
-                Self::IngestRow { tenant, seq, row }
-            }
             TAG_INGEST_FRAME => {
                 let tenant = r.u64()?;
                 let seq = r.u64()?;
@@ -466,20 +430,6 @@ impl LogWriter {
         Ok(())
     }
 
-    /// Appends an ingest-row record, returning its sequence number.
-    ///
-    /// # Errors
-    /// IO failures; [`DurableError::RecordTooLarge`].
-    pub fn append_row(&mut self, tenant: u64, row: &[Value]) -> Result<u64, DurableError> {
-        let seq = self.next_seq;
-        self.append(&Record::IngestRow {
-            tenant,
-            seq,
-            row: row.to_vec(),
-        })?;
-        Ok(seq)
-    }
-
     /// Appends one whole ingest frame as a single record, returning its
     /// sequence number. Rows must share one arity (one workflow schema
     /// per tenant).
@@ -588,10 +538,10 @@ mod tests {
 
     fn sample_records() -> Vec<Record> {
         vec![
-            Record::IngestRow {
+            Record::IngestFrame {
                 tenant: 1,
                 seq: 1,
-                row: vec![0, 1, 2],
+                rows: vec![vec![0, 1, 2]],
             },
             Record::IngestFrame {
                 tenant: 2,
@@ -676,6 +626,28 @@ mod tests {
     }
 
     #[test]
+    fn retired_row_record_tag_scans_as_corrupt() {
+        // A correctly checksummed record in the retired per-row layout:
+        // tag 0x01, tenant 1, seq 5, arity 2, values [7, 8].
+        let mut payload = vec![0x01];
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&5u64.to_le_bytes());
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        payload.extend_from_slice(&7u32.to_le_bytes());
+        payload.extend_from_slice(&8u32.to_le_bytes());
+        let records = sample_records();
+        let mut buf = encode_all(&records);
+        let offset = buf.len() as u64;
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        buf.extend_from_slice(&payload);
+        let (got, tail, len) = scan(&buf);
+        assert_eq!(got, records, "the valid records before it are kept");
+        assert_eq!(tail, LogTail::Corrupt { offset });
+        assert_eq!(len, offset);
+    }
+
+    #[test]
     fn frame_records_roundtrip_edge_shapes() {
         for rows in [
             vec![],
@@ -702,8 +674,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.log");
         let mut w = LogWriter::create(&path).unwrap();
-        assert_eq!(w.append_row(7, &[1, 2]).unwrap(), 1);
-        assert_eq!(w.append_row(7, &[3, 4]).unwrap(), 2);
+        assert_eq!(w.append_frame(7, &[vec![1, 2]]).unwrap(), 1);
+        assert_eq!(w.append_frame(7, &[vec![3, 4], vec![5, 6]]).unwrap(), 2);
         w.sync().unwrap();
         let clean_len = w.len_bytes();
         // Simulate a torn third append.
@@ -731,15 +703,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.log");
         let mut w = LogWriter::create(&path).unwrap();
-        w.append_row(1, &[1]).unwrap();
-        w.append_row(2, &[2]).unwrap();
-        let keep = Record::IngestRow {
+        w.append_frame(1, &[vec![1]]).unwrap();
+        w.append_frame(2, &[vec![2]]).unwrap();
+        let keep = Record::IngestFrame {
             tenant: 2,
             seq: 2,
-            row: vec![2],
+            rows: vec![vec![2]],
         };
         w.rewrite(std::slice::from_ref(&keep)).unwrap();
-        w.append_row(3, &[3]).unwrap();
+        w.append_frame(3, &[vec![3]]).unwrap();
         w.sync().unwrap();
         let (records, tail, _) = read_log(&path).unwrap();
         assert_eq!(tail, LogTail::Clean);

@@ -86,12 +86,10 @@ pub struct RecoveryReport {
     pub tail: LogTail,
     /// Log records replayed (those past the snapshot).
     pub records_replayed: u64,
-    /// Replayed rows that applied.
+    /// Replayed rows that applied. Frame records are validated
+    /// *before* logging, so every replayed row applies; a frame that no
+    /// longer does fails recovery with [`DurableError::DefMismatch`].
     pub rows_applied: u64,
-    /// Replayed rows rejected on replay. Frame records are validated
-    /// *before* logging, so this stays 0 for them; only legacy per-row
-    /// records (written before frame-atomic ingest) can re-reject.
-    pub rows_rejected: u64,
     /// Highest sequence number in the recovered log.
     pub last_seq: u64,
 }
@@ -191,10 +189,9 @@ impl DurableRegistry {
     /// Rebuilds a registry from a durable directory: loads the snapshot
     /// (if any), restores every snapshotted tenant's modules and epochs
     /// from its ledger, then replays the log tail (`seq > last_seq`) —
-    /// frame records apply whole (they were validated before logging),
-    /// legacy per-row records re-run validation. The log's torn or
-    /// corrupt tail, if any, is truncated away so the recovered log is
-    /// clean.
+    /// frame records apply whole (they were validated before logging).
+    /// The log's torn or corrupt tail, if any, is truncated away so the
+    /// recovered log is clean.
     ///
     /// # Errors
     /// IO failures; [`DurableError::SnapshotCorrupt`] for a damaged
@@ -236,7 +233,6 @@ impl DurableRegistry {
             tail,
             records_replayed: 0,
             rows_applied: 0,
-            rows_rejected: 0,
             last_seq: 0,
         };
         let snap_last_seq = snapshot.as_ref().map_or(0, |s| s.last_seq);
@@ -320,24 +316,6 @@ impl DurableRegistry {
                                     ),
                                 })
                             }
-                        }
-                    }
-                    Record::IngestRow { tenant, row, .. } => {
-                        let Some(td) = tmap.get_mut(tenant) else {
-                            return Err(DurableError::DefMismatch {
-                                detail: format!("log names tenant {tenant} with no definition"),
-                            });
-                        };
-                        let t = this.inner.get(TenantId(*tenant)).expect("registered above");
-                        let tuple = Tuple::new(row.clone());
-                        // Legacy logs wrote rows before validating, so
-                        // replay re-runs the same per-row validation.
-                        match t.ingest_rows(std::slice::from_ref(&tuple)) {
-                            Ok(_) => {
-                                td.ledger.push(tuple);
-                                report.rows_applied += 1;
-                            }
-                            Err(_) => report.rows_rejected += 1,
                         }
                     }
                     Record::Tombstone { tenant, upto, .. } => {
@@ -730,7 +708,7 @@ mod tests {
         let rows: Vec<Tuple> = (0..4)
             .map(|i| wf.run(&[i & 1, (i >> 1) & 1, 1]).unwrap())
             .collect();
-        t_fresh.ingest_rows(&rows).unwrap();
+        t_fresh.ingest_batch(&IngestBatch::new(rows)).unwrap();
         let t_rec = rec.tenant(id).unwrap();
         assert_eq!(epochs_of(&t_rec), epochs_of(&t_fresh));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -850,7 +828,6 @@ mod tests {
         .unwrap();
         assert_eq!(report.records_replayed, 1);
         assert_eq!(report.rows_applied, 1);
-        assert_eq!(report.rows_rejected, 0, "frame logs never re-reject");
         assert_eq!(rec.ledger_len(id), Some(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -141,7 +141,7 @@ fn assert_state_matches(
             .create(tid, TenantConfig::new(wf).streaming(true))
             .expect("fresh registration");
         for row in &ledgers[i][..expected[i].ledger_len] {
-            ft.ingest_rows(std::slice::from_ref(row))
+            ft.ingest_batch(&IngestBatch::from_rows(std::slice::from_ref(row)))
                 .expect("expected ledger rows re-apply cleanly");
         }
         let rt = rec.tenant(tid).expect("recovered tenant");

@@ -218,7 +218,6 @@ fn scenario(threads: usize) {
         .collect();
     let (rec, report) = DurableRegistry::recover(&dir, &defs).expect("recover");
     assert!(report.tail.is_clean());
-    assert_eq!(report.rows_rejected, 0, "frame logs never re-reject");
     for (i, &tid) in tenant_ids.iter().enumerate() {
         let live = reg.tenant(tid).expect("live tenant");
         let recovered = rec.tenant(tid).expect("recovered tenant");

@@ -983,105 +983,6 @@ impl InternedRelation {
         self.scratch.with(|buf| min_group_distinct_in(kg, pg, buf))
     }
 
-    /// **Batched** Lemma-4 probes: answers a whole slice of word-encoded
-    /// `(key, probe)` attribute-set pairs in one call. Group-index work
-    /// amortizes across the batch — each distinct attribute set is
-    /// resolved against the cache (and computed, if cold) **at most once
-    /// per batch**, and each distinct `(key, probe)` pair pays exactly
-    /// one pair pass, fanned out to every duplicate probe. This is
-    /// the kernel entry point of the serving layer (`sv-core`'s
-    /// `SafetyOracle::is_safe_batch`).
-    ///
-    /// Semantically equivalent to calling
-    /// [`min_group_distinct_words`](Self::min_group_distinct_words) per
-    /// probe; the property suite (`tests/batch_prop.rs`) proves batched
-    /// ≡ sequential ≡ `ops::reference` on random relations.
-    ///
-    /// # Panics
-    /// Panics if the schema has more than 64 attributes (word fast path
-    /// only, like [`min_group_distinct_words`](Self::min_group_distinct_words)).
-    ///
-    /// # Examples
-    /// ```
-    /// use sv_relation::{InternedRelation, Relation, Schema};
-    ///
-    /// let r = Relation::from_values(
-    ///     Schema::booleans(&["i", "o1", "o2"]),
-    ///     vec![vec![0, 0, 1], vec![0, 1, 0], vec![1, 1, 0], vec![1, 1, 1]],
-    /// )
-    /// .unwrap();
-    /// let ir = InternedRelation::from_relation(&r);
-    /// // Three probes, two distinct pairs: one pass each, shared answer.
-    /// let answers = ir.min_group_distinct_batch(&[(0b001, 0b110), (0b001, 0b010), (0b001, 0b110)]);
-    /// assert_eq!(answers, vec![2, 1, 2]);
-    /// ```
-    #[must_use]
-    pub fn min_group_distinct_batch(&self, probes: &[(u64, u64)]) -> Vec<usize> {
-        let mut out = Vec::with_capacity(probes.len());
-        self.scratch
-            .with(|buf| self.min_group_distinct_batch_in(probes, buf, &mut out));
-        out
-    }
-
-    /// [`min_group_distinct_batch`](Self::min_group_distinct_batch)
-    /// through a caller-owned scratch buffer and output vector (cleared
-    /// and refilled) — the form the memoized oracle's batch path uses,
-    /// one buffer per oracle. Unlike the sequential `_with` probes this
-    /// is not allocation-free: the dedup temporaries (distinct words,
-    /// pairs, per-pair answers) are allocated per **batch** — amortized
-    /// across its probes, never per probe.
-    ///
-    /// # Panics
-    /// Panics if the schema has more than 64 attributes.
-    pub fn min_group_distinct_batch_with(
-        &self,
-        probes: &[(u64, u64)],
-        scratch: &mut Vec<u64>,
-        out: &mut Vec<usize>,
-    ) {
-        self.min_group_distinct_batch_in(probes, scratch, out);
-    }
-
-    fn min_group_distinct_batch_in(
-        &self,
-        probes: &[(u64, u64)],
-        scratch: &mut Vec<u64>,
-        out: &mut Vec<usize>,
-    ) {
-        assert!(self.fits_word(), "schema too wide for the word fast path");
-        out.clear();
-        if probes.is_empty() {
-            return;
-        }
-        let mask = self.mask();
-        // Distinct attribute sets of the batch, each resolved against
-        // the group cache exactly once.
-        let mut words: Vec<u64> = Vec::with_capacity(probes.len() * 2);
-        for &(k, p) in probes {
-            words.push(k & mask);
-            words.push(p & mask);
-        }
-        words.sort_unstable();
-        words.dedup();
-        let indexes: Vec<Arc<GroupIndex>> =
-            words.iter().map(|&w| self.group_index_word(w)).collect();
-        let at = |w: u64| &indexes[words.binary_search(&w).expect("collected above")];
-        // Distinct (key, probe) pairs: one pair pass each.
-        let mut pairs: Vec<(u64, u64)> =
-            probes.iter().map(|&(k, p)| (k & mask, p & mask)).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        let answers: Vec<usize> = pairs
-            .iter()
-            .map(|&(k, p)| min_group_distinct_in(at(k), at(p), scratch))
-            .collect();
-        out.extend(probes.iter().map(|&(k, p)| {
-            answers[pairs
-                .binary_search(&(k & mask, p & mask))
-                .expect("collected above")]
-        }));
-    }
-
     /// Grouped distinct counting with materialized keys — the
     /// compatibility form of the Lemma-4 condition
     /// (`π_key`-group → number of distinct `π_probe` values), through
@@ -1438,39 +1339,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_probes() {
-        let r = rel(
-            &["i", "o1", "o2"],
-            vec![vec![0, 0, 1], vec![0, 1, 0], vec![1, 1, 0], vec![1, 1, 1]],
-        );
-        let ir = InternedRelation::from_relation(&r);
-        let probes: Vec<(u64, u64)> = vec![
-            (0b001, 0b110),
-            (0b001, 0b010),
-            (0b001, 0b110), // duplicate pair: shares the pass
-            (0b000, 0b111),
-            (0b011, 0b100),
-        ];
-        let batch = ir.min_group_distinct_batch(&probes);
-        for (i, &(k, p)) in probes.iter().enumerate() {
-            assert_eq!(batch[i], ir.min_group_distinct_words(k, p), "probe {i}");
-        }
-        // Each distinct attribute set was materialized exactly once:
-        // the batch mentions 001, 110, 010, 000, 111, 011, 100.
-        let distinct_sets = 7;
-        assert_eq!(ir.cached_groupings(), distinct_sets);
-        // The caller-scratch form agrees and reuses its buffers.
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        ir.min_group_distinct_batch_with(&probes, &mut scratch, &mut out);
-        assert_eq!(out, batch);
-        ir.min_group_distinct_batch_with(&[], &mut scratch, &mut out);
-        assert!(out.is_empty());
-        // Empty relation: every probe answers usize::MAX.
-        let empty = InternedRelation::from_relation(&Relation::empty(Schema::booleans(&["a"])));
-        assert_eq!(empty.min_group_distinct_batch(&[(0, 1)]), vec![usize::MAX]);
-    }
-
-    #[test]
     fn empty_relation_probes() {
         let r = Relation::empty(Schema::booleans(&["a", "b"]));
         let ir = InternedRelation::from_relation(&r);
@@ -1478,6 +1346,7 @@ mod tests {
             ir.min_group_distinct(&AttrSet::from_indices(&[0]), &AttrSet::from_indices(&[1])),
             usize::MAX
         );
+        assert_eq!(ir.min_group_distinct_words(0b01, 0b10), usize::MAX);
         assert!(ir
             .group_count_distinct(&AttrSet::from_indices(&[0]), &AttrSet::from_indices(&[1]))
             .is_empty());

@@ -1,11 +1,11 @@
-//! Property suite for **batched Lemma-4 probes**: on random relations
-//! and random probe batches (duplicate pairs, shared attribute sets,
-//! empty relations, streamed appends), the batched kernel entry point is
-//! indistinguishable from probing one at a time, and both agree with the
-//! row-at-a-time reference semantics — the ISSUE-4 acceptance property
-//! `batched ≡ sequential ≡ reference` at the kernel layer. Every grouping
-//! the probes run on — direct-addressed, sorted and interned, before and
-//! after appends — equals a naive densify of the column store.
+//! Property suite for **word-keyed Lemma-4 probes** over batches of
+//! probes: on random relations and random probe batches (duplicate
+//! pairs, shared attribute sets, empty relations, streamed appends),
+//! the pooled-scratch probe and the pinned-scratch probe (one buffer
+//! reused across the whole batch) agree with the row-at-a-time
+//! reference semantics. Every grouping the probes run on —
+//! direct-addressed, sorted and interned, before and after appends —
+//! equals a naive densify of the column store.
 
 mod common;
 
@@ -27,14 +27,14 @@ fn random_rows(rng: &mut StdRng, schema: &Schema, max_rows: usize) -> Vec<Vec<u3
 }
 
 /// A random probe batch over the schema's word space, with deliberate
-/// duplicate pairs and shared attribute sets so the batch's dedup paths
-/// are exercised.
+/// duplicate pairs and shared attribute sets, so probes land on group
+/// indexes and scratch contents earlier probes left behind.
 fn random_batch(rng: &mut StdRng, k: usize, len: usize) -> Vec<(u64, u64)> {
     let space = 1u64 << k;
     let mut probes: Vec<(u64, u64)> = (0..len)
         .map(|_| (rng.gen_range(0..space), rng.gen_range(0..space)))
         .collect();
-    // Duplicate a prefix of the batch (shared pair passes) and reuse a
+    // Repeat one probe of the batch (a duplicate pair) and reuse a
     // key word across several probe words (shared group indexes).
     if !probes.is_empty() {
         let dup = probes[rng.gen_range(0..probes.len())];
@@ -57,7 +57,7 @@ fn reference_answer(r: &Relation, key: &AttrSet, probe: &AttrSet) -> usize {
 }
 
 #[test]
-fn batched_equals_sequential_equals_reference() {
+fn word_probes_equal_reference() {
     let mut rng = StdRng::seed_from_u64(0xE18);
     let mut coverage = Coverage::default();
     for trial in 0..30 {
@@ -70,33 +70,28 @@ fn batched_equals_sequential_equals_reference() {
         let len = rng.gen_range(0..25);
         let probes = random_batch(&mut rng, k, len);
 
-        let batched = ir.min_group_distinct_batch(&probes);
-        BuildLog::new(k).check_all(&ir, &mut coverage, &format!("trial {trial}"));
-        assert_eq!(batched.len(), probes.len());
+        // One pinned buffer serves the whole batch.
+        let mut scratch = Vec::new();
         for (i, &(kw, pw)) in probes.iter().enumerate() {
-            // Sequential kernel probe.
+            let expected = reference_answer(&r, &AttrSet::from_word(kw), &AttrSet::from_word(pw));
             assert_eq!(
-                batched[i],
                 ir.min_group_distinct_words(kw, pw),
-                "trial {trial} probe {i}: batched ≠ sequential"
+                expected,
+                "trial {trial} probe {i}: pooled ≠ reference"
             );
-            // Row-at-a-time reference.
             assert_eq!(
-                batched[i],
-                reference_answer(&r, &AttrSet::from_word(kw), &AttrSet::from_word(pw)),
-                "trial {trial} probe {i}: batched ≠ reference"
+                ir.min_group_distinct_words_with(kw, pw, &mut scratch),
+                expected,
+                "trial {trial} probe {i}: pinned scratch ≠ reference"
             );
         }
-        // Caller-scratch form agrees and is reusable across batches.
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        ir.min_group_distinct_batch_with(&probes, &mut scratch, &mut out);
-        assert_eq!(out, batched, "trial {trial}: scratch variant diverges");
+        BuildLog::new(k).check_all(&ir, &mut coverage, &format!("trial {trial}"));
     }
     coverage.assert_complete(false);
 }
 
 #[test]
-fn batched_probes_survive_streamed_appends() {
+fn word_probes_survive_streamed_appends() {
     let mut rng = StdRng::seed_from_u64(0x5E21E);
     let mut coverage = Coverage::default();
     for trial in 0..15 {
@@ -110,7 +105,13 @@ fn batched_probes_survive_streamed_appends() {
         // Warm the batch, plus every single-attribute and empty grouping
         // (small code spaces: direct-addressed), so appends must extend
         // the group indexes already built.
-        let _ = ir.min_group_distinct_batch(&probes);
+        let answers = |ir: &InternedRelation| -> Vec<usize> {
+            probes
+                .iter()
+                .map(|&(kw, pw)| ir.min_group_distinct_words(kw, pw))
+                .collect()
+        };
+        let _ = answers(&ir);
         for a in 0..k {
             let _ = ir.group_index_word(1 << a);
         }
@@ -135,8 +136,8 @@ fn batched_probes_survive_streamed_appends() {
             acc = Relation::from_rows(acc.schema().clone(), all_rows).expect("set semantics dedup");
             let rebuilt = InternedRelation::from_relation(&acc);
             assert_eq!(
-                ir.min_group_distinct_batch(&probes),
-                rebuilt.min_group_distinct_batch(&probes),
+                answers(&ir),
+                answers(&rebuilt),
                 "trial {trial} step {step}: streamed ≠ rebuilt"
             );
             let ctx = format!("trial {trial} step {step}");
@@ -148,10 +149,15 @@ fn batched_probes_survive_streamed_appends() {
 }
 
 #[test]
-fn empty_batches_and_empty_relations() {
+fn empty_relations_answer_usize_max() {
     let r = Relation::empty(Schema::booleans(&["a", "b", "c"]));
     let ir = InternedRelation::from_relation(&r);
-    assert!(ir.min_group_distinct_batch(&[]).is_empty());
-    let answers = ir.min_group_distinct_batch(&[(0b001, 0b110), (0, 0)]);
-    assert_eq!(answers, vec![usize::MAX, usize::MAX]);
+    let mut scratch = Vec::new();
+    for (kw, pw) in [(0b001, 0b110), (0, 0)] {
+        assert_eq!(ir.min_group_distinct_words(kw, pw), usize::MAX);
+        assert_eq!(
+            ir.min_group_distinct_words_with(kw, pw, &mut scratch),
+            usize::MAX
+        );
+    }
 }

@@ -72,9 +72,6 @@ impl Client {
     /// added, the post-frame epochs, and the durable sequence covering
     /// the frame (`0` when the server has no durability configured).
     ///
-    /// A legacy server answering with the old ingest-reply tag is
-    /// accepted and mapped to a receipt with `durable_seq = 0`.
-    ///
     /// # Errors
     /// [`ServeError::Busy`] under backpressure; [`ServeError::Fault`]
     /// with `Rejected { applied: 0, .. }` when any row fails — the
@@ -91,11 +88,6 @@ impl Client {
         .encode();
         match self.exchange(&payload)? {
             Response::Receipt(receipt) => Ok(receipt),
-            Response::Ingest(reply) => Ok(IngestReceipt {
-                added: reply.added,
-                epochs: reply.epochs,
-                durable_seq: 0,
-            }),
             _ => Err(ServeError::UnexpectedReply),
         }
     }

@@ -39,7 +39,6 @@ use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use sv_core::safety::{IngestBatch, WorkflowOracles};
 use sv_core::wire::{BusyReason, ModuleEpoch};
 use sv_core::CoreError;
-use sv_relation::Tuple;
 use sv_workflow::Workflow;
 
 /// A tenant's identity on the wire: an opaque 64-bit id chosen by the
@@ -282,23 +281,6 @@ impl Tenant {
             requests,
             bytes,
         })
-    }
-
-    /// Applies provenance rows on the tenant's **single-writer lane**
-    /// as one frame-atomic [`IngestBatch`] — sugar over
-    /// [`ingest_batch`](Self::ingest_batch) for row slices.
-    ///
-    /// Returns the number of **new** module rows (a row whose
-    /// projections all modules already hold adds 0 — and bumps no
-    /// epoch).
-    ///
-    /// # Errors
-    /// [`IngestFailure`] when any row is invalid (domain or FD
-    /// violation): **nothing** is applied; the error's
-    /// [`CoreError::row_index`] names the offending row.
-    pub fn ingest_rows(&self, rows: &[Tuple]) -> Result<u64, IngestFailure> {
-        self.ingest_batch(&IngestBatch::from_rows(rows))
-            .map(|outcome| outcome.added)
     }
 
     /// Applies one typed [`IngestBatch`] on the tenant's single-writer
@@ -641,6 +623,7 @@ impl TenantRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sv_relation::Tuple;
     use sv_workflow::library::one_one_chain;
 
     fn small_tenant(limits: AdmissionLimits) -> Arc<Tenant> {
@@ -710,11 +693,12 @@ mod tests {
         let t = registry
             .create(TenantId(0), TenantConfig::new(&wf).streaming(true))
             .unwrap();
+        let ingest = |rows: &[Tuple]| t.ingest_batch(&IngestBatch::from_rows(rows));
         let good = wf.run(&[0, 1]).unwrap();
-        let added = t.ingest_rows(std::slice::from_ref(&good)).unwrap();
+        let added = ingest(std::slice::from_ref(&good)).unwrap().added;
         assert_eq!(added, 1);
         // Same row again: dedup, 0 added, no failure.
-        assert_eq!(t.ingest_rows(std::slice::from_ref(&good)).unwrap(), 0);
+        assert_eq!(ingest(std::slice::from_ref(&good)).unwrap().added, 0);
         // A frame holding a valid fresh row *and* a row violating the
         // module FD `I -> O` applies nothing: validation covers the
         // whole frame before any module is touched.
@@ -722,14 +706,13 @@ mod tests {
         let other = wf.run(&[1, 0]).unwrap();
         let mut bad = good.values().to_vec();
         bad[2] ^= 1; // flip one output bit -> FD violation
-        let failure = t
-            .ingest_rows(&[other.clone(), Tuple::new(bad)])
+        let failure = ingest(&[other.clone(), Tuple::new(bad)])
             .expect_err("FD violation must fail the frame");
         assert_eq!(failure.applied, 0, "frame-atomic: nothing applied");
         assert_eq!(failure.error.row_index(), Some(1), "offending row named");
         assert_eq!(t.epochs(), epochs_before, "no epoch moved");
         // The valid row alone still lands.
-        assert_eq!(t.ingest_rows(std::slice::from_ref(&other)).unwrap(), 1);
+        assert_eq!(ingest(std::slice::from_ref(&other)).unwrap().added, 1);
     }
 
     #[test]
@@ -768,7 +751,8 @@ mod tests {
             .create(TenantId(0), TenantConfig::new(&wf).streaming(true))
             .unwrap();
         assert!(t.epochs().iter().all(|me| me.epoch == 0));
-        t.ingest_rows(&[wf.run(&[0, 0]).unwrap()]).unwrap();
+        t.ingest_batch(&IngestBatch::new(vec![wf.run(&[0, 0]).unwrap()]))
+            .unwrap();
         assert!(t.epochs().iter().all(|me| me.epoch == 1));
     }
 

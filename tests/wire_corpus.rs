@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use sv_core::safety::{ProbeOutcome, ProbeRequest};
 use sv_core::wire::{
-    frame, unframe, BusyReason, IngestReply, ModuleEpoch, Request, Response, ServeFault,
+    frame, unframe, BusyReason, IngestReceipt, ModuleEpoch, Request, Response, ServeFault,
 };
 use sv_relation::AttrSet;
 use sv_workflow::ModuleId;
@@ -99,8 +99,8 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
             ])),
         ),
         (
-            "resp_ingest.bin",
-            resp(&Response::Ingest(IngestReply {
+            "resp_receipt.bin",
+            resp(&Response::Receipt(IngestReceipt {
                 added: 3,
                 epochs: vec![
                     ModuleEpoch {
@@ -112,6 +112,7 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
                         epoch: 2,
                     },
                 ],
+                durable_seq: 17,
             })),
         ),
         (
