@@ -150,7 +150,7 @@ fn build_module(rows: Vec<Vec<u32>>) -> StandaloneModule {
 fn ask_standing_probes(oracle: &mut MemoSafetyOracle) -> u32 {
     PROBE_MASKS
         .iter()
-        .map(|&m| u32::from(oracle.is_safe_hidden_word(m, GAMMA)))
+        .map(|&m| u32::from(oracle.is_safe_hidden(&AttrSet::from_word(m), GAMMA)))
         .sum()
 }
 

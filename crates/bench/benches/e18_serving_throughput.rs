@@ -14,9 +14,9 @@
 //! `BENCH_serve.json` via `--save-baseline`:
 //!
 //! * `one_at_a_time` — the pre-batching serving path: every probe is a
-//!   single [`StandaloneModule::is_safe_word`] call into its module's
-//!   kernel (group indexes warm, but each request pays a full Lemma-4
-//!   pair pass).
+//!   single [`StandaloneModule::is_safe`] call into its module's kernel
+//!   (group indexes warm, but each request pays a full Lemma-4 pair
+//!   pass).
 //! * `batched` — the serving engine: the stream is cut into
 //!   [`BATCH`]-sized mixed-module windows, each routed through
 //!   [`WorkflowOracles::probe_batch`] (whole-batch validation, then
@@ -146,7 +146,7 @@ fn run_one_at_a_time(stream: &[Probe], wf: &Workflow) -> (f64, Vec<bool>) {
     let start = Instant::now();
     for p in stream {
         let m = &instances[p.instance][p.module];
-        answers.push(m.is_safe_word(p.word, p.gamma).expect("k = 20 fits a word"));
+        answers.push(m.is_safe(&AttrSet::from_word(p.word), p.gamma));
     }
     (start.elapsed().as_nanos() as f64, answers)
 }
@@ -282,11 +282,12 @@ fn run_batched_sharded(stream: &[Probe], wf: &Workflow, threads: usize) -> f64 {
 type PairPass = fn(&InternedRelation, (u64, u64), &mut Vec<u64>) -> usize;
 
 fn sort_reference_pass(ir: &InternedRelation, (k, p): (u64, u64), scratch: &mut Vec<u64>) -> usize {
-    sortpass::min_group_distinct(&ir.group_index_word(k), &ir.group_index_word(p), scratch)
+    let (key, probe) = (AttrSet::from_word(k), AttrSet::from_word(p));
+    sortpass::min_group_distinct(&ir.group_index(&key), &ir.group_index(&probe), scratch)
 }
 
 fn counting_pass(ir: &InternedRelation, (k, p): (u64, u64), scratch: &mut Vec<u64>) -> usize {
-    ir.min_group_distinct_words_with(k, p, scratch)
+    ir.min_group_distinct_with(&AttrSet::from_word(k), &AttrSet::from_word(p), scratch)
 }
 
 /// The pair-pass ablation: ns per Lemma-4 pair pass for the sort-based

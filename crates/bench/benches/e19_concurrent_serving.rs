@@ -149,8 +149,7 @@ fn reference_answers(wf: &Workflow, windows: &[Vec<ProbeRequest>]) -> Vec<bool> 
         .flatten()
         .map(|r| {
             let idx = ids.iter().position(|&id| id == r.module).unwrap();
-            let w = r.visible.as_word().expect("k = 20 fits a word");
-            modules[idx].is_safe_word(w, r.gamma).expect("word path")
+            modules[idx].is_safe(&r.visible, r.gamma)
         })
         .collect()
 }
@@ -251,7 +250,8 @@ fn run_concurrent_serving(_c: &mut Criterion) {
                 s.spawn(move || {
                     let mut scratch: Vec<u64> = Vec::new();
                     for mask in range {
-                        let _ = oracle.is_safe_hidden_word_with(mask, gamma, &mut scratch);
+                        let hidden = AttrSet::from_word(mask);
+                        let _ = oracle.is_safe_hidden_with(&hidden, gamma, &mut scratch);
                     }
                 });
             }
@@ -271,7 +271,8 @@ fn run_concurrent_serving(_c: &mut Criterion) {
                         let oracle = MemoSafetyOracle::new(module);
                         let mut scratch: Vec<u64> = Vec::new();
                         for mask in range {
-                            let _ = oracle.is_safe_hidden_word_with(mask, gamma, &mut scratch);
+                            let hidden = AttrSet::from_word(mask);
+                            let _ = oracle.is_safe_hidden_with(&hidden, gamma, &mut scratch);
                         }
                         oracle.misses()
                     })

@@ -12,6 +12,7 @@
 //! flat scan while the trie sweep finishes.
 
 use sv_core::{MemoSafetyOracle, StandaloneModule};
+use sv_relation::AttrSet;
 
 /// Deterministic counters of one budgeted flat-scan sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,7 +72,7 @@ pub fn flat_scan_minimal_sets(
             if !covered {
                 uncovered += 1;
                 visited += 1;
-                if oracle.is_safe_hidden_word_with(mask, gamma, &mut scratch) {
+                if oracle.is_safe_hidden_with(&AttrSet::from_word(mask), gamma, &mut scratch) {
                     layer_found.push(mask);
                 }
             }

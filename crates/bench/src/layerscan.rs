@@ -17,6 +17,7 @@
 //! finishes under the same budget.
 
 use sv_core::{Frontier, MemoSafetyOracle, StandaloneModule};
+use sv_relation::AttrSet;
 
 /// Deterministic counters of one budgeted layer-enumeration sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,7 +71,7 @@ pub fn layer_scan_minimal_sets(
             if !frontier.covers(mask) {
                 uncovered += 1;
                 visited += 1;
-                if oracle.is_safe_hidden_word_with(mask, gamma, &mut scratch) {
+                if oracle.is_safe_hidden_with(&AttrSet::from_word(mask), gamma, &mut scratch) {
                     layer_found.push(mask);
                 }
             }

@@ -50,7 +50,7 @@ pub fn min_group_distinct(kg: &GroupIndex, pg: &GroupIndex, scratch: &mut Vec<u6
 mod tests {
     use super::*;
     use sv_core::StandaloneModule;
-    use sv_relation::{InternedRelation, Relation, Schema};
+    use sv_relation::{AttrSet, InternedRelation, Relation, Schema};
     use sv_workflow::{library, ModuleId};
 
     #[test]
@@ -61,11 +61,11 @@ mod tests {
         let mut scratch = Vec::new();
         for key in 0u64..(1 << m.k()) {
             for probe in (0u64..(1 << m.k())).step_by(7) {
-                let kg = ir.group_index_word(key);
-                let pg = ir.group_index_word(probe);
+                let (ks, ps) = (AttrSet::from_word(key), AttrSet::from_word(probe));
+                let (kg, pg) = (ir.group_index(&ks), ir.group_index(&ps));
                 assert_eq!(
                     min_group_distinct(&kg, &pg, &mut scratch),
-                    ir.min_group_distinct_words(key, probe),
+                    ir.min_group_distinct(&ks, &ps),
                     "{key:#b}/{probe:#b}"
                 );
             }
@@ -75,7 +75,8 @@ mod tests {
     #[test]
     fn empty_relation_answers_usize_max() {
         let ir = InternedRelation::from_relation(&Relation::empty(Schema::booleans(&["a", "b"])));
-        let (kg, pg) = (ir.group_index_word(0b01), ir.group_index_word(0b10));
+        let kg = ir.group_index(&AttrSet::from_word(0b01));
+        let pg = ir.group_index(&AttrSet::from_word(0b10));
         assert_eq!(min_group_distinct(&kg, &pg, &mut Vec::new()), usize::MAX);
     }
 }

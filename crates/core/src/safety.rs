@@ -15,15 +15,15 @@
 //! Layering:
 //!
 //! * [`SafetyOracle`] — the trait: `privacy_level` / `is_safe` /
-//!   `is_safe_hidden`, with a bitmask-word probe
-//!   ([`SafetyOracle::is_safe_hidden_word`]) used by the dense subset
-//!   enumerations;
+//!   `is_safe_hidden`, every one asked about an [`AttrSet`] (the dense
+//!   subset enumerations walk raw masks and convert with
+//!   [`AttrSet::from_word`], which never allocates);
 //! * [`KernelOracle`] — uninstrumented pass-through to the interned
 //!   columnar kernel (no memo; what the one-shot
 //!   [`StandaloneModule`] methods use);
-//! * [`MemoSafetyOracle`] — the memoizing oracle: a word-keyed
-//!   `V → level` cache makes repeated queries O(1) lookups with zero
-//!   allocation;
+//! * [`MemoSafetyOracle`] — the memoizing oracle: one `V → level`
+//!   cache keyed by the canonical visible set makes repeated queries
+//!   O(1) lookups with zero allocation;
 //! * [`NaiveOracle`] — the row-at-a-time seed semantics
 //!   (`ops::reference`), kept as the property-test specification and
 //!   benchmark baseline;
@@ -109,7 +109,7 @@ use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard};
-use sv_relation::{AttrSet, ScratchPool};
+use sv_relation::AttrSet;
 use sv_workflow::{ModuleId, Workflow};
 
 /// Number of lock shards in the memoized oracle's level caches.
@@ -119,26 +119,10 @@ use sv_workflow::{ModuleId, Workflow};
 /// threads the ROADMAP targets and the sweep worker cap.
 const MEMO_SHARDS: usize = 16;
 
-/// The word-cache shard a visible word hashes to (Fibonacci hashing —
-/// visible words are dense low-bit masks, so multiply-shift spreads
-/// them far better than a modulo on the raw word).
-fn word_shard(word: u64) -> usize {
-    (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % MEMO_SHARDS
-}
-
-/// The wide-cache shard a canonical visible set hashes to (the same
+/// The level-cache shard a canonical visible set hashes to (the
 /// [`sv_relation::hash_shard`] scheme the kernel's group caches use).
-fn wide_shard(set: &AttrSet) -> usize {
+fn memo_shard(set: &AttrSet) -> usize {
     sv_relation::hash_shard(set, MEMO_SHARDS)
-}
-
-/// Bitmask of the low `k` bits (`k ≤ 64`).
-fn low_mask(k: usize) -> u64 {
-    if k >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << k) - 1
-    }
 }
 
 /// The standalone-privacy question, asked through one interface by
@@ -192,30 +176,7 @@ pub trait SafetyOracle {
 
     /// Safety phrased on the hidden set `V̄` (`V = A \ V̄`).
     fn is_safe_hidden(&self, hidden: &AttrSet, gamma: u128) -> bool {
-        if gamma <= 1 {
-            return true;
-        }
-        if self.k() <= 64 {
-            if let Some(hw) = hidden.as_word() {
-                return self.is_safe_hidden_word(hw, gamma);
-            }
-        }
-        let visible = hidden.complement(self.k());
-        self.is_safe(&visible, gamma)
-    }
-
-    /// Word-encoded [`is_safe_hidden`](Self::is_safe_hidden) — the form
-    /// the dense subset enumerations use. The word can only name
-    /// attributes `0..64`; for wider modules the probe falls back to
-    /// the set-based path (complementing over all `k` attributes), so
-    /// the answer stays correct.
-    fn is_safe_hidden_word(&self, hidden_word: u64, gamma: u128) -> bool {
-        if self.k() > 64 {
-            let visible = AttrSet::from_word(hidden_word).complement(self.k());
-            return self.is_safe(&visible, gamma);
-        }
-        let visible = AttrSet::from_word(!hidden_word & low_mask(self.k()));
-        self.is_safe(&visible, gamma)
+        gamma <= 1 || self.is_safe(&hidden.complement(self.k()), gamma)
     }
 
     /// The **versioned probe path**: the generation of the module
@@ -266,16 +227,6 @@ impl SafetyOracle for KernelOracle<'_> {
         self.module.is_safe(visible, gamma)
     }
 
-    fn is_safe_hidden_word(&self, hidden_word: u64, gamma: u128) -> bool {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        let k = self.module.k();
-        if let Some(safe) = self.module.is_safe_word(!hidden_word & low_mask(k), gamma) {
-            return safe;
-        }
-        self.module
-            .is_safe_hidden(&AttrSet::from_word(hidden_word & low_mask(k)), gamma)
-    }
-
     fn calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
     }
@@ -316,14 +267,16 @@ impl SafetyOracle for NaiveOracle {
 }
 
 /// The memoizing oracle: per visible set, the full privacy level is
-/// computed once on the interned kernel and cached (word-keyed for
-/// `k ≤ 64`, [`AttrSet`]-keyed beyond). Repeated `is_safe` queries —
-/// for any Γ — are O(1) hash lookups with no allocation.
+/// computed once on the interned kernel and cached, keyed by the set
+/// restricted to the module's attributes (one inline word for
+/// `k ≤ 64`), so sets differing only outside the schema share one
+/// entry. Repeated `is_safe` queries — for any Γ — are O(1) hash
+/// lookups with no allocation.
 ///
-/// ### Concurrency: sharded read-mostly level caches
+/// ### Concurrency: sharded read-mostly level cache
 ///
-/// Every probe takes `&self`. The level caches are split into
-/// `MEMO_SHARDS` (16) lock shards keyed by visible-word hash, so a **warm
+/// Every probe takes `&self`. The level cache is split into
+/// `MEMO_SHARDS` (16) lock shards keyed by visible-set hash, so a **warm
 /// hit takes only one shard read-lock** — N serving threads firing
 /// warm probes at one shared instance proceed in parallel, and sweep
 /// workers sharing the instance turn one worker's cache fill into warm
@@ -349,7 +302,7 @@ impl SafetyOracle for NaiveOracle {
 /// visible-input group; the privacy level can drop only when an append
 /// creates a **new** visible-input group (a fresh group may contribute
 /// a new, smaller minimum). The kernel tracks exactly that
-/// ([`sv_relation::InternedRelation::group_new_group_epoch_word`]), so
+/// ([`sv_relation::InternedRelation::group_new_group_epoch`]), so
 /// a stale `is_safe(V, Γ)` with a cached level `≥ Γ` whose key grouping
 /// gained no new group since the entry was stamped is answered `true`
 /// from the cache — the cached level is a sound lower bound.
@@ -379,26 +332,18 @@ impl SafetyOracle for NaiveOracle {
 /// ```
 pub struct MemoSafetyOracle {
     module: StandaloneModule,
-    /// Sharded visible word → (privacy level, epoch it was computed at).
-    word_shards: Vec<RwLock<HashMap<u64, (u128, u64)>>>,
-    /// Sharded wide-schema cache: canonical visible set → (level, epoch).
-    wide_shards: Vec<RwLock<HashMap<AttrSet, (u128, u64)>>>,
-    /// Pooled probe buffers for cache-miss kernel probes: each
-    /// concurrently missing probe borrows its own buffer, so serving
-    /// threads never contend on one scratch (sweep workers can pin a
-    /// per-worker buffer via
-    /// [`is_safe_hidden_word_with`](Self::is_safe_hidden_word_with)
-    /// instead).
-    scratch: ScratchPool,
+    /// Sharded canonical visible set → (privacy level, epoch it was
+    /// computed at).
+    shards: Vec<RwLock<HashMap<AttrSet, (u128, u64)>>>,
     calls: AtomicU64,
     misses: AtomicU64,
     revalidations: AtomicU64,
     shortcut_hits: AtomicU64,
 }
 
-/// What the word cache knows about a probe without kernel work; see
-/// [`MemoSafetyOracle::probe_word_cache`].
-enum WordCacheProbe {
+/// What the level cache knows about a probe without kernel work; see
+/// [`MemoSafetyOracle::probe_cache`].
+enum CacheProbe {
     /// The cache decides the probe: an epoch-current entry either way,
     /// or the monotone shortcut on a stale-but-sufficient one.
     Answer(bool),
@@ -413,13 +358,9 @@ impl MemoSafetyOracle {
     pub fn new(module: StandaloneModule) -> Self {
         Self {
             module,
-            word_shards: (0..MEMO_SHARDS)
+            shards: (0..MEMO_SHARDS)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
-            wide_shards: (0..MEMO_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            scratch: ScratchPool::new(),
             calls: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             revalidations: AtomicU64::new(0),
@@ -457,17 +398,10 @@ impl MemoSafetyOracle {
     /// Number of cached distinct visible sets.
     #[must_use]
     pub fn cached_levels(&self) -> usize {
-        let words: usize = self
-            .word_shards
+        self.shards
             .iter()
             .map(|s| s.read().expect("memo shard lock").len())
-            .sum();
-        let wides: usize = self
-            .wide_shards
-            .iter()
-            .map(|s| s.read().expect("memo shard lock").len())
-            .sum();
-        words + wides
+            .sum()
     }
 
     /// Consumes the oracle, returning the module.
@@ -488,187 +422,113 @@ impl MemoSafetyOracle {
         self.module.append_execution(rows)
     }
 
-    /// Computes and epoch-stamps the level of a masked visible word
-    /// through a caller-supplied kernel scratch buffer, counting the
-    /// miss (and the revalidation, when `stale`). Runs outside every
-    /// shard lock.
-    fn recompute_level_word(&self, visible_word: u64, stale: bool, scratch: &mut Vec<u64>) -> u128 {
+    /// `visible` restricted to the module's attributes: the cache key.
+    fn canonical(&self, visible: &AttrSet) -> AttrSet {
+        visible.intersection(&self.module.schema().all_attrs())
+    }
+
+    /// The cache entry of a canonical visible set (one shard read-lock).
+    fn cached(&self, visible: &AttrSet) -> Option<(u128, u64)> {
+        self.shards[memo_shard(visible)]
+            .read()
+            .expect("memo shard lock")
+            .get(visible)
+            .copied()
+    }
+
+    /// Computes and epoch-stamps the level of a canonical visible set,
+    /// counting the miss (and the revalidation, when `stale`). The
+    /// kernel pass runs through `scratch` when the caller pins one,
+    /// else through a buffer from the kernel's pool, so concurrent
+    /// misses never contend on one scratch. Runs outside every shard
+    /// lock.
+    fn recompute_level(
+        &self,
+        visible: AttrSet,
+        stale: bool,
+        scratch: Option<&mut Vec<u64>>,
+    ) -> u128 {
         if stale {
             self.revalidations.fetch_add(1, Ordering::Relaxed);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let epoch = self.module.epoch();
-        let level = self
-            .module
-            .privacy_level_word_with(visible_word, scratch)
-            .unwrap_or_else(|| self.module.privacy_level(&AttrSet::from_word(visible_word)));
-        self.word_shards[word_shard(visible_word)]
+        let level = match scratch {
+            Some(buf) => self.module.privacy_level_with(&visible, buf),
+            None => self.module.privacy_level(&visible),
+        };
+        self.shards[memo_shard(&visible)]
             .write()
             .expect("memo shard lock")
-            .insert(visible_word, (level, epoch));
+            .insert(visible, (level, epoch));
         level
     }
 
-    /// Memoized level for a masked visible word (`k ≤ 64` path); warm
-    /// hits never touch the scratch pool.
-    fn level_word(&self, visible_word: u64) -> u128 {
-        let epoch = self.module.epoch();
-        let entry = self.word_shards[word_shard(visible_word)]
-            .read()
-            .expect("memo shard lock")
-            .get(&visible_word)
-            .copied();
-        match entry {
-            Some((l, e)) if e == epoch => l,
-            other => self
-                .scratch
-                .with(|buf| self.recompute_level_word(visible_word, other.is_some(), buf)),
+    /// Memoized level of a canonical visible set.
+    fn level(&self, visible: AttrSet) -> u128 {
+        match self.cached(&visible) {
+            Some((l, e)) if e == self.module.epoch() => l,
+            other => self.recompute_level(visible, other.is_some(), None),
         }
     }
 
-    /// The word cache's answer to `is_safe` **without kernel work**, if
-    /// it has one: an epoch-current entry decides either way; a stale
+    /// The cache's answer to `is_safe` **without kernel work**, if it
+    /// has one: an epoch-current entry decides either way; a stale
     /// entry with a sufficient level still answers `true` when the
     /// visible-input grouping gained no new group since the stamp (the
     /// monotone shortcut — appends can only raise the Lemma-4 minimum
-    /// then). [`WordCacheProbe::Compute`] means the probe must
-    /// (re)compute the level. This is the single home of the shortcut
-    /// soundness condition, shared by the pooled-scratch path
-    /// ([`safe_word`](Self::safe_word)) and the pinned-scratch sweep
-    /// path.
-    /// Takes only one shard read-lock.
-    fn probe_word_cache(&self, visible_word: u64, gamma: u128) -> WordCacheProbe {
-        let entry = self.word_shards[word_shard(visible_word)]
-            .read()
-            .expect("memo shard lock")
-            .get(&visible_word)
-            .copied();
-        let Some((l, e)) = entry else {
-            return WordCacheProbe::Compute { stale: false };
+    /// then). [`CacheProbe::Compute`] means the probe must (re)compute
+    /// the level. This is the single home of the shortcut soundness
+    /// condition. Takes only one shard read-lock.
+    fn probe_cache(&self, visible: &AttrSet, gamma: u128) -> CacheProbe {
+        let Some((l, e)) = self.cached(visible) else {
+            return CacheProbe::Compute { stale: false };
         };
         if e == self.module.epoch() {
-            return WordCacheProbe::Answer(l >= gamma);
+            return CacheProbe::Answer(l >= gamma);
         }
         if l >= gamma {
             // Stale but sufficient: still `true` if the visible-input
             // grouping gained no new group since the stamp.
-            let iw = self.module.inputs().as_word().unwrap_or(0);
+            let key = self.module.inputs().intersection(visible);
             if self
                 .module
                 .kernel()
-                .group_new_group_epoch_word(iw & visible_word)
+                .group_new_group_epoch(&key)
                 .is_some_and(|ge| ge <= e)
             {
                 self.shortcut_hits.fetch_add(1, Ordering::Relaxed);
-                return WordCacheProbe::Answer(true);
+                return CacheProbe::Answer(true);
             }
         }
-        WordCacheProbe::Compute { stale: true }
+        CacheProbe::Compute { stale: true }
     }
 
-    /// `is_safe` on a masked visible word, taking the monotone shortcut
-    /// for stale entries when it is sound (see the type-level docs).
-    fn safe_word(&self, visible_word: u64, gamma: u128) -> bool {
-        match self.probe_word_cache(visible_word, gamma) {
-            WordCacheProbe::Answer(a) => a,
-            WordCacheProbe::Compute { stale } => {
-                self.scratch
-                    .with(|buf| self.recompute_level_word(visible_word, stale, buf))
-                    >= gamma
-            }
+    /// `is_safe` on a canonical visible set, taking the monotone
+    /// shortcut for stale entries when it is sound (see the type-level
+    /// docs). A miss runs the kernel pass through `scratch`, if pinned.
+    fn safe(&self, visible: AttrSet, gamma: u128, scratch: Option<&mut Vec<u64>>) -> bool {
+        match self.probe_cache(&visible, gamma) {
+            CacheProbe::Answer(a) => a,
+            CacheProbe::Compute { stale } => self.recompute_level(visible, stale, scratch) >= gamma,
         }
     }
 
-    /// [`safe_word`](Self::safe_word) through a pinned scratch buffer —
-    /// the sweep workers' probe form.
-    fn safe_word_with(&self, visible_word: u64, gamma: u128, scratch: &mut Vec<u64>) -> bool {
-        match self.probe_word_cache(visible_word, gamma) {
-            WordCacheProbe::Answer(a) => a,
-            WordCacheProbe::Compute { stale } => {
-                self.recompute_level_word(visible_word, stale, scratch) >= gamma
-            }
-        }
-    }
-
-    /// Word-encoded hidden-set probe through a **caller-pinned** kernel
-    /// scratch buffer: identical to
-    /// [`SafetyOracle::is_safe_hidden_word`], but a cache miss runs the
-    /// kernel pass through `scratch` instead of borrowing from the
-    /// oracle's pool. The parallel sweep gives each worker its own
-    /// buffer and shares one oracle, so shards share every cached level
-    /// while never contending on probe buffers.
+    /// Hidden-set probe through a **caller-pinned** kernel scratch
+    /// buffer: identical to [`SafetyOracle::is_safe_hidden`], but a
+    /// cache miss runs the kernel pass through `scratch` instead of
+    /// borrowing from the kernel's pool. The parallel sweep gives each
+    /// worker its own buffer and shares one oracle, so shards share
+    /// every cached level while never contending on probe buffers.
     #[must_use]
-    pub fn is_safe_hidden_word_with(
+    pub fn is_safe_hidden_with(
         &self,
-        hidden_word: u64,
+        hidden: &AttrSet,
         gamma: u128,
         scratch: &mut Vec<u64>,
     ) -> bool {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        if gamma <= 1 {
-            return true;
-        }
-        let k = self.module.k();
-        if k > 64 {
-            let visible = AttrSet::from_word(hidden_word).complement(k);
-            return self.safe_wide(&visible, gamma);
-        }
-        self.safe_word_with(!hidden_word & low_mask(k), gamma, scratch)
-    }
-
-    /// Memoized level through the wide ([`AttrSet`]-keyed) cache.
-    fn level_wide(&self, visible: &AttrSet) -> u128 {
-        // Canonicalize so sets differing only outside the schema share
-        // a cache line.
-        let canonical = visible.intersection(&self.module.schema().all_attrs());
-        let epoch = self.module.epoch();
-        let entry = self.wide_shards[wide_shard(&canonical)]
-            .read()
-            .expect("memo shard lock")
-            .get(&canonical)
-            .copied();
-        if let Some((l, e)) = entry {
-            if e == epoch {
-                return l;
-            }
-            self.revalidations.fetch_add(1, Ordering::Relaxed);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let level = self.module.privacy_level(&canonical);
-        self.wide_shards[wide_shard(&canonical)]
-            .write()
-            .expect("memo shard lock")
-            .insert(canonical, (level, epoch));
-        level
-    }
-
-    /// Wide-path `is_safe` with the monotone shortcut.
-    fn safe_wide(&self, visible: &AttrSet, gamma: u128) -> bool {
-        let canonical = visible.intersection(&self.module.schema().all_attrs());
-        let entry = self.wide_shards[wide_shard(&canonical)]
-            .read()
-            .expect("memo shard lock")
-            .get(&canonical)
-            .copied();
-        if let Some((l, e)) = entry {
-            let epoch = self.module.epoch();
-            if e == epoch {
-                return l >= gamma;
-            }
-            if l >= gamma {
-                let key = self.module.inputs().intersection(&canonical);
-                if self
-                    .module
-                    .kernel()
-                    .group_new_group_epoch(&key)
-                    .is_some_and(|ge| ge <= e)
-                {
-                    self.shortcut_hits.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-            }
-        }
-        self.level_wide(&canonical) >= gamma
+        gamma <= 1 || self.safe(hidden.complement(self.module.k()), gamma, Some(scratch))
     }
 }
 
@@ -679,40 +539,12 @@ impl SafetyOracle for MemoSafetyOracle {
 
     fn privacy_level(&self, visible: &AttrSet) -> u128 {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        if self.module.k() <= 64 {
-            if let Some(vw) = visible.as_word() {
-                return self.level_word(vw & low_mask(self.module.k()));
-            }
-        }
-        self.level_wide(visible)
+        self.level(self.canonical(visible))
     }
 
     fn is_safe(&self, visible: &AttrSet, gamma: u128) -> bool {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        if gamma <= 1 {
-            return true;
-        }
-        if self.module.k() <= 64 {
-            if let Some(vw) = visible.as_word() {
-                return self.safe_word(vw & low_mask(self.module.k()), gamma);
-            }
-        }
-        self.safe_wide(visible, gamma)
-    }
-
-    fn is_safe_hidden_word(&self, hidden_word: u64, gamma: u128) -> bool {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        if gamma <= 1 {
-            return true;
-        }
-        let k = self.module.k();
-        if k > 64 {
-            // The word cannot name attrs ≥ 64: complement over all k
-            // attributes and take the wide path.
-            let visible = AttrSet::from_word(hidden_word).complement(k);
-            return self.safe_wide(&visible, gamma);
-        }
-        self.safe_word(!hidden_word & low_mask(k), gamma)
+        gamma <= 1 || self.safe(self.canonical(visible), gamma, None)
     }
 
     fn calls(&self) -> u64 {
@@ -753,7 +585,7 @@ pub fn min_cost_safe_hidden(
                 continue;
             }
         }
-        if oracle.is_safe_hidden_word(mask, gamma) {
+        if oracle.is_safe_hidden(&AttrSet::from_word(mask), gamma) {
             best = Some((mask, cost));
         }
     }
@@ -796,7 +628,7 @@ pub fn minimal_safe_hidden_sets(
         if minimal.iter().any(|&m| m & mask == m) {
             continue; // superset of a known minimal safe set
         }
-        if oracle.is_safe_hidden_word(mask, gamma) {
+        if oracle.is_safe_hidden(&AttrSet::from_word(mask), gamma) {
             minimal.push(mask);
         }
     }
@@ -1350,10 +1182,6 @@ impl WorkflowOracles {
                 }
             }
             buckets[idx].push(pos);
-            // Read the visible set here, where nothing fences: the answer
-            // loop below takes a memo shard lock per request, so a set it
-            // reads first is a cache miss that cannot overlap the next.
-            std::hint::black_box(r.visible.as_word());
         }
         // Phase 2: each module answers its requests under its read
         // lock. Epoch conditions are re-checked under the lock first: an
@@ -1475,14 +1303,27 @@ mod tests {
     }
 
     #[test]
-    fn hidden_word_probes_share_the_cache_with_visible_probes() {
+    fn hidden_probes_share_the_cache_with_visible_probes() {
         let memo = MemoSafetyOracle::new(m1());
         // V = {0,2,4} ⇔ hidden {1,3}.
         let v = AttrSet::from_indices(&[0, 2, 4]);
         let level = memo.privacy_level(&v);
         let m0 = memo.misses();
-        assert_eq!(memo.is_safe_hidden_word(0b01010, 4), level >= 4);
-        assert_eq!(memo.misses(), m0, "word probe hits the same cache line");
+        assert_eq!(
+            memo.is_safe_hidden(&AttrSet::from_word(0b01010), 4),
+            level >= 4
+        );
+        assert_eq!(memo.misses(), m0, "hidden probe hits the same entry");
+    }
+
+    #[test]
+    fn sets_differing_outside_the_schema_share_one_entry() {
+        // {0, 2, 100} names an id m1's five attributes cannot hold; it
+        // is the visible set {0, 2}, asked twice.
+        let memo = MemoSafetyOracle::new(m1());
+        let _ = memo.is_safe(&AttrSet::from_indices(&[0, 2, 100]), 4);
+        let _ = memo.is_safe(&AttrSet::from_indices(&[0, 2]), 4);
+        assert_eq!((memo.misses(), memo.cached_levels()), (1, 1));
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! * [`StandaloneModule::minimal_safe_hidden_sets`] — all ⊆-minimal safe
 //!   hidden subsets, i.e. the module's *set-constraints* requirement
 //!   list `L_i` (§4.2).
+//!
+//! Every check takes its visible set as an [`AttrSet`], whatever the
+//! module's width: a module of `k ≤ 64` attributes asks them all through
+//! inline one-word sets, so a warm probe allocates nothing, and wider
+//! modules take the same path.
 
 use crate::error::CoreError;
 use std::sync::Arc;
@@ -43,10 +48,6 @@ pub struct StandaloneModule {
     inputs: AttrSet,
     outputs: AttrSet,
     kernel: Arc<InternedRelation>,
-    /// `inputs` as a bitmask word when every id is `< 64`.
-    inputs_word: Option<u64>,
-    /// `outputs` as a bitmask word when every id is `< 64`.
-    outputs_word: Option<u64>,
 }
 
 impl StandaloneModule {
@@ -68,15 +69,11 @@ impl StandaloneModule {
             });
         }
         let kernel = Arc::new(InternedRelation::from_relation(&relation));
-        let inputs_word = inputs.as_word().filter(|_| kernel.fits_word());
-        let outputs_word = outputs.as_word().filter(|_| kernel.fits_word());
         let m = Self {
             relation,
             inputs,
             outputs,
             kernel,
-            inputs_word,
-            outputs_word,
         };
         if !m.relation.satisfies(&m.fd()) {
             return Err(CoreError::NotAFunction);
@@ -342,53 +339,16 @@ impl StandaloneModule {
     ///
     /// Runs on the interned kernel: after the per-attribute-set group
     /// indexes are warm, a probe is two cache lookups plus one pass over
-    /// dense `u32` id columns — **zero heap allocation** on the
-    /// bitmask-word path (`k ≤ 64`, which [`MAX_DENSE_ATTRS`]
-    /// guarantees for every enumerable module).
+    /// dense `u32` id columns — **zero heap allocation** for every
+    /// module of `k ≤ 64` attributes (which [`MAX_DENSE_ATTRS`]
+    /// guarantees for every enumerable module), whose attribute sets
+    /// are inline words.
     #[must_use]
     pub fn is_safe(&self, visible: &AttrSet, gamma: u128) -> bool {
-        if gamma <= 1 {
-            return true;
-        }
-        if self.relation.is_empty() {
-            // No executions recorded: vacuously safe (no x ∈ π_I(R)).
-            return true;
-        }
-        if let Some(vw) = visible.as_word() {
-            if let Some(safe) = self.is_safe_word(vw, gamma) {
-                return safe;
-            }
-        }
-        // Wide-schema fallback.
-        let vis_in = self.inputs.intersection(visible);
-        let vis_out = self.outputs.intersection(visible);
-        let hidden_out = self.outputs.difference(visible);
-        let h = self.schema().domain_product(&hidden_out);
-        if h >= gamma {
-            return true; // hidden outputs alone give Γ alternatives
-        }
-        let d = self.kernel.min_group_distinct(&vis_in, &vis_out);
-        (d as u128).saturating_mul(h) >= gamma
-    }
-
-    /// Word-encoded safety probe (visible set as a bitmask). Returns
-    /// `None` when the module does not fit the ≤ 64-attribute word fast
-    /// path; bits outside the schema are ignored.
-    #[must_use]
-    pub fn is_safe_word(&self, visible_word: u64, gamma: u128) -> Option<bool> {
-        if gamma <= 1 || self.relation.is_empty() {
-            return Some(true);
-        }
-        let (iw, ow) = (self.inputs_word?, self.outputs_word?);
-        let hidden_out = ow & !visible_word;
-        let h = self.schema().domain_product_word(hidden_out);
-        if h >= gamma {
-            return Some(true);
-        }
-        let d = self
-            .kernel
-            .min_group_distinct_words(iw & visible_word, ow & visible_word);
-        Some((d as u128).saturating_mul(h) >= gamma)
+        gamma <= 1
+            || self.level(visible, gamma, |key, probe| {
+                self.kernel.min_group_distinct(key, probe)
+            }) >= gamma
     }
 
     /// Safety test phrased on the hidden set `V̄` (`V = A \ V̄`).
@@ -407,61 +367,46 @@ impl StandaloneModule {
     /// [`crate::safety::MemoSafetyOracle`] caches per visible set.
     #[must_use]
     pub fn privacy_level(&self, visible: &AttrSet) -> u128 {
-        if self.relation.is_empty() {
-            return u128::MAX;
-        }
-        if let Some(vw) = visible.as_word() {
-            if let Some(level) = self.privacy_level_word(vw) {
-                return level;
-            }
-        }
-        let vis_in = self.inputs.intersection(visible);
-        let vis_out = self.outputs.intersection(visible);
-        let hidden_out = self.outputs.difference(visible);
-        let h = self.schema().domain_product(&hidden_out);
-        let d = self.kernel.min_group_distinct(&vis_in, &vis_out);
-        if d == usize::MAX {
-            return u128::MAX;
-        }
-        (d as u128).saturating_mul(h)
+        self.level(visible, u128::MAX, |key, probe| {
+            self.kernel.min_group_distinct(key, probe)
+        })
     }
 
-    /// Word-encoded [`privacy_level`](Self::privacy_level). Returns
-    /// `None` when the module does not fit the word fast path.
+    /// [`privacy_level`](Self::privacy_level) through a caller-owned
+    /// probe scratch buffer — the pinned-buffer form for callers (sweep
+    /// workers) that keep one buffer per thread instead of borrowing
+    /// from the kernel's scratch pool.
     #[must_use]
-    pub fn privacy_level_word(&self, visible_word: u64) -> Option<u128> {
-        if self.relation.is_empty() {
-            return Some(u128::MAX);
-        }
-        let (iw, ow) = (self.inputs_word?, self.outputs_word?);
-        let h = self.schema().domain_product_word(ow & !visible_word);
-        let d = self
-            .kernel
-            .min_group_distinct_words(iw & visible_word, ow & visible_word);
-        Some((d as u128).saturating_mul(h))
+    pub fn privacy_level_with(&self, visible: &AttrSet, scratch: &mut Vec<u64>) -> u128 {
+        self.level(visible, u128::MAX, |key, probe| {
+            self.kernel.min_group_distinct_with(key, probe, scratch)
+        })
     }
 
-    /// [`privacy_level_word`](Self::privacy_level_word) through a
-    /// caller-owned probe scratch buffer — the pinned-buffer form for
-    /// callers (sweep workers) that keep one buffer per thread instead
-    /// of borrowing from the kernel's scratch pool.
-    #[must_use]
-    pub fn privacy_level_word_with(
+    /// The Lemma-4 level of `visible` with `min_group_distinct` as the
+    /// kernel pass: `u128::MAX` on an empty relation (no `x ∈ π_I(R)`,
+    /// so vacuously safe), and the hidden-output product alone, without
+    /// the pass, once that product reaches `enough`.
+    fn level(
         &self,
-        visible_word: u64,
-        scratch: &mut Vec<u64>,
-    ) -> Option<u128> {
+        visible: &AttrSet,
+        enough: u128,
+        min_group_distinct: impl FnOnce(&AttrSet, &AttrSet) -> usize,
+    ) -> u128 {
         if self.relation.is_empty() {
-            return Some(u128::MAX);
+            return u128::MAX;
         }
-        let (iw, ow) = (self.inputs_word?, self.outputs_word?);
-        let h = self.schema().domain_product_word(ow & !visible_word);
-        let d = self.kernel.min_group_distinct_words_with(
-            iw & visible_word,
-            ow & visible_word,
-            scratch,
+        let h = self
+            .schema()
+            .domain_product(&self.outputs.difference(visible));
+        if h >= enough {
+            return h;
+        }
+        let d = min_group_distinct(
+            &self.inputs.intersection(visible),
+            &self.outputs.intersection(visible),
         );
-        Some((d as u128).saturating_mul(h))
+        (d as u128).saturating_mul(h)
     }
 
     /// Row-at-a-time privacy level — the seed semantics

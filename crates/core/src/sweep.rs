@@ -30,8 +30,10 @@
 //!   cache is sharded and `&self`-probed, see [`crate::safety`]), so a
 //!   mask probed by one worker is a warm hit for every other. Each
 //!   worker pins its **own kernel scratch buffer**
-//!   ([`MemoSafetyOracle::is_safe_hidden_word_with`]), so chunks never
-//!   contend on probe buffers.
+//!   ([`MemoSafetyOracle::is_safe_hidden_with`]), so chunks never
+//!   contend on probe buffers. Masks stay raw `u64` words inside the
+//!   sweep and cross into the oracle as [`AttrSet::from_word`], which
+//!   never allocates.
 //! * **Branch-and-bound** ([`min_cost_sweep`]). A shared `AtomicU64`
 //!   best-cost bound lets every worker skip masks that cannot improve
 //!   the optimum; a second atomic carries the best mask so tie-cost
@@ -392,7 +394,7 @@ pub fn min_cost_sweep(
             if cost > b || (cost == b && mask >= best_mask.load(Ordering::Acquire)) {
                 return None;
             }
-            let safe = oracle.is_safe_hidden_word_with(mask, gamma, scratch);
+            let safe = oracle.is_safe_hidden_with(&AttrSet::from_word(mask), gamma, scratch);
             if safe {
                 let mut slot = best.lock().expect("lock");
                 let improves = match *slot {
@@ -693,7 +695,7 @@ pub fn minimal_sets_sweep_frontier_seeded(
             .iter()
             .filter(|&m| {
                 m.checked_shr(k as u32).unwrap_or(0) == 0
-                    && oracle.is_safe_hidden_word_with(m, gamma, &mut scratch)
+                    && oracle.is_safe_hidden_with(&AttrSet::from_word(m), gamma, &mut scratch)
             })
             .collect();
         // Seeds come from an antichain, so they are pairwise
@@ -708,7 +710,7 @@ pub fn minimal_sets_sweep_frontier_seeded(
         &mut frontier,
         config,
         |_| false,
-        |mask, scratch| Some(oracle.is_safe_hidden_word_with(mask, gamma, scratch)),
+        |mask, scratch| Some(oracle.is_safe_hidden_with(&AttrSet::from_word(mask), gamma, scratch)),
     );
     Ok((frontier, stats))
 }

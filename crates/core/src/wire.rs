@@ -75,7 +75,11 @@ pub const MAX_FRAME_LEN: usize = 1 << 26;
 /// bound a single corrupt id (e.g. a flipped high bit turning attr 2
 /// into attr 2³¹) would make the decoder allocate a multi-hundred-MiB
 /// set. 2²⁰ attributes is far beyond any real workflow schema while
-/// capping the allocation at 128 KiB.
+/// capping one set's allocation at 128 KiB. A frame's sets together are
+/// capped separately: decoding charges each list-form set's bitset words
+/// to a budget of one word per payload byte, so a frame of many such
+/// sets fails with [`WireError::Oversize`] instead of allocating 128 KiB
+/// per set.
 pub const MAX_WIRE_ATTR_ID: u32 = 1 << 20;
 
 // ── Message tags ────────────────────────────────────────────────────
@@ -315,7 +319,9 @@ pub enum WireError {
         len: usize,
     },
     /// A length field announces more elements than the remaining bytes
-    /// could possibly hold.
+    /// could possibly hold, or a list-form attribute set of `count` ids
+    /// would size its bitset past the frame's budget (one word per
+    /// payload byte).
     Oversize {
         /// The announced element count.
         count: usize,
@@ -457,11 +463,19 @@ fn put_module_epoch(buf: &mut Vec<u8>, me: &ModuleEpoch) {
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Bitset words the payload's list-form sets may still size: one
+    /// per payload byte, so what decoding allocates stays within a
+    /// small multiple of the payload.
+    set_words: usize,
 }
 
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            set_words: buf.len(),
+        }
     }
 
     fn remaining(&self) -> usize {
@@ -515,15 +529,25 @@ impl<'a> Reader<'a> {
             TAG_SET_WORD => Ok(AttrSet::from_word(self.u64()?)),
             TAG_SET_LIST => {
                 let n = self.count(4)?;
-                let mut ids = Vec::with_capacity(n);
+                let start = self.pos;
+                let mut words = 0;
                 for _ in 0..n {
                     let id = self.u32()?;
                     if id > MAX_WIRE_ATTR_ID {
                         return Err(WireError::AttrIdOutOfRange { id });
                     }
-                    ids.push(AttrId(id));
+                    words = words.max(id as usize / 64 + 1);
                 }
-                Ok(AttrSet::from_iter(ids))
+                // The bitset is sized by its largest member: charge its
+                // words to the frame before building it.
+                self.set_words = self
+                    .set_words
+                    .checked_sub(words)
+                    .ok_or(WireError::Oversize { count: n })?;
+                Ok(self.buf[start..self.pos]
+                    .chunks_exact(4)
+                    .map(|id| AttrId(u32::from_le_bytes(id.try_into().unwrap())))
+                    .collect())
             }
             tag => Err(WireError::BadTag { tag }),
         }
@@ -974,6 +998,53 @@ mod tests {
             Err(WireError::FrameTooLarge {
                 len: MAX_FRAME_LEN + 1
             })
+        );
+    }
+
+    #[test]
+    fn list_and_word_forms_decode_to_one_set() {
+        let mut buf = vec![TAG_SET_LIST];
+        for v in [2u32, 3, 1] {
+            put_u32(&mut buf, v); // 2 ids: 3, 1
+        }
+        let list = Reader::new(&buf).attrset().unwrap();
+        assert_eq!(list, AttrSet::from_word(0b1010));
+        assert_eq!(list.as_word(), Some(0b1010));
+    }
+
+    #[test]
+    fn list_sets_cannot_allocate_past_the_frame_budget() {
+        // A probe frame of `n` probes whose list-form sets each name
+        // only attribute `id`.
+        let frame_of = |n: u32, id: u32| {
+            let mut buf = vec![TAG_REQ_PROBE];
+            put_u64(&mut buf, 7);
+            put_u32(&mut buf, n);
+            for _ in 0..n {
+                put_u32(&mut buf, 0); // module
+                buf.push(TAG_SET_LIST);
+                put_u32(&mut buf, 1);
+                put_u32(&mut buf, id);
+                put_u128(&mut buf, 2);
+                buf.push(0); // no epoch
+            }
+            buf
+        };
+        // 30,733 bytes that would size 1,024 bitsets of 16,385 words
+        // (134 MB): the budget admits the first set and refuses the
+        // second.
+        let hostile = frame_of(1024, MAX_WIRE_ATTR_ID);
+        assert_eq!(hostile.len(), 30_733);
+        assert_eq!(
+            Request::decode(&hostile),
+            Err(WireError::Oversize { count: 1 })
+        );
+        // A 43-byte frame pays for 43 words: id 1,024 (17 words) but
+        // not id 2²⁰.
+        assert!(Request::decode(&frame_of(1, 1 << 10)).is_ok());
+        assert_eq!(
+            Request::decode(&frame_of(1, MAX_WIRE_ATTR_ID)),
+            Err(WireError::Oversize { count: 1 })
         );
     }
 

@@ -7,9 +7,8 @@
 //!   sequential reference instance fed the same appends — and like the
 //!   row-at-a-time naive oracle;
 //! * concurrent [`MemoSafetyOracle`] probes (mixed `is_safe`,
-//!   `is_safe_hidden_word`, and pinned-scratch `is_safe_hidden_word_with`
-//!   forms) from many threads agree with the naive reference, across
-//!   appends;
+//!   `is_safe_hidden`, and pinned-scratch `is_safe_hidden_with` forms)
+//!   from many threads agree with the naive reference, across appends;
 //! * [`ProbeRequest`] edge cases: the empty batch, duplicate
 //!   `(module, word)` requests inside one batch, and `StaleEpoch` for a
 //!   client whose epoch-conditioned batch raced a concurrent
@@ -110,13 +109,13 @@ fn concurrent_memo_probes_match_naive_across_appends() {
                                     .iter()
                                     .enumerate()
                                     .map(|(i, &(w, gamma))| {
-                                        let hidden = !w & (space - 1);
+                                        let hidden = AttrSet::from_word(!w & (space - 1));
                                         match (t + i) % 3 {
                                             // Mix every probe form across threads.
                                             0 => memo.is_safe(&AttrSet::from_word(w), gamma),
-                                            1 => memo.is_safe_hidden_word(hidden, gamma),
-                                            _ => memo.is_safe_hidden_word_with(
-                                                hidden,
+                                            1 => memo.is_safe_hidden(&hidden, gamma),
+                                            _ => memo.is_safe_hidden_with(
+                                                &hidden,
                                                 gamma,
                                                 &mut scratch,
                                             ),

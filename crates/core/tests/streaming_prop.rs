@@ -3,7 +3,8 @@
 //! after every batch a persistent epoch-aware [`MemoSafetyOracle`] (and
 //! the parallel sweeps over the streamed module) must agree with
 //! oracles and sweeps built from scratch over the same observed
-//! provenance — and with the row-at-a-time naive reference.
+//! provenance — and with the row-at-a-time naive reference, on modules
+//! wider than one 64-bit word too.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -11,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use sv_core::safety::{self, KernelOracle, NaiveOracle, SafetyOracle};
 use sv_core::sweep::{min_cost_sweep, minimal_sets_sweep, SweepConfig};
 use sv_core::{CoreError, MemoSafetyOracle, StandaloneModule};
-use sv_relation::{AttrDef, AttrSet, Domain, Relation, Schema, Tuple};
+use sv_relation::{AttrDef, AttrId, AttrSet, Domain, Relation, Schema, Tuple};
 
 /// A random module function over 2 inputs / 2 outputs with mixed domain
 /// sizes, returned as the full list of execution rows.
@@ -176,4 +177,68 @@ fn fd_violations_and_bad_rows_are_rejected_atomically() {
 
     assert_eq!(m.relation(), &snapshot, "nothing landed");
     assert_eq!(m.epoch(), epoch);
+}
+
+/// 70 boolean attributes, inputs `0..35` → outputs `35..70` (output
+/// `j` is the parity of inputs `j` and `7j + 3 mod 35`): every
+/// visible set naming an output past 63 is spilled.
+fn wide_rows(inputs: &[u64]) -> Vec<Tuple> {
+    let bit = |x: u64, i: usize| ((x >> i) & 1) as u32;
+    inputs
+        .iter()
+        .map(|&x| {
+            let outs = (0..35).map(|j| bit(x, j) ^ bit(x, (7 * j + 3) % 35));
+            Tuple::new((0..35).map(|i| bit(x, i)).chain(outs).collect())
+        })
+        .collect()
+}
+
+#[test]
+fn wide_streamed_oracle_matches_naive() {
+    let mut rng = StdRng::seed_from_u64(0x70);
+    let names: Vec<String> = (0..70).map(|i| format!("a{i}")).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let inputs: Vec<u64> = (0..36).map(|_| rng.gen_range(0..1u64 << 35)).collect();
+    let rel = Relation::from_rows(Schema::booleans(&names), wide_rows(&inputs[..24])).unwrap();
+    let all = AttrSet::full(70);
+    let m =
+        StandaloneModule::new(rel, AttrSet::full(35), all.difference(&AttrSet::full(35))).unwrap();
+    let mut memo = MemoSafetyOracle::new(m);
+    // Visible sets of every density, so levels span 1 to 2^35; every
+    // fifth shows no input, a grouping appends never split.
+    let visible: Vec<AttrSet> = (0..48)
+        .map(|i| {
+            let keep = [2u32, 4, 8, 64][i % 4];
+            (0..70)
+                .filter(|&a| (a >= 35 || i % 5 != 0) && rng.gen_range(0..keep) != 0)
+                .map(AttrId)
+                .collect()
+        })
+        .collect();
+    let check = |memo: &MemoSafetyOracle, when: &str| {
+        let naive = NaiveOracle::new(memo.module().clone());
+        let mut scratch = Vec::new();
+        for v in &visible {
+            // Safety first, so that after the append the stale
+            // entries meet the monotone shortcut.
+            for gamma in [2u128, 3, 1 << 4, 1 << 12, 1 << 30] {
+                let want = naive.is_safe(v, gamma);
+                assert_eq!(memo.is_safe(v, gamma), want, "{when}: {v:?} Γ={gamma}");
+                let hidden = v.complement(70);
+                assert_eq!(
+                    memo.is_safe_hidden_with(&hidden, gamma, &mut scratch),
+                    want,
+                    "{when}: hidden {hidden:?} Γ={gamma}"
+                );
+            }
+            let level = naive.privacy_level(v);
+            assert_eq!(memo.privacy_level(v), level, "{when}: {v:?}");
+            assert_eq!(memo.module().privacy_level(v), level, "{when}: {v:?}");
+        }
+    };
+    check(&memo, "built");
+    assert!(visible.iter().any(|v| v.as_word().is_none()));
+    memo.append_execution(&wide_rows(&inputs[24..])).unwrap();
+    check(&memo, "appended");
+    assert!(memo.revalidations() > 0 && memo.monotone_shortcut_hits() > 0);
 }

@@ -11,14 +11,15 @@
 //! * [`InternedRelation`] stores the relation **columnar**
 //!   (`cols[attr][row]`) and maps, per attribute set `S`, each row's
 //!   projected sub-tuple `π_S(t)` to a **dense `u32` group id**. The
-//!   per-set [`GroupIndex`] is computed once and memoized (keyed by the
-//!   set's bitmask word for schemas of ≤ 64 attributes, by [`AttrSet`]
-//!   beyond that). A grouping is numbered by **direct addressing**
-//!   (`O(rows)`, no sort) when its mixed-radix code space is at most
-//!   4 × rows; larger code spaces — the full-row dedup grouping, most
-//!   high-cardinality sets — sort the row codes instead (`O(rows log
-//!   rows)`), because a table the size of the code space would then
-//!   cost more to clear and scan than the sort.
+//!   per-set [`GroupIndex`] is computed once and memoized in one cache,
+//!   keyed by the set restricted to the schema (an inline one-word
+//!   [`AttrSet`] for schemas of ≤ 64 attributes). A grouping is
+//!   numbered by **direct addressing** (`O(rows)`, no sort) when its
+//!   mixed-radix code space is at most 4 × rows; larger code spaces —
+//!   the full-row dedup grouping, most high-cardinality sets — sort the
+//!   row codes instead (`O(rows log rows)`), because a table the size of
+//!   the code space would then cost more to clear and scan than the
+//!   sort.
 //! * [`InternedRelation::min_group_distinct`] — the entire Lemma-4 inner
 //!   loop — is one `O(rows)` **counting pass** over two cached id
 //!   columns: a counting sort buckets the rows by key group, and a stamp
@@ -64,7 +65,6 @@ use crate::relation::Relation;
 use crate::schema::{AttrDef, AttrId, Schema};
 use crate::tuple::Tuple;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Number of lock shards in each group cache. Concurrent readers
@@ -137,19 +137,21 @@ impl ScratchPool {
     }
 }
 
-/// The lock shard a key hashes to among `shards` (stable for a given
-/// key and shard count). Shared by the kernel's group caches and the
-/// `sv-core` memo shards, so the sharding scheme cannot silently
-/// diverge across layers.
+/// The lock shard among `shards` an attribute set hashes to: Fibonacci
+/// hashing of the XOR of its words. Attribute sets are dense low-bit
+/// masks, so multiply-shift spreads them far better than a modulo on
+/// the raw word, and picking a shard costs a multiply, not a second
+/// hash of the key the shard's map hashes anyway. Shared by the
+/// kernel's group caches and the `sv-core` memo shards, so the
+/// sharding scheme cannot silently diverge across layers.
 #[must_use]
-pub fn hash_shard<K: Hash>(key: &K, shards: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % shards
+pub fn hash_shard(key: &AttrSet, shards: usize) -> usize {
+    let fold = key.words().iter().fold(0, |acc, &w| acc ^ w);
+    (fold.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % shards
 }
 
 /// [`hash_shard`] over this cache's [`GROUP_SHARDS`].
-fn shard_idx<K: Hash>(key: &K) -> usize {
+fn shard_idx(key: &AttrSet) -> usize {
     hash_shard(key, GROUP_SHARDS)
 }
 
@@ -163,11 +165,11 @@ type GroupSlot = Arc<OnceLock<Arc<GroupIndex>>>;
 /// under a brief shard write-lock and then builds *outside* any shard
 /// lock, publishing through the slot's `OnceLock`.
 #[derive(Debug)]
-struct GroupCache<K> {
-    shards: Vec<RwLock<HashMap<K, GroupSlot>>>,
+struct GroupCache {
+    shards: Vec<RwLock<HashMap<AttrSet, GroupSlot>>>,
 }
 
-impl<K: Eq + Hash + Clone> Default for GroupCache<K> {
+impl Default for GroupCache {
     fn default() -> Self {
         Self {
             shards: (0..GROUP_SHARDS)
@@ -177,9 +179,9 @@ impl<K: Eq + Hash + Clone> Default for GroupCache<K> {
     }
 }
 
-impl<K: Eq + Hash + Clone> GroupCache<K> {
+impl GroupCache {
     /// The published index for `key`, if a builder has finished it.
-    fn get(&self, key: &K) -> Option<Arc<GroupIndex>> {
+    fn get(&self, key: &AttrSet) -> Option<Arc<GroupIndex>> {
         self.shards[shard_idx(key)]
             .read()
             .expect("group cache lock")
@@ -188,12 +190,15 @@ impl<K: Eq + Hash + Clone> GroupCache<K> {
     }
 
     /// The index for `key`, building (and publishing) it exactly once.
-    fn get_or_publish(&self, key: &K, build: impl FnOnce() -> GroupIndex) -> Arc<GroupIndex> {
+    fn get_or_publish(&self, key: &AttrSet, build: impl FnOnce() -> GroupIndex) -> Arc<GroupIndex> {
         let shard = &self.shards[shard_idx(key)];
         let slot = {
             let read = shard.read().expect("group cache lock");
             match read.get(key) {
-                Some(s) => Arc::clone(s),
+                Some(s) => match s.get() {
+                    Some(published) => return Arc::clone(published),
+                    None => Arc::clone(s),
+                },
                 None => {
                     drop(read);
                     Arc::clone(
@@ -227,7 +232,7 @@ impl<K: Eq + Hash + Clone> GroupCache<K> {
 
     /// Takes the shard maps out (exclusive access), for the append path
     /// to mutate without holding locks; restore with [`restore`](Self::restore).
-    fn take_maps(&mut self) -> Vec<HashMap<K, GroupSlot>> {
+    fn take_maps(&mut self) -> Vec<HashMap<AttrSet, GroupSlot>> {
         self.shards
             .iter_mut()
             .map(|s| std::mem::take(s.get_mut().expect("group cache lock")))
@@ -235,7 +240,7 @@ impl<K: Eq + Hash + Clone> GroupCache<K> {
     }
 
     /// Puts back maps from [`take_maps`](Self::take_maps).
-    fn restore(&mut self, maps: Vec<HashMap<K, GroupSlot>>) {
+    fn restore(&mut self, maps: Vec<HashMap<AttrSet, GroupSlot>>) {
         for (shard, map) in self.shards.iter_mut().zip(maps) {
             *shard.get_mut().expect("group cache lock") = map;
         }
@@ -425,11 +430,9 @@ pub struct InternedRelation {
     /// Generation counter: bumped by every [`append_rows`](Self::append_rows)
     /// that adds at least one genuinely new row. `0` for a fresh build.
     epoch: u64,
-    /// Sharded group cache for schemas of ≤ 64 attributes, keyed by
-    /// bitmask word (once-per-set publication; see [`GroupCache`]).
-    word_groups: GroupCache<u64>,
-    /// Sharded group cache for wider schemas.
-    wide_groups: GroupCache<AttrSet>,
+    /// Sharded group cache keyed by the schema-masked attribute set
+    /// (once-per-set publication; see [`GroupCache`]).
+    groups: GroupCache,
     /// Pooled pair-pass buffers: concurrent probes each borrow their own.
     scratch: ScratchPool,
 }
@@ -441,8 +444,7 @@ impl Clone for InternedRelation {
             n_rows: self.n_rows,
             cols: self.cols.clone(),
             epoch: self.epoch,
-            word_groups: self.word_groups.deep_clone(),
-            wide_groups: self.wide_groups.deep_clone(),
+            groups: self.groups.deep_clone(),
             scratch: ScratchPool::new(),
         }
     }
@@ -456,7 +458,7 @@ impl std::fmt::Debug for InternedRelation {
             self.schema,
             self.n_rows,
             self.epoch,
-            self.word_groups.len() + self.wide_groups.len()
+            self.groups.len()
         )
     }
 }
@@ -479,8 +481,7 @@ impl InternedRelation {
             n_rows,
             cols,
             epoch: 0,
-            word_groups: GroupCache::default(),
-            wide_groups: GroupCache::default(),
+            groups: GroupCache::default(),
             scratch: ScratchPool::new(),
         }
     }
@@ -514,8 +515,7 @@ impl InternedRelation {
             n_rows: 0,
             cols: Vec::new(),
             epoch,
-            word_groups: GroupCache::default(),
-            wide_groups: GroupCache::default(),
+            groups: GroupCache::default(),
             scratch: ScratchPool::new(),
         };
         for (i, t) in rows.iter().enumerate() {
@@ -562,18 +562,10 @@ impl InternedRelation {
         self.cols[a.index()][row]
     }
 
-    /// Whether the schema fits the bitmask-word fast path.
-    #[must_use]
-    pub fn fits_word(&self) -> bool {
-        self.schema.len() <= 64
-    }
-
-    fn mask(&self) -> u64 {
-        if self.schema.len() >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.schema.len()) - 1
-        }
+    /// `set` restricted to the schema's attributes — the group cache
+    /// key (ids beyond the schema cannot name a column).
+    fn masked(&self, set: &AttrSet) -> AttrSet {
+        set.intersection(&self.schema.all_attrs())
     }
 
     /// Mixed-radix digit sizes for `attrs`, and whether their product
@@ -729,23 +721,15 @@ impl InternedRelation {
         // — we hold `&mut self`, so nothing can observe the gap, and
         // this sidesteps per-row lock traffic and borrows against
         // `cols`. Slots whose builder never published are dropped by
-        // the retain passes below (the next probe rebuilds post-append).
-        let mut word_cache = self.word_groups.take_maps();
-        let mut wide_cache = self.wide_groups.take_maps();
-        let full_word = if self.fits_word() {
-            Some(self.mask())
-        } else {
-            None
-        };
+        // the retain pass below (the next probe rebuilds post-append).
+        let mut cache = self.groups.take_maps();
 
         // Phase 1: dedup against (and extend) the full-row grouping,
         // appending genuinely new rows to the column store.
         {
-            let full = match full_word {
-                Some(w) => word_cache[shard_idx(&w)].get_mut(&w),
-                None => wide_cache[shard_idx(&all)].get_mut(&all),
-            }
-            .expect("full grouping materialized above");
+            let full = cache[shard_idx(&all)]
+                .get_mut(&all)
+                .expect("full grouping materialized above");
             let full = slot_mut(full).expect("full grouping published above");
             let attrs: Vec<usize> = (0..self.schema.len()).collect();
             let (sizes, _) = self.radix_sizes(&attrs);
@@ -770,42 +754,22 @@ impl InternedRelation {
         let appended = self.n_rows - start_row;
         if appended > 0 {
             let new_rows: Vec<u32> = (start_row..self.n_rows).map(|r| r as u32).collect();
-            for shard in word_cache.iter_mut() {
-                shard.retain(|&word, slot| {
-                    if Some(word) == full_word {
-                        return true;
-                    }
-                    let Some(gi) = slot_mut(slot) else {
-                        return false;
-                    };
-                    let attrs: Vec<usize> = (0..self.schema.len())
-                        .filter(|&i| word & (1u64 << i) != 0)
-                        .collect();
-                    self.extend_index(gi, &attrs, &new_rows, next_epoch);
-                    true
-                });
-            }
-            for shard in wide_cache.iter_mut() {
+            for shard in cache.iter_mut() {
                 shard.retain(|set, slot| {
-                    if full_word.is_none() && *set == all {
+                    if *set == all {
                         return true;
                     }
                     let Some(gi) = slot_mut(slot) else {
                         return false;
                     };
-                    let attrs: Vec<usize> = set
-                        .iter()
-                        .map(AttrId::index)
-                        .filter(|&i| i < self.schema.len())
-                        .collect();
+                    let attrs: Vec<usize> = set.iter().map(AttrId::index).collect();
                     self.extend_index(gi, &attrs, &new_rows, next_epoch);
                     true
                 });
             }
             self.epoch = next_epoch;
         }
-        self.word_groups.restore(word_cache);
-        self.wide_groups.restore(wide_cache);
+        self.groups.restore(cache);
         Ok(appended)
     }
 
@@ -832,11 +796,7 @@ impl InternedRelation {
     #[must_use]
     pub fn find_group_row(&self, set: &AttrSet, row_values: &[Value]) -> Option<usize> {
         let g = self.group_index(set);
-        let attrs: Vec<usize> = set
-            .iter()
-            .map(AttrId::index)
-            .filter(|&i| i < self.schema.len())
-            .collect();
+        let attrs: Vec<usize> = self.masked(set).iter().map(AttrId::index).collect();
         let (sizes, _) = self.radix_sizes(&attrs);
         let mut buf: Vec<Value> = Vec::with_capacity(attrs.len());
         let gid = gid_of(&g, &attrs, &sizes, &mut buf, |a| row_values[a])?;
@@ -844,76 +804,28 @@ impl InternedRelation {
     }
 
     /// The [`GroupIndex::new_group_epoch`] of the **cached** grouping
-    /// for the word-encoded attribute set, without computing it —
-    /// `None` when that grouping has never been materialized. The
-    /// memoized oracles use this for the monotone revalidation shortcut.
-    #[must_use]
-    pub fn group_new_group_epoch_word(&self, word: u64) -> Option<u64> {
-        if !self.fits_word() {
-            return None;
-        }
-        let word = word & self.mask();
-        self.word_groups.get(&word).map(|g| g.new_group_epoch)
-    }
-
-    /// [`group_new_group_epoch_word`](Self::group_new_group_epoch_word)
-    /// for an [`AttrSet`] (any schema width).
+    /// for `set`, without computing it — `None` when that grouping has
+    /// never been materialized. The memoized oracles use this for the
+    /// monotone revalidation shortcut.
     #[must_use]
     pub fn group_new_group_epoch(&self, set: &AttrSet) -> Option<u64> {
-        if self.fits_word() {
-            let w = set
-                .iter()
-                .filter(|a| a.index() < self.schema.len())
-                .fold(0u64, |acc, a| acc | (1u64 << a.index()));
-            return self.group_new_group_epoch_word(w);
-        }
-        self.wide_groups.get(set).map(|g| g.new_group_epoch)
+        self.groups
+            .get(&self.masked(set))
+            .map(|g| g.new_group_epoch)
     }
 
-    /// The (memoized) group index for the attribute set encoded as a
-    /// bitmask word. Requires a schema of ≤ 64 attributes.
+    /// The (memoized) group index for `set` (ids beyond the schema are
+    /// ignored).
     ///
     /// Safe to call from any number of concurrent reader threads: the
-    /// cache is sharded by word hash, and a cold set is built by
+    /// cache is sharded by set hash, and a cold set is built by
     /// **exactly one** thread (racing readers block on that set's
     /// publication slot only, never on unrelated sets).
-    ///
-    /// # Panics
-    /// Panics if the schema has more than 64 attributes.
-    #[must_use]
-    pub fn group_index_word(&self, word: u64) -> Arc<GroupIndex> {
-        assert!(self.fits_word(), "schema too wide for the word fast path");
-        let word = word & self.mask();
-        self.word_groups.get_or_publish(&word, || {
-            let attrs: Vec<usize> = (0..self.schema.len())
-                .filter(|&i| word & (1u64 << i) != 0)
-                .collect();
-            self.compute_group(&attrs)
-        })
-    }
-
-    /// The (memoized) group index for an [`AttrSet`]. Dispatches to the
-    /// word cache when the schema fits 64 attributes.
     #[must_use]
     pub fn group_index(&self, set: &AttrSet) -> Arc<GroupIndex> {
-        if self.fits_word() {
-            if let Some(w) = set.as_word() {
-                return self.group_index_word(w);
-            }
-            // The set mentions ids ≥ 64 that cannot be schema attributes;
-            // drop them and use the word path.
-            let w = set
-                .iter()
-                .filter(|a| a.index() < self.schema.len())
-                .fold(0u64, |acc, a| acc | (1u64 << a.index()));
-            return self.group_index_word(w);
-        }
-        self.wide_groups.get_or_publish(set, || {
-            let attrs: Vec<usize> = set
-                .iter()
-                .map(AttrId::index)
-                .filter(|&i| i < self.schema.len())
-                .collect();
+        let key = self.masked(set);
+        self.groups.get_or_publish(&key, || {
+            let attrs: Vec<usize> = key.iter().map(AttrId::index).collect();
             self.compute_group(&attrs)
         })
     }
@@ -930,22 +842,13 @@ impl InternedRelation {
     /// a pooled buffer ([`ScratchPool`]), so concurrent probes each hold
     /// their own buffer and never serialize on a shared scratch.
     /// Pinned-buffer callers (one buffer per sweep worker) can still use
-    /// [`min_group_distinct_with`](Self::min_group_distinct_with) /
-    /// [`min_group_distinct_words_with`](Self::min_group_distinct_words_with).
+    /// [`min_group_distinct_with`](Self::min_group_distinct_with).
     #[must_use]
     pub fn min_group_distinct(&self, key: &AttrSet, probe: &AttrSet) -> usize {
         let kg = self.group_index(key);
         let pg = self.group_index(probe);
-        self.min_group_distinct_indexed(&kg, &pg)
-    }
-
-    /// Word-keyed variant of [`min_group_distinct`](Self::min_group_distinct)
-    /// for schemas of ≤ 64 attributes.
-    #[must_use]
-    pub fn min_group_distinct_words(&self, key: u64, probe: u64) -> usize {
-        let kg = self.group_index_word(key);
-        let pg = self.group_index_word(probe);
-        self.min_group_distinct_indexed(&kg, &pg)
+        self.scratch
+            .with(|buf| min_group_distinct_in(&kg, &pg, buf))
     }
 
     /// [`min_group_distinct`](Self::min_group_distinct) through a
@@ -965,24 +868,6 @@ impl InternedRelation {
         min_group_distinct_in(&kg, &pg, scratch)
     }
 
-    /// Word-keyed [`min_group_distinct_with`](Self::min_group_distinct_with)
-    /// for schemas of ≤ 64 attributes.
-    #[must_use]
-    pub fn min_group_distinct_words_with(
-        &self,
-        key: u64,
-        probe: u64,
-        scratch: &mut Vec<u64>,
-    ) -> usize {
-        let kg = self.group_index_word(key);
-        let pg = self.group_index_word(probe);
-        min_group_distinct_in(&kg, &pg, scratch)
-    }
-
-    fn min_group_distinct_indexed(&self, kg: &GroupIndex, pg: &GroupIndex) -> usize {
-        self.scratch.with(|buf| min_group_distinct_in(kg, pg, buf))
-    }
-
     /// Grouped distinct counting with materialized keys — the
     /// compatibility form of the Lemma-4 condition
     /// (`π_key`-group → number of distinct `π_probe` values), through
@@ -991,10 +876,7 @@ impl InternedRelation {
     pub fn group_count_distinct(&self, key: &AttrSet, probe: &AttrSet) -> HashMap<Tuple, usize> {
         let kg = self.group_index(key);
         let pg = self.group_index(probe);
-        let key_attrs: Vec<AttrId> = key
-            .iter()
-            .filter(|a| a.index() < self.schema.len())
-            .collect();
+        let key_attrs: Vec<AttrId> = self.masked(key).iter().collect();
         let mut counts: HashMap<Tuple, usize> = HashMap::with_capacity(kg.n_groups as usize);
         self.scratch.with(|scratch| {
             pair_pass(&kg, &pg, scratch, |g, distinct| {
@@ -1011,10 +893,7 @@ impl InternedRelation {
     /// per distinct sub-tuple, gathered from group representatives.
     #[must_use]
     pub fn project(&self, set: &AttrSet) -> Relation {
-        let attrs: Vec<AttrId> = set
-            .iter()
-            .filter(|a| a.index() < self.schema.len())
-            .collect();
+        let attrs: Vec<AttrId> = self.masked(set).iter().collect();
         let schema = Schema::new(
             attrs
                 .iter()
@@ -1033,7 +912,7 @@ impl InternedRelation {
     /// Number of cached (published) group indexes (diagnostics / tests).
     #[must_use]
     pub fn cached_groupings(&self) -> usize {
-        self.word_groups.len() + self.wide_groups.len()
+        self.groups.len()
     }
 }
 
@@ -1327,10 +1206,6 @@ mod tests {
         // Caller-owned scratch variants agree with the shared-scratch path.
         let mut scratch = Vec::new();
         assert_eq!(ir.min_group_distinct_with(&key, &probe, &mut scratch), 2);
-        assert_eq!(
-            ir.min_group_distinct_words_with(0b001, 0b110, &mut scratch),
-            2
-        );
         let counts = ir.group_count_distinct(&key, &probe);
         assert_eq!(
             counts,
@@ -1346,7 +1221,6 @@ mod tests {
             ir.min_group_distinct(&AttrSet::from_indices(&[0]), &AttrSet::from_indices(&[1])),
             usize::MAX
         );
-        assert_eq!(ir.min_group_distinct_words(0b01, 0b10), usize::MAX);
         assert!(ir
             .group_count_distinct(&AttrSet::from_indices(&[0]), &AttrSet::from_indices(&[1]))
             .is_empty());

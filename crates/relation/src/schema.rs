@@ -137,21 +137,6 @@ impl Schema {
         p
     }
 
-    /// [`domain_product`](Self::domain_product) over a bitmask word
-    /// (the kernel's ≤ 64-attribute fast path; bits beyond the schema
-    /// are ignored).
-    #[must_use]
-    pub fn domain_product_word(&self, word: u64) -> u128 {
-        let mut p: u128 = 1;
-        let n = self.len().min(64);
-        for i in 0..n {
-            if word & (1u64 << i) != 0 {
-                p = p.saturating_mul(u128::from(self.inner.attrs[i].domain.size()));
-            }
-        }
-        p
-    }
-
     /// Names of the attributes in `set`, in id order (diagnostics).
     #[must_use]
     pub fn names(&self, set: &AttrSet) -> Vec<&str> {

@@ -1,12 +1,14 @@
 //! The kernel's documented zero-allocation probe: once the group indexes
 //! a Lemma-4 probe touches are cached and its scratch buffer (pinned or
-//! pooled) has grown, the probe performs no heap allocation. A counting
-//! global allocator tallies allocations per thread, so the harness's own
+//! pooled) has grown, the probe performs no heap allocation — building
+//! its key and probe sets with [`AttrSet::from_word`] included, since a
+//! set of attributes `< 64` is stored inline. A counting global
+//! allocator tallies allocations per thread, so the harness's own
 //! threads cannot disturb the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use sv_relation::{InternedRelation, Relation, Schema};
+use sv_relation::{AttrSet, InternedRelation, Relation, Schema};
 
 struct CountingAlloc;
 
@@ -79,27 +81,27 @@ fn warm_probes_allocate_nothing() {
     // Warm-up: builds every grouping, grows the pinned buffer and
     // fills the pool.
     let mut scratch = Vec::new();
+    let pinned = |k: u64, p: u64, scratch: &mut Vec<u64>| {
+        ir.min_group_distinct_with(&AttrSet::from_word(k), &AttrSet::from_word(p), scratch)
+    };
+    let pooled =
+        |k: u64, p: u64| ir.min_group_distinct(&AttrSet::from_word(k), &AttrSet::from_word(p));
     let expected: Vec<(usize, usize)> = probes
         .iter()
-        .map(|&(k, p)| {
-            (
-                ir.min_group_distinct_words_with(k, p, &mut scratch),
-                ir.min_group_distinct_words(k, p),
-            )
-        })
+        .map(|&(k, p)| (pinned(k, p, &mut scratch), pooled(k, p)))
         .collect();
 
-    for (&(k, p), &(pinned, pooled)) in probes.iter().zip(&expected) {
-        let (n, answer) =
-            allocations_during(|| ir.min_group_distinct_words_with(k, p, &mut scratch));
-        assert_eq!(answer, pinned);
+    // The sets are built inside the counted closures.
+    for (&(k, p), &(on_pinned, on_pooled)) in probes.iter().zip(&expected) {
+        let (n, answer) = allocations_during(|| pinned(k, p, &mut scratch));
+        assert_eq!(answer, on_pinned);
         assert_eq!(n, 0, "warm pinned probe {k:#b}/{p:#b} allocated");
-        let (n, answer) = allocations_during(|| ir.min_group_distinct_words(k, p));
-        assert_eq!(answer, pooled);
+        let (n, answer) = allocations_during(|| pooled(k, p));
+        assert_eq!(answer, on_pooled);
         assert_eq!(n, 0, "warm pooled probe {k:#b}/{p:#b} allocated");
     }
 
     // A cold grouping does allocate: the counter sees the kernel's heap.
-    let (n, _) = allocations_during(|| ir.min_group_distinct_words(0b00000_00011, 0b00001_00000));
+    let (n, _) = allocations_during(|| pooled(0b00000_00011, 0b00001_00000));
     assert!(n > 0, "a cold probe builds groupings");
 }

@@ -1,5 +1,5 @@
-//! Property suite for **word-keyed Lemma-4 probes** over batches of
-//! probes: on random relations and random probe batches (duplicate
+//! Property suite for **Lemma-4 probes over word-encoded sets**
+//! ([`AttrSet::from_word`]) in batches: on random relations and random probe batches (duplicate
 //! pairs, shared attribute sets, empty relations, streamed appends),
 //! the pooled-scratch probe and the pinned-scratch probe (one buffer
 //! reused across the whole batch) agree with the row-at-a-time
@@ -73,14 +73,15 @@ fn word_probes_equal_reference() {
         // One pinned buffer serves the whole batch.
         let mut scratch = Vec::new();
         for (i, &(kw, pw)) in probes.iter().enumerate() {
-            let expected = reference_answer(&r, &AttrSet::from_word(kw), &AttrSet::from_word(pw));
+            let (key, probe) = (AttrSet::from_word(kw), AttrSet::from_word(pw));
+            let expected = reference_answer(&r, &key, &probe);
             assert_eq!(
-                ir.min_group_distinct_words(kw, pw),
+                ir.min_group_distinct(&key, &probe),
                 expected,
                 "trial {trial} probe {i}: pooled ≠ reference"
             );
             assert_eq!(
-                ir.min_group_distinct_words_with(kw, pw, &mut scratch),
+                ir.min_group_distinct_with(&key, &probe, &mut scratch),
                 expected,
                 "trial {trial} probe {i}: pinned scratch ≠ reference"
             );
@@ -108,14 +109,16 @@ fn word_probes_survive_streamed_appends() {
         let answers = |ir: &InternedRelation| -> Vec<usize> {
             probes
                 .iter()
-                .map(|&(kw, pw)| ir.min_group_distinct_words(kw, pw))
+                .map(|&(kw, pw)| {
+                    ir.min_group_distinct(&AttrSet::from_word(kw), &AttrSet::from_word(pw))
+                })
                 .collect()
         };
         let _ = answers(&ir);
         for a in 0..k {
-            let _ = ir.group_index_word(1 << a);
+            let _ = ir.group_index(&AttrSet::from_word(1 << a));
         }
-        let _ = ir.group_index_word(0);
+        let _ = ir.group_index(&AttrSet::new());
         let mut log = BuildLog::new(k);
         log.note(&ir, ir.n_rows());
 
@@ -154,9 +157,10 @@ fn empty_relations_answer_usize_max() {
     let ir = InternedRelation::from_relation(&r);
     let mut scratch = Vec::new();
     for (kw, pw) in [(0b001, 0b110), (0, 0)] {
-        assert_eq!(ir.min_group_distinct_words(kw, pw), usize::MAX);
+        let (key, probe) = (AttrSet::from_word(kw), AttrSet::from_word(pw));
+        assert_eq!(ir.min_group_distinct(&key, &probe), usize::MAX);
         assert_eq!(
-            ir.min_group_distinct_words_with(kw, pw, &mut scratch),
+            ir.min_group_distinct_with(&key, &probe, &mut scratch),
             usize::MAX
         );
     }

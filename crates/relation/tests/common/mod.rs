@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use sv_relation::{AttrDef, AttrId, Domain, InternedRelation, Schema, Value};
+use sv_relation::{AttrDef, AttrId, AttrSet, Domain, InternedRelation, Schema, Value};
 
 /// Which kernel path builds a grouping: the kernel numbers mixed-radix
 /// codes by direct addressing when the code space is at most
@@ -114,7 +114,7 @@ fn assert_grouping(ir: &InternedRelation, word: u64, built_rows: usize, ctx: &st
     let representative: Vec<u32> = (0..ids.len() as u32)
         .map(|g| row_group.iter().position(|&r| r == g).expect("dense ids") as u32)
         .collect();
-    let g = ir.group_index_word(word);
+    let g = ir.group_index(&AttrSet::from_word(word));
     assert_eq!(
         g.n_groups as usize,
         ids.len(),
@@ -148,7 +148,11 @@ impl BuildLog {
     /// groupings, with the row count before that call.
     pub fn note(&mut self, ir: &InternedRelation, rows: usize) {
         for (word, built) in self.built.iter_mut().enumerate() {
-            if built.is_none() && ir.group_new_group_epoch_word(word as u64).is_some() {
+            if built.is_none()
+                && ir
+                    .group_new_group_epoch(&AttrSet::from_word(word as u64))
+                    .is_some()
+            {
                 *built = Some(rows);
             }
         }
