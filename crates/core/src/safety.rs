@@ -105,6 +105,7 @@
 
 use crate::error::CoreError;
 use crate::standalone::{StandaloneModule, MAX_DENSE_ATTRS};
+use crate::sweep::layer_masks;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -603,7 +604,9 @@ pub fn min_cost_safe_hidden(
 /// is property-tested against it in `tests/frontier_prop.rs`), and the
 /// linear `minimal.iter().any(|&m| m & mask == m)` coverage test below
 /// is the reference the sublinear `Frontier::covers` replaces. Keep it
-/// simple; it is deliberately not optimized.
+/// simple: the coverage test is deliberately linear. The masks are
+/// generated layer by layer in that order, not collected and sorted, so
+/// the walk allocates only its result.
 ///
 /// # Errors
 /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
@@ -618,12 +621,11 @@ pub fn minimal_safe_hidden_sets(
             max: MAX_DENSE_ATTRS,
         });
     }
-    // Enumerate by increasing popcount: a safe set is minimal iff no
-    // previously found (smaller) safe set is a subset of it.
-    let mut masks: Vec<u64> = (0..(1u64 << k)).collect();
-    masks.sort_by_key(|m| m.count_ones());
+    // Enumerate by increasing popcount, each layer ascending: a safe
+    // set is minimal iff no previously found (smaller) safe set is a
+    // subset of it.
     let mut minimal: Vec<u64> = Vec::new();
-    for mask in masks {
+    for mask in (0..=k).flat_map(|p| layer_masks(k, p)) {
         #[allow(clippy::manual_contains)] // subset test, not equality
         if minimal.iter().any(|&m| m & mask == m) {
             continue; // superset of a known minimal safe set

@@ -611,6 +611,15 @@ fn next_same_popcount(v: u64) -> u64 {
     (t + 1) | (((nt & nt.wrapping_neg()) - 1) >> (v.trailing_zeros() + 1))
 }
 
+/// The masks of popcount `p` over `k` bits (`p ≤ k < 64`), ascending:
+/// Gosper stepping from the lowest to the highest.
+pub(crate) fn layer_masks(k: usize, p: usize) -> impl Iterator<Item = u64> {
+    let last = ((1u64 << p) - 1) << (k - p);
+    std::iter::successors(Some((1u64 << p) - 1), move |&m| {
+        (m != last).then(|| next_same_popcount(m))
+    })
+}
+
 /// All ⊆-minimal safe hidden sets by parallel layered sweep with
 /// antichain pruning.
 ///
@@ -1354,6 +1363,7 @@ mod tests {
                 .filter(|m| m.count_ones() as usize == p)
                 .collect();
             assert_eq!(by_rank, direct, "p={p}");
+            assert_eq!(layer_masks(6, p).collect::<Vec<_>>(), direct, "p={p}");
             // Gosper agrees with unranking.
             if total > 1 {
                 for i in 0..(total as usize - 1) {

@@ -75,11 +75,12 @@ pub const MAX_FRAME_LEN: usize = 1 << 26;
 /// bound a single corrupt id (e.g. a flipped high bit turning attr 2
 /// into attr 2³¹) would make the decoder allocate a multi-hundred-MiB
 /// set. 2²⁰ attributes is far beyond any real workflow schema while
-/// capping one set's allocation at 128 KiB. A frame's sets together are
-/// capped separately: decoding charges each list-form set's bitset words
-/// to a budget of one word per payload byte, so a frame of many such
-/// sets fails with [`WireError::Oversize`] instead of allocating 128 KiB
-/// per set.
+/// capping one set at 16,385 words (128 KiB). A frame's sets together
+/// are capped separately: decoding charges each list-form set's bitset
+/// words to a budget of one word per payload byte plus one largest set,
+/// so any single in-range set decodes, and a frame of many such sets
+/// fails with [`WireError::Oversize`] instead of allocating 128 KiB per
+/// set.
 pub const MAX_WIRE_ATTR_ID: u32 = 1 << 20;
 
 // ── Message tags ────────────────────────────────────────────────────
@@ -320,8 +321,8 @@ pub enum WireError {
     },
     /// A length field announces more elements than the remaining bytes
     /// could possibly hold, or a list-form attribute set of `count` ids
-    /// would size its bitset past the frame's budget (one word per
-    /// payload byte).
+    /// would size its bitset past the frame's budget (see
+    /// [`MAX_WIRE_ATTR_ID`]).
     Oversize {
         /// The announced element count.
         count: usize,
@@ -464,8 +465,7 @@ struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
     /// Bitset words the payload's list-form sets may still size: one
-    /// per payload byte, so what decoding allocates stays within a
-    /// small multiple of the payload.
+    /// per payload byte plus one largest set (see [`MAX_WIRE_ATTR_ID`]).
     set_words: usize,
 }
 
@@ -474,7 +474,7 @@ impl<'a> Reader<'a> {
         Self {
             buf,
             pos: 0,
-            set_words: buf.len(),
+            set_words: buf.len() + MAX_WIRE_ATTR_ID as usize / 64 + 1,
         }
     }
 
@@ -529,25 +529,26 @@ impl<'a> Reader<'a> {
             TAG_SET_WORD => Ok(AttrSet::from_word(self.u64()?)),
             TAG_SET_LIST => {
                 let n = self.count(4)?;
-                let start = self.pos;
+                // The bitset is sized by its largest member: charge each
+                // new word to the frame before the set grows into it.
                 let mut words = 0;
-                for _ in 0..n {
-                    let id = self.u32()?;
-                    if id > MAX_WIRE_ATTR_ID {
-                        return Err(WireError::AttrIdOutOfRange { id });
-                    }
-                    words = words.max(id as usize / 64 + 1);
-                }
-                // The bitset is sized by its largest member: charge its
-                // words to the frame before building it.
-                self.set_words = self
-                    .set_words
-                    .checked_sub(words)
-                    .ok_or(WireError::Oversize { count: n })?;
-                Ok(self.buf[start..self.pos]
-                    .chunks_exact(4)
-                    .map(|id| AttrId(u32::from_le_bytes(id.try_into().unwrap())))
-                    .collect())
+                (0..n)
+                    .map(|_| {
+                        let id = self.u32()?;
+                        if id > MAX_WIRE_ATTR_ID {
+                            return Err(WireError::AttrIdOutOfRange { id });
+                        }
+                        let need = id as usize / 64 + 1;
+                        if need > words {
+                            self.set_words = self
+                                .set_words
+                                .checked_sub(need - words)
+                                .ok_or(WireError::Oversize { count: n })?;
+                            words = need;
+                        }
+                        Ok(AttrId(id))
+                    })
+                    .collect()
             }
             tag => Err(WireError::BadTag { tag }),
         }
@@ -1031,21 +1032,21 @@ mod tests {
             buf
         };
         // 30,733 bytes that would size 1,024 bitsets of 16,385 words
-        // (134 MB): the budget admits the first set and refuses the
-        // second.
+        // (134 MB): the budget of 30,733 + 16,385 words admits two sets
+        // and refuses the third.
         let hostile = frame_of(1024, MAX_WIRE_ATTR_ID);
         assert_eq!(hostile.len(), 30_733);
         assert_eq!(
             Request::decode(&hostile),
             Err(WireError::Oversize { count: 1 })
         );
-        // A 43-byte frame pays for 43 words: id 1,024 (17 words) but
-        // not id 2²⁰.
-        assert!(Request::decode(&frame_of(1, 1 << 10)).is_ok());
-        assert_eq!(
-            Request::decode(&frame_of(1, MAX_WIRE_ATTR_ID)),
-            Err(WireError::Oversize { count: 1 })
-        );
+        // Any single in-range set decodes, however short its frame.
+        for id in [1 << 10, 3000, MAX_WIRE_ATTR_ID] {
+            let Ok(Request::Probe { probes, .. }) = Request::decode(&frame_of(1, id)) else {
+                panic!("a one-set frame naming {id} must decode");
+            };
+            assert_eq!(probes[0].visible, AttrSet::from_indices(&[id]));
+        }
     }
 
     #[test]

@@ -73,14 +73,30 @@ impl AttrSet {
     }
 
     /// Builds a set from an iterator of attribute ids.
+    ///
+    /// Words beyond the first grow amortized, so building a set costs
+    /// `O(ids + words)` in any id order; a set whose ids are all `< 64`
+    /// never touches the heap.
     #[must_use]
     #[allow(clippy::should_implement_trait)] // also provided via FromIterator below
     pub fn from_iter<I: IntoIterator<Item = AttrId>>(iter: I) -> Self {
-        let mut s = Self::new();
+        let (mut low, mut words) = (0, Vec::new());
         for a in iter {
-            s.insert(a);
+            match Self::word_of(a) {
+                (0, m) => low |= m,
+                (w, m) => {
+                    if words.len() <= w {
+                        words.resize(w + 1, 0);
+                    }
+                    words[w] |= m;
+                }
+            }
         }
-        s
+        if words.is_empty() {
+            return Self::from_word(low);
+        }
+        words[0] = low;
+        Self::from_words(words)
     }
 
     /// Builds a set from raw `u32` indices (test/construction convenience).
@@ -135,7 +151,9 @@ impl AttrSet {
         (i / WORD_BITS, 1u64 << (i % WORD_BITS))
     }
 
-    /// Inserts `a`; returns `true` if it was newly inserted.
+    /// Inserts `a`; returns `true` if it was newly inserted. Growing a
+    /// spilled set copies its words, so build large sets with
+    /// [`from_iter`](Self::from_iter).
     pub fn insert(&mut self, a: AttrId) -> bool {
         let fresh = !self.contains(a);
         let (w, m) = Self::word_of(a);

@@ -582,22 +582,23 @@ impl InternedRelation {
         (sizes, product <= u128::from(u64::MAX))
     }
 
-    /// Computes the dense grouping for the attributes in `attrs`
-    /// (ascending attribute indices).
-    fn compute_group(&self, attrs: &[usize]) -> GroupIndex {
+    /// Computes the dense grouping for the attributes of `key` (a
+    /// schema-masked set).
+    fn compute_group(&self, key: &AttrSet) -> GroupIndex {
         let n = self.n_rows;
-        let (sizes, fits_radix) = self.radix_sizes(attrs);
-        if fits_radix {
+        // The radix/wide decision of `radix_sizes`: the code space must
+        // fit a `u64`.
+        if let Ok(space) = u64::try_from(self.schema.domain_product(key)) {
             // Mixed-radix fast path: one u64 code per row, built column
             // by column.
             let mut codes = vec![0u64; n];
-            for (&a, &s) in attrs.iter().zip(&sizes) {
-                for (c, &v) in codes.iter_mut().zip(&self.cols[a]) {
+            for a in key.iter() {
+                let s = u64::from(self.schema.attr(a).domain.size());
+                for (c, &v) in codes.iter_mut().zip(&self.cols[a.index()]) {
                     *c = *c * s + u64::from(v);
                 }
             }
             // Densify: group id = rank of the row's code.
-            let space: u64 = sizes.iter().product();
             let (row_group, base) = if space <= DIRECT_ADDRESS_FACTOR.saturating_mul(n as u64) {
                 densify_direct(&codes, space)
             } else {
@@ -625,12 +626,12 @@ impl InternedRelation {
             // Interner ids are assigned in first-seen row order and are
             // used as the group ids directly.
             let mut interner = ValueInterner::new();
-            let mut buf: Vec<Value> = Vec::with_capacity(attrs.len());
+            let mut buf: Vec<Value> = Vec::with_capacity(key.len());
             let mut row_group: Vec<u32> = Vec::with_capacity(n);
             let mut representative: Vec<u32> = Vec::new();
             for row in 0..n {
                 buf.clear();
-                buf.extend(attrs.iter().map(|&a| self.cols[a][row]));
+                buf.extend(key.iter().map(|a| self.cols[a.index()][row]));
                 let gid = interner.intern(&buf);
                 if gid as usize == representative.len() {
                     representative.push(row as u32);
@@ -824,10 +825,8 @@ impl InternedRelation {
     #[must_use]
     pub fn group_index(&self, set: &AttrSet) -> Arc<GroupIndex> {
         let key = self.masked(set);
-        self.groups.get_or_publish(&key, || {
-            let attrs: Vec<usize> = key.iter().map(AttrId::index).collect();
-            self.compute_group(&attrs)
-        })
+        self.groups
+            .get_or_publish(&key, || self.compute_group(&key))
     }
 
     /// Lemma-4 inner loop: over the `key` groups, the **minimum** number
