@@ -18,16 +18,12 @@
 //!   in place, and the standing probes ride the epoch-stamped level
 //!   cache (the monotone shortcut answers them with zero kernel work
 //!   while no new visible-input group appears).
-//! * `full_rebuild` — the pre-PR-3 seed behavior: every batch rebuilds
-//!   the [`StandaloneModule`] (columnar build, FD re-check, cold group
-//!   indexes) and a fresh oracle re-answers the standing probes from
+//! * `full_rebuild` — the seed behavior without streaming appends:
+//!   every batch rebuilds the [`Relation`] from every row accumulated
+//!   so far ([`Relation::from_rows`]: validate, sort, dedup), then the
+//!   [`StandaloneModule`] (columnar build, FD re-check, cold group
+//!   indexes), and a fresh oracle re-answers the standing probes from
 //!   scratch.
-//!
-//! A third row isolates the **value layer**: `insert_batch` alone on a
-//! [`Relation`] (sorted-runs storage — each batch becomes its own run
-//! under the logarithmic merge policy instead of an O(N) merge into one
-//! sorted vector), reported as
-//! `amortized_ns_per_row/value_insert_sorted_runs`.
 //!
 //! The CI bench gate enforces the within-run floor
 //! `full_rebuild / incremental ≥ 5` (machine-independent) plus an
@@ -172,54 +168,40 @@ fn run_incremental(stream: &Stream) -> (f64, usize, MemoSafetyOracle) {
     (start.elapsed().as_nanos() as f64, appended, oracle)
 }
 
-/// One full-rebuild episode: per batch, merge rows into the value-layer
-/// relation, rebuild the module + oracle from scratch, re-ask probes.
+/// One full-rebuild episode: per batch, rebuild the relation from every
+/// row accumulated so far, then the module + oracle from scratch, and
+/// re-ask probes.
 fn run_rebuild(stream: &Stream) -> (f64, usize, MemoSafetyOracle) {
-    let mut acc = Relation::from_values(schema(), stream.base.clone()).expect("valid base");
     let inputs = AttrSet::from_indices(&[0, 1, 2, 3]);
     let outputs = AttrSet::from_indices(&[4, 5, 6, 7]);
-    let mut oracle = MemoSafetyOracle::new(
-        StandaloneModule::new(acc.clone(), inputs.clone(), outputs.clone()).expect("function"),
-    );
+    let rebuild = |rows: &[Tuple]| {
+        let relation = Relation::from_rows(schema(), rows.to_vec()).expect("valid stream");
+        let len = relation.len();
+        let module = StandaloneModule::new(relation, inputs.clone(), outputs.clone());
+        (len, MemoSafetyOracle::new(module.expect("function")))
+    };
+    let mut acc: Vec<Tuple> = stream.base.iter().cloned().map(Tuple::new).collect();
+    let (base_len, mut oracle) = rebuild(&acc);
     ask_standing_probes(&mut oracle);
-    let mut appended = 0usize;
+    let mut len = base_len;
     let start = Instant::now();
     for batch in &stream.batches {
-        appended += acc.insert_batch(batch).expect("valid stream");
-        oracle = MemoSafetyOracle::new(
-            StandaloneModule::new(acc.clone(), inputs.clone(), outputs.clone()).expect("function"),
-        );
+        acc.extend_from_slice(batch);
+        (len, oracle) = rebuild(&acc);
         ask_standing_probes(&mut oracle);
     }
-    (start.elapsed().as_nanos() as f64, appended, oracle)
-}
-
-/// One value-layer-only episode: `Relation::insert_batch` per batch
-/// with **no** module rebuild — isolates the sorted-runs insert path
-/// (logarithmic merge; each batch lands as its own run instead of a
-/// full O(N) merge into one vector).
-fn run_value_insert(stream: &Stream) -> (f64, usize) {
-    let mut acc = Relation::from_values(schema(), stream.base.clone()).expect("valid base");
-    let mut appended = 0usize;
-    let start = Instant::now();
-    for batch in &stream.batches {
-        appended += acc.insert_batch(batch).expect("valid stream");
-    }
-    (start.elapsed().as_nanos() as f64, appended)
+    (start.elapsed().as_nanos() as f64, len - base_len, oracle)
 }
 
 fn run_streaming_experiment(_c: &mut Criterion) {
     let mut best_inc = f64::INFINITY;
     let mut best_reb = f64::INFINITY;
-    let mut best_val = f64::INFINITY;
     let mut counters: Option<(u64, u64, u64)> = None;
     for episode in 0..EPISODES {
         let stream = make_stream(0xE17 + episode as u64);
         let (inc_ns, inc_rows, inc_oracle) = run_incremental(&stream);
         let (reb_ns, reb_rows, reb_oracle) = run_rebuild(&stream);
-        let (val_ns, val_rows) = run_value_insert(&stream);
         assert_eq!(inc_rows, reb_rows, "both strategies saw the same stream");
-        assert_eq!(val_rows, reb_rows, "value layer saw the same stream");
         assert!(inc_rows > 0);
 
         // Correctness anchor: the streamed oracle answers exactly like
@@ -235,7 +217,6 @@ fn run_streaming_experiment(_c: &mut Criterion) {
         }
         best_inc = best_inc.min(inc_ns / inc_rows as f64);
         best_reb = best_reb.min(reb_ns / reb_rows as f64);
-        best_val = best_val.min(val_ns / val_rows as f64);
         if counters.is_none() {
             counters = Some((
                 inc_oracle.monotone_shortcut_hits(),
@@ -251,10 +232,6 @@ fn run_streaming_experiment(_c: &mut Criterion) {
     criterion::record_metric(
         "e17_streaming_append/amortized_ns_per_row/full_rebuild",
         best_reb,
-    );
-    criterion::record_metric(
-        "e17_streaming_append/amortized_ns_per_row/value_insert_sorted_runs",
-        best_val,
     );
     criterion::record_metric(
         "e17_streaming_append/speedup_incremental",

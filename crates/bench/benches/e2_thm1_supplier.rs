@@ -14,14 +14,13 @@ fn bench(c: &mut Criterion) {
         let a: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
         let b: Vec<bool> = (0..n).map(|i| i % 2 == 1).collect();
         let m = disjointness_module(n, &a, &b);
-        let rows: Vec<Vec<u32>> = m
-            .relation()
+        let relation = m.relation();
+        let rows: Vec<Vec<u32>> = relation
             .rows()
             .iter()
             .map(|t| t.values()[..3].to_vec())
             .collect();
-        let lookup: HashMap<Vec<u32>, Vec<u32>> = m
-            .relation()
+        let lookup: HashMap<Vec<u32>, Vec<u32>> = relation
             .rows()
             .iter()
             .map(|t| (t.values()[..3].to_vec(), vec![t.values()[3]]))

@@ -1,9 +1,9 @@
-//! Prints every quality-metric experiment table (E1–E14 of DESIGN.md's
-//! index). The numbers recorded in EXPERIMENTS.md come from this
-//! binary:
+//! Prints every quality-metric experiment table (E1–E15). The output
+//! is deterministic and committed as `crates/bench/experiments.txt`;
+//! CI diffs a fresh run against it:
 //!
 //! ```sh
-//! cargo run --release -p sv-bench --bin experiments
+//! cargo run --release -p sv-bench --bin experiments | diff -u crates/bench/experiments.txt -
 //! ```
 
 fn main() {

@@ -1,8 +1,9 @@
-//! Quality-metric experiments backing EXPERIMENTS.md.
+//! Quality-metric experiments E1–E15, whose output is committed as
+//! `crates/bench/experiments.txt`.
 //!
-//! Each function regenerates one experiment of DESIGN.md's index and
-//! returns printable table rows; `src/bin/experiments.rs` runs them
-//! all. Runtime-scaling counterparts live in `benches/`.
+//! Each function regenerates one experiment and returns printable
+//! table rows; `src/bin/experiments.rs` runs them all. Runtime-scaling
+//! counterparts live in `benches/`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,18 +88,17 @@ pub fn e2_thm1_calls() -> Vec<String> {
         b_hit[n / 2] = true; // common element at the median position
         let run = |bb: &Vec<bool>| {
             let m = disjointness_module(n, &a, bb);
+            let relation = m.relation();
             // Stream rows in id order (the natural supplier order), so
             // an intersecting instance can accept as soon as the second
             // distinct y value appears.
-            let mut rows: Vec<Vec<u32>> = m
-                .relation()
+            let mut rows: Vec<Vec<u32>> = relation
                 .rows()
                 .iter()
                 .map(|t| t.values()[..3].to_vec())
                 .collect();
             rows.sort_by_key(|r| r[2]);
-            let lookup: HashMap<Vec<u32>, Vec<u32>> = m
-                .relation()
+            let lookup: HashMap<Vec<u32>, Vec<u32>> = relation
                 .rows()
                 .iter()
                 .map(|t| (t.values()[..3].to_vec(), vec![t.values()[3]]))

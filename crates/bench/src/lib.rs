@@ -1,10 +1,10 @@
 //! # sv-bench — benchmark harness for `secure-view`
 //!
-//! One Criterion bench per experiment of DESIGN.md's experiment index
-//! (runtime scaling), plus the [`experiments`] support code backing
+//! One Criterion bench per runtime-scaling experiment (`benches/`),
+//! plus the [`experiments`] support code backing
 //! `src/bin/experiments.rs`, which prints the quality tables
-//! (approximation ratios, oracle-call counts, world counts) recorded in
-//! EXPERIMENTS.md, and the [`baseline`] comparison logic behind
+//! (approximation ratios, oracle-call counts, world counts) committed
+//! as `crates/bench/experiments.txt`, and the [`baseline`] comparison logic behind
 //! `src/bin/bench_gate.rs`, the CI bench-regression gate over the
 //! committed `BENCH_*.json` files.
 

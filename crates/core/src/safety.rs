@@ -110,7 +110,7 @@ use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard};
-use sv_relation::AttrSet;
+use sv_relation::{AttrSet, Relation};
 use sv_workflow::{ModuleId, Workflow};
 
 /// Number of lock shards in the memoized oracle's level caches.
@@ -236,16 +236,23 @@ impl SafetyOracle for KernelOracle<'_> {
 /// The row-at-a-time seed semantics as an oracle — the executable
 /// specification ([`sv_relation::ops::reference`]) and the benchmark
 /// baseline the interned kernel is measured against.
+///
+/// [`new`](Self::new) materializes the module's rows once as a
+/// canonical [`Relation`]; every probe then groups those rows afresh
+/// (`HashMap<Tuple, _>` per visible-input value), touching neither the
+/// kernel's groupings nor any memo.
 pub struct NaiveOracle {
     module: StandaloneModule,
+    relation: Relation,
     calls: AtomicU64,
 }
 
 impl NaiveOracle {
-    /// Wraps `module`.
+    /// Wraps `module`, materializing its relation.
     #[must_use]
     pub fn new(module: StandaloneModule) -> Self {
         Self {
+            relation: module.relation(),
             module,
             calls: AtomicU64::new(0),
         }
@@ -259,7 +266,17 @@ impl SafetyOracle for NaiveOracle {
 
     fn privacy_level(&self, visible: &AttrSet) -> u128 {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        self.module.privacy_level_naive(visible)
+        let m = &self.module;
+        let h = m.schema().domain_product(&m.outputs().difference(visible));
+        sv_relation::ops::reference::group_count_distinct(
+            &self.relation,
+            &m.inputs().intersection(visible),
+            &m.outputs().intersection(visible),
+        )
+        .values()
+        .map(|&d| (d as u128).saturating_mul(h))
+        .min()
+        .unwrap_or(u128::MAX)
     }
 
     fn calls(&self) -> u64 {
@@ -1364,19 +1381,19 @@ mod tests {
         )
         .unwrap();
         let mut memo = MemoSafetyOracle::new(streamed.clone());
-        for (step, row) in m1_rows().into_iter().enumerate() {
-            streamed
-                .append_execution(std::slice::from_ref(&row))
-                .unwrap();
-            memo.append_execution(&[row]).unwrap();
+        let rows = m1_rows();
+        for (step, row) in rows.iter().enumerate() {
+            let one = std::slice::from_ref(row);
+            assert_eq!(streamed.append_execution(one).unwrap(), 1);
+            assert_eq!(memo.append_execution(one).unwrap(), 1);
             assert_eq!(memo.relation_epoch(), (step + 1) as u64);
-            // Prefix-built module from scratch = the streamed one.
-            let prefix = StandaloneModule::new(
-                streamed.relation().clone(),
-                streamed.inputs().clone(),
-                streamed.outputs().clone(),
-            )
-            .unwrap();
+            // A module built from scratch over the rows sent so far =
+            // the streamed one.
+            let sent = Relation::from_rows(full.schema().clone(), rows[..=step].to_vec()).unwrap();
+            assert_eq!(streamed.relation(), sent, "step={step}");
+            assert_eq!(memo.module().relation(), sent, "step={step}");
+            let prefix =
+                StandaloneModule::new(sent, full.inputs().clone(), full.outputs().clone()).unwrap();
             for mask in 0u32..(1 << 5) {
                 let v = AttrSet::from_word(u64::from(mask));
                 assert_eq!(
@@ -1501,37 +1518,43 @@ mod tests {
             let o = oracles.oracle(ModuleId(0)).unwrap();
             assert_eq!(o.privacy_level(&AttrSet::new()), u128::MAX);
         }
-        // Ingest every execution of the workflow's input space.
+        // Ingest every execution of the workflow's input space. After
+        // each one, the streamed oracles agree with modules batch-built
+        // from the same observed provenance: each module's projection
+        // of the rows sent. (They need *not* agree with the full-domain
+        // materialization of `for_workflow`: streaming records only
+        // executions that actually happened.)
         let mut total = 0;
-        for x0 in 0..2u32 {
-            for x1 in 0..2u32 {
-                let row = w.run(&[x0, x1]).unwrap();
-                total += oracles.ingest_batch(&IngestBatch::new(vec![row])).unwrap();
+        let mut sent = Vec::new();
+        for x in [[0, 0], [0, 1], [1, 0], [1, 1]] {
+            let row = w.run(&x).unwrap();
+            sent.push(row.clone());
+            total += oracles.ingest_batch(&IngestBatch::new(vec![row])).unwrap();
+            for id in oracles.module_ids() {
+                let streamed = oracles.oracle(id).unwrap();
+                let attrs = w.module(id).unwrap().attr_set();
+                let projected = sent.iter().map(|t| t.project(&attrs)).collect();
+                let expected = Relation::from_rows(streamed.module().schema().clone(), projected);
+                let expected = expected.unwrap();
+                assert_eq!(streamed.module().relation(), expected, "module {id:?}");
+                let rebuilt = StandaloneModule::new(
+                    expected,
+                    streamed.module().inputs().clone(),
+                    streamed.module().outputs().clone(),
+                )
+                .unwrap();
+                let k = rebuilt.k();
+                for mask in 0u64..(1 << k) {
+                    let v = AttrSet::from_word(mask);
+                    assert_eq!(
+                        streamed.privacy_level(&v),
+                        rebuilt.privacy_level(&v),
+                        "module {id:?} mask {mask:#b}"
+                    );
+                }
             }
         }
         assert!(total > 0);
-        // Streamed oracles agree with modules batch-built from the same
-        // observed provenance. (They need *not* agree with the
-        // full-domain materialization of `for_workflow`: streaming
-        // records only executions that actually happened.)
-        for id in oracles.module_ids() {
-            let streamed = oracles.oracle(id).unwrap();
-            let rebuilt = StandaloneModule::new(
-                streamed.module().relation().clone(),
-                streamed.module().inputs().clone(),
-                streamed.module().outputs().clone(),
-            )
-            .unwrap();
-            let k = rebuilt.k();
-            for mask in 0u64..(1 << k) {
-                let v = AttrSet::from_word(mask);
-                assert_eq!(
-                    streamed.privacy_level(&v),
-                    rebuilt.privacy_level(&v),
-                    "module {id:?} mask {mask:#b}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::error::CoreError;
 use std::sync::Arc;
-use sv_relation::{ops, AttrSet, Fd, InternedRelation, Relation, Schema, Tuple, Value};
+use sv_relation::{AttrSet, Fd, InternedRelation, Relation, Schema, Tuple, Value};
 use sv_workflow::{ModuleId, Workflow};
 
 /// Maximum `k = |I| + |O|` supported by dense subset enumeration.
@@ -35,16 +35,14 @@ pub const MAX_DENSE_ATTRS: usize = 28;
 /// sub-schema), not to any enclosing workflow; see
 /// [`crate::compose::ModuleLens`] for the translation.
 ///
-/// Alongside the canonical [`Relation`], the module holds the
-/// [`InternedRelation`] kernel view (shared through an `Arc`, so clones
-/// share warm group caches). All safety probes run on the kernel; the
-/// row-at-a-time seed semantics remain available as
-/// [`privacy_level_naive`](Self::privacy_level_naive) /
-/// [`is_safe_naive`](Self::is_safe_naive) for property tests and
-/// benchmark baselines.
+/// The module keeps its rows in one store, the [`InternedRelation`]
+/// kernel (shared through an `Arc`, so clones share warm group caches).
+/// Every safety probe and every streaming append runs on it;
+/// [`relation`](Self::relation) materializes the rows as a canonical
+/// [`Relation`] for the row-at-a-time callers (possible worlds and the
+/// reference [`crate::safety::NaiveOracle`]).
 #[derive(Clone, Debug)]
 pub struct StandaloneModule {
-    relation: Relation,
     inputs: AttrSet,
     outputs: AttrSet,
     kernel: Arc<InternedRelation>,
@@ -57,28 +55,36 @@ impl StandaloneModule {
     /// # Errors
     /// [`CoreError::BadAttributeSplit`] or [`CoreError::NotAFunction`].
     pub fn new(relation: Relation, inputs: AttrSet, outputs: AttrSet) -> Result<Self, CoreError> {
+        Self::checked(InternedRelation::from_relation(&relation), inputs, outputs)
+    }
+
+    /// Wraps a kernel of distinct rows after the split check and the FD
+    /// check shared by [`new`](Self::new) and
+    /// [`from_recovered`](Self::from_recovered). The rows are distinct,
+    /// so `I -> O` holds iff the `I` grouping has one group per row.
+    fn checked(
+        kernel: InternedRelation,
+        inputs: AttrSet,
+        outputs: AttrSet,
+    ) -> Result<Self, CoreError> {
         if !inputs.is_disjoint(&outputs) {
             return Err(CoreError::BadAttributeSplit {
                 reason: "inputs and outputs overlap".into(),
             });
         }
-        let all = inputs.union(&outputs);
-        if all != relation.schema().all_attrs() {
+        if inputs.union(&outputs) != kernel.schema().all_attrs() {
             return Err(CoreError::BadAttributeSplit {
                 reason: "inputs ∪ outputs must cover the schema".into(),
             });
         }
-        let kernel = Arc::new(InternedRelation::from_relation(&relation));
-        let m = Self {
-            relation,
-            inputs,
-            outputs,
-            kernel,
-        };
-        if !m.relation.satisfies(&m.fd()) {
+        if kernel.group_index(&inputs).n_groups as usize != kernel.n_rows() {
             return Err(CoreError::NotAFunction);
         }
-        Ok(m)
+        Ok(Self {
+            inputs,
+            outputs,
+            kernel: Arc::new(kernel),
+        })
     }
 
     /// Extracts module `id` of `workflow` as a standalone module by
@@ -145,10 +151,12 @@ impl StandaloneModule {
         Ok((inputs, outputs))
     }
 
-    /// The module relation `R`.
+    /// The module relation `R`, materialized from the kernel
+    /// ([`InternedRelation::to_relation`]): a fresh canonical copy of
+    /// every recorded row, `O(rows log rows)` per call.
     #[must_use]
-    pub fn relation(&self) -> &Relation {
-        &self.relation
+    pub fn relation(&self) -> Relation {
+        self.kernel.to_relation()
     }
 
     /// The interned columnar kernel view of `R` (shared across clones).
@@ -160,7 +168,7 @@ impl StandaloneModule {
     /// The relation's schema.
     #[must_use]
     pub fn schema(&self) -> &Schema {
-        self.relation.schema()
+        self.kernel.schema()
     }
 
     /// Input attributes `I`.
@@ -200,11 +208,10 @@ impl StandaloneModule {
     /// Appends newly observed executions (full rows over the module
     /// sub-schema) to the relation, **incrementally**: the interned
     /// kernel extends its column store and every warm [`sv_relation::
-    /// GroupIndex`] in place (see [`InternedRelation::append_rows`]),
-    /// and the canonical [`Relation`] merges the batch in one sorted
-    /// pass. Duplicate executions are dropped (set semantics); the
-    /// module FD `I -> O` is enforced *before* any mutation, so on
-    /// error the module is unchanged.
+    /// GroupIndex`] in place (see [`InternedRelation::append_rows`]).
+    /// Duplicate executions are dropped (set semantics); the module FD
+    /// `I -> O` is enforced *before* any mutation, so on error the
+    /// module is unchanged.
     ///
     /// Returns the number of genuinely new rows.
     ///
@@ -233,18 +240,12 @@ impl StandaloneModule {
     /// ```
     pub fn append_execution(&mut self, rows: &[Tuple]) -> Result<usize, CoreError> {
         self.validate_executions(rows)?;
-        // Nothing can fail past this point: apply to both layers.
-        // Clones of this module share the kernel through the `Arc`;
-        // copy-on-write keeps their view frozen at their epoch.
-        let added = Arc::make_mut(&mut self.kernel)
+        // Nothing can fail past this point. Clones of this module share
+        // the kernel through the `Arc`; copy-on-write keeps their view
+        // frozen at their epoch.
+        Ok(Arc::make_mut(&mut self.kernel)
             .append_rows(rows)
-            .expect("rows validated above");
-        let merged = self
-            .relation
-            .insert_batch(rows)
-            .expect("rows validated above");
-        debug_assert_eq!(added, merged, "kernel and value layer agree");
-        Ok(added)
+            .expect("rows validated above"))
     }
 
     /// The checks [`append_execution`](Self::append_execution) runs
@@ -266,8 +267,8 @@ impl StandaloneModule {
         // Arity/domains first (the kernel would also catch this, but
         // only after the FD pass below touched group caches).
         for (i, t) in rows.iter().enumerate() {
-            self.relation
-                .validate(t)
+            self.schema()
+                .check_row(t)
                 .map_err(|e| CoreError::from(e).at_row(i))?;
         }
         // FD precheck: each row's outputs must agree with the recorded
@@ -304,9 +305,9 @@ impl StandaloneModule {
     /// `rows` is the kernel column store **in arrival order** and
     /// `epoch` the recorded generation counter (which, after
     /// compactions, need not equal the row count). The kernel is
-    /// rebuilt via [`InternedRelation::from_ordered_rows`] and the
-    /// value layer from the same rows, so the result is logically
-    /// identical to the uninterrupted module — cold caches aside.
+    /// rebuilt via [`InternedRelation::from_ordered_rows`], so the
+    /// result is logically identical to the uninterrupted module — cold
+    /// caches aside.
     ///
     /// # Errors
     /// [`CoreError::BadAttributeSplit`] / [`CoreError::NotAFunction`]
@@ -320,11 +321,8 @@ impl StandaloneModule {
         rows: &[Tuple],
         epoch: u64,
     ) -> Result<Self, CoreError> {
-        let kernel = InternedRelation::from_ordered_rows(schema.clone(), rows, epoch)?;
-        let relation = Relation::from_rows(schema, rows.to_vec())?;
-        let mut m = Self::new(relation, inputs, outputs)?;
-        m.kernel = Arc::new(kernel);
-        Ok(m)
+        let kernel = InternedRelation::from_ordered_rows(schema, rows, epoch)?;
+        Self::checked(kernel, inputs, outputs)
     }
 
     /// **Γ-standalone-privacy test** (Definition 2), decided by the exact
@@ -393,7 +391,7 @@ impl StandaloneModule {
         enough: u128,
         min_group_distinct: impl FnOnce(&AttrSet, &AttrSet) -> usize,
     ) -> u128 {
-        if self.relation.is_empty() {
+        if self.kernel.n_rows() == 0 {
             return u128::MAX;
         }
         let h = self
@@ -407,33 +405,6 @@ impl StandaloneModule {
             &self.outputs.intersection(visible),
         );
         (d as u128).saturating_mul(h)
-    }
-
-    /// Row-at-a-time privacy level — the seed semantics
-    /// ([`ops::reference`]), kept as the executable specification for
-    /// property tests and as the benchmark baseline for the kernel.
-    #[must_use]
-    pub fn privacy_level_naive(&self, visible: &AttrSet) -> u128 {
-        if self.relation.is_empty() {
-            return u128::MAX;
-        }
-        let vis_in = self.inputs.intersection(visible);
-        let vis_out = self.outputs.intersection(visible);
-        let hidden_out = self.outputs.difference(visible);
-        let h = self.schema().domain_product(&hidden_out);
-        let counts = ops::reference::group_count_distinct(&self.relation, &vis_in, &vis_out);
-        counts
-            .values()
-            .map(|&d| (d as u128).saturating_mul(h))
-            .min()
-            .unwrap_or(u128::MAX)
-    }
-
-    /// Row-at-a-time safety test (seed semantics; see
-    /// [`privacy_level_naive`](Self::privacy_level_naive)).
-    #[must_use]
-    pub fn is_safe_naive(&self, visible: &AttrSet, gamma: u128) -> bool {
-        gamma <= 1 || self.privacy_level_naive(visible) >= gamma
     }
 
     /// Standalone **Secure-View**: minimum-cost hidden subset `V̄` such
@@ -498,28 +469,10 @@ impl StandaloneModule {
         crate::sweep::minimal_sets_sweep(self, gamma, config)
     }
 
-    /// The actual output `m(x)` recorded in `R` for input `x`, if any.
-    #[must_use]
-    pub fn output_for(&self, x: &Tuple) -> Option<Tuple> {
-        self.relation
-            .rows()
-            .iter()
-            .find(|t| &t.project(&self.inputs) == x)
-            .map(|t| t.project(&self.outputs))
-    }
-
-    /// All distinct inputs `π_I(R)`.
+    /// All distinct inputs `π_I(R)`, in canonical order.
     #[must_use]
     pub fn input_tuples(&self) -> Vec<Tuple> {
-        let mut v: Vec<Tuple> = self
-            .relation
-            .rows()
-            .iter()
-            .map(|t| t.project(&self.inputs))
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        self.kernel.project(&self.inputs).rows().to_vec()
     }
 
     /// Dense enumeration of the full input domain `Dom = ∏_{a∈I} Δ_a`
@@ -720,11 +673,8 @@ mod tests {
     }
 
     #[test]
-    fn output_for_and_inputs() {
+    fn inputs_domain_and_range() {
         let m = m1();
-        let y = m.output_for(&Tuple::new(vec![0, 0])).unwrap();
-        assert_eq!(y, Tuple::new(vec![0, 1, 1]));
-        assert!(m.output_for(&Tuple::new(vec![9, 9])).is_none());
         assert_eq!(m.input_tuples().len(), 4);
         assert_eq!(m.input_domain().len(), 4);
         assert_eq!(m.output_range().len(), 8);
@@ -733,7 +683,7 @@ mod tests {
     #[test]
     fn rejects_bad_splits() {
         let m = m1();
-        let r = m.relation().clone();
+        let r = m.relation();
         let err = StandaloneModule::new(
             r.clone(),
             AttrSet::from_indices(&[0, 1]),
@@ -757,6 +707,56 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::NotAFunction));
+    }
+
+    #[test]
+    fn from_recovered_reports_every_documented_error() {
+        let m = m1();
+        let rows = m.relation().rows().to_vec();
+        let recover = |rows: &[Tuple], inputs: &[u32], outputs: &[u32]| {
+            StandaloneModule::from_recovered(
+                m.schema().clone(),
+                AttrSet::from_indices(inputs),
+                AttrSet::from_indices(outputs),
+                rows,
+                7,
+            )
+        };
+        // The valid store comes back in arrival order, at its epoch.
+        let mut arrival = rows.clone();
+        arrival.reverse();
+        let ok = recover(&arrival, &[0, 1], &[2, 3, 4]).unwrap();
+        assert_eq!((ok.epoch(), ok.relation()), (7, m.relation()));
+        assert_eq!(ok.kernel().value(0, sv_relation::AttrId(0)), 1);
+        // Overlapping, then non-covering splits.
+        for (inputs, outputs) in [(&[0u32, 1][..], &[1u32, 2, 3, 4][..]), (&[0], &[2, 3, 4])] {
+            let err = recover(&rows, inputs, outputs).unwrap_err();
+            assert!(
+                matches!(err, CoreError::BadAttributeSplit { .. }),
+                "{err:?}"
+            );
+        }
+        // a5 -> rest is not a function.
+        let err = recover(&rows, &[4], &[0, 1, 2, 3]).unwrap_err();
+        assert_eq!(err, CoreError::NotAFunction);
+        // With I = ∅ all rows share the one (empty) input, so two
+        // distinct rows are not a function, through `new` too; one is.
+        let all = [0, 1, 2, 3, 4];
+        assert_eq!(
+            recover(&rows, &[], &all).unwrap_err(),
+            CoreError::NotAFunction
+        );
+        let err = StandaloneModule::new(m.relation(), AttrSet::new(), AttrSet::full(5));
+        assert_eq!(err.unwrap_err(), CoreError::NotAFunction);
+        assert_eq!(recover(&rows[..1], &[], &all).unwrap().relation().len(), 1);
+        // A repeated row is corruption, reported at its position.
+        let mut repeated = rows.clone();
+        repeated.insert(2, rows[0].clone());
+        let err = recover(&repeated, &[0, 1], &[2, 3, 4]).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Relation(sv_relation::RelationError::DuplicateRow { row: 2 })
+        );
     }
 
     #[test]

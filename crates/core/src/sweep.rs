@@ -1472,11 +1472,28 @@ mod tests {
         assert_eq!(sets, vec![AttrSet::new()]);
         assert_eq!(sweeper.sweeps_performed(), 1);
 
+        // Each module's projection of the rows sent: what its streamed
+        // store must hold after every ingest.
+        let expected_rows = |id: ModuleId, sent: &[Tuple]| {
+            let attrs = w.module(id).unwrap().attr_set();
+            let o = sweeper.oracles().oracle(id).unwrap();
+            let projected = sent.iter().map(|t| t.project(&attrs)).collect();
+            let expected =
+                sv_relation::Relation::from_rows(o.module().schema().clone(), projected).unwrap();
+            assert_eq!(o.module().relation(), expected, "module {id:?}");
+            expected
+        };
+
         // Stream the four executions of the Figure-1 input space.
+        let mut sent = Vec::new();
         for x0 in 0..2u32 {
             for x1 in 0..2u32 {
                 let row = w.run(&[x0, x1]).unwrap();
                 assert!(ingest(&row) > 0);
+                sent.push(row);
+                for &id in &ids {
+                    expected_rows(id, &sent);
+                }
             }
         }
         for &id in &ids {
@@ -1501,14 +1518,10 @@ mod tests {
         // same observed provenance.
         for &id in &ids {
             let rebuilt = {
+                let expected = expected_rows(id, &sent);
                 let o = sweeper.oracles().oracle(id).unwrap();
                 let m = o.module();
-                StandaloneModule::new(
-                    m.relation().clone(),
-                    m.inputs().clone(),
-                    m.outputs().clone(),
-                )
-                .unwrap()
+                StandaloneModule::new(expected, m.inputs().clone(), m.outputs().clone()).unwrap()
             };
             let (streamed, _) = sweeper.module_minimal_sets(id, 4).unwrap();
             assert_eq!(streamed, rebuilt.minimal_safe_hidden_sets(4).unwrap());

@@ -231,7 +231,7 @@ mod tests {
         let worlds = enumerate_worlds(&m, &v, 1 << 30).unwrap();
         assert_eq!(worlds.len(), 64);
         // The true relation is among them (R1 ∈ Worlds(R1,V)).
-        assert!(worlds.iter().any(|w| w == m.relation()));
+        assert!(worlds.contains(&m.relation()));
         // Every world satisfies the FD.
         for w in &worlds {
             assert!(w.satisfies(&m.fd()));

@@ -23,6 +23,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use sv_core::safety::{IngestBatch, NaiveOracle, ProbeRequest, WorkflowOracles};
 use sv_core::{CoreError, MemoSafetyOracle, SafetyOracle, StandaloneModule};
 use sv_relation::{AttrDef, AttrSet, Domain, Relation, Schema, Tuple};
@@ -72,7 +73,13 @@ fn concurrent_memo_probes_match_naive_across_appends() {
     for trial in 0..8 {
         let (schema, inputs, outputs, rows) = random_module_stream(&mut rng, 7, 40);
         let split = 1 + rows.len() / 2;
-        let base = Relation::from_rows(schema.clone(), rows[..split].to_vec()).unwrap();
+        // The rows sent so far: the naive reference is built from these,
+        // not from the memo's own row store.
+        let mut model: BTreeSet<Tuple> = rows[..split].iter().cloned().collect();
+        let model_relation = |model: &BTreeSet<Tuple>| {
+            Relation::from_rows(schema.clone(), model.iter().cloned().collect()).unwrap()
+        };
+        let base = model_relation(&model);
         let mut memo = MemoSafetyOracle::new(
             StandaloneModule::new(base, inputs.clone(), outputs.clone()).unwrap(),
         );
@@ -127,14 +134,11 @@ fn concurrent_memo_probes_match_naive_across_appends() {
                         .collect();
                     handles.into_iter().map(|h| h.join().unwrap()).collect()
                 });
-                // Naive reference over the module's current rows.
+                // Naive reference over every row sent so far.
+                let expected = model_relation(&model);
+                assert_eq!(memo.module().relation(), expected, "trial {trial}");
                 let naive = NaiveOracle::new(
-                    StandaloneModule::new(
-                        memo.module().relation().clone(),
-                        inputs.clone(),
-                        outputs.clone(),
-                    )
-                    .unwrap(),
+                    StandaloneModule::new(expected, inputs.clone(), outputs.clone()).unwrap(),
                 );
                 for (t, stream) in streams[..threads].iter().enumerate() {
                     for (i, &(w, gamma)) in stream.iter().enumerate() {
@@ -150,7 +154,10 @@ fn concurrent_memo_probes_match_naive_across_appends() {
                 break;
             }
             let end = (upto + 2).min(rows.len());
-            memo.append_execution(&rows[upto..end]).unwrap();
+            let batch = &rows[upto..end];
+            let before = model.len();
+            model.extend(batch.iter().cloned());
+            assert_eq!(memo.append_execution(batch).unwrap(), model.len() - before);
             upto = end;
         }
     }

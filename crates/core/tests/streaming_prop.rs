@@ -5,10 +5,16 @@
 //! oracles and sweeps built from scratch over the same observed
 //! provenance — and with the row-at-a-time naive reference, on modules
 //! wider than one 64-bit word too.
+//!
+//! Every reference is built from the rows the test itself sent (a
+//! `BTreeSet` model of the accepted batches), never from the streamed
+//! module's own row store, so a store that loses or invents a row
+//! shows up as a divergence.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use sv_core::safety::{self, KernelOracle, NaiveOracle, SafetyOracle};
 use sv_core::sweep::{min_cost_sweep, minimal_sets_sweep, SweepConfig};
 use sv_core::{CoreError, MemoSafetyOracle, StandaloneModule};
@@ -42,6 +48,11 @@ fn random_executions(rng: &mut StdRng) -> (Schema, AttrSet, AttrSet, Vec<Tuple>)
     (schema, inputs, outputs, rows)
 }
 
+/// The relation the accepted batches describe.
+fn model_relation(schema: &Schema, model: &BTreeSet<Tuple>) -> Relation {
+    Relation::from_rows(schema.clone(), model.iter().cloned().collect()).unwrap()
+}
+
 #[test]
 fn streamed_oracle_matches_fresh_oracles_after_every_batch() {
     let mut rng = StdRng::seed_from_u64(0x057A_EA11);
@@ -55,24 +66,33 @@ fn streamed_oracle_matches_fresh_oracles_after_every_batch() {
         )
         .unwrap();
         let mut memo = MemoSafetyOracle::new(streamed.clone());
+        let mut model: BTreeSet<Tuple> = BTreeSet::new();
         let mut step = 0usize;
         while !rows.is_empty() {
             let take = rng.gen_range(1usize..4).min(rows.len());
             let mut batch: Vec<Tuple> = rows.drain(..take).collect();
             // Sprinkle duplicates of already-streamed executions.
-            if !streamed.relation().is_empty() && rng.gen_range(0u32..2) == 0 {
-                let r = streamed.relation().rows();
-                batch.push(r[rng.gen_range(0usize..r.len())].clone());
+            if !model.is_empty() && rng.gen_range(0u32..2) == 0 {
+                let dup = model.iter().nth(rng.gen_range(0usize..model.len()));
+                batch.push(dup.unwrap().clone());
             }
-            streamed.append_execution(&batch).unwrap();
-            memo.append_execution(&batch).unwrap();
+            let before = model.len();
+            model.extend(batch.iter().cloned());
+            let grown = model.len() - before;
+            assert_eq!(streamed.append_execution(&batch).unwrap(), grown);
+            assert_eq!(memo.append_execution(&batch).unwrap(), grown);
             assert_eq!(memo.relation_epoch(), streamed.epoch());
+            let expected = model_relation(&schema, &model);
+            assert_eq!(streamed.relation(), expected, "case {case} step {step}");
+            assert_eq!(
+                memo.module().relation(),
+                expected,
+                "case {case} step {step}"
+            );
 
             // Ground truth: oracles over a module built from scratch on
             // the same observed provenance.
-            let rebuilt =
-                StandaloneModule::new(streamed.relation().clone(), inputs.clone(), outputs.clone())
-                    .unwrap();
+            let rebuilt = StandaloneModule::new(expected, inputs.clone(), outputs.clone()).unwrap();
             let naive = NaiveOracle::new(rebuilt.clone());
             let kernel = KernelOracle::new(&rebuilt);
             for mask in 0u64..(1 << 4) {
@@ -108,13 +128,15 @@ fn streamed_sweeps_match_sweeps_over_rebuilt_modules() {
         )
         .unwrap();
         let costs = vec![3u64, 1, 4, 1];
+        let mut model: BTreeSet<Tuple> = BTreeSet::new();
         while !rows.is_empty() {
             let take = rng.gen_range(1usize..5).min(rows.len());
             let batch: Vec<Tuple> = rows.drain(..take).collect();
-            streamed.append_execution(&batch).unwrap();
-            let rebuilt =
-                StandaloneModule::new(streamed.relation().clone(), inputs.clone(), outputs.clone())
-                    .unwrap();
+            assert_eq!(streamed.append_execution(&batch).unwrap(), batch.len());
+            model.extend(batch);
+            let expected = model_relation(&schema, &model);
+            assert_eq!(streamed.relation(), expected);
+            let rebuilt = StandaloneModule::new(expected, inputs.clone(), outputs.clone()).unwrap();
             for gamma in [2u128, 4] {
                 for threads in [1usize, 3] {
                     let cfg = SweepConfig::parallel(threads);
@@ -145,7 +167,7 @@ fn fd_violations_and_bad_rows_are_rejected_atomically() {
     let (schema, inputs, outputs, rows) = random_executions(&mut rng);
     let mut m = StandaloneModule::new(Relation::empty(schema), inputs, outputs).unwrap();
     m.append_execution(&rows[..2]).unwrap();
-    let snapshot = m.relation().clone();
+    let snapshot = m.relation();
     let epoch = m.epoch();
 
     // Contradicting output for a recorded input. `(v + 1) % 2` always
@@ -175,7 +197,7 @@ fn fd_violations_and_bad_rows_are_rejected_atomically() {
         matches!(err, CoreError::RowRejected { index: 0, ref source } if matches!(**source, CoreError::Relation(_)))
     );
 
-    assert_eq!(m.relation(), &snapshot, "nothing landed");
+    assert_eq!(m.relation(), snapshot, "nothing landed");
     assert_eq!(m.epoch(), epoch);
 }
 
@@ -199,11 +221,14 @@ fn wide_streamed_oracle_matches_naive() {
     let names: Vec<String> = (0..70).map(|i| format!("a{i}")).collect();
     let names: Vec<&str> = names.iter().map(String::as_str).collect();
     let inputs: Vec<u64> = (0..36).map(|_| rng.gen_range(0..1u64 << 35)).collect();
-    let rel = Relation::from_rows(Schema::booleans(&names), wide_rows(&inputs[..24])).unwrap();
-    let all = AttrSet::full(70);
-    let m =
-        StandaloneModule::new(rel, AttrSet::full(35), all.difference(&AttrSet::full(35))).unwrap();
-    let mut memo = MemoSafetyOracle::new(m);
+    let schema = Schema::booleans(&names);
+    let (ins, outs) = (
+        AttrSet::full(35),
+        AttrSet::full(70).difference(&AttrSet::full(35)),
+    );
+    let mut model: BTreeSet<Tuple> = wide_rows(&inputs[..24]).into_iter().collect();
+    let m = StandaloneModule::new(model_relation(&schema, &model), ins.clone(), outs.clone());
+    let mut memo = MemoSafetyOracle::new(m.unwrap());
     // Visible sets of every density, so levels span 1 to 2^35; every
     // fifth shows no input, a grouping appends never split.
     let visible: Vec<AttrSet> = (0..48)
@@ -215,8 +240,11 @@ fn wide_streamed_oracle_matches_naive() {
                 .collect()
         })
         .collect();
-    let check = |memo: &MemoSafetyOracle, when: &str| {
-        let naive = NaiveOracle::new(memo.module().clone());
+    let check = |memo: &MemoSafetyOracle, model: &BTreeSet<Tuple>, when: &str| {
+        let expected = model_relation(&schema, model);
+        assert_eq!(memo.module().relation(), expected, "{when}");
+        let naive =
+            NaiveOracle::new(StandaloneModule::new(expected, ins.clone(), outs.clone()).unwrap());
         let mut scratch = Vec::new();
         for v in &visible {
             // Safety first, so that after the append the stale
@@ -236,9 +264,12 @@ fn wide_streamed_oracle_matches_naive() {
             assert_eq!(memo.module().privacy_level(v), level, "{when}: {v:?}");
         }
     };
-    check(&memo, "built");
+    check(&memo, &model, "built");
     assert!(visible.iter().any(|v| v.as_word().is_none()));
-    memo.append_execution(&wide_rows(&inputs[24..])).unwrap();
-    check(&memo, "appended");
+    let batch = wide_rows(&inputs[24..]);
+    let before = model.len();
+    model.extend(batch.iter().cloned());
+    assert_eq!(memo.append_execution(&batch).unwrap(), model.len() - before);
+    check(&memo, &model, "appended");
     assert!(memo.revalidations() > 0 && memo.monotone_shortcut_hits() > 0);
 }

@@ -24,7 +24,8 @@
 //! * **Equivalence** — a recovered tenant's probe answers must equal a
 //!   registry rebuilt from scratch by re-ingesting the expected ledger,
 //!   and both must equal the row-at-a-time reference semantics
-//!   ([`NaiveOracle`]) on the same module rows.
+//!   ([`NaiveOracle`]) over each module's projection of the expected
+//!   ledger, which the recovered module's rows must equal too.
 //!
 //! Schedules include valid rows, duplicate rows (applied, no epoch
 //! bump), FD-violating rows (which reject their **whole frame** before
@@ -37,8 +38,9 @@ use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use sv_core::safety::{IngestBatch, NaiveOracle, ProbeRequest, SafetyOracle};
+use sv_core::StandaloneModule;
 use sv_durable::{DurableRegistry, LogTail, TenantDef, LOG_FILE, SNAPSHOT_FILE};
-use sv_relation::{AttrSet, Tuple};
+use sv_relation::{AttrSet, Relation, Tuple};
 use sv_serve::{AdmissionLimits, Tenant, TenantConfig, TenantId, TenantRegistry};
 use sv_workflow::library::{fig1_workflow, one_one_chain};
 use sv_workflow::Workflow;
@@ -171,10 +173,20 @@ fn assert_state_matches(
         }
         if check_reference {
             // Reference semantics: the row-at-a-time NaiveOracle over
-            // the recovered kernel rows answers identically.
+            // the module's projection of the expected ledger answers
+            // identically, and the recovered rows are exactly those.
+            let sent = &ledgers[i][..expected[i].ledger_len];
             let guard = rt.oracles();
             for (mid, oracle) in guard.iter() {
-                let naive = NaiveOracle::new(oracle.module().clone());
+                let m = oracle.module();
+                let attrs = wf.module(mid).expect("tenant module").attr_set();
+                let projected = sent.iter().map(|t| t.project(&attrs)).collect();
+                let rows = Relation::from_rows(m.schema().clone(), projected).expect("ledger rows");
+                assert_eq!(m.relation(), rows, "{context}: rows of module {mid:?}");
+                let naive = NaiveOracle::new(
+                    StandaloneModule::new(rows, m.inputs().clone(), m.outputs().clone())
+                        .expect("ledger projections are functions"),
+                );
                 for word in [0b0u64, 0b1, 0b11, 0b101, 0b1110] {
                     let v = AttrSet::from_word(word);
                     assert_eq!(

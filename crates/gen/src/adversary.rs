@@ -32,7 +32,8 @@
 //! (a) implement the adversary abstractly ([`AdversarialOracle`]) and
 //! (b) expose the *true* threshold module [`thm3_m1`] with tests of its
 //! actual safety frontier (`h > 3ℓ/4` hidden inputs, or the hidden
-//! output). See EXPERIMENTS.md (E4).
+//! output). Experiment E4 of `crates/bench/experiments.txt` tabulates
+//! both.
 
 use rand::Rng;
 use sv_core::oracle::SafeViewOracle;
@@ -409,14 +410,13 @@ mod tests {
         let m = disjointness_module(n, &a, &b);
         // Stream the actual recorded rows through a supplier that
         // replays the relation (inputs: a, b, id).
-        let rel_rows: Vec<Vec<u32>> = m
-            .relation()
+        let relation = m.relation();
+        let rel_rows: Vec<Vec<u32>> = relation
             .rows()
             .iter()
             .map(|t| t.values()[..3].to_vec())
             .collect();
-        let lookup: std::collections::HashMap<Vec<u32>, Vec<u32>> = m
-            .relation()
+        let lookup: std::collections::HashMap<Vec<u32>, Vec<u32>> = relation
             .rows()
             .iter()
             .map(|t| (t.values()[..3].to_vec(), vec![t.values()[3]]))

@@ -504,22 +504,13 @@ impl InternedRelation {
         rows: &[Tuple],
         epoch: u64,
     ) -> Result<Self, RelationError> {
-        let n_attrs = schema.len();
-        let mut cols: Vec<Vec<Value>> = (0..n_attrs)
+        let mut cols: Vec<Vec<Value>> = (0..schema.len())
             .map(|_| Vec::with_capacity(rows.len()))
             .collect();
         let mut seen: std::collections::HashSet<&[Value]> =
             std::collections::HashSet::with_capacity(rows.len());
-        let probe = Self {
-            schema,
-            n_rows: 0,
-            cols: Vec::new(),
-            epoch,
-            groups: GroupCache::default(),
-            scratch: ScratchPool::new(),
-        };
         for (i, t) in rows.iter().enumerate() {
-            probe.validate_row(t)?;
+            schema.check_row(t)?;
             if !seen.insert(t.values()) {
                 return Err(RelationError::DuplicateRow { row: i });
             }
@@ -528,9 +519,12 @@ impl InternedRelation {
             }
         }
         Ok(Self {
+            schema,
             n_rows: rows.len(),
             cols,
-            ..probe
+            epoch,
+            groups: GroupCache::default(),
+            scratch: ScratchPool::new(),
         })
     }
 
@@ -560,6 +554,19 @@ impl InternedRelation {
     #[must_use]
     pub fn value(&self, row: usize, a: AttrId) -> Value {
         self.cols[a.index()][row]
+    }
+
+    /// Every row as a [`Relation`], read straight from the column store
+    /// (sorted once, as [`Relation::from_rows`] does). Builds and caches
+    /// no grouping: this is how a module that keeps its rows only here
+    /// hands them to the row-at-a-time callers (possible worlds, the
+    /// reference oracle).
+    #[must_use]
+    pub fn to_relation(&self) -> Relation {
+        let rows = (0..self.n_rows)
+            .map(|row| Tuple::new(self.cols.iter().map(|col| col[row]).collect()))
+            .collect();
+        Relation::from_rows(self.schema.clone(), rows).expect("kernel rows are schema-valid")
     }
 
     /// `set` restricted to the schema's attributes — the group cache
@@ -648,28 +655,6 @@ impl InternedRelation {
         }
     }
 
-    /// Validates `t` against the schema (arity and per-attribute domain
-    /// membership) — the same contract [`Relation::from_rows`] enforces.
-    fn validate_row(&self, t: &Tuple) -> Result<(), RelationError> {
-        if t.arity() != self.schema.len() {
-            return Err(RelationError::ArityMismatch {
-                expected: self.schema.len(),
-                got: t.arity(),
-            });
-        }
-        for (a, def) in self.schema.iter() {
-            let v = t.get(a);
-            if !def.domain.contains(v) {
-                return Err(RelationError::ValueOutOfDomain {
-                    attr: def.name.clone(),
-                    value: v,
-                    domain_size: def.domain.size(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Appends `rows` **incrementally**: the column store grows in
     /// place, and every memoized [`GroupIndex`] is *extended* — new
     /// sub-tuples take the next free dense group id — instead of being
@@ -706,7 +691,7 @@ impl InternedRelation {
     /// ```
     pub fn append_rows(&mut self, rows: &[Tuple]) -> Result<usize, RelationError> {
         for t in rows {
-            self.validate_row(t)?;
+            self.schema.check_row(t)?;
         }
         if rows.is_empty() {
             return Ok(0);
@@ -1296,6 +1281,10 @@ mod tests {
             rebuilt.group_count_distinct(&key, &probe)
         );
         assert_eq!(ir.project(&probe), rebuilt.project(&probe));
+        // The materialized rows are canonical and cost no grouping.
+        let cached = ir.cached_groupings();
+        assert_eq!(ir.to_relation(), full);
+        assert_eq!(ir.cached_groupings(), cached);
     }
 
     #[test]

@@ -20,10 +20,13 @@
 //!
 //! The crate is split into two layers:
 //!
-//! 1. **Value layer** — [`Relation`] / [`Tuple`]: canonical sorted row
-//!    storage with set semantics, used for construction, equality, FD
-//!    checking, and the possible-worlds ground truth in `sv-core`.
-//! 2. **Kernel layer** — [`InternedRelation`]: a columnar view that
+//! 1. **Value layer** — [`Relation`] / [`Tuple`]: one sorted,
+//!    duplicate-free row vector built once, used for construction,
+//!    equality, FD checking, and the possible-worlds ground truth in
+//!    `sv-core`.
+//! 2. **Kernel layer** — [`InternedRelation`]: the one row store of a
+//!    module (it grows by streaming appends and materializes a
+//!    [`Relation`] on demand), a columnar view that
 //!    interns projected sub-tuples to dense `u32` ids
 //!    ([`ValueInterner`], [`GroupIndex`]) and memoizes one grouping per
 //!    attribute set. The Lemma-4 probe

@@ -1,68 +1,32 @@
 //! Relations: schema + canonically ordered, duplicate-free rows.
 //!
-//! ## Storage: sorted runs with a lazily merged canonical view
-//!
-//! Internally a [`Relation`] is a stack of sorted, duplicate-free,
-//! pairwise-disjoint **runs** (the logarithmic method): every
-//! [`insert_batch`](Relation::insert_batch) becomes one new run, and
-//! runs of comparable size are merged eagerly so at most `O(log N)`
-//! runs exist and every row participates in `O(log N)` merges over its
-//! lifetime — streaming `N` single-row batches costs `O(N log N)`
-//! total instead of the `O(N²)` a single sorted vector pays (an `O(N)`
-//! merge per batch). Point membership ([`contains`](Relation::contains))
-//! binary-searches each run. The flat canonical row slice
-//! ([`rows`](Relation::rows)) is materialized lazily on first read and
-//! invalidated by the next mutation, so construction-then-read
-//! workloads see exactly the old single-vector behavior.
+//! A [`Relation`] is one sorted, deduplicated row vector, built once by
+//! [`Relation::from_rows`] and never mutated. It is the value form of a
+//! module relation: construction, equality, FD checks and the
+//! possible-worlds ground truth read it. Modules store their rows in
+//! the columnar [`crate::InternedRelation`] kernel, which grows by
+//! streaming appends and materializes a `Relation` on demand
+//! ([`crate::InternedRelation::to_relation`]).
 
-use crate::attrset::AttrSet;
 use crate::error::RelationError;
 use crate::fd::Fd;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// A finite relation over a [`Schema`].
 ///
-/// Rows are kept sorted and deduplicated (as a set of sorted runs, see
-/// the module docs) so two relations over the same schema are equal as
-/// Rust values iff they are equal as sets — the property the
-/// possible-worlds machinery in `sv-core` relies on
+/// Rows are kept sorted and deduplicated so two relations over the same
+/// schema are equal as Rust values iff they are equal as sets — the
+/// property the possible-worlds machinery in `sv-core` relies on
 /// (`π_V(R') = π_V(R)` comparisons, Definition 1/4 of the paper).
+#[derive(Clone, PartialEq, Eq)]
 pub struct Relation {
     schema: Schema,
-    /// Sorted, duplicate-free, pairwise-disjoint runs; sizes decrease
-    /// (amortized geometrically) from the bottom of the stack to the
-    /// top.
-    runs: Vec<Vec<Tuple>>,
-    /// Total row count across runs.
-    len: usize,
-    /// Lazily materialized canonical (fully merged) view; only
-    /// consulted when more than one run exists, and reset by every
-    /// mutation.
-    merged: OnceLock<Vec<Tuple>>,
+    /// Sorted and duplicate-free.
+    rows: Vec<Tuple>,
 }
-
-impl Clone for Relation {
-    fn clone(&self) -> Self {
-        Self {
-            schema: self.schema.clone(),
-            runs: self.runs.clone(),
-            len: self.len,
-            merged: OnceLock::new(),
-        }
-    }
-}
-
-impl PartialEq for Relation {
-    fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.len == other.len && self.rows() == other.rows()
-    }
-}
-
-impl Eq for Relation {}
 
 impl Relation {
     /// Creates an empty relation over `schema`.
@@ -70,9 +34,7 @@ impl Relation {
     pub fn empty(schema: Schema) -> Self {
         Self {
             schema,
-            runs: Vec::new(),
-            len: 0,
-            merged: OnceLock::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -84,22 +46,11 @@ impl Relation {
     /// [`RelationError::ValueOutOfDomain`] on invalid rows.
     pub fn from_rows(schema: Schema, mut rows: Vec<Tuple>) -> Result<Self, RelationError> {
         for t in &rows {
-            Self::validate_row(&schema, t)?;
+            schema.check_row(t)?;
         }
         rows.sort_unstable();
         rows.dedup();
-        let len = rows.len();
-        let runs = if rows.is_empty() {
-            Vec::new()
-        } else {
-            vec![rows]
-        };
-        Ok(Self {
-            schema,
-            runs,
-            len,
-            merged: OnceLock::new(),
-        })
+        Ok(Self { schema, rows })
     }
 
     /// Builds a relation from raw value vectors (construction convenience).
@@ -108,101 +59,6 @@ impl Relation {
     /// Same as [`from_rows`](Self::from_rows).
     pub fn from_values(schema: Schema, rows: Vec<Vec<u32>>) -> Result<Self, RelationError> {
         Self::from_rows(schema, rows.into_iter().map(Tuple::new).collect())
-    }
-
-    fn validate_row(schema: &Schema, t: &Tuple) -> Result<(), RelationError> {
-        if t.arity() != schema.len() {
-            return Err(RelationError::ArityMismatch {
-                expected: schema.len(),
-                got: t.arity(),
-            });
-        }
-        for (a, def) in schema.iter() {
-            let v = t.get(a);
-            if !def.domain.contains(v) {
-                return Err(RelationError::ValueOutOfDomain {
-                    attr: def.name.clone(),
-                    value: v,
-                    domain_size: def.domain.size(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates `t` against the schema (arity and domains) without
-    /// inserting it — the precheck batch writers run before mutating
-    /// multiple layers atomically.
-    ///
-    /// # Errors
-    /// Same as [`from_rows`](Self::from_rows).
-    pub fn validate(&self, t: &Tuple) -> Result<(), RelationError> {
-        Self::validate_row(&self.schema, t)
-    }
-
-    /// Pushes a sorted, deduplicated run disjoint from every existing
-    /// run, then restores the geometric size invariant by merging from
-    /// the top of the stack — each merge combines two disjoint sorted
-    /// runs in one linear pass.
-    fn push_run(&mut self, run: Vec<Tuple>) {
-        debug_assert!(run.windows(2).all(|w| w[0] < w[1]), "run sorted + deduped");
-        self.len += run.len();
-        self.merged = OnceLock::new();
-        self.runs.push(run);
-        while self.runs.len() >= 2 {
-            let n = self.runs.len();
-            if self.runs[n - 2].len() > 2 * self.runs[n - 1].len() {
-                break;
-            }
-            let top = self.runs.pop().expect("len >= 2");
-            let below = self.runs.pop().expect("len >= 2");
-            self.runs.push(merge_disjoint(below, top));
-        }
-    }
-
-    /// Inserts a row (validated), keeping canonical set semantics.
-    ///
-    /// # Errors
-    /// Same as [`from_rows`](Self::from_rows).
-    pub fn insert(&mut self, t: Tuple) -> Result<bool, RelationError> {
-        Self::validate_row(&self.schema, &t)?;
-        if self.contains(&t) {
-            return Ok(false);
-        }
-        self.push_run(vec![t]);
-        Ok(true)
-    }
-
-    /// Inserts a batch of rows in one pass: validates everything first
-    /// (on error the relation is unchanged), drops rows already present
-    /// or repeated within the batch, and lands the survivors as one new
-    /// sorted run — `O(batch · log² N)` membership filtering plus
-    /// `O(batch log batch)` sorting, with run merges amortizing to
-    /// `O(log N)` per row over the relation's lifetime. This replaces
-    /// the former single-vector `O(rows + batch)` full merge per batch,
-    /// which made `N` row-at-a-time appends quadratic.
-    ///
-    /// Returns the number of genuinely new rows.
-    ///
-    /// # Errors
-    /// Same as [`from_rows`](Self::from_rows).
-    pub fn insert_batch(&mut self, batch: &[Tuple]) -> Result<usize, RelationError> {
-        for t in batch {
-            Self::validate_row(&self.schema, t)?;
-        }
-        let mut fresh: Vec<Tuple> = batch
-            .iter()
-            .filter(|t| !self.contains(t))
-            .cloned()
-            .collect();
-        fresh.sort_unstable();
-        fresh.dedup();
-        if fresh.is_empty() {
-            return Ok(0);
-        }
-        let added = fresh.len();
-        self.push_run(fresh);
-        Ok(added)
     }
 
     /// The relation's schema.
@@ -214,48 +70,33 @@ impl Relation {
     /// Number of rows (`N` in the paper's complexity bounds).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     /// Whether the relation has no rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.is_empty()
     }
 
-    /// Rows in canonical (sorted) order. With a single run this is a
-    /// free borrow; with several the merged view is materialized once
-    /// and cached until the next mutation.
+    /// Rows in canonical (sorted) order.
     #[must_use]
     pub fn rows(&self) -> &[Tuple] {
-        match self.runs.len() {
-            0 => &[],
-            1 => &self.runs[0],
-            _ => self.merged.get_or_init(|| {
-                let mut all: Vec<Tuple> = Vec::with_capacity(self.len);
-                for run in &self.runs {
-                    all.extend_from_slice(run);
-                }
-                // Runs are pairwise disjoint: sorting alone restores
-                // the canonical duplicate-free order.
-                all.sort_unstable();
-                all
-            }),
-        }
+        &self.rows
     }
 
-    /// Membership test (binary search per run, `O(log² N)`).
+    /// Membership test (binary search, `O(log N)`).
     #[must_use]
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.runs.iter().any(|run| run.binary_search(t).is_ok())
+        self.rows.binary_search(t).is_ok()
     }
 
     /// Checks whether the relation satisfies `fd` (`I -> O`): no two rows
     /// agree on `I` but differ on `O`.
     #[must_use]
     pub fn satisfies(&self, fd: &Fd) -> bool {
-        let mut seen: HashMap<Tuple, Tuple> = HashMap::with_capacity(self.len);
-        for t in self.runs.iter().flatten() {
+        let mut seen: HashMap<Tuple, Tuple> = HashMap::with_capacity(self.len());
+        for t in &self.rows {
             let key = t.project(fd.lhs());
             let val = t.project(fd.rhs());
             match seen.entry(key) {
@@ -286,46 +127,12 @@ impl Relation {
         }
         Ok(())
     }
-
-    /// Groups rows by their projection onto `key`, returning, per group,
-    /// the key sub-tuple and the row indices (into
-    /// [`rows`](Self::rows)) in the group.
-    #[must_use]
-    pub fn group_by(&self, key: &AttrSet) -> HashMap<Tuple, Vec<usize>> {
-        let mut groups: HashMap<Tuple, Vec<usize>> = HashMap::new();
-        for (i, t) in self.rows().iter().enumerate() {
-            groups.entry(t.project(key)).or_default().push(i);
-        }
-        groups
-    }
-}
-
-/// Merges two sorted, duplicate-free, disjoint runs into one.
-fn merge_disjoint(a: Vec<Tuple>, b: Vec<Tuple>) -> Vec<Tuple> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => {
-                // No equal pair exists: runs are disjoint.
-                if x < y {
-                    out.push(a.next().expect("peeked"));
-                } else {
-                    out.push(b.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => out.push(a.next().expect("peeked")),
-            (None, Some(_)) => out.push(b.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
-    out
 }
 
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Relation {:?} ({} rows)", self.schema, self.len)?;
-        for t in self.rows() {
+        writeln!(f, "Relation {:?} ({} rows)", self.schema, self.len())?;
+        for t in &self.rows {
             writeln!(f, "  {t:?}")?;
         }
         Ok(())
@@ -335,6 +142,7 @@ impl fmt::Debug for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attrset::AttrSet;
 
     fn bool_schema3() -> Schema {
         Schema::booleans(&["a", "b", "c"])
@@ -349,6 +157,8 @@ mod tests {
         .unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.rows()[0].values(), &[0, 0, 1]);
+        assert!(r.contains(&Tuple::new(vec![1, 1, 0])));
+        assert!(!r.contains(&Tuple::new(vec![0, 1, 0])));
     }
 
     #[test]
@@ -364,17 +174,6 @@ mod tests {
         assert!(matches!(err, RelationError::ArityMismatch { .. }));
         let err = Relation::from_values(bool_schema3(), vec![vec![1, 0, 7]]).unwrap_err();
         assert!(matches!(err, RelationError::ValueOutOfDomain { .. }));
-    }
-
-    #[test]
-    fn insert_maintains_canonical_order() {
-        let mut r = Relation::empty(bool_schema3());
-        assert!(r.insert(Tuple::new(vec![1, 1, 1])).unwrap());
-        assert!(r.insert(Tuple::new(vec![0, 0, 0])).unwrap());
-        assert!(!r.insert(Tuple::new(vec![1, 1, 1])).unwrap());
-        assert_eq!(r.len(), 2);
-        assert!(r.contains(&Tuple::new(vec![0, 0, 0])));
-        assert!(!r.contains(&Tuple::new(vec![0, 1, 0])));
     }
 
     #[test]
@@ -395,19 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn group_by_key() {
-        let r = Relation::from_values(
-            bool_schema3(),
-            vec![vec![0, 0, 0], vec![0, 1, 1], vec![1, 0, 1]],
-        )
-        .unwrap();
-        let groups = r.group_by(&AttrSet::from_indices(&[0]));
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[&Tuple::new(vec![0])].len(), 2);
-        assert_eq!(groups[&Tuple::new(vec![1])].len(), 1);
-    }
-
-    #[test]
     fn empty_relation_properties() {
         let r = Relation::empty(bool_schema3());
         assert!(r.is_empty());
@@ -415,59 +201,5 @@ mod tests {
             AttrSet::from_indices(&[0]),
             AttrSet::from_indices(&[1, 2])
         )));
-    }
-
-    #[test]
-    fn sorted_runs_match_single_shot_construction() {
-        // Streaming rows one at a time through the run stack must be
-        // indistinguishable (rows(), len, contains, equality) from
-        // building the relation in one shot.
-        let schema = Schema::booleans(&["a", "b", "c", "d"]);
-        let all: Vec<Vec<u32>> = (0..16u32)
-            .map(|x| vec![x >> 3 & 1, x >> 2 & 1, x >> 1 & 1, x & 1])
-            .collect();
-        let mut streamed = Relation::empty(schema.clone());
-        for (i, row) in all.iter().enumerate() {
-            // Interleave reads to exercise merged-view invalidation.
-            if i % 3 == 0 {
-                let _ = streamed.rows();
-            }
-            assert!(streamed.insert(Tuple::new(row.clone())).unwrap());
-            // Re-inserting an old row is always a no-op.
-            assert!(!streamed.insert(Tuple::new(all[i / 2].clone())).unwrap());
-        }
-        let oneshot = Relation::from_values(schema, all).unwrap();
-        assert_eq!(streamed.len(), 16);
-        assert_eq!(streamed.rows(), oneshot.rows());
-        assert_eq!(streamed, oneshot);
-    }
-
-    #[test]
-    fn batch_insert_lands_as_runs() {
-        let schema = Schema::booleans(&["a", "b", "c"]);
-        let mut r = Relation::empty(schema.clone());
-        assert_eq!(
-            r.insert_batch(&[
-                Tuple::new(vec![1, 1, 1]),
-                Tuple::new(vec![0, 0, 0]),
-                Tuple::new(vec![1, 1, 1]), // in-batch duplicate
-            ])
-            .unwrap(),
-            2
-        );
-        assert_eq!(
-            r.insert_batch(&[Tuple::new(vec![0, 0, 0]), Tuple::new(vec![0, 1, 0])])
-                .unwrap(),
-            1
-        );
-        assert_eq!(r.len(), 3);
-        let rows: Vec<_> = r.rows().iter().map(|t| t.values().to_vec()).collect();
-        assert_eq!(rows, vec![vec![0, 0, 0], vec![0, 1, 0], vec![1, 1, 1]]);
-        // A failed batch (row 1 out of domain) leaves the relation unchanged.
-        let before = r.clone();
-        assert!(r
-            .insert_batch(&[Tuple::new(vec![1, 0, 0]), Tuple::new(vec![9, 0, 0])])
-            .is_err());
-        assert_eq!(r, before);
     }
 }

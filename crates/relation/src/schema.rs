@@ -2,6 +2,8 @@
 
 use crate::attrset::AttrSet;
 use crate::domain::Domain;
+use crate::error::RelationError;
+use crate::tuple::Tuple;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -141,6 +143,35 @@ impl Schema {
     #[must_use]
     pub fn names(&self, set: &AttrSet) -> Vec<&str> {
         set.iter().map(|a| self.attr(a).name.as_str()).collect()
+    }
+
+    /// Checks that `t` is a row of this schema: one value per
+    /// attribute, each inside its attribute's domain. This is the one
+    /// row check: [`crate::Relation::from_rows`], the kernel's appends
+    /// and recovery ([`crate::InternedRelation`]) and batch validation
+    /// upstream all call it.
+    ///
+    /// # Errors
+    /// [`RelationError::ArityMismatch`] or
+    /// [`RelationError::ValueOutOfDomain`].
+    pub fn check_row(&self, t: &Tuple) -> Result<(), RelationError> {
+        if t.arity() != self.len() {
+            return Err(RelationError::ArityMismatch {
+                expected: self.len(),
+                got: t.arity(),
+            });
+        }
+        for (a, def) in self.iter() {
+            let v = t.get(a);
+            if !def.domain.contains(v) {
+                return Err(RelationError::ValueOutOfDomain {
+                    attr: def.name.clone(),
+                    value: v,
+                    domain_size: def.domain.size(),
+                });
+            }
+        }
+        Ok(())
     }
 }
 

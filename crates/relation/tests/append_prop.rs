@@ -7,14 +7,29 @@
 //! `incremental ≡ full rebuild ≡ reference`. Every grouping equals a
 //! naive densify of the column store: build-time sub-tuples in ascending
 //! order (first-seen on the interner path), appended ones in first-seen
-//! order.
+//! order. The accumulated relation is rebuilt from a `BTreeSet` model
+//! of every row sent, so each append's count is checked against the
+//! model's growth.
 
 mod common;
 
 use common::{random_schema, random_value, BuildLog, Coverage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use sv_relation::{ops, AttrDef, AttrSet, Domain, InternedRelation, Relation, Schema, Tuple};
+
+/// Adds `batch` to `model`, returning how many rows were new.
+fn grow(model: &mut BTreeSet<Tuple>, batch: &[Tuple]) -> usize {
+    let before = model.len();
+    model.extend(batch.iter().cloned());
+    model.len() - before
+}
+
+/// The relation `model` describes.
+fn model_relation(schema: &Schema, model: &BTreeSet<Tuple>) -> Relation {
+    Relation::from_rows(schema.clone(), model.iter().cloned().collect()).unwrap()
+}
 
 fn random_row(rng: &mut StdRng, schema: &Schema) -> Tuple {
     Tuple::new(
@@ -40,6 +55,7 @@ fn assert_equivalent(
 ) {
     let rebuilt = InternedRelation::from_relation(acc);
     assert_eq!(inc.n_rows(), acc.len(), "{ctx}: row count");
+    assert_eq!(&inc.to_relation(), acc, "{ctx}: rows");
     let k = acc.schema().len();
     log.check_all(inc, cov, &format!("{ctx}, streamed"));
     BuildLog::new(k).check_all(&rebuilt, cov, &format!("{ctx}, rebuilt"));
@@ -88,7 +104,8 @@ fn random_append_schedules_match_rebuild_and_reference() {
             rng.gen_range(0usize..6)
         };
         let base_rows: Vec<Tuple> = (0..n_base).map(|_| random_row(&mut rng, &schema)).collect();
-        let mut acc = Relation::from_rows(schema.clone(), base_rows).unwrap();
+        let mut model: BTreeSet<Tuple> = base_rows.iter().cloned().collect();
+        let mut acc = model_relation(&schema, &model);
         let mut inc = InternedRelation::from_relation(&acc);
         // Warm a random selection of groupings so appends must maintain
         // them (unwarmed sets are computed fresh later — both paths are
@@ -114,8 +131,12 @@ fn random_append_schedules_match_rebuild_and_reference() {
             let rows_before = inc.n_rows();
             let added = inc.append_rows(&batch).unwrap();
             log.note(&inc, rows_before);
-            let merged = acc.insert_batch(&batch).unwrap();
-            assert_eq!(added, merged, "case {case} step {step}: layers agree");
+            let grown = grow(&mut model, &batch);
+            assert_eq!(
+                added, grown,
+                "case {case} step {step}: kernel grows with the model"
+            );
+            acc = model_relation(&schema, &model);
             if added > 0 {
                 expected_epoch += 1;
             }
@@ -146,11 +167,11 @@ fn append_schedule_on_wide_domains_grows_the_interner() {
             .collect(),
     );
     let mut rng = StdRng::seed_from_u64(0x17E2);
-    let mut acc = Relation::from_values(
-        schema.clone(),
-        vec![vec![4_000_000_000, 1, 2], vec![4_000_000_000, 1, 3]],
-    )
-    .unwrap();
+    let mut model: BTreeSet<Tuple> = [[4_000_000_000, 1, 2], [4_000_000_000, 1, 3]]
+        .iter()
+        .map(|row| Tuple::new(row.to_vec()))
+        .collect();
+    let mut acc = model_relation(&schema, &model);
     let mut inc = InternedRelation::from_relation(&acc);
     let all = AttrSet::from_indices(&[0, 1, 2]);
     assert_eq!(inc.group_index(&all).n_groups, 2);
@@ -165,8 +186,9 @@ fn append_schedule_on_wide_domains_grows_the_interner() {
             })
             .collect();
         let added = inc.append_rows(&batch).unwrap();
-        let merged = acc.insert_batch(&batch).unwrap();
-        assert_eq!(added, merged, "step {step}");
+        assert_eq!(added, grow(&mut model, &batch), "step {step}");
+        acc = model_relation(&schema, &model);
+        assert_eq!(inc.to_relation(), acc, "step {step}");
         // Full-set groups = distinct rows; the interner behind the wide
         // grouping grew exactly with them.
         let g = inc.group_index(&all);
@@ -189,15 +211,15 @@ fn append_schedule_on_wide_domains_grows_the_interner() {
 #[test]
 fn append_to_empty_then_duplicates_only() {
     let schema = Schema::booleans(&["a", "b", "c"]);
-    let mut acc = Relation::empty(schema.clone());
-    let mut inc = InternedRelation::from_relation(&acc);
+    let mut model: BTreeSet<Tuple> = BTreeSet::new();
+    let mut inc = InternedRelation::from_relation(&Relation::empty(schema.clone()));
     // Everything-duplicate batch on a non-empty relation leaves the
     // epoch (and caches) untouched.
     let batch = vec![Tuple::new(vec![0, 1, 1]), Tuple::new(vec![1, 0, 0])];
     let mut log = BuildLog::new(3);
-    assert_eq!(inc.append_rows(&batch).unwrap(), 2);
+    assert_eq!(inc.append_rows(&batch).unwrap(), grow(&mut model, &batch));
     log.note(&inc, 0);
-    acc.insert_batch(&batch).unwrap();
+    let acc = model_relation(&schema, &model);
     assert_eq!(inc.epoch(), 1);
     assert_eq!(inc.append_rows(&batch).unwrap(), 0);
     assert_eq!(inc.epoch(), 1, "pure-duplicate batch: no new epoch");

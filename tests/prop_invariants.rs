@@ -60,10 +60,11 @@ fn privacy_level_equals_bruteforce() {
         let seed = rng.gen_range(0u64..256);
         let m = module_from_seed(seed);
         let memo = secure_view::privacy::MemoSafetyOracle::new(m.clone());
+        let rowwise = secure_view::privacy::safety::NaiveOracle::new(m.clone());
         for mask in 0u32..16 {
             let visible = mask_set(mask, 4);
             let fast = m.privacy_level(&visible);
-            let naive = m.privacy_level_naive(&visible);
+            let naive = rowwise.privacy_level(&visible);
             let slow = min_out_bruteforce(&m, &visible, 1 << 22).unwrap();
             assert_eq!(
                 fast, slow,
@@ -76,7 +77,7 @@ fn privacy_level_equals_bruteforce() {
             assert_eq!(memo.privacy_level(&visible), slow);
             // Level equality transfers to is_safe for every Γ.
             for gamma in 1..=6u128 {
-                assert_eq!(m.is_safe(&visible, gamma), m.is_safe_naive(&visible, gamma));
+                assert_eq!(m.is_safe(&visible, gamma), rowwise.is_safe(&visible, gamma));
                 assert_eq!(m.is_safe(&visible, gamma), memo.is_safe(&visible, gamma));
             }
         }
@@ -147,6 +148,7 @@ fn interned_kernel_equals_seed_semantics_on_random_relations() {
 /// `is_safe` ≡ seed semantics ≡ possible-world brute force.
 #[test]
 fn is_safe_cross_validated_on_mixed_domains() {
+    use secure_view::privacy::safety::{NaiveOracle, SafetyOracle};
     let mut rng = StdRng::seed_from_u64(0xB0B);
     let mut done = 0;
     while done < 12 {
@@ -202,6 +204,7 @@ fn is_safe_cross_validated_on_mixed_domains() {
         )
         .unwrap();
         let k = m.k() as u32;
+        let rowwise = NaiveOracle::new(m.clone());
         for mask in 0u32..(1 << k) {
             let visible = mask_set(mask, k);
             let slow = min_out_bruteforce(&m, &visible, 1 << 24).unwrap();
@@ -210,7 +213,7 @@ fn is_safe_cross_validated_on_mixed_domains() {
                 slow,
                 "case={case} mask={mask:#b}"
             );
-            assert_eq!(m.privacy_level_naive(&visible), slow);
+            assert_eq!(rowwise.privacy_level(&visible), slow);
             for gamma in [2u128, 3, 4, 6] {
                 assert_eq!(
                     m.is_safe(&visible, gamma),
