@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sv_core::sweep::{min_cost_sweep, minimal_sets_sweep, SweepConfig};
-use sv_core::StandaloneModule;
+use sv_core::{MemoSafetyOracle, StandaloneModule};
 use sv_workflow::{library, ModuleId};
 
 /// Γ for the branch-and-bound group: the optimum hides 8 wires of one
@@ -52,7 +52,9 @@ fn bench_thread_scaling(c: &mut Criterion) {
             &threads,
             |b, &t| {
                 b.iter(|| {
-                    min_cost_sweep(&m, &costs, GAMMA_MIN_COST, &SweepConfig::parallel(t)).unwrap()
+                    let oracle = MemoSafetyOracle::new(m.clone());
+                    min_cost_sweep(&oracle, &costs, GAMMA_MIN_COST, &SweepConfig::parallel(t))
+                        .unwrap()
                 });
             },
         );
@@ -61,7 +63,8 @@ fn bench_thread_scaling(c: &mut Criterion) {
             &threads,
             |b, &t| {
                 b.iter(|| {
-                    minimal_sets_sweep(&m, GAMMA_MINIMAL, &SweepConfig::parallel(t)).unwrap()
+                    let oracle = MemoSafetyOracle::new(m.clone());
+                    minimal_sets_sweep(&oracle, GAMMA_MINIMAL, &SweepConfig::parallel(t)).unwrap()
                 });
             },
         );
@@ -89,7 +92,10 @@ fn bench_k_scaling(c: &mut Criterion) {
         let m = one_one_module(wires);
         let costs = vec![1u64; m.k()];
         g.bench_with_input(BenchmarkId::new("min_cost/k", 2 * wires), &m, |b, m| {
-            b.iter(|| min_cost_sweep(m, &costs, GAMMA_MINIMAL, &SweepConfig::parallel(8)).unwrap());
+            b.iter(|| {
+                let oracle = MemoSafetyOracle::new(m.clone());
+                min_cost_sweep(&oracle, &costs, GAMMA_MINIMAL, &SweepConfig::parallel(8)).unwrap()
+            });
         });
     }
     g.finish();
@@ -106,8 +112,19 @@ fn bench_k_scaling(c: &mut Criterion) {
 fn record_pruning_stats(_c: &mut Criterion) {
     let m = one_one_module(10);
     let costs = vec![1u64; m.k()];
-    let (_, mc) = min_cost_sweep(&m, &costs, GAMMA_MIN_COST, &SweepConfig::serial()).unwrap();
-    let (sets, ms) = minimal_sets_sweep(&m, GAMMA_MINIMAL, &SweepConfig::parallel(8)).unwrap();
+    let (_, mc) = min_cost_sweep(
+        &MemoSafetyOracle::new(m.clone()),
+        &costs,
+        GAMMA_MIN_COST,
+        &SweepConfig::serial(),
+    )
+    .unwrap();
+    let (sets, ms) = minimal_sets_sweep(
+        &MemoSafetyOracle::new(m),
+        GAMMA_MINIMAL,
+        &SweepConfig::parallel(8),
+    )
+    .unwrap();
     assert_eq!(sets.len(), 3360, "2⁴·C(10,4) minimal sets expected");
     for (kind, s) in [("min_cost", mc), ("minimal_sets", ms)] {
         let base = format!("e16_parallel_sweep/stats/{kind}");

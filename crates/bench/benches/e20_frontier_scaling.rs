@@ -38,7 +38,7 @@ use std::time::Instant;
 use sv_bench::flatscan::flat_scan_minimal_sets;
 use sv_bench::layerscan::layer_scan_minimal_sets;
 use sv_core::sweep::{minimal_sets_sweep_frontier, SweepConfig};
-use sv_core::StandaloneModule;
+use sv_core::{MemoSafetyOracle, StandaloneModule};
 use sv_workflow::{library, ModuleId};
 
 /// `(wires, Γ)` per case: k = 2 × wires. Γ = 16 keeps the e16 workload
@@ -92,7 +92,9 @@ fn layer_masks(k: usize, lo: u32, hi: u32) -> Vec<u64> {
 
 fn bench_covers_microbench(c: &mut Criterion) {
     let m = one_one_module(10);
-    let (frontier, _) = minimal_sets_sweep_frontier(&m, 16, &SweepConfig::parallel(8)).unwrap();
+    let oracle = MemoSafetyOracle::new(m);
+    let (frontier, _) =
+        minimal_sets_sweep_frontier(&oracle, 16, &SweepConfig::parallel(8)).unwrap();
     let members: Vec<u64> = frontier.iter().collect();
     assert_eq!(members.len(), 3360, "2⁴·C(10,4) minimal sets expected");
     let queries = layer_masks(20, 5, 7);
@@ -157,7 +159,9 @@ fn bench_covers_microbench(c: &mut Criterion) {
 /// find them. The within-run ratio is CI-gated ≥ 3×.
 fn bench_border_microbench(c: &mut Criterion) {
     let m = one_one_module(12);
-    let (frontier, _) = minimal_sets_sweep_frontier(&m, 32, &SweepConfig::parallel(8)).unwrap();
+    let oracle = MemoSafetyOracle::new(m);
+    let (frontier, _) =
+        minimal_sets_sweep_frontier(&oracle, 32, &SweepConfig::parallel(8)).unwrap();
     assert_eq!(frontier.len(), 25_344, "2⁵·C(12,5) minimal sets expected");
     let k = 24usize;
     let layers = 6u32..=8;
@@ -232,8 +236,9 @@ fn record_border_budget(_c: &mut Criterion) {
         let m = one_one_module(wires);
 
         let t = Instant::now();
+        let oracle = MemoSafetyOracle::new(m.clone());
         let (frontier, stats) =
-            minimal_sets_sweep_frontier(&m, 8, &SweepConfig::parallel(8)).unwrap();
+            minimal_sets_sweep_frontier(&oracle, 8, &SweepConfig::parallel(8)).unwrap();
         let border_secs = t.elapsed().as_secs_f64();
 
         let t = Instant::now();
@@ -303,8 +308,9 @@ fn record_frontier_scaling(_c: &mut Criterion) {
         let m = one_one_module(wires);
 
         let t = Instant::now();
+        let oracle = MemoSafetyOracle::new(m.clone());
         let (frontier, stats) =
-            minimal_sets_sweep_frontier(&m, gamma, &SweepConfig::parallel(8)).unwrap();
+            minimal_sets_sweep_frontier(&oracle, gamma, &SweepConfig::parallel(8)).unwrap();
         let trie_secs = t.elapsed().as_secs_f64();
 
         let t = Instant::now();

@@ -114,7 +114,12 @@ mod tests {
         let m = one_one_module(4);
         for gamma in [2u128, 4, 16] {
             let out = flat_scan_minimal_sets(&m, gamma, u64::MAX);
-            let (sets, stats) = minimal_sets_sweep(&m, gamma, &SweepConfig::serial()).unwrap();
+            let (sets, stats) = minimal_sets_sweep(
+                &MemoSafetyOracle::new(m.clone()),
+                gamma,
+                &SweepConfig::serial(),
+            )
+            .unwrap();
             assert!(out.completed);
             assert_eq!(out.sets, sets.len() as u64, "gamma={gamma}");
             assert_eq!(out.visited, stats.visited, "gamma={gamma}");

@@ -115,8 +115,12 @@ mod tests {
         let m = one_one_module(4);
         for gamma in [2u128, 4, 16] {
             let out = layer_scan_minimal_sets(&m, gamma, u64::MAX);
-            let (frontier, stats) =
-                minimal_sets_sweep_frontier(&m, gamma, &SweepConfig::serial()).unwrap();
+            let (frontier, stats) = minimal_sets_sweep_frontier(
+                &MemoSafetyOracle::new(m.clone()),
+                gamma,
+                &SweepConfig::serial(),
+            )
+            .unwrap();
             assert!(out.completed);
             assert_eq!(out.sets, frontier.len() as u64, "gamma={gamma}");
             // Both probe exactly the uncovered masks, so the probe

@@ -241,34 +241,24 @@ fn any_choice(
 
 /// Pareto-frontier construction shared by the oracle-probing and
 /// antichain-arithmetic derivations: for each α ascending, the least
-/// valid β (monotonicity makes β non-increasing in α).
+/// valid β, searched only below the last β found. Validity is monotone
+/// in both coordinates (Proposition 1), so once `(α, β)` is valid every
+/// `(α′, β)` with `α′ > α` is implied and never asked; a β found below
+/// that bound is a new Pareto point.
 fn pareto_frontier(
     ni: usize,
     no: usize,
     mut valid: impl FnMut(usize, usize) -> bool,
 ) -> Vec<CardRequirement> {
     let mut frontier: Vec<CardRequirement> = Vec::new();
-    let mut beta_hi = no + 1; // sentinel: "none found yet"
+    let mut beta_end = no + 1; // exclusive: only a smaller β is new
     for alpha in 0..=ni {
-        let mut found = None;
-        let upper = if beta_hi == no + 1 { no } else { beta_hi };
-        for beta in 0..=upper {
-            if valid(alpha, beta) {
-                found = Some(beta);
-                break;
-            }
-        }
-        if let Some(beta) = found {
-            // Keep only Pareto-minimal entries: a new (α, β) dominates
-            // nothing previous (α is larger), and is dominated iff some
-            // previous entry has the same β.
-            if frontier.last().is_none_or(|l| beta < l.beta) {
-                frontier.push(CardRequirement { alpha, beta });
-            }
-            beta_hi = beta;
+        if let Some(beta) = (0..beta_end).find(|&beta| valid(alpha, beta)) {
+            frontier.push(CardRequirement { alpha, beta });
             if beta == 0 {
                 break; // (α, 0) valid: larger α adds nothing.
             }
+            beta_end = beta;
         }
     }
     frontier
@@ -448,7 +438,7 @@ mod tests {
         for m in [m1(), majority(2), one_one(3)] {
             for gamma in [2u128, 4, 8] {
                 let (frontier, _) = crate::sweep::minimal_sets_sweep_frontier(
-                    &m,
+                    &crate::MemoSafetyOracle::new(m.clone()),
                     gamma,
                     &crate::SweepConfig::serial(),
                 )
@@ -467,6 +457,55 @@ mod tests {
         assert!(
             cardinality_constraints_from_frontier(&f, m1().inputs(), m1().outputs()).is_empty()
         );
+    }
+
+    #[test]
+    fn pareto_frontier_never_reasks_an_implied_point() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xCA4D);
+        for _ in 0..500 {
+            let (ni, no) = (rng.gen_range(0..7usize), rng.gen_range(0..7usize));
+            // A random monotone predicate: (α, β) is valid iff β reaches
+            // a threshold that never rises with α; a threshold above
+            // `no` leaves that α with no valid β.
+            let mut need = Vec::with_capacity(ni + 1);
+            let mut t = rng.gen_range(0..=no + 2);
+            for _ in 0..=ni {
+                need.push(t);
+                t = t.saturating_sub(rng.gen_range(0..=2usize));
+            }
+            let truth = |a: usize, b: usize| b >= need[a];
+            let brute: Vec<CardRequirement> = (0..=ni)
+                .flat_map(|alpha| (0..=no).map(move |beta| CardRequirement { alpha, beta }))
+                .filter(|p| truth(p.alpha, p.beta))
+                .filter(|p| {
+                    !(0..=p.alpha)
+                        .any(|a| (0..=p.beta).any(|b| (a, b) != (p.alpha, p.beta) && truth(a, b)))
+                })
+                .collect();
+            // Every point asked, in order: none twice, and none whose β
+            // is at or above the last β found (already implied valid).
+            let mut asked: Vec<(usize, usize)> = Vec::new();
+            let mut last_beta: Option<usize> = None;
+            let got = pareto_frontier(ni, no, |alpha, beta| {
+                assert!(
+                    !asked.contains(&(alpha, beta)),
+                    "asked ({alpha}, {beta}) twice"
+                );
+                assert!(
+                    last_beta.is_none_or(|l| beta < l),
+                    "asked ({alpha}, {beta}) at or above the last β found, {last_beta:?}"
+                );
+                asked.push((alpha, beta));
+                let v = truth(alpha, beta);
+                if v {
+                    last_beta = Some(beta);
+                }
+                v
+            });
+            assert_eq!(got, brute, "need={need:?} ni={ni} no={no}");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! keeps its level cache in `MEMO_SHARDS` (16) read-mostly lock shards
 //! (epoch-stamped entries, monotone shortcut preserved), so warm
 //! probes from any number of serving threads — and the sweep workers
-//! sharing one oracle per lattice — proceed in parallel on shard
+//! probing the same oracle — proceed in parallel on shard
 //! read-locks. [`WorkflowOracles::probe_batch`] is likewise `&self`.
 //! Writes are **sharded per module**: [`WorkflowOracles`] holds each
 //! module's oracle behind its own `RwLock`, so the batch-ingest path
@@ -82,10 +82,13 @@
 //! SafetyOracle`. They are deliberately kept simple: they are the
 //! executable specification the property suites compare the parallel
 //! uncovered-border sweep ([`crate::sweep`]) against at 1/2/4/8
-//! threads, and the path of choice when the caller already owns a warm
-//! [`MemoSafetyOracle`] (repeat derivations over the same module, e.g.
-//! a Γ sweep). New callers that sweep a cold lattice — especially for
-//! large `k` — should go through [`crate::sweep`] instead.
+//! threads. Everything else sweeps through [`crate::sweep`], which
+//! probes the [`MemoSafetyOracle`] its caller passes and builds none of
+//! its own. A [`WorkflowOracles`] store's sweeps therefore leave their
+//! levels in the store's memo, where later sweeps, serving probes and
+//! requirement derivations find them: a Γ family of sweeps over one
+//! module evaluates each visible set once per module epoch. The memo
+//! keeps those levels for the oracle's lifetime; nothing bounds it yet.
 //!
 //! ### The antichain pruning invariant (Proposition 1)
 //!

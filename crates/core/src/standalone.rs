@@ -440,8 +440,8 @@ impl StandaloneModule {
 
     /// [`min_cost_safe_hidden`](Self::min_cost_safe_hidden) through the
     /// parallel work-stealing lattice sweep (branch-and-bound on a
-    /// shared best-cost bound). Returns the solution plus the sweep's
-    /// visited/pruned counters.
+    /// shared best-cost bound), probing a fresh memoizing oracle.
+    /// Returns the solution plus the sweep's visited/pruned counters.
     ///
     /// # Errors
     /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
@@ -451,13 +451,14 @@ impl StandaloneModule {
         gamma: u128,
         config: &crate::sweep::SweepConfig,
     ) -> Result<(Option<(AttrSet, u64)>, crate::sweep::SweepStats), CoreError> {
-        crate::sweep::min_cost_sweep(self, costs, gamma, config)
+        let oracle = crate::safety::MemoSafetyOracle::new(self.clone());
+        crate::sweep::min_cost_sweep(&oracle, costs, gamma, config)
     }
 
     /// [`minimal_safe_hidden_sets`](Self::minimal_safe_hidden_sets)
     /// through the parallel layered sweep with Proposition-1 antichain
-    /// pruning. Returns the antichain plus the sweep's visited/pruned
-    /// counters.
+    /// pruning, probing a fresh memoizing oracle. Returns the antichain
+    /// plus the sweep's visited/pruned counters.
     ///
     /// # Errors
     /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
@@ -466,7 +467,8 @@ impl StandaloneModule {
         gamma: u128,
         config: &crate::sweep::SweepConfig,
     ) -> Result<(Vec<AttrSet>, crate::sweep::SweepStats), CoreError> {
-        crate::sweep::minimal_sets_sweep(self, gamma, config)
+        let oracle = crate::safety::MemoSafetyOracle::new(self.clone());
+        crate::sweep::minimal_sets_sweep(&oracle, gamma, config)
     }
 
     /// All distinct inputs `π_I(R)`, in canonical order.

@@ -26,12 +26,20 @@
 //!   of at most 256 masks (by combinatorial rank) and claimed off a
 //!   shared atomic cursor; fast workers drain more chunks, so load
 //!   balances regardless of where the expensive probes cluster. All
-//!   workers share **one** concurrent [`MemoSafetyOracle`] (its level
-//!   cache is sharded and `&self`-probed, see [`crate::safety`]), so a
-//!   mask probed by one worker is a warm hit for every other. Each
-//!   worker pins its **own kernel scratch buffer**
-//!   ([`MemoSafetyOracle::is_safe_hidden_with`]), so chunks never
-//!   contend on probe buffers. Masks stay raw `u64` words inside the
+//!   workers probe the **caller's** concurrent [`MemoSafetyOracle`]
+//!   (its level cache is sharded and `&self`-probed, see
+//!   [`crate::safety`]); no sweep builds an oracle of its own. A mask
+//!   probed by one worker is a warm hit for every other, and because
+//!   a cached privacy level answers every Γ (Lemma 4), it is a warm hit
+//!   for every later sweep of the same oracle too. After a Γ′ antichain
+//!   sweep, a sweep at any Γ ≤ Γ′ visits only masks whose levels are
+//!   cached: a Γ-unsafe set is Γ′-unsafe, so the Γ border (the masks
+//!   whose strict subsets are all unsafe) lies inside the Γ′ border.
+//!   A min-cost sweep visits only border masks too, unless a zero-cost
+//!   attribute lets a racing bound update admit a mask above a safe set
+//!   the bound pruned. Each worker pins its **own kernel scratch
+//!   buffer** ([`MemoSafetyOracle::is_safe_hidden_with`]), so chunks
+//!   never contend on probe buffers. Masks stay raw `u64` words inside the
 //!   sweep and cross into the oracle as [`AttrSet::from_word`], which
 //!   never allocates.
 //! * **Branch-and-bound** ([`min_cost_sweep`]). A shared `AtomicU64`
@@ -45,9 +53,11 @@
 //! for observability; `visited + pruned == lattice` always holds.
 //!
 //! [`WorkflowSweeper`] lifts the per-module sweeps to workflows. It
-//! reads every private module from one [`WorkflowOracles`] store — the
-//! modules its probes answer from, fed only through the store's
-//! [`IngestBatch`](crate::safety::IngestBatch) path — hoists
+//! sweeps every private module through its oracle in one
+//! [`WorkflowOracles`] store — the oracles its probes answer from, fed
+//! only through the store's [`IngestBatch`](crate::safety::IngestBatch)
+//! path, so sweeps, serving probes and requirement derivations share one
+//! level memo per module — hoists
 //! global→local cost slices out of the per-call loop
 //! ([`WorkflowSweeper::localize_costs`]), and backs the composition
 //! entry points ([`crate::compose::union_of_standalone_optima_sweep`],
@@ -335,18 +345,23 @@ where
 /// of the `p` smallest attribute costs) exceeds the bound cannot
 /// improve it, nor can any layer above (stop).
 ///
+/// Every probe goes through `oracle`, whose level memo keeps what the
+/// sweep computed: a one-shot caller passes a fresh
+/// [`MemoSafetyOracle`], a store passes the oracle its probes answer
+/// from.
+///
 /// # Errors
 /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
 ///
 /// # Panics
 /// Panics unless `costs.len() == k`.
 pub fn min_cost_sweep(
-    module: &StandaloneModule,
+    oracle: &MemoSafetyOracle,
     costs: &[u64],
     gamma: u128,
     config: &SweepConfig,
 ) -> Result<(Option<(AttrSet, u64)>, SweepStats), CoreError> {
-    let k = module.k();
+    let k = oracle.module().k();
     check_k(k)?;
     assert_eq!(costs.len(), k, "one cost per attribute");
     let table = CostTable::new(costs);
@@ -371,9 +386,6 @@ pub fn min_cost_sweep(
     let best_mask = AtomicU64::new(u64::MAX);
     let best = Mutex::new(None::<(u64, u64)>); // (cost, mask)
 
-    // One concurrent oracle shared by every worker: levels cached by
-    // one chunk are warm hits for all others.
-    let oracle = MemoSafetyOracle::new(module.clone());
     // Antichain of the safe masks discovered so far: covered masks are
     // supersets of a recorded safe mask and can never improve the
     // (cost, mask)-lexicographic best.
@@ -627,16 +639,17 @@ pub(crate) fn layer_masks(k: usize, p: usize) -> impl Iterator<Item = u64> {
 /// [`crate::safety::minimal_safe_hidden_sets`] (ascending popcount,
 /// ascending mask within a layer) at every thread count. Thin wrapper
 /// over [`minimal_sets_sweep_frontier`], which keeps the antichain as a
-/// queryable [`Frontier`].
+/// queryable [`Frontier`]. Probes go through `oracle`, as in
+/// [`min_cost_sweep`].
 ///
 /// # Errors
 /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
 pub fn minimal_sets_sweep(
-    module: &StandaloneModule,
+    oracle: &MemoSafetyOracle,
     gamma: u128,
     config: &SweepConfig,
 ) -> Result<(Vec<AttrSet>, SweepStats), CoreError> {
-    let (frontier, stats) = minimal_sets_sweep_frontier(module, gamma, config)?;
+    let (frontier, stats) = minimal_sets_sweep_frontier(oracle, gamma, config)?;
     Ok((frontier.iter().map(AttrSet::from_word).collect(), stats))
 }
 
@@ -659,11 +672,11 @@ pub fn minimal_sets_sweep(
 /// # Errors
 /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
 pub fn minimal_sets_sweep_frontier(
-    module: &StandaloneModule,
+    oracle: &MemoSafetyOracle,
     gamma: u128,
     config: &SweepConfig,
 ) -> Result<(Frontier, SweepStats), CoreError> {
-    minimal_sets_sweep_frontier_seeded(module, gamma, config, None)
+    minimal_sets_sweep_frontier_seeded(oracle, gamma, config, None)
 }
 
 /// [`minimal_sets_sweep_frontier`] with an optional **seed antichain**
@@ -671,8 +684,8 @@ pub fn minimal_sets_sweep_frontier(
 /// path: a streamed append changes the relation but usually perturbs few
 /// minimal sets).
 ///
-/// Every seed mask is revalidated against *this* module's oracle before
-/// it enters the frontier — no monotonicity of the data is assumed. A
+/// Every seed mask is revalidated against `oracle` before it enters the
+/// frontier — no monotonicity of the data is assumed. A
 /// still-safe seed makes its whole strict up-set skippable from layer 0
 /// (those masks are never even enumerated); a seed that stopped being
 /// safe is dropped; a seed that stopped being *minimal* is evicted
@@ -684,20 +697,14 @@ pub fn minimal_sets_sweep_frontier(
 /// # Errors
 /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
 pub fn minimal_sets_sweep_frontier_seeded(
-    module: &StandaloneModule,
+    oracle: &MemoSafetyOracle,
     gamma: u128,
     config: &SweepConfig,
     seeds: Option<&Frontier>,
 ) -> Result<(Frontier, SweepStats), CoreError> {
-    let k = module.k();
+    let k = oracle.module().k();
     check_k(k)?;
     let mut frontier = Frontier::new(k);
-    // One concurrent oracle shared by every worker and every layer:
-    // group caches and level memos warm once and stay warm across the
-    // layer barriers, and a mask probed by one chunk is a warm hit for
-    // all others.
-    let oracle = MemoSafetyOracle::new(module.clone());
-
     if let Some(seeds) = seeds {
         let mut scratch: Vec<u64> = Vec::new();
         let mut still_safe: Vec<u64> = seeds
@@ -826,6 +833,18 @@ impl WorkflowCosts {
 /// union-of-optima assemblies, requirement-list derivations, greedy
 /// general solutions.
 ///
+/// ### One level memo per module
+///
+/// Every sweep probes the store's own [`MemoSafetyOracle`] for its
+/// module, behind the read guard the sweep holds anyway, so the levels
+/// a sweep computes stay in the store: later sweeps, serving probes
+/// ([`WorkflowOracles::probe_batch`]) and requirement derivations
+/// answer them from the memo. A cached level decides safety for every
+/// Γ (Lemma 4), and a Γ-unsafe set is also Γ′-unsafe for every
+/// Γ′ ≥ Γ (Proposition 1), so once a Γ′ sweep has run, sweeps of the
+/// same module at any Γ ≤ Γ′ add no kernel evaluation. The store keeps
+/// those levels for its lifetime; nothing bounds the memo yet.
+///
 /// ### Epoch-aware sweep memos
 ///
 /// Per-module sweep results (the minimal-sets antichain, min-cost
@@ -931,9 +950,10 @@ impl WorkflowSweeper {
         })
     }
 
-    /// The module store every sweep reads: one memoized oracle per
-    /// private module. Probes go through it directly, and it is the
-    /// only way rows enter ([`WorkflowOracles::ingest_batch`], or
+    /// The module store every sweep probes: one memoized oracle per
+    /// private module, whose level memo keeps what sweeps and probes
+    /// computed. Probes go through it directly, and it is the only way
+    /// rows enter ([`WorkflowOracles::ingest_batch`], or
     /// [`WorkflowOracles::validate_batch`] →
     /// [`WorkflowOracles::apply_batch`]); the sweep memos follow its
     /// relation epochs.
@@ -1230,7 +1250,7 @@ impl WorkflowSweeper {
                 }
             }
         }
-        let (found, stats) = min_cost_sweep(oracle.module(), local_costs, gamma, run_config)?;
+        let (found, stats) = min_cost_sweep(&oracle, local_costs, gamma, run_config)?;
         let mut caches = self.caches.lock().expect("lock");
         caches.sweeps += 1;
         caches.min_cost.insert(
@@ -1306,12 +1326,8 @@ impl WorkflowSweeper {
                 None => None,
             }
         };
-        let (frontier, stats) = minimal_sets_sweep_frontier_seeded(
-            oracle.module(),
-            gamma,
-            run_config,
-            seeds.as_deref(),
-        )?;
+        let (frontier, stats) =
+            minimal_sets_sweep_frontier_seeded(&oracle, gamma, run_config, seeds.as_deref())?;
         let frontier = Arc::new(frontier);
         let mut caches = self.caches.lock().expect("lock");
         caches.sweeps += 1;
@@ -1336,6 +1352,11 @@ mod tests {
 
     fn m1() -> StandaloneModule {
         StandaloneModule::from_workflow_module(&fig1_workflow(), ModuleId(0), 1 << 20).unwrap()
+    }
+
+    /// A cold oracle over `m`: what a one-shot sweep probes.
+    fn fresh(m: &StandaloneModule) -> MemoSafetyOracle {
+        MemoSafetyOracle::new(m.clone())
     }
 
     #[test]
@@ -1383,7 +1404,7 @@ mod tests {
                     safety::min_cost_safe_hidden(&KernelOracle::new(&m), &costs, gamma).unwrap();
                 for threads in [1usize, 2, 4, 8] {
                     let cfg = SweepConfig::parallel(threads);
-                    let (found, stats) = min_cost_sweep(&m, &costs, gamma, &cfg).unwrap();
+                    let (found, stats) = min_cost_sweep(&fresh(&m), &costs, gamma, &cfg).unwrap();
                     assert_eq!(found, serial, "threads={threads}");
                     assert_eq!(stats.visited + stats.pruned, stats.lattice);
                 }
@@ -1398,7 +1419,7 @@ mod tests {
             let serial = safety::minimal_safe_hidden_sets(&KernelOracle::new(&m), gamma).unwrap();
             for threads in [1usize, 2, 4, 8] {
                 let cfg = SweepConfig::parallel(threads);
-                let (sets, stats) = minimal_sets_sweep(&m, gamma, &cfg).unwrap();
+                let (sets, stats) = minimal_sets_sweep(&fresh(&m), gamma, &cfg).unwrap();
                 assert_eq!(sets, serial, "threads={threads}");
                 assert_eq!(stats.visited + stats.pruned, stats.lattice);
             }
@@ -1412,7 +1433,7 @@ mod tests {
         // off without enumeration.
         let w = one_one_chain(1, 3);
         let m = StandaloneModule::from_workflow_module(&w, ModuleId(0), 1 << 20).unwrap();
-        let (sets, stats) = minimal_sets_sweep(&m, 2, &SweepConfig::serial()).unwrap();
+        let (sets, stats) = minimal_sets_sweep(&fresh(&m), 2, &SweepConfig::serial()).unwrap();
         assert_eq!(sets.len(), 6, "each of the 6 wires alone suffices");
         // Visited: the empty set plus the 6 singletons.
         assert_eq!(stats.visited, 7);
@@ -1578,10 +1599,14 @@ mod tests {
             let (found, stats) = sweeper.module_min_cost(id, &unit, 2).unwrap();
             // Frontier algebra must equal a fresh branch-and-bound sweep.
             let module = sweeper.oracles().oracle(id).unwrap().module().clone();
-            let (fresh, _) =
-                min_cost_sweep(&module, &vec![1u64; module.k()], 2, &SweepConfig::serial())
-                    .unwrap();
-            assert_eq!(found, fresh);
+            let (swept, _) = min_cost_sweep(
+                &fresh(&module),
+                &vec![1u64; module.k()],
+                2,
+                &SweepConfig::serial(),
+            )
+            .unwrap();
+            assert_eq!(found, swept);
             assert_eq!(stats.visited + stats.pruned, stats.lattice);
             assert!(stats.border_visited > 0, "stats come from the trie sweep");
         }
@@ -1668,12 +1693,13 @@ mod tests {
         // walk's exact emission/jump counts — all identical at every
         // thread count, so they gate exactly in CI.
         let m = m1();
-        let (f1, s1) = minimal_sets_sweep_frontier(&m, 4, &SweepConfig::serial()).unwrap();
+        let (f1, s1) = minimal_sets_sweep_frontier(&fresh(&m), 4, &SweepConfig::serial()).unwrap();
         assert!(s1.border_visited > 0);
         assert_eq!(s1.visited, s1.border_visited, "every emitted mask probed");
         for threads in [2usize, 4, 8] {
             let (f2, s2) =
-                minimal_sets_sweep_frontier(&m, 4, &SweepConfig::parallel(threads)).unwrap();
+                minimal_sets_sweep_frontier(&fresh(&m), 4, &SweepConfig::parallel(threads))
+                    .unwrap();
             assert_eq!(f1, f2, "threads={threads}");
             assert_eq!(s1.border_visited, s2.border_visited);
             assert_eq!(s1.border_jumps, s2.border_jumps);
@@ -1703,13 +1729,14 @@ mod tests {
     #[test]
     fn no_safe_set_reported_as_none() {
         let m = m1(); // |Range| = 8, so Γ = 9 is unsatisfiable
-        let (found, stats) = min_cost_sweep(&m, &[1; 5], 9, &SweepConfig::parallel(4)).unwrap();
+        let (found, stats) =
+            min_cost_sweep(&fresh(&m), &[1; 5], 9, &SweepConfig::parallel(4)).unwrap();
         assert!(found.is_none());
         assert_eq!(
             stats.visited, stats.lattice,
             "nothing safe ⇒ nothing pruned"
         );
-        let (sets, _) = minimal_sets_sweep(&m, 9, &SweepConfig::parallel(4)).unwrap();
+        let (sets, _) = minimal_sets_sweep(&fresh(&m), 9, &SweepConfig::parallel(4)).unwrap();
         assert!(sets.is_empty());
     }
 
@@ -1718,7 +1745,7 @@ mod tests {
         // A module cannot actually be built this wide cheaply; fake the
         // check through the public entry contract instead.
         let m = m1();
-        assert!(min_cost_sweep(&m, &[1; 5], 2, &SweepConfig::serial()).is_ok());
+        assert!(min_cost_sweep(&fresh(&m), &[1; 5], 2, &SweepConfig::serial()).is_ok());
         assert!(matches!(
             check_k(MAX_DENSE_ATTRS + 1),
             Err(CoreError::TooManyAttributes { .. })

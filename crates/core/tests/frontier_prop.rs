@@ -10,8 +10,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sv_core::safety::{self, KernelOracle};
 use sv_core::sweep::{minimal_sets_sweep, minimal_sets_sweep_frontier, SweepConfig};
-use sv_core::{worlds, Frontier, StandaloneModule};
+use sv_core::{worlds, Frontier, MemoSafetyOracle, StandaloneModule};
 use sv_relation::{AttrDef, AttrSet, Domain, Relation, Schema};
+
+/// A cold oracle over `m`: what a one-shot sweep probes.
+fn fresh(m: &StandaloneModule) -> MemoSafetyOracle {
+    MemoSafetyOracle::new(m.clone())
+}
 
 /// Flat-scan reference: ⊆-minimize `masks` in (popcount, mask) order —
 /// the exact walk `safety::minimal_safe_hidden_sets` performs.
@@ -191,7 +196,7 @@ fn trie_sweep_equals_serial_spec_on_random_modules() {
             let spec_words: Vec<u64> = spec.iter().map(|s| s.as_word().expect("k <= 64")).collect();
             for threads in [1usize, 2, 4, 8] {
                 let cfg = SweepConfig::parallel(threads);
-                let (f, s) = minimal_sets_sweep_frontier(&m, gamma, &cfg).unwrap();
+                let (f, s) = minimal_sets_sweep_frontier(&fresh(&m), gamma, &cfg).unwrap();
                 assert_eq!(
                     f.iter().collect::<Vec<_>>(),
                     spec_words,
@@ -200,7 +205,7 @@ fn trie_sweep_equals_serial_spec_on_random_modules() {
                 assert_eq!(s.frontier_nodes, f.node_count() as u64);
                 assert_eq!(s.visited + s.pruned, s.lattice);
                 // The AttrSet wrapper sees the identical list.
-                let (sets, _) = minimal_sets_sweep(&m, gamma, &cfg).unwrap();
+                let (sets, _) = minimal_sets_sweep(&fresh(&m), gamma, &cfg).unwrap();
                 assert_eq!(sets, spec);
                 if spec.is_empty() {
                     // Empty-antichain edge: unsatisfiable Γ yields an
@@ -225,7 +230,8 @@ fn trie_sweep_antichain_matches_bruteforce_worlds() {
         }
         let k = m.k();
         for gamma in [2u128, 3, 4] {
-            let (f, _) = minimal_sets_sweep_frontier(&m, gamma, &SweepConfig::parallel(4)).unwrap();
+            let (f, _) =
+                minimal_sets_sweep_frontier(&fresh(&m), gamma, &SweepConfig::parallel(4)).unwrap();
             for mask in 0u64..(1 << k) {
                 let visible = AttrSet::from_word(mask).complement(k);
                 let brute = worlds::min_out_bruteforce(&m, &visible, 1 << 24).unwrap();
@@ -282,7 +288,7 @@ fn full_layer_cutoff_edge_is_exact() {
         // The layer-2 walk finds the whole layer covered (zero masks
         // emitted) and the cutoff fires.
         let cfg = SweepConfig::parallel(threads);
-        let (f, s) = minimal_sets_sweep_frontier(&m, 2, &cfg).unwrap();
+        let (f, s) = minimal_sets_sweep_frontier(&fresh(&m), 2, &cfg).unwrap();
         assert_eq!(f.len(), k as usize);
         assert_eq!(s.visited, 1 + k, "empty mask + singletons only");
         assert_eq!(s.lattice, 1 << k);
@@ -491,46 +497,55 @@ fn seeded_resweep_equals_fresh_sweep_after_appends() {
             outputs.clone(),
         )
         .unwrap();
+        let gammas = [2u128, 3, 64];
+        // Seeds from the pre-append sweeps (the realistic stale memo).
+        // They run on the oracle that then takes the append, so the
+        // re-sweeps below also read its stale levels.
+        let mut streamed = fresh(&stale);
+        let stale_frontiers: Vec<Frontier> = gammas
+            .iter()
+            .map(|&g| {
+                minimal_sets_sweep_frontier(&streamed, g, &SweepConfig::serial())
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        let appended: Vec<sv_relation::Tuple> =
+            appended.into_iter().map(sv_relation::Tuple::new).collect();
         let mut current = stale.clone();
-        current
-            .append_execution(
-                &appended
-                    .iter()
-                    .cloned()
-                    .map(sv_relation::Tuple::new)
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap();
+        current.append_execution(&appended).unwrap();
+        streamed.append_execution(&appended).unwrap();
 
-        for gamma in [2u128, 3, 64] {
-            // Seeds from the pre-append sweep (the realistic stale memo)
-            // and from an unrelated random antichain (the adversarial
-            // case revalidation must survive).
-            let (stale_frontier, _) =
-                minimal_sets_sweep_frontier(&stale, gamma, &SweepConfig::serial()).unwrap();
+        for (&gamma, stale_frontier) in gammas.iter().zip(&stale_frontiers) {
+            // Also an unrelated random antichain: the adversarial case
+            // revalidation must survive.
             let junk = Frontier::from_masks(k, random_masks(&mut rng, k as u32, 12));
             let spec =
                 safety::minimal_safe_hidden_sets(&KernelOracle::new(&current), gamma).unwrap();
             let spec_words: Vec<u64> = spec.iter().map(|s| s.as_word().expect("k <= 64")).collect();
-            for seeds in [&stale_frontier, &junk] {
+            for seeds in [stale_frontier, &junk] {
                 for threads in [1usize, 2, 4, 8] {
-                    let (f, s) = sv_core::sweep::minimal_sets_sweep_frontier_seeded(
-                        &current,
-                        gamma,
-                        &SweepConfig::parallel(threads),
-                        Some(seeds),
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        f.iter().collect::<Vec<_>>(),
-                        spec_words,
-                        "trial={trial} k={k} gamma={gamma} threads={threads}"
-                    );
-                    assert_eq!(
-                        s.visited + s.pruned,
-                        s.lattice,
-                        "seed revalidation probes stay out of the ledger"
-                    );
+                    // A cold oracle over the appended module, and the
+                    // streamed one with its pre-append levels.
+                    for (cold, oracle) in [(true, &fresh(&current)), (false, &streamed)] {
+                        let (f, s) = sv_core::sweep::minimal_sets_sweep_frontier_seeded(
+                            oracle,
+                            gamma,
+                            &SweepConfig::parallel(threads),
+                            Some(seeds),
+                        )
+                        .unwrap();
+                        assert_eq!(
+                            f.iter().collect::<Vec<_>>(),
+                            spec_words,
+                            "trial={trial} k={k} gamma={gamma} threads={threads} cold={cold}"
+                        );
+                        assert_eq!(
+                            s.visited + s.pruned,
+                            s.lattice,
+                            "seed revalidation probes stay out of the ledger"
+                        );
+                    }
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Property suite for **streaming provenance** at the oracle and sweep
 //! layers: executions of random modules arrive in random batches, and
 //! after every batch a persistent epoch-aware [`MemoSafetyOracle`] (and
-//! the parallel sweeps over the streamed module) must agree with
+//! the parallel sweeps probing it) must agree with
 //! oracles and sweeps built from scratch over the same observed
 //! provenance — and with the row-at-a-time naive reference, on modules
 //! wider than one 64-bit word too.
@@ -121,12 +121,16 @@ fn streamed_sweeps_match_sweeps_over_rebuilt_modules() {
     for _case in 0..6 {
         let (schema, inputs, outputs, mut rows) = random_executions(&mut rng);
         rows.shuffle(&mut rng);
-        let mut streamed = StandaloneModule::new(
-            Relation::empty(schema.clone()),
-            inputs.clone(),
-            outputs.clone(),
-        )
-        .unwrap();
+        // One oracle takes every batch, so its sweeps read the levels
+        // earlier sweeps left behind, revalidated lazily.
+        let mut streamed = MemoSafetyOracle::new(
+            StandaloneModule::new(
+                Relation::empty(schema.clone()),
+                inputs.clone(),
+                outputs.clone(),
+            )
+            .unwrap(),
+        );
         let costs = vec![3u64, 1, 4, 1];
         let mut model: BTreeSet<Tuple> = BTreeSet::new();
         while !rows.is_empty() {
@@ -135,8 +139,10 @@ fn streamed_sweeps_match_sweeps_over_rebuilt_modules() {
             assert_eq!(streamed.append_execution(&batch).unwrap(), batch.len());
             model.extend(batch);
             let expected = model_relation(&schema, &model);
-            assert_eq!(streamed.relation(), expected);
-            let rebuilt = StandaloneModule::new(expected, inputs.clone(), outputs.clone()).unwrap();
+            assert_eq!(streamed.module().relation(), expected);
+            let rebuilt = MemoSafetyOracle::new(
+                StandaloneModule::new(expected, inputs.clone(), outputs.clone()).unwrap(),
+            );
             for gamma in [2u128, 4] {
                 for threads in [1usize, 3] {
                     let cfg = SweepConfig::parallel(threads);
@@ -154,7 +160,8 @@ fn streamed_sweeps_match_sweeps_over_rebuilt_modules() {
                     minimal_sets_sweep(&streamed, gamma, &SweepConfig::serial())
                         .unwrap()
                         .0,
-                    safety::minimal_safe_hidden_sets(&KernelOracle::new(&rebuilt), gamma).unwrap(),
+                    safety::minimal_safe_hidden_sets(&KernelOracle::new(rebuilt.module()), gamma)
+                        .unwrap(),
                 );
             }
         }

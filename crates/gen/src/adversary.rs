@@ -345,8 +345,8 @@ pub fn thm3_min_cost_sweep(
     l: usize,
     config: &sv_core::SweepConfig,
 ) -> (Option<(AttrSet, u64)>, sv_core::SweepStats) {
-    let m = thm3_m1(l);
-    sv_core::sweep::min_cost_sweep(&m, &thm3_costs(l), 2, config)
+    let oracle = sv_core::MemoSafetyOracle::new(thm3_m1(l));
+    sv_core::sweep::min_cost_sweep(&oracle, &thm3_costs(l), 2, config)
         .expect("thm3 module fits dense enumeration")
 }
 
@@ -357,9 +357,10 @@ pub fn thm3_min_cost_sweep(
 /// SweepConfig`] budget — the adversarial serving scenario where many
 /// tenants ask the same `2^Ω(ℓ)`-hard question concurrently. All
 /// instances share the materialized module (clones share the interned
-/// kernel, so group indexes warm once for the whole fleet); per-instance
-/// results are deterministic and identical, which the property suite
-/// uses to prove parallel-across-instances ≡ serial.
+/// kernel, so group indexes warm once for the whole fleet), while each
+/// probes its own cold level memo, as an independent tenant would;
+/// per-instance results are deterministic and identical, which the
+/// property suite uses to prove parallel-across-instances ≡ serial.
 ///
 /// # Panics
 /// Panics if `ℓ + 1` exceeds the dense-enumeration maximum.
@@ -372,7 +373,8 @@ pub fn thm3_min_cost_fleet(
     let m = thm3_m1(l);
     let costs = thm3_costs(l);
     sv_core::sweep::sweep_workflow_parallel(instances, config, |_, inner| {
-        sv_core::sweep::min_cost_sweep(&m, &costs, 2, inner)
+        let oracle = sv_core::MemoSafetyOracle::new(m.clone());
+        sv_core::sweep::min_cost_sweep(&oracle, &costs, 2, inner)
     })
     .expect("thm3 module fits dense enumeration")
 }

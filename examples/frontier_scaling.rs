@@ -31,7 +31,7 @@
 //! [`Frontier`]: secure_view::privacy::Frontier
 
 use secure_view::privacy::sweep::{minimal_sets_sweep_frontier, SweepConfig};
-use secure_view::privacy::{Frontier, StandaloneModule};
+use secure_view::privacy::{Frontier, MemoSafetyOracle, StandaloneModule};
 use secure_view::workflow::{library, ModuleId};
 
 /// Boolean wires of the one-one module (k = 2 × WIRES lattice bits).
@@ -47,7 +47,8 @@ fn main() {
     println!("Frontier engine over a one-one module: k = {k}, Γ = {GAMMA}\n");
 
     // ── 1. Sweep the lattice into a trie antichain ───────────────────
-    let (frontier, stats) = minimal_sets_sweep_frontier(&m, GAMMA, &SweepConfig::auto())
+    let oracle = MemoSafetyOracle::new(m);
+    let (frontier, stats) = minimal_sets_sweep_frontier(&oracle, GAMMA, &SweepConfig::auto())
         .expect("k = 16 is well inside the dense-sweep limit");
     println!(
         "swept {} masks: visited {} ({:.2}%), antichain {} members",

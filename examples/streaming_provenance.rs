@@ -21,7 +21,8 @@
 //!    changed**;
 //! 4. keep a standing `is_safe(V, Γ)` question alive on the same store
 //!    and watch the monotone shortcut answer it from the cache when
-//!    appends provably could not break it.
+//!    appends provably could not break it. The sweeps probe the same
+//!    store, so its miss counts include their kernel evaluations.
 //!
 //! Run with: `cargo run --example streaming_provenance`
 
@@ -119,7 +120,8 @@ fn main() {
         let safe = m1.is_safe_hidden(&standing_hidden, gamma);
         println!(
             "\nstanding probe after the stream: safe = {safe} \
-             (cache: {} kernel evaluations total, {} monotone shortcuts, {} revalidations)",
+             (m1's store memo: {} kernel evaluations in total, the sweeps' probes included; \
+             {} monotone shortcuts, {} revalidations)",
             m1.misses(),
             m1.monotone_shortcut_hits(),
             m1.revalidations(),
