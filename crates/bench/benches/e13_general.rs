@@ -27,8 +27,10 @@ fn bench_kernel_swap(c: &mut Criterion) {
     let gamma = 4u128;
     g.bench_function("derive_general/naive_rowwise", |bch| {
         bch.iter(|| {
-            // Seed-semantics replica of the private-module requirement
-            // derivation GeneralInstance::from_workflow performs.
+            // The private-module requirement lists through the seed
+            // semantics and the serial reference scan. It probes the
+            // same masks as the border walk GeneralInstance::from_workflow
+            // runs, through a different enumerator.
             let mut total = 0usize;
             for id in wf.private_modules() {
                 let sm = StandaloneModule::from_workflow_module(&wf, id, 1 << 20).unwrap();

@@ -64,7 +64,8 @@ fn bench_thread_scaling(c: &mut Criterion) {
             |b, &t| {
                 b.iter(|| {
                     let oracle = MemoSafetyOracle::new(m.clone());
-                    minimal_sets_sweep(&oracle, GAMMA_MINIMAL, &SweepConfig::parallel(t)).unwrap()
+                    minimal_sets_sweep(&oracle, GAMMA_MINIMAL, &SweepConfig::parallel(t), None)
+                        .unwrap()
                 });
             },
         );
@@ -123,6 +124,7 @@ fn record_pruning_stats(_c: &mut Criterion) {
         &MemoSafetyOracle::new(m),
         GAMMA_MINIMAL,
         &SweepConfig::parallel(8),
+        None,
     )
     .unwrap();
     assert_eq!(sets.len(), 3360, "2⁴·C(10,4) minimal sets expected");

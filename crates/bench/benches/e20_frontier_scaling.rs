@@ -17,7 +17,7 @@
 //!    walk per layer emitting the same 16,555 uncovered masks
 //!    (`…/border_microbench/{layer,border}` ids).
 //! 3. **Sweep scaling** (`…/wall/*`, informational) — wall-clock of the
-//!    trie-backed `minimal_sets_sweep_frontier` and of the budgeted
+//!    trie-backed `minimal_sets_sweep` and of the budgeted
 //!    flat-scan reference at each k. The flat scan completes k ≤ 22 and
 //!    **must** blow [`FLAT_SCAN_BUDGET`] at k = 24; the trie sweep
 //!    completes everything.
@@ -37,7 +37,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use sv_bench::flatscan::flat_scan_minimal_sets;
 use sv_bench::layerscan::layer_scan_minimal_sets;
-use sv_core::sweep::{minimal_sets_sweep_frontier, SweepConfig};
+use sv_core::sweep::{minimal_sets_sweep, SweepConfig};
 use sv_core::{MemoSafetyOracle, StandaloneModule};
 use sv_workflow::{library, ModuleId};
 
@@ -93,8 +93,7 @@ fn layer_masks(k: usize, lo: u32, hi: u32) -> Vec<u64> {
 fn bench_covers_microbench(c: &mut Criterion) {
     let m = one_one_module(10);
     let oracle = MemoSafetyOracle::new(m);
-    let (frontier, _) =
-        minimal_sets_sweep_frontier(&oracle, 16, &SweepConfig::parallel(8)).unwrap();
+    let (frontier, _) = minimal_sets_sweep(&oracle, 16, &SweepConfig::parallel(8), None).unwrap();
     let members: Vec<u64> = frontier.iter().collect();
     assert_eq!(members.len(), 3360, "2⁴·C(10,4) minimal sets expected");
     let queries = layer_masks(20, 5, 7);
@@ -160,8 +159,7 @@ fn bench_covers_microbench(c: &mut Criterion) {
 fn bench_border_microbench(c: &mut Criterion) {
     let m = one_one_module(12);
     let oracle = MemoSafetyOracle::new(m);
-    let (frontier, _) =
-        minimal_sets_sweep_frontier(&oracle, 32, &SweepConfig::parallel(8)).unwrap();
+    let (frontier, _) = minimal_sets_sweep(&oracle, 32, &SweepConfig::parallel(8), None).unwrap();
     assert_eq!(frontier.len(), 25_344, "2⁵·C(12,5) minimal sets expected");
     let k = 24usize;
     let layers = 6u32..=8;
@@ -238,7 +236,7 @@ fn record_border_budget(_c: &mut Criterion) {
         let t = Instant::now();
         let oracle = MemoSafetyOracle::new(m.clone());
         let (frontier, stats) =
-            minimal_sets_sweep_frontier(&oracle, 8, &SweepConfig::parallel(8)).unwrap();
+            minimal_sets_sweep(&oracle, 8, &SweepConfig::parallel(8), None).unwrap();
         let border_secs = t.elapsed().as_secs_f64();
 
         let t = Instant::now();
@@ -290,7 +288,7 @@ fn record_border_budget(_c: &mut Criterion) {
     }
 }
 
-/// `C(n, 3)`-style small binomials for the assertions above.
+/// `C(n, 3)`-style small binomial coefficients for the assertions above.
 fn binom_u64(n: usize, r: usize) -> u64 {
     let mut c = 1u64;
     for i in 0..r {
@@ -310,7 +308,7 @@ fn record_frontier_scaling(_c: &mut Criterion) {
         let t = Instant::now();
         let oracle = MemoSafetyOracle::new(m.clone());
         let (frontier, stats) =
-            minimal_sets_sweep_frontier(&oracle, gamma, &SweepConfig::parallel(8)).unwrap();
+            minimal_sets_sweep(&oracle, gamma, &SweepConfig::parallel(8), None).unwrap();
         let trie_secs = t.elapsed().as_secs_f64();
 
         let t = Instant::now();

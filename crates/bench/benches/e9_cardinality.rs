@@ -17,9 +17,9 @@ use sv_gen::random::{random_cardinality, InstanceParams};
 use sv_optimize::{cardinality, exact_cardinality, CardinalityInstance};
 use sv_workflow::{library, ModuleId};
 
-/// Full requirement derivation for one module: the set-constraints
-/// lattice sweep followed by the cardinality Pareto frontier — exactly
-/// what `sv-optimize` instance building runs per private module.
+/// Full requirement derivation for one module through the serial
+/// references: the set-constraints lattice scan followed by the
+/// cardinality Pareto frontier, each probing the oracle under test.
 fn derive(oracle: &dyn SafetyOracle, gamma: u128) -> (usize, usize) {
     let s = set_constraints_with(oracle, gamma).unwrap().len();
     let c = cardinality_constraints_with(oracle, gamma).len();
@@ -52,7 +52,7 @@ fn bench_kernel_swap(c: &mut Criterion) {
             derive(&o, gamma)
         });
     });
-    // End-to-end instance derivation through the shared-oracle path.
+    // End-to-end instance derivation through a serial workflow sweeper.
     let fig1 = library::fig1_workflow();
     g.bench_function("instance_from_workflow/fig1", |bch| {
         bch.iter(|| CardinalityInstance::from_workflow(&fig1, 2, 1 << 20).unwrap());

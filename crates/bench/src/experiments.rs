@@ -12,8 +12,7 @@ use sv_core::compose::{union_of_standalone_optima, WorldSearch};
 use sv_core::oracle::{
     decide_safety_streaming, min_cost_via_oracle, CountingSupplier, HonestOracle,
 };
-use sv_core::safety::WorkflowOracles;
-use sv_core::StandaloneModule;
+use sv_core::{StandaloneModule, SweepConfig, WorkflowSweeper};
 use sv_gen::adversary::{
     cnf_module, cnf_visible, disjointness_module, disjointness_visible, thm3_costs, thm3_m1,
     AdversarialOracle, Cnf,
@@ -654,17 +653,20 @@ pub fn e14_ablation() -> Vec<String> {
 
 /// E15 — the memoized safety-oracle layer: identical safety queries are
 /// answered once per module instance regardless of which derivation
-/// asks. Derives the set-constraints instance (full subset-lattice
-/// sweep) and then the cardinality instance from the **same** oracles:
-/// the second derivation must add zero kernel evaluations.
+/// asks. Derives the set-constraints instance through a serial
+/// [`WorkflowSweeper`] (the uncovered-border walk over each module's
+/// lattice) and then the cardinality instance from the **same**
+/// sweeper: the second derivation reads the memoized frontiers, so it
+/// adds no probe and no kernel evaluation.
 #[must_use]
 pub fn e15_oracle_memo() -> Vec<String> {
     let wf = library::fig1_workflow();
-    let gammas = vec![2u128; wf.private_modules().len()];
-    let oracles = WorkflowOracles::for_workflow(&wf, 1 << 20).unwrap();
-    let set = sv_optimize::SetInstance::from_oracles(&wf, &oracles, &gammas).unwrap();
+    let sweeper = WorkflowSweeper::for_workflow(&wf, 1 << 20, SweepConfig::serial()).unwrap();
+    let oracles = sweeper.oracles();
+    let gammas = vec![2u128; sweeper.module_ids().len()];
+    let (set, _) = sv_optimize::SetInstance::from_sweeper(&sweeper, &gammas).unwrap();
     let (calls_set, misses_set) = (oracles.total_calls(), oracles.total_misses());
-    let card = CardinalityInstance::from_oracles(&wf, &oracles, &gammas).unwrap();
+    let (card, _) = CardinalityInstance::from_sweeper(&sweeper, &gammas).unwrap();
     let (calls_all, misses_all) = (oracles.total_calls(), oracles.total_misses());
     vec![
         "E15 Memoized safety oracle (each distinct V evaluated once per module)".into(),
@@ -740,7 +742,15 @@ mod tests {
 
     #[test]
     fn e15_cardinality_derivation_is_free_after_set_derivation() {
-        let lines = e15_oracle_memo().join("\n");
-        assert!(lines.contains("(0 new)"), "{lines}");
+        let lines = e15_oracle_memo();
+        let joined = lines.join("\n");
+        assert!(joined.contains("(0 new)"), "{joined}");
+        // The probe count after both derivations equals the count after
+        // the set derivation alone: the cardinality derivation asks none.
+        fn probes(line: &str) -> Option<&str> {
+            line.split_whitespace().find(|w| w.parse::<u64>().is_ok())
+        }
+        assert!(probes(&lines[1]).is_some(), "{joined}");
+        assert_eq!(probes(&lines[1]), probes(&lines[2]), "{joined}");
     }
 }

@@ -118,6 +118,7 @@ mod tests {
                 &MemoSafetyOracle::new(m.clone()),
                 gamma,
                 &SweepConfig::serial(),
+                None,
             )
             .unwrap();
             assert!(out.completed);

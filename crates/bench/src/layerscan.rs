@@ -1,5 +1,5 @@
 //! Retained **exhaustive layer-enumeration reference** for the border
-//! sweep — the algorithm `minimal_sets_sweep_frontier` ran before it
+//! sweep — the algorithm `minimal_sets_sweep` ran before it
 //! enumerated only the uncovered border, kept (as its only copy) as a
 //! budgeted serial baseline so `e20_frontier_scaling` can measure
 //! uncovered-border enumeration against the code path it replaced.
@@ -101,7 +101,7 @@ pub fn layer_scan_minimal_sets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sv_core::sweep::{minimal_sets_sweep_frontier, SweepConfig};
+    use sv_core::sweep::{minimal_sets_sweep, SweepConfig};
     use sv_core::StandaloneModule;
     use sv_workflow::{library, ModuleId};
 
@@ -115,10 +115,11 @@ mod tests {
         let m = one_one_module(4);
         for gamma in [2u128, 4, 16] {
             let out = layer_scan_minimal_sets(&m, gamma, u64::MAX);
-            let (frontier, stats) = minimal_sets_sweep_frontier(
+            let (frontier, stats) = minimal_sets_sweep(
                 &MemoSafetyOracle::new(m.clone()),
                 gamma,
                 &SweepConfig::serial(),
+                None,
             )
             .unwrap();
             assert!(out.completed);

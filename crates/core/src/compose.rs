@@ -101,10 +101,14 @@ pub fn compose_hidden_sets(per_module_hidden: &[AttrSet]) -> AttrSet {
 /// the union. Always safe (Theorem 4) but up to `Ω(n)` more expensive
 /// than the workflow optimum.
 ///
+/// A one-shot [`crate::WorkflowSweeper::union_of_optima`] over a serial
+/// sweeper; callers that ask repeatedly (Γ or cost sweeps) keep a
+/// sweeper instead, so its memos answer the repeats.
+///
 /// Returns the global hidden set and its total cost.
 ///
 /// # Errors
-/// Propagates standalone-solver errors; fails with
+/// Propagates module-materialization and sweep errors; fails with
 /// [`CoreError::BudgetExceeded`] if some module admits no safe subset.
 pub fn union_of_standalone_optima(
     workflow: &Workflow,
@@ -112,73 +116,9 @@ pub fn union_of_standalone_optima(
     gamma: u128,
     budget: u128,
 ) -> Result<(AttrSet, u64), CoreError> {
-    union_of_standalone_optima_sweep(workflow, costs, gamma, budget, crate::SweepConfig::serial())
-        .map(|(hidden, cost, _)| (hidden, cost))
-}
-
-/// [`union_of_standalone_optima`] through the parallel lattice sweep
-/// ([`crate::sweep`]): modules are materialized once, cost slices are
-/// hoisted out of the per-module loop, and each standalone optimum is
-/// found by the work-stealing branch-and-bound sweep — or, when the
-/// module's minimal-safe-set antichain is already memoized as a
-/// [`crate::Frontier`], by pure frontier algebra
-/// ([`crate::Frontier::min_cost_member`]) with **zero** lattice
-/// re-enumeration. Also returns the merged visited/pruned counters for
-/// observability.
-///
-/// # Errors
-/// As [`union_of_standalone_optima`].
-pub fn union_of_standalone_optima_sweep(
-    workflow: &Workflow,
-    costs: &[u64],
-    gamma: u128,
-    budget: u128,
-    config: crate::SweepConfig,
-) -> Result<(AttrSet, u64, crate::SweepStats), CoreError> {
-    let sweeper = crate::WorkflowSweeper::for_workflow(workflow, budget, config)?;
-    let localized = sweeper.localize_costs(costs);
-    sweeper.union_of_optima(&localized, gamma)
-}
-
-/// [`union_of_standalone_optima`] against caller-owned per-module
-/// safety oracles — repeated assemblies (cost sweeps, Γ sweeps) over
-/// the same workflow share one memo. This is the **serial**
-/// memo-sharing path; cold large-`k` assemblies should prefer
-/// [`union_of_standalone_optima_sweep`].
-///
-/// # Errors
-/// As [`union_of_standalone_optima`].
-pub fn union_of_standalone_optima_with(
-    workflow: &Workflow,
-    oracles: &crate::safety::WorkflowOracles,
-    costs: &[u64],
-    gamma: u128,
-) -> Result<(AttrSet, u64), CoreError> {
-    assert_eq!(costs.len(), workflow.schema().len());
-    let mut hidden = AttrSet::new();
-    for id in workflow.private_modules() {
-        let lens = ModuleLens::new(workflow, id)?;
-        let local_costs: Vec<u64> = workflow
-            .module(id)?
-            .attr_set()
-            .iter()
-            .map(|a| costs[a.index()])
-            .collect();
-        let oracle = oracles
-            .oracle(id)
-            .ok_or(CoreError::MissingOracle { module: id.index() })?;
-        let Some((local_hidden, _)) =
-            crate::safety::min_cost_safe_hidden(&*oracle, &local_costs, gamma)?
-        else {
-            return Err(CoreError::BudgetExceeded {
-                what: "no safe standalone subset exists for a module",
-                required: gamma,
-                budget: 0,
-            });
-        };
-        hidden.union_with(&lens.to_global(&local_hidden));
-    }
-    let cost = hidden.iter().map(|a| costs[a.index()]).sum();
+    let sweeper =
+        crate::WorkflowSweeper::for_workflow(workflow, budget, crate::SweepConfig::serial())?;
+    let (hidden, cost, _) = sweeper.union_of_optima(&sweeper.localize_costs(costs), gamma)?;
     Ok((hidden, cost))
 }
 
@@ -553,29 +493,6 @@ mod tests {
         let visible = hidden.complement(w.schema().len());
         let report = WorldSearch::new(&w, visible).run(1 << 26).unwrap();
         assert!(report.is_gamma_private(&w.private_modules(), 2));
-    }
-
-    #[test]
-    fn union_sweep_parallel_matches_serial_and_reports_counters() {
-        let w = one_one_chain(2, 2);
-        let costs = vec![1u64; w.schema().len()];
-        let serial = union_of_standalone_optima(&w, &costs, 2, 1 << 20).unwrap();
-        for threads in [1usize, 4] {
-            let (hidden, cost, stats) = union_of_standalone_optima_sweep(
-                &w,
-                &costs,
-                2,
-                1 << 20,
-                crate::SweepConfig::parallel(threads),
-            )
-            .unwrap();
-            assert_eq!((hidden, cost), serial, "threads={threads}");
-            assert_eq!(stats.visited + stats.pruned, stats.lattice);
-        }
-        // The memo-sharing oracle path agrees too.
-        let oracles = crate::safety::WorkflowOracles::for_workflow(&w, 1 << 20).unwrap();
-        let via_oracles = union_of_standalone_optima_with(&w, &oracles, &costs, 2).unwrap();
-        assert_eq!(via_oracles, serial);
     }
 
     #[test]

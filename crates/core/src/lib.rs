@@ -19,20 +19,23 @@
 //!   computed once on the interned kernel, then every `is_safe(V, Γ)`
 //!   is an O(1) lookup), the naive reference oracle, and
 //!   [`safety::WorkflowOracles`] (one memoized oracle per private
-//!   module, shared by all requirement-list and instance derivations);
+//!   module: the store the workflow sweeper derives from and the
+//!   serving tier probes);
 //! * [`requirements`] — deriving a module's *set constraints* and
 //!   *cardinality constraints* requirement lists (§4.2);
 //! * [`frontier`] — the **bitwise-trie antichain frontier**: swept
 //!   ⊆-minimal safe-set families as a real data structure ([`Frontier`])
-//!   with sublinear coverage/domination queries,
-//!   minimality-maintaining insertion, and up-set algebra — the engine
-//!   behind the sweeps' Proposition-1 pruning;
+//!   with sublinear coverage queries, minimality-maintaining insertion,
+//!   and the uncovered-border walk — the engine behind the sweeps'
+//!   Proposition-1 pruning;
 //! * [`sweep`] — the **parallel work-stealing lattice sweep**: one
 //!   enumerator that walks only the uncovered border of the
 //!   Proposition-1 antichain, with a shared branch-and-bound best-cost
 //!   bound, plus [`sweep::WorkflowSweeper`] driving per-module sweeps
 //!   (with hoisted cost slices) over one [`safety::WorkflowOracles`]
-//!   module store for the composition and instance-derivation layers;
+//!   module store — the one path every workflow-level Secure-View
+//!   answer (composition, requirement lists, instances) is derived
+//!   through;
 //! * [`compose`] — Theorem 4: assembling workflow privacy from
 //!   standalone guarantees in all-private workflows, plus the exhaustive
 //!   workflow-privacy verifier over function-generated possible worlds;

@@ -84,10 +84,11 @@ pub fn assemble_general(
 ///
 /// This is a greedy baseline (the paper shows the real optimization is
 /// `Ω(log n)`-hard even without data sharing, Theorem 9); `sv-optimize`
-/// provides the LP-based algorithms.
+/// provides the LP-based algorithms. A one-shot
+/// [`greedy_general_with_sweeper`] over a serial sweeper.
 ///
 /// # Errors
-/// Propagates standalone-solver failures.
+/// Propagates module-materialization and standalone-solver failures.
 pub fn greedy_general_solution(
     workflow: &Workflow,
     attr_costs: &[u64],
@@ -95,32 +96,11 @@ pub fn greedy_general_solution(
     gamma: u128,
     budget: u128,
 ) -> Result<(GeneralSafeView, u64), CoreError> {
-    greedy_general_solution_sweep(
-        workflow,
-        attr_costs,
-        module_costs,
-        gamma,
-        budget,
-        crate::SweepConfig::serial(),
-    )
-    .map(|(view, cost, _)| (view, cost))
-}
-
-/// [`greedy_general_solution`] through the parallel lattice sweep
-/// ([`crate::sweep`]), returning the merged visited/pruned counters.
-///
-/// # Errors
-/// Propagates standalone-solver failures.
-pub fn greedy_general_solution_sweep(
-    workflow: &Workflow,
-    attr_costs: &[u64],
-    module_costs: &BTreeMap<ModuleId, u64>,
-    gamma: u128,
-    budget: u128,
-    config: crate::SweepConfig,
-) -> Result<(GeneralSafeView, u64, crate::SweepStats), CoreError> {
-    let sweeper = crate::WorkflowSweeper::for_workflow(workflow, budget, config)?;
-    greedy_general_with_sweeper(workflow, &sweeper, attr_costs, module_costs, gamma)
+    let sweeper =
+        crate::WorkflowSweeper::for_workflow(workflow, budget, crate::SweepConfig::serial())?;
+    let (view, cost, _) =
+        greedy_general_with_sweeper(workflow, &sweeper, attr_costs, module_costs, gamma)?;
+    Ok((view, cost))
 }
 
 /// [`greedy_general_solution`] against a caller-owned
@@ -287,31 +267,22 @@ mod tests {
         let mut mcosts = BTreeMap::new();
         mcosts.insert(ModuleId(0), 1u64);
         mcosts.insert(ModuleId(2), 1u64);
-        let serial = greedy_general_solution(&w, &attr_costs, &mcosts, 4, 1 << 20).unwrap();
+        // A sweeper survives repeated Γ calls without re-materializing.
         for threads in [1usize, 4] {
-            let (view, cost, stats) = greedy_general_solution_sweep(
+            let sweeper = crate::WorkflowSweeper::for_workflow(
                 &w,
-                &attr_costs,
-                &mcosts,
-                4,
                 1 << 20,
                 crate::SweepConfig::parallel(threads),
             )
             .unwrap();
-            assert_eq!((view, cost), serial.clone(), "threads={threads}");
-            assert_eq!(stats.visited + stats.pruned, stats.lattice);
-        }
-        // A sweeper survives repeated Γ calls without re-materializing.
-        let sweeper =
-            crate::WorkflowSweeper::for_workflow(&w, 1 << 20, crate::SweepConfig::serial())
-                .unwrap();
-        for gamma in [2u128, 4] {
-            let (view, _, _) =
-                greedy_general_with_sweeper(&w, &sweeper, &attr_costs, &mcosts, gamma).unwrap();
-            let direct = greedy_general_solution(&w, &attr_costs, &mcosts, gamma, 1 << 20)
-                .unwrap()
-                .0;
-            assert_eq!(view, direct, "gamma={gamma}");
+            for gamma in [2u128, 4] {
+                let (view, cost, stats) =
+                    greedy_general_with_sweeper(&w, &sweeper, &attr_costs, &mcosts, gamma).unwrap();
+                let direct =
+                    greedy_general_solution(&w, &attr_costs, &mcosts, gamma, 1 << 20).unwrap();
+                assert_eq!((view, cost), direct, "threads={threads} gamma={gamma}");
+                assert_eq!(stats.visited + stats.pruned, stats.lattice);
+            }
         }
     }
 }

@@ -63,7 +63,10 @@ pub fn set_constraints(
 
 /// [`set_constraints`] through an explicit safety oracle, so that
 /// repeated probes (and later derivations against the same oracle) hit
-/// the memo instead of the kernel.
+/// the memo instead of the kernel. This serial scan is a reference:
+/// the property suites and the e9/e13 kernel-swap benches compare
+/// against it, while workflow instances derive their lists through
+/// [`crate::sweep::WorkflowSweeper`].
 ///
 /// # Errors
 /// Propagates enumeration limits from the standalone solver.
@@ -130,7 +133,10 @@ pub fn cardinality_constraints(m: &StandaloneModule, gamma: u128) -> Vec<CardReq
 /// [`cardinality_constraints`] through an explicit safety oracle. When
 /// the oracle is a memoizing one that already served
 /// [`set_constraints_with`] (which sweeps the full subset lattice),
-/// every probe here is answered from the cache.
+/// every probe here is answered from the cache. Like
+/// [`set_constraints_with`], a reference for tests and benches;
+/// workflow instances recover this list from the swept frontier
+/// ([`cardinality_constraints_from_frontier`]) with zero probes.
 pub fn cardinality_constraints_with(
     oracle: &dyn SafetyOracle,
     gamma: u128,
@@ -142,60 +148,16 @@ pub fn cardinality_constraints_with(
     })
 }
 
-/// [`cardinality_constraints`] recomputed from an already-derived
-/// antichain of ⊆-minimal safe hidden sets (module-local ids) — e.g.
-/// the output of [`crate::sweep::minimal_sets_sweep`]. Because the
+/// [`cardinality_constraints`] recomputed from a swept [`Frontier`] of
+/// ⊆-minimal safe hidden sets (module-local ids), e.g. the memoized
+/// tries of [`crate::sweep::WorkflowSweeper::minimal_frontiers_all`] —
+/// the recovery every `sv-optimize` cardinality instance uses. The
 /// antichain generates **all** safe hidden sets by superset closure
-/// (see [`crate::safety`]'s module docs), `(α, β)` validity is pure set
-/// arithmetic: every `α`-input/`β`-output combination must contain some
-/// antichain member. **Zero oracle probes.**
-#[must_use]
-pub fn cardinality_constraints_from_antichain(
-    antichain: &[AttrSet],
-    inputs: &AttrSet,
-    outputs: &AttrSet,
-) -> Vec<CardRequirement> {
-    // Word-encodable antichains (every swept one: k ≤ MAX_DENSE_ATTRS)
-    // go through the trie; anything wider falls back to the flat scan.
-    let width = 1 + inputs
-        .iter()
-        .chain(outputs.iter())
-        .chain(antichain.iter().flat_map(AttrSet::iter))
-        .map(|a| a.index())
-        .max()
-        .unwrap_or(0);
-    if width <= 64 {
-        let frontier = Frontier::from_masks(
-            width,
-            antichain
-                .iter()
-                .map(|a| a.as_word().expect("checked width")),
-        );
-        return cardinality_constraints_from_frontier(&frontier, inputs, outputs);
-    }
-    let ins: Vec<AttrId> = inputs.iter().collect();
-    let outs: Vec<AttrId> = outputs.iter().collect();
-    pareto_frontier(ins.len(), outs.len(), |alpha, beta| {
-        let in_choices = combinations(&ins, alpha);
-        let out_choices = combinations(&outs, beta);
-        in_choices.iter().all(|ic| {
-            out_choices.iter().all(|oc| {
-                let mut hidden = AttrSet::from_iter(ic.iter().copied());
-                hidden.union_with(&AttrSet::from_iter(oc.iter().copied()));
-                antichain.iter().any(|a| a.is_subset(&hidden))
-            })
-        })
-    })
-}
-
-/// [`cardinality_constraints_from_antichain`] straight off a swept
-/// [`Frontier`] (e.g. the memoized tries of
-/// [`crate::sweep::WorkflowSweeper::minimal_frontiers_all`]): `(α, β)`
-/// is valid iff **no** `α`-input/`β`-output choice escapes the
-/// frontier's coverage, so validity is a counterexample search — each
-/// candidate a sublinear [`Frontier::covers`] query, abandoned on the
-/// first escape, with no combination lists materialized. **Zero oracle
-/// probes.**
+/// (see [`crate::safety`]'s module docs), so `(α, β)` is valid iff
+/// **no** `α`-input/`β`-output choice escapes the frontier's coverage:
+/// validity is a counterexample search — each candidate a sublinear
+/// [`Frontier::covers`] query, abandoned on the first escape, with no
+/// combination lists materialized. **Zero oracle probes.**
 ///
 /// # Panics
 /// Panics if an input/output attribute index is at or above the
@@ -240,7 +202,7 @@ fn any_choice(
 }
 
 /// Pareto-frontier construction shared by the oracle-probing and
-/// antichain-arithmetic derivations: for each α ascending, the least
+/// frontier-coverage derivations: for each α ascending, the least
 /// valid β, searched only below the last β found. Validity is monotone
 /// in both coordinates (Proposition 1), so once `(α, β)` is valid every
 /// `(α′, β)` with `α′ > α` is implied and never asked; a β found below
@@ -417,30 +379,17 @@ mod tests {
     fn unsatisfiable_gamma_gives_empty_frontier() {
         let m = m1(); // |Range| = 8
         assert!(cardinality_constraints(&m, 9).is_empty());
-        assert!(cardinality_constraints_from_antichain(&[], m.inputs(), m.outputs()).is_empty());
-    }
-
-    #[test]
-    fn antichain_frontier_matches_oracle_frontier() {
-        for m in [m1(), majority(2), one_one(2), one_one(3)] {
-            for gamma in [2u128, 4, 8] {
-                let antichain = m.minimal_safe_hidden_sets(gamma).unwrap();
-                let via_antichain =
-                    cardinality_constraints_from_antichain(&antichain, m.inputs(), m.outputs());
-                let via_oracle = cardinality_constraints(&m, gamma);
-                assert_eq!(via_antichain, via_oracle, "gamma={gamma}");
-            }
-        }
     }
 
     #[test]
     fn trie_frontier_recovery_matches_and_probes_nothing() {
-        for m in [m1(), majority(2), one_one(3)] {
+        for m in [m1(), majority(2), one_one(2), one_one(3)] {
             for gamma in [2u128, 4, 8] {
-                let (frontier, _) = crate::sweep::minimal_sets_sweep_frontier(
+                let (frontier, _) = crate::sweep::minimal_sets_sweep(
                     &crate::MemoSafetyOracle::new(m.clone()),
                     gamma,
                     &crate::SweepConfig::serial(),
+                    None,
                 )
                 .unwrap();
                 let via_frontier =

@@ -28,8 +28,9 @@
 //!   (`ops::reference`), kept as the property-test specification and
 //!   benchmark baseline;
 //! * [`WorkflowOracles`] — one memoized oracle per private module of a
-//!   workflow, materialized once and shared by every requirement-list /
-//!   instance derivation (`sv-optimize`) and the bench harness.
+//!   workflow, materialized once: the module store the workflow sweeper
+//!   derives every requirement list and instance from, the serving tier
+//!   probes, and the bench harness reads.
 //!
 //! ### One probe path
 //!
@@ -425,12 +426,6 @@ impl MemoSafetyOracle {
             .sum()
     }
 
-    /// Consumes the oracle, returning the module.
-    #[must_use]
-    pub fn into_module(self) -> StandaloneModule {
-        self.module
-    }
-
     /// Streams newly observed executions into the wrapped module
     /// ([`StandaloneModule::append_execution`]). Cached levels are kept
     /// and revalidated lazily against the new epoch on their next
@@ -708,10 +703,12 @@ pub struct ProbeOutcome {
 }
 
 /// One memoized safety oracle per **private** module of a workflow,
-/// materialized once and shared across every consumer — requirement
-/// lists, instance derivations, optimizers, benches. This is what makes
-/// "identical safety queries are answered once per instance, regardless
-/// of which optimizer asks" true end-to-end.
+/// materialized once and shared across every consumer: the
+/// [`crate::sweep::WorkflowSweeper`] that derives every workflow-level
+/// Secure-View answer sweeps it, the serving tier probes it, and the
+/// benches read its counters. This is what makes "identical safety
+/// queries are answered once per instance, regardless of which
+/// optimizer asks" true end-to-end.
 pub struct WorkflowOracles {
     entries: Vec<OracleEntry>,
     /// Module id → `entries` index, fixed at construction — the batch
@@ -887,12 +884,6 @@ impl WorkflowOracles {
         }
     }
 
-    /// Exclusive access to one entry's oracle for the restore paths (no
-    /// locking: `&mut self` proves no reader exists).
-    fn oracle_mut(entry: &mut OracleEntry) -> &mut MemoSafetyOracle {
-        entry.oracle.get_mut().expect("module oracle lock poisoned")
-    }
-
     /// Re-reads every module's relation epoch and publishes the vector
     /// through the seqlock pair: bump to odd, store, bump back to even.
     /// Callers must be serialized with each other (the single-writer
@@ -1023,43 +1014,6 @@ impl WorkflowOracles {
         self.apply_batch(validated)
     }
 
-    /// Replaces one module's state with rows recovered from durable
-    /// storage ([`StandaloneModule::from_recovered`]): `rows` in kernel
-    /// arrival order, `epoch` the recorded generation counter. The
-    /// module gets a **fresh** memo (every cached level is dropped) —
-    /// the restore path is also how compaction swaps in a rebuilt
-    /// relation, where stale memos must not survive the epoch jump.
-    ///
-    /// # Errors
-    /// [`CoreError::MissingOracle`] for an uncovered module id;
-    /// propagates reconstruction failures (duplicate rows, FD
-    /// violations) with the oracle unchanged.
-    pub fn restore_module(
-        &mut self,
-        id: ModuleId,
-        rows: &[sv_relation::Tuple],
-        epoch: u64,
-    ) -> Result<(), CoreError> {
-        let &idx = self
-            .by_id
-            .get(&id)
-            .ok_or(CoreError::MissingOracle { module: id.index() })?;
-        let entry = &mut self.entries[idx];
-        let restored = {
-            let m = Self::oracle_mut(entry).module();
-            StandaloneModule::from_recovered(
-                m.schema().clone(),
-                m.inputs().clone(),
-                m.outputs().clone(),
-                rows,
-                epoch,
-            )?
-        };
-        *Self::oracle_mut(entry) = MemoSafetyOracle::new(restored);
-        self.publish_epochs();
-        Ok(())
-    }
-
     /// Rebuilds **every** listed module from a workflow-row **ledger**
     /// (full provenance rows in arrival order, e.g. a durable log's
     /// applied-row sequence): each module's rows are its projections of
@@ -1118,7 +1072,9 @@ impl WorkflowOracles {
             });
         }
         for (idx, sm) in restored {
-            *Self::oracle_mut(&mut self.entries[idx]) = MemoSafetyOracle::new(sm);
+            // No locking: `&mut self` proves no reader exists.
+            let oracle = self.entries[idx].oracle.get_mut();
+            *oracle.expect("module oracle lock poisoned") = MemoSafetyOracle::new(sm);
         }
         self.publish_epochs();
         Ok(())

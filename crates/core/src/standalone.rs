@@ -438,39 +438,6 @@ impl StandaloneModule {
         crate::safety::minimal_safe_hidden_sets(&oracle, gamma)
     }
 
-    /// [`min_cost_safe_hidden`](Self::min_cost_safe_hidden) through the
-    /// parallel work-stealing lattice sweep (branch-and-bound on a
-    /// shared best-cost bound), probing a fresh memoizing oracle.
-    /// Returns the solution plus the sweep's visited/pruned counters.
-    ///
-    /// # Errors
-    /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
-    pub fn min_cost_safe_hidden_sweep(
-        &self,
-        costs: &[u64],
-        gamma: u128,
-        config: &crate::sweep::SweepConfig,
-    ) -> Result<(Option<(AttrSet, u64)>, crate::sweep::SweepStats), CoreError> {
-        let oracle = crate::safety::MemoSafetyOracle::new(self.clone());
-        crate::sweep::min_cost_sweep(&oracle, costs, gamma, config)
-    }
-
-    /// [`minimal_safe_hidden_sets`](Self::minimal_safe_hidden_sets)
-    /// through the parallel layered sweep with Proposition-1 antichain
-    /// pruning, probing a fresh memoizing oracle. Returns the antichain
-    /// plus the sweep's visited/pruned counters.
-    ///
-    /// # Errors
-    /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
-    pub fn minimal_safe_hidden_sets_sweep(
-        &self,
-        gamma: u128,
-        config: &crate::sweep::SweepConfig,
-    ) -> Result<(Vec<AttrSet>, crate::sweep::SweepStats), CoreError> {
-        let oracle = crate::safety::MemoSafetyOracle::new(self.clone());
-        crate::sweep::minimal_sets_sweep(&oracle, gamma, config)
-    }
-
     /// All distinct inputs `π_I(R)`, in canonical order.
     #[must_use]
     pub fn input_tuples(&self) -> Vec<Tuple> {

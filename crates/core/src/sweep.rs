@@ -52,22 +52,23 @@
 //! Every entry point reports [`SweepStats`] (visited vs. pruned masks)
 //! for observability; `visited + pruned == lattice` always holds.
 //!
-//! [`WorkflowSweeper`] lifts the per-module sweeps to workflows. It
-//! sweeps every private module through its oracle in one
+//! [`WorkflowSweeper`] lifts the per-module sweeps to workflows, and it
+//! is the one path every workflow-level Secure-View answer is derived
+//! through. It sweeps every private module through its oracle in one
 //! [`WorkflowOracles`] store — the oracles its probes answer from, fed
 //! only through the store's [`IngestBatch`](crate::safety::IngestBatch)
-//! path, so sweeps, serving probes and requirement derivations share one
-//! level memo per module — hoists
-//! global→local cost slices out of the per-call loop
+//! path, so sweeps and serving probes share one level memo per module —
+//! hoists global→local cost slices out of the per-call loop
 //! ([`WorkflowSweeper::localize_costs`]), and backs the composition
-//! entry points ([`crate::compose::union_of_standalone_optima_sweep`],
-//! [`crate::public::greedy_general_solution_sweep`]) and the
-//! `sv-optimize` instance derivations.
+//! entry points ([`crate::compose::union_of_standalone_optima`],
+//! [`crate::public::greedy_general_solution`]) and every `sv-optimize`
+//! instance derivation (`from_workflow*` build a serial sweeper and
+//! call `from_sweeper`).
 //!
 //! * **Cross-module work stealing** ([`sweep_workflow_parallel`]).
 //!   Each private module's `2^k` lattice is independent, so
 //!   workflow-level calls ([`WorkflowSweeper::union_of_optima`],
-//!   [`WorkflowSweeper::minimal_sets_all`] and the `from_sweeper`
+//!   [`WorkflowSweeper::minimal_frontiers_all`] and the `from_sweeper`
 //!   derivations riding it) steal *modules* off a shared cursor and
 //!   nest the intra-module chunk pool under the same [`SweepConfig`]
 //!   thread budget — per-module results stay deterministic, counters
@@ -79,7 +80,7 @@
 
 use crate::compose::ModuleLens;
 use crate::error::CoreError;
-use crate::frontier::{BorderRun, Frontier};
+use crate::frontier::{binom, BorderRun, Frontier};
 use crate::safety::{MemoSafetyOracle, OracleGuard, SafetyOracle, WorkflowOracles};
 use crate::standalone::{StandaloneModule, MAX_DENSE_ATTRS};
 use std::collections::HashMap;
@@ -445,7 +446,8 @@ fn sweep_layers(
     probe: impl Fn(u64, &mut Vec<u64>) -> Option<bool> + Sync,
 ) -> SweepStats {
     let k = frontier.k();
-    let binom = binomials(k);
+    // Masks of layers `p..=k`: what a cutoff before layer `p` prunes.
+    let from_layer = |p: usize| (p..=k).map(|r| binom(k as u32, r as u32)).sum::<u64>();
     let workers = config.worker_count();
     let mut stats = SweepStats {
         lattice: 1u64 << k,
@@ -454,7 +456,7 @@ fn sweep_layers(
     };
     for p in 0..=k {
         if stop(p) {
-            stats.pruned += binom[k][p..].iter().sum::<u64>();
+            stats.pruned += from_layer(p);
             break;
         }
         let scan = frontier.uncovered_in_layer(p);
@@ -463,11 +465,11 @@ fn sweep_layers(
         if scan.masks == 0 {
             // Fully covered layer (only possible once a safe set is
             // known) ⇒ every higher layer is covered too.
-            stats.pruned += binom[k][p..].iter().sum::<u64>();
+            stats.pruned += from_layer(p);
             break;
         }
-        stats.pruned += binom[k][p] - scan.masks;
-        let chunks = chunk_runs(&binom, k, p, &scan.runs);
+        stats.pruned += binom(k as u32, p as u32) - scan.masks;
+        let chunks = chunk_runs(k, p, &scan.runs);
         let layer = probe_layer(&chunks, workers, &probe);
         stats.visited += layer.visited;
         stats.pruned += layer.pruned;
@@ -539,21 +541,21 @@ fn probe_layer(
 /// Splits a layer's uncovered runs into work-stealing chunks of at most
 /// [`SHARD`] masks, locating interior chunk starts by combinatorial
 /// rank/unrank instead of stepping mask-by-mask.
-fn chunk_runs(binom: &[Vec<u64>], k: usize, p: usize, runs: &[BorderRun]) -> Vec<(u64, u64)> {
+fn chunk_runs(k: usize, p: usize, runs: &[BorderRun]) -> Vec<(u64, u64)> {
     let mut chunks = Vec::new();
     for r in runs {
         if r.len <= SHARD {
             chunks.push((r.first, r.len));
             continue;
         }
-        let base = rank_combination(binom, r.first);
+        let base = rank_combination(r.first);
         let mut off = 0u64;
         while off < r.len {
             let len = SHARD.min(r.len - off);
             let first = if off == 0 {
                 r.first
             } else {
-                unrank_combination(binom, k, p, base + off)
+                unrank_combination(k, p, base + off)
             };
             chunks.push((first, len));
             off += len;
@@ -562,32 +564,16 @@ fn chunk_runs(binom: &[Vec<u64>], k: usize, p: usize, runs: &[BorderRun]) -> Vec
     chunks
 }
 
-/// `C(n, r)` table up to `n = MAX_DENSE_ATTRS` (fits `u64` comfortably).
-fn binomials(n: usize) -> Vec<Vec<u64>> {
-    let mut rows: Vec<Vec<u64>> = Vec::with_capacity(n + 1);
-    for i in 0..=n {
-        let mut row = vec![0u64; n + 1];
-        row[0] = 1;
-        for j in 1..=i {
-            // Pascal: C(i, j) = C(i-1, j-1) + C(i-1, j).
-            let prev = &rows[i - 1];
-            row[j] = prev[j - 1] + prev[j];
-        }
-        rows.push(row);
-    }
-    rows
-}
-
 /// The `rank`-th `k`-bit mask of popcount `p`, in ascending numeric
 /// order (rank 0 = lowest mask).
-fn unrank_combination(binom: &[Vec<u64>], k: usize, p: usize, mut rank: u64) -> u64 {
+fn unrank_combination(k: usize, p: usize, mut rank: u64) -> u64 {
     let mut mask = 0u64;
     let mut p = p;
     for bit in (0..k).rev() {
         if p == 0 {
             break;
         }
-        let without = binom[bit][p]; // masks using only bits < `bit`
+        let without = binom(bit as u32, p as u32); // masks using only bits < `bit`
         if rank < without {
             continue; // bit stays clear
         }
@@ -601,14 +587,14 @@ fn unrank_combination(binom: &[Vec<u64>], k: usize, p: usize, mut rank: u64) -> 
 /// Inverse of [`unrank_combination`]: the ascending-numeric rank of
 /// `mask` within its popcount layer. Colexicographic rank — sum
 /// `C(b_j, j + 1)` over the set bit positions `b_j` in ascending order.
-fn rank_combination(binom: &[Vec<u64>], mask: u64) -> u64 {
+fn rank_combination(mask: u64) -> u64 {
     let mut rank = 0u64;
-    let mut seen = 0usize;
+    let mut seen = 0u32;
     let mut m = mask;
     while m != 0 {
-        let bit = m.trailing_zeros() as usize;
+        let bit = m.trailing_zeros();
         seen += 1;
-        rank += binom[bit][seen];
+        rank += binom(bit, seen);
         m &= m - 1;
     }
     rank
@@ -633,30 +619,15 @@ pub(crate) fn layer_masks(k: usize, p: usize) -> impl Iterator<Item = u64> {
 }
 
 /// All ⊆-minimal safe hidden sets by parallel layered sweep with
-/// antichain pruning.
-///
-/// Result and order are identical to the serial reference
-/// [`crate::safety::minimal_safe_hidden_sets`] (ascending popcount,
-/// ascending mask within a layer) at every thread count. Thin wrapper
-/// over [`minimal_sets_sweep_frontier`], which keeps the antichain as a
-/// queryable [`Frontier`]. Probes go through `oracle`, as in
-/// [`min_cost_sweep`].
-///
-/// # Errors
-/// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
-pub fn minimal_sets_sweep(
-    oracle: &MemoSafetyOracle,
-    gamma: u128,
-    config: &SweepConfig,
-) -> Result<(Vec<AttrSet>, SweepStats), CoreError> {
-    let (frontier, stats) = minimal_sets_sweep_frontier(oracle, gamma, config)?;
-    Ok((frontier.iter().map(AttrSet::from_word).collect(), stats))
-}
-
-/// [`minimal_sets_sweep`] returning the swept antichain as a
-/// [`Frontier`] — the form the memo layer caches and the algebraic
-/// consumers ([`crate::requirements::cardinality_constraints_from_frontier`],
+/// antichain pruning, returned as a queryable [`Frontier`] — the form
+/// the memo layer caches and its consumers
+/// ([`crate::requirements::cardinality_constraints_from_frontier`],
 /// [`WorkflowSweeper::union_of_optima`]) keep querying.
+///
+/// The members, in [`Frontier::iter`]'s (popcount, mask) order, are
+/// exactly the serial reference
+/// [`crate::safety::minimal_safe_hidden_sets`] at every thread count.
+/// Probes go through `oracle`, as in [`min_cost_sweep`].
 ///
 /// Each layer is produced by one serial
 /// [`Frontier::uncovered_in_layer`] walk: covered up-set regions are
@@ -669,34 +640,22 @@ pub fn minimal_sets_sweep(
 /// (popcount, mask) order, and a layer whose walk emits nothing is the
 /// cutoff certificate for every higher layer.
 ///
-/// # Errors
-/// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
-pub fn minimal_sets_sweep_frontier(
-    oracle: &MemoSafetyOracle,
-    gamma: u128,
-    config: &SweepConfig,
-) -> Result<(Frontier, SweepStats), CoreError> {
-    minimal_sets_sweep_frontier_seeded(oracle, gamma, config, None)
-}
-
-/// [`minimal_sets_sweep_frontier`] with an optional **seed antichain**
-/// from an earlier sweep of a related module (the memoized re-sweep
-/// path: a streamed append changes the relation but usually perturbs few
-/// minimal sets).
-///
-/// Every seed mask is revalidated against `oracle` before it enters the
-/// frontier — no monotonicity of the data is assumed. A
-/// still-safe seed makes its whole strict up-set skippable from layer 0
-/// (those masks are never even enumerated); a seed that stopped being
-/// safe is dropped; a seed that stopped being *minimal* is evicted
-/// later by [`Frontier::insert`]'s dominance eviction when the sweep
-/// discovers the smaller safe set below it. Revalidation probes are
-/// deliberately **not** counted in `visited`/`pruned`, so
+/// `seeds` is an optional antichain from an earlier sweep of a related
+/// module (the memoized re-sweep path: a streamed append changes the
+/// relation but usually perturbs few minimal sets). Every seed mask is
+/// revalidated against `oracle` before it enters the frontier — no
+/// monotonicity of the data is assumed. A still-safe seed makes its
+/// whole strict up-set skippable from layer 0 (those masks are never
+/// even enumerated); a seed that stopped being safe is dropped; a seed
+/// that stopped being *minimal* is evicted later by
+/// [`Frontier::insert`]'s dominance eviction when the sweep discovers
+/// the smaller safe set below it. Revalidation probes are deliberately
+/// **not** counted in `visited`/`pruned`, so
 /// `visited + pruned == lattice` stays exact.
 ///
 /// # Errors
 /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
-pub fn minimal_sets_sweep_frontier_seeded(
+pub fn minimal_sets_sweep(
     oracle: &MemoSafetyOracle,
     gamma: u128,
     config: &SweepConfig,
@@ -761,11 +720,6 @@ fn merge_layer_runs(frontier: &mut Frontier, mut runs: Vec<Vec<u64>>) {
     }
 }
 
-/// Per-module antichains of a workflow-level sweep, in
-/// `private_modules()` order (the [`WorkflowSweeper::minimal_sets_all`]
-/// result shape).
-pub type ModuleAntichains = Vec<(ModuleId, Vec<AttrSet>)>;
-
 /// Per-module trie frontiers of a workflow-level sweep, in
 /// `private_modules()` order (the
 /// [`WorkflowSweeper::minimal_frontiers_all`] result shape). The
@@ -803,11 +757,9 @@ struct SweepCaches {
     sweeps: u64,
 }
 
-/// Global costs localized once per workflow — the hoisted form of the
-/// per-call cost-slice rebuild `compose::union_of_standalone_optima_with`
-/// and `public::greedy_general_solution` used to do per module call.
-/// Build once with [`WorkflowSweeper::localize_costs`], reuse across Γ
-/// sweeps.
+/// Global costs localized once per workflow, so repeated assemblies
+/// never rebuild a module's cost slice per call. Build once with
+/// [`WorkflowSweeper::localize_costs`], reuse across Γ sweeps.
 pub struct WorkflowCosts {
     global: Vec<u64>,
     per_module: Vec<Vec<u64>>,
@@ -831,7 +783,8 @@ impl WorkflowCosts {
 /// [`WorkflowOracles`] holding every private module, swept (in
 /// parallel, per [`SweepConfig`]) as many times as the caller needs —
 /// union-of-optima assemblies, requirement-list derivations, greedy
-/// general solutions.
+/// general solutions. Every workflow-level Secure-View answer in the
+/// workspace is derived through one.
 ///
 /// ### One level memo per module
 ///
@@ -872,13 +825,13 @@ impl WorkflowCosts {
 /// let rows = vec![wf.run(&[0, 0]).unwrap(), wf.run(&[1, 1]).unwrap()];
 /// sweeper.oracles().ingest_batch(&IngestBatch::new(rows)).unwrap();
 /// for &id in &ids {
-///     let (antichain, stats) = sweeper.module_minimal_sets(id, gamma).unwrap();
+///     let (antichain, stats) = sweeper.module_minimal_frontier(id, gamma).unwrap();
 ///     assert!(!antichain.is_empty());
 ///     assert_eq!(stats.visited + stats.pruned, stats.lattice);
 /// }
 /// // Same question again: answered from the epoch-stamped memo.
 /// let before = sweeper.sweeps_performed();
-/// let _ = sweeper.module_minimal_sets(ids[0], gamma).unwrap();
+/// let _ = sweeper.module_minimal_frontier(ids[0], gamma).unwrap();
 /// assert_eq!(sweeper.sweeps_performed(), before);
 /// ```
 pub struct WorkflowSweeper {
@@ -970,15 +923,6 @@ impl WorkflowSweeper {
     #[must_use]
     pub fn config(&self) -> &SweepConfig {
         &self.config
-    }
-
-    /// Replaces the sweep configuration (e.g. to rerun a derivation with
-    /// more threads without re-materializing modules). Drops the sweep
-    /// memos: results are configuration-independent, but their recorded
-    /// [`SweepStats`] are not.
-    pub fn set_config(&mut self, config: SweepConfig) {
-        self.config = config;
-        *self.caches.lock().expect("lock") = SweepCaches::default();
     }
 
     /// Lattice sweeps actually executed so far — cache misses plus
@@ -1129,36 +1073,15 @@ impl WorkflowSweeper {
     }
 
     /// Every module's ⊆-minimal safe hidden sets (module-local ids) with
-    /// per-module privacy requirements, swept **in parallel across
-    /// modules** ([`sweep_workflow_parallel`]) and memoized exactly like
-    /// [`module_minimal_sets`](Self::module_minimal_sets) — the
-    /// work-horse behind the `sv-optimize` `from_sweeper` instance
-    /// derivations. Returns the per-module antichains in
-    /// `private_modules()` order plus the merged sweep counters.
-    ///
-    /// # Errors
-    /// Propagates sweep errors.
-    ///
-    /// # Panics
-    /// Panics unless `gammas` has one entry per covered module.
-    pub fn minimal_sets_all(
-        &self,
-        gammas: &[u128],
-    ) -> Result<(ModuleAntichains, SweepStats), CoreError> {
-        let (frontiers, stats) = self.minimal_frontiers_all(gammas)?;
-        let out = frontiers
-            .into_iter()
-            .map(|(id, f)| (id, f.iter().map(AttrSet::from_word).collect()))
-            .collect();
-        Ok((out, stats))
-    }
-
-    /// [`minimal_sets_all`](Self::minimal_sets_all) in frontier form:
-    /// every module's ⊆-minimal antichain as a shared [`Frontier`]
-    /// handle into the epoch memo — the zero-copy shape the
-    /// `sv-optimize` `from_sweeper` derivations and the cardinality
-    /// recovery ([`crate::requirements::cardinality_constraints_from_frontier`])
-    /// consume.
+    /// per-module privacy requirements, each a shared [`Frontier`]
+    /// handle into the epoch memo, swept **in parallel across modules**
+    /// ([`sweep_workflow_parallel`]) and memoized exactly like
+    /// [`module_minimal_frontier`](Self::module_minimal_frontier) — the
+    /// zero-copy shape the `sv-optimize` `from_sweeper` derivations and
+    /// the cardinality recovery
+    /// ([`crate::requirements::cardinality_constraints_from_frontier`])
+    /// consume. Returns the per-module frontiers in `private_modules()`
+    /// order plus the merged sweep counters.
     ///
     /// # Errors
     /// Propagates sweep errors.
@@ -1224,7 +1147,7 @@ impl WorkflowSweeper {
                     return Ok((c.found.clone(), c.stats));
                 }
             }
-            // Frontier algebra: a current-epoch minimal-sets frontier
+            // Frontier query: a current-epoch minimal-sets frontier
             // for (module, Γ) already determines the optimum — by
             // Proposition 1 the (cost, mask)-lexicographic minimum over
             // all safe sets is attained at an antichain member
@@ -1265,27 +1188,11 @@ impl WorkflowSweeper {
     }
 
     /// One module's ⊆-minimal safe hidden sets (module-local ids) via
-    /// the parallel layered sweep. Memoized per `(module, Γ)` with the
-    /// module's relation epoch: a repeated derivation answers from the
-    /// memo with zero probes, and after streamed appends only the
-    /// modules whose relations changed are re-swept.
-    ///
-    /// # Errors
-    /// Propagates sweep errors; [`CoreError::MissingOracle`] if `id` is
-    /// not a covered private module.
-    pub fn module_minimal_sets(
-        &self,
-        id: ModuleId,
-        gamma: u128,
-    ) -> Result<(Vec<AttrSet>, SweepStats), CoreError> {
-        let (frontier, stats) = self.module_minimal_frontier(id, gamma)?;
-        Ok((frontier.iter().map(AttrSet::from_word).collect(), stats))
-    }
-
-    /// [`module_minimal_sets`](Self::module_minimal_sets) in frontier
-    /// form: a shared handle to the memoized trie, for callers that keep
-    /// querying ([`Frontier::covers`]) or run set algebra instead of
-    /// walking a member list.
+    /// the parallel layered sweep, as a shared handle to the memoized
+    /// trie. Memoized per `(module, Γ)` with the module's relation
+    /// epoch: a repeated derivation answers from the memo with zero
+    /// probes, and after streamed appends only the modules whose
+    /// relations changed are re-swept.
     ///
     /// # Errors
     /// Propagates sweep errors; [`CoreError::MissingOracle`] if `id` is
@@ -1300,9 +1207,9 @@ impl WorkflowSweeper {
     }
 
     /// The epoch-validated frontier memo behind
-    /// [`module_minimal_sets`](Self::module_minimal_sets) and
-    /// [`minimal_sets_all`](Self::minimal_sets_all); `run_config` as in
-    /// `min_cost_memo`.
+    /// [`module_minimal_frontier`](Self::module_minimal_frontier) and
+    /// [`minimal_frontiers_all`](Self::minimal_frontiers_all);
+    /// `run_config` as in `min_cost_memo`.
     fn minimal_sets_memo(
         &self,
         idx: usize,
@@ -1326,8 +1233,7 @@ impl WorkflowSweeper {
                 None => None,
             }
         };
-        let (frontier, stats) =
-            minimal_sets_sweep_frontier_seeded(&oracle, gamma, run_config, seeds.as_deref())?;
+        let (frontier, stats) = minimal_sets_sweep(&oracle, gamma, run_config, seeds.as_deref())?;
         let frontier = Arc::new(frontier);
         let mut caches = self.caches.lock().expect("lock");
         caches.sweeps += 1;
@@ -1359,6 +1265,11 @@ mod tests {
         MemoSafetyOracle::new(m.clone())
     }
 
+    /// A frontier's members as attribute sets, in (popcount, mask) order.
+    fn members(f: &Frontier) -> Vec<AttrSet> {
+        f.iter().map(AttrSet::from_word).collect()
+    }
+
     #[test]
     fn cost_table_matches_bitwise_sum() {
         let costs = [3u64, 1, 4, 1, 5, 9, 2, 6];
@@ -1374,12 +1285,9 @@ mod tests {
 
     #[test]
     fn unrank_and_gosper_enumerate_ascending() {
-        let binom = binomials(6);
         for p in 0..=6usize {
-            let total = binom[6][p];
-            let mut by_rank: Vec<u64> = (0..total)
-                .map(|r| unrank_combination(&binom, 6, p, r))
-                .collect();
+            let total = binom(6, p as u32);
+            let mut by_rank: Vec<u64> = (0..total).map(|r| unrank_combination(6, p, r)).collect();
             let direct: Vec<u64> = (0u64..(1 << 6))
                 .filter(|m| m.count_ones() as usize == p)
                 .collect();
@@ -1419,8 +1327,8 @@ mod tests {
             let serial = safety::minimal_safe_hidden_sets(&KernelOracle::new(&m), gamma).unwrap();
             for threads in [1usize, 2, 4, 8] {
                 let cfg = SweepConfig::parallel(threads);
-                let (sets, stats) = minimal_sets_sweep(&fresh(&m), gamma, &cfg).unwrap();
-                assert_eq!(sets, serial, "threads={threads}");
+                let (sets, stats) = minimal_sets_sweep(&fresh(&m), gamma, &cfg, None).unwrap();
+                assert_eq!(members(&sets), serial, "threads={threads}");
                 assert_eq!(stats.visited + stats.pruned, stats.lattice);
             }
         }
@@ -1433,7 +1341,8 @@ mod tests {
         // off without enumeration.
         let w = one_one_chain(1, 3);
         let m = StandaloneModule::from_workflow_module(&w, ModuleId(0), 1 << 20).unwrap();
-        let (sets, stats) = minimal_sets_sweep(&fresh(&m), 2, &SweepConfig::serial()).unwrap();
+        let (sets, stats) =
+            minimal_sets_sweep(&fresh(&m), 2, &SweepConfig::serial(), None).unwrap();
         assert_eq!(sets.len(), 6, "each of the 6 wires alone suffices");
         // Visited: the empty set plus the 6 singletons.
         assert_eq!(stats.visited, 7);
@@ -1489,8 +1398,8 @@ mod tests {
         assert_eq!(ids.len(), 3);
         // No executions yet: every module is vacuously safe, so the
         // antichain is the empty hidden set.
-        let (sets, _) = sweeper.module_minimal_sets(ids[0], 4).unwrap();
-        assert_eq!(sets, vec![AttrSet::new()]);
+        let (sets, _) = sweeper.module_minimal_frontier(ids[0], 4).unwrap();
+        assert_eq!(members(&sets), vec![AttrSet::new()]);
         assert_eq!(sweeper.sweeps_performed(), 1);
 
         // Each module's projection of the rows sent: what its streamed
@@ -1518,20 +1427,20 @@ mod tests {
             }
         }
         for &id in &ids {
-            let _ = sweeper.module_minimal_sets(id, 4).unwrap();
+            let _ = sweeper.module_minimal_frontier(id, 4).unwrap();
         }
         let after = sweeper.sweeps_performed();
         assert_eq!(after, 4, "one stale refresh + two fresh modules");
         // Re-deriving answers from the epoch memo: zero new sweeps.
         for &id in &ids {
-            let _ = sweeper.module_minimal_sets(id, 4).unwrap();
+            let _ = sweeper.module_minimal_frontier(id, 4).unwrap();
         }
         assert_eq!(sweeper.sweeps_performed(), after);
         // A duplicate execution changes nothing — memos stay valid.
         let row = w.run(&[0, 0]).unwrap();
         assert_eq!(ingest(&row), 0);
         for &id in &ids {
-            let _ = sweeper.module_minimal_sets(id, 4).unwrap();
+            let _ = sweeper.module_minimal_frontier(id, 4).unwrap();
         }
         assert_eq!(sweeper.sweeps_performed(), after);
 
@@ -1544,8 +1453,11 @@ mod tests {
                 let m = o.module();
                 StandaloneModule::new(expected, m.inputs().clone(), m.outputs().clone()).unwrap()
             };
-            let (streamed, _) = sweeper.module_minimal_sets(id, 4).unwrap();
-            assert_eq!(streamed, rebuilt.minimal_safe_hidden_sets(4).unwrap());
+            let (streamed, _) = sweeper.module_minimal_frontier(id, 4).unwrap();
+            assert_eq!(
+                members(&streamed),
+                rebuilt.minimal_safe_hidden_sets(4).unwrap()
+            );
         }
     }
 
@@ -1597,7 +1509,7 @@ mod tests {
             assert_eq!(id, *fid);
             assert!(!frontier.is_empty());
             let (found, stats) = sweeper.module_min_cost(id, &unit, 2).unwrap();
-            // Frontier algebra must equal a fresh branch-and-bound sweep.
+            // The frontier query must equal a fresh branch-and-bound sweep.
             let module = sweeper.oracles().oracle(id).unwrap().module().clone();
             let (swept, _) = min_cost_sweep(
                 &fresh(&module),
@@ -1613,7 +1525,7 @@ mod tests {
         assert_eq!(
             sweeper.sweeps_performed(),
             n,
-            "min-cost answered by frontier algebra, zero extra sweeps"
+            "min-cost answered by a frontier query, zero extra sweeps"
         );
         // union_of_optima rides the same zero-sweep path.
         let _ = sweeper.union_of_optima(&unit, 2).unwrap();
@@ -1681,8 +1593,7 @@ mod tests {
                 let o = store.oracle(id).unwrap();
                 safety::minimal_safe_hidden_sets(&KernelOracle::new(o.module()), gamma).unwrap()
             };
-            let sets: Vec<AttrSet> = reswept[i].iter().map(AttrSet::from_word).collect();
-            assert_eq!(sets, spec, "{id:?}");
+            assert_eq!(members(&reswept[i]), spec, "{id:?}");
         }
     }
 
@@ -1693,13 +1604,12 @@ mod tests {
         // walk's exact emission/jump counts — all identical at every
         // thread count, so they gate exactly in CI.
         let m = m1();
-        let (f1, s1) = minimal_sets_sweep_frontier(&fresh(&m), 4, &SweepConfig::serial()).unwrap();
+        let (f1, s1) = minimal_sets_sweep(&fresh(&m), 4, &SweepConfig::serial(), None).unwrap();
         assert!(s1.border_visited > 0);
         assert_eq!(s1.visited, s1.border_visited, "every emitted mask probed");
         for threads in [2usize, 4, 8] {
             let (f2, s2) =
-                minimal_sets_sweep_frontier(&fresh(&m), 4, &SweepConfig::parallel(threads))
-                    .unwrap();
+                minimal_sets_sweep(&fresh(&m), 4, &SweepConfig::parallel(threads), None).unwrap();
             assert_eq!(f1, f2, "threads={threads}");
             assert_eq!(s1.border_visited, s2.border_visited);
             assert_eq!(s1.border_jumps, s2.border_jumps);
@@ -1736,7 +1646,7 @@ mod tests {
             stats.visited, stats.lattice,
             "nothing safe ⇒ nothing pruned"
         );
-        let (sets, _) = minimal_sets_sweep(&fresh(&m), 9, &SweepConfig::parallel(4)).unwrap();
+        let (sets, _) = minimal_sets_sweep(&fresh(&m), 9, &SweepConfig::parallel(4), None).unwrap();
         assert!(sets.is_empty());
     }
 

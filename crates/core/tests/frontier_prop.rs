@@ -1,7 +1,7 @@
 //! Seeded-PRNG property suite for the bitwise-trie frontier engine:
 //! **`Frontier` ≡ flat `Vec<u64>` scan** on random antichains
-//! (covers / dominated_by / union / intersect / minimality-on-insert /
-//! iteration order), and **trie-backed `minimal_sets_sweep` ≡ serial
+//! (covers / minimality-on-insert / iteration order / border walk), and
+//! **trie-backed `minimal_sets_sweep` ≡ serial
 //! `safety::minimal_safe_hidden_sets` ≡ brute-force possible worlds**
 //! on random modules (k ≤ 12, 1/2/4/8 threads), including the
 //! empty-antichain and full-layer-cutoff edges.
@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sv_core::safety::{self, KernelOracle};
-use sv_core::sweep::{minimal_sets_sweep, minimal_sets_sweep_frontier, SweepConfig};
+use sv_core::sweep::{minimal_sets_sweep, SweepConfig};
 use sv_core::{worlds, Frontier, MemoSafetyOracle, StandaloneModule};
 use sv_relation::{AttrDef, AttrSet, Domain, Relation, Schema};
 
@@ -36,11 +36,6 @@ fn minimize(mut masks: Vec<u64>) -> Vec<u64> {
 /// Flat-scan `covers`: ∃ member ⊆ `mask`.
 fn flat_covers(members: &[u64], mask: u64) -> bool {
     members.iter().any(|&m| m | mask == mask)
-}
-
-/// Flat-scan `dominated_by`: ∃ member ⊇ `mask`.
-fn flat_dominated(members: &[u64], mask: u64) -> bool {
-    members.iter().any(|&m| m & mask == mask)
 }
 
 /// Random mask set (not necessarily an antichain) over `k` bits.
@@ -102,43 +97,6 @@ fn frontier_queries_match_flat_scans_on_random_antichains() {
                 flat_covers(&reference, q),
                 "trial={trial} k={k} covers({q:#b})"
             );
-            assert_eq!(
-                f.dominated_by(q),
-                flat_dominated(&reference, q),
-                "trial={trial} k={k} dominated_by({q:#b})"
-            );
-        }
-    }
-}
-
-#[test]
-fn union_and_intersect_match_flat_up_set_semantics() {
-    let mut rng = StdRng::seed_from_u64(0xA17);
-    for trial in 0..16 {
-        let k = rng.gen_range(1..=9u32);
-        let na = rng.gen_range(0..=40);
-        let a_raw = random_masks(&mut rng, k, na);
-        let nb = rng.gen_range(0..=40);
-        let b_raw = random_masks(&mut rng, k, nb);
-        let a_ref = minimize(a_raw.clone());
-        let b_ref = minimize(b_raw.clone());
-        let a = Frontier::from_masks(k as usize, a_raw);
-        let b = Frontier::from_masks(k as usize, b_raw);
-
-        let u = a.union(&b);
-        let i = a.intersect(&b);
-        // The results are themselves canonical minimal antichains.
-        let mut joined = a_ref.clone();
-        joined.extend(&b_ref);
-        assert_eq!(u, Frontier::from_masks(k as usize, joined));
-
-        // Up-set semantics, membership-tested over the whole lattice:
-        // ↑(A ∪ B) = ↑A ∪ ↑B and ↑(A ⊓ B) = ↑A ∩ ↑B.
-        for q in 0..(1u64 << k) {
-            let in_a = flat_covers(&a_ref, q);
-            let in_b = flat_covers(&b_ref, q);
-            assert_eq!(u.covers(q), in_a || in_b, "trial={trial} union({q:#b})");
-            assert_eq!(i.covers(q), in_a && in_b, "trial={trial} intersect({q:#b})");
         }
     }
 }
@@ -196,7 +154,7 @@ fn trie_sweep_equals_serial_spec_on_random_modules() {
             let spec_words: Vec<u64> = spec.iter().map(|s| s.as_word().expect("k <= 64")).collect();
             for threads in [1usize, 2, 4, 8] {
                 let cfg = SweepConfig::parallel(threads);
-                let (f, s) = minimal_sets_sweep_frontier(&fresh(&m), gamma, &cfg).unwrap();
+                let (f, s) = minimal_sets_sweep(&fresh(&m), gamma, &cfg, None).unwrap();
                 assert_eq!(
                     f.iter().collect::<Vec<_>>(),
                     spec_words,
@@ -204,9 +162,6 @@ fn trie_sweep_equals_serial_spec_on_random_modules() {
                 );
                 assert_eq!(s.frontier_nodes, f.node_count() as u64);
                 assert_eq!(s.visited + s.pruned, s.lattice);
-                // The AttrSet wrapper sees the identical list.
-                let (sets, _) = minimal_sets_sweep(&fresh(&m), gamma, &cfg).unwrap();
-                assert_eq!(sets, spec);
                 if spec.is_empty() {
                     // Empty-antichain edge: unsatisfiable Γ yields an
                     // empty trie that covers nothing.
@@ -231,7 +186,7 @@ fn trie_sweep_antichain_matches_bruteforce_worlds() {
         let k = m.k();
         for gamma in [2u128, 3, 4] {
             let (f, _) =
-                minimal_sets_sweep_frontier(&fresh(&m), gamma, &SweepConfig::parallel(4)).unwrap();
+                minimal_sets_sweep(&fresh(&m), gamma, &SweepConfig::parallel(4), None).unwrap();
             for mask in 0u64..(1 << k) {
                 let visible = AttrSet::from_word(mask).complement(k);
                 let brute = worlds::min_out_bruteforce(&m, &visible, 1 << 24).unwrap();
@@ -288,7 +243,7 @@ fn full_layer_cutoff_edge_is_exact() {
         // The layer-2 walk finds the whole layer covered (zero masks
         // emitted) and the cutoff fires.
         let cfg = SweepConfig::parallel(threads);
-        let (f, s) = minimal_sets_sweep_frontier(&fresh(&m), 2, &cfg).unwrap();
+        let (f, s) = minimal_sets_sweep(&fresh(&m), 2, &cfg, None).unwrap();
         assert_eq!(f.len(), k as usize);
         assert_eq!(s.visited, 1 + k, "empty mask + singletons only");
         assert_eq!(s.lattice, 1 << k);
@@ -373,7 +328,7 @@ fn full_width_frontier_matches_flat_scan_at_k_63_and_64() {
                 "k={k} trial={trial}: canonical iteration order"
             );
 
-            // covers / dominated_by ≡ flat scan on adversarial queries.
+            // covers ≡ flat scan on adversarial queries.
             let mut queries: Vec<u64> = vec![0, all, 1u64 << (k - 1), all >> 1];
             for &m in &reference {
                 queries.push(m);
@@ -388,11 +343,6 @@ fn full_width_frontier_matches_flat_scan_at_k_63_and_64() {
                     f.covers(q),
                     flat_covers(&reference, q),
                     "k={k} covers({q:#x})"
-                );
-                assert_eq!(
-                    f.dominated_by(q),
-                    flat_dominated(&reference, q),
-                    "k={k} dominated_by({q:#x})"
                 );
             }
 
@@ -415,22 +365,6 @@ fn full_width_frontier_matches_flat_scan_at_k_63_and_64() {
                 }
                 assert_eq!(emitted, uncovered, "k={k} trial={trial} layer p={p}");
                 assert_eq!(scan.masks, uncovered.len() as u64);
-
-                // next_uncovered agrees with the flat successor at
-                // arbitrary starting points.
-                for _ in 0..8 {
-                    let from = if layer.is_empty() {
-                        0
-                    } else {
-                        layer[rng.gen_range(0..layer.len())]
-                    };
-                    let expect = uncovered.iter().copied().find(|&m| m >= from);
-                    assert_eq!(
-                        f.next_uncovered(from, p as usize),
-                        expect,
-                        "k={k} p={p} from={from:#x}"
-                    );
-                }
             }
         }
     }
@@ -505,7 +439,7 @@ fn seeded_resweep_equals_fresh_sweep_after_appends() {
         let stale_frontiers: Vec<Frontier> = gammas
             .iter()
             .map(|&g| {
-                minimal_sets_sweep_frontier(&streamed, g, &SweepConfig::serial())
+                minimal_sets_sweep(&streamed, g, &SweepConfig::serial(), None)
                     .unwrap()
                     .0
             })
@@ -528,7 +462,7 @@ fn seeded_resweep_equals_fresh_sweep_after_appends() {
                     // A cold oracle over the appended module, and the
                     // streamed one with its pre-append levels.
                     for (cold, oracle) in [(true, &fresh(&current)), (false, &streamed)] {
-                        let (f, s) = sv_core::sweep::minimal_sets_sweep_frontier_seeded(
+                        let (f, s) = minimal_sets_sweep(
                             oracle,
                             gamma,
                             &SweepConfig::parallel(threads),

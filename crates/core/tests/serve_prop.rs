@@ -11,7 +11,7 @@
 //!   atomically;
 //! * `parallel-across-modules ≡ serial-across-modules` — workflow-level
 //!   sweeps ([`WorkflowSweeper::union_of_optima`],
-//!   [`WorkflowSweeper::minimal_sets_all`]) return identical results at
+//!   [`WorkflowSweeper::minimal_frontiers_all`]) return identical results at
 //!   1/2/4/8 threads.
 
 use rand::rngs::StdRng;
@@ -255,7 +255,7 @@ fn cross_module_parallel_sweeps_equal_serial_at_mixed_thread_counts() {
         let (serial_hidden, serial_cost, serial_stats) =
             serial.union_of_optima(&serial_costs, gamma).unwrap();
         let gammas = vec![gamma; serial.module_ids().len()];
-        let (serial_sets, _) = serial.minimal_sets_all(&gammas).unwrap();
+        let (serial_sets, _) = serial.minimal_frontiers_all(&gammas).unwrap();
 
         for threads in [1usize, 2, 4, 8] {
             let sweeper =
@@ -271,12 +271,12 @@ fn cross_module_parallel_sweeps_equal_serial_at_mixed_thread_counts() {
             // Counters are deterministic too: the same masks are swept
             // whatever the module/shard scheduling.
             assert_eq!(stats.lattice, serial_stats.lattice, "threads={threads}");
-            let (sets, s) = sweeper.minimal_sets_all(&gammas).unwrap();
+            let (sets, s) = sweeper.minimal_frontiers_all(&gammas).unwrap();
             assert_eq!(sets, serial_sets, "threads={threads}");
             assert_eq!(s.visited + s.pruned, s.lattice);
             // A repeat answers from the epoch memo with zero new sweeps.
             let before = sweeper.sweeps_performed();
-            let _ = sweeper.minimal_sets_all(&gammas).unwrap();
+            let _ = sweeper.minimal_frontiers_all(&gammas).unwrap();
             let _ = sweeper.union_of_optima(&wc, gamma).unwrap();
             assert_eq!(sweeper.sweeps_performed(), before, "threads={threads}");
         }

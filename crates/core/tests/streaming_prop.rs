@@ -151,15 +151,15 @@ fn streamed_sweeps_match_sweeps_over_rebuilt_modules() {
                         min_cost_sweep(&rebuilt, &costs, gamma, &cfg).unwrap().0,
                     );
                     assert_eq!(
-                        minimal_sets_sweep(&streamed, gamma, &cfg).unwrap().0,
-                        minimal_sets_sweep(&rebuilt, gamma, &cfg).unwrap().0,
+                        minimal_sets_sweep(&streamed, gamma, &cfg, None).unwrap().0,
+                        minimal_sets_sweep(&rebuilt, gamma, &cfg, None).unwrap().0,
                     );
                 }
                 // Serial reference closes the triangle.
+                let (swept, _) =
+                    minimal_sets_sweep(&streamed, gamma, &SweepConfig::serial(), None).unwrap();
                 assert_eq!(
-                    minimal_sets_sweep(&streamed, gamma, &SweepConfig::serial())
-                        .unwrap()
-                        .0,
+                    swept.iter().map(AttrSet::from_word).collect::<Vec<_>>(),
                     safety::minimal_safe_hidden_sets(&KernelOracle::new(rebuilt.module()), gamma)
                         .unwrap(),
                 );

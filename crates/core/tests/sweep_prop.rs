@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sv_core::safety::{self, IngestBatch, KernelOracle};
-use sv_core::sweep::{min_cost_sweep, minimal_sets_sweep, SweepConfig, WorkflowCosts};
+use sv_core::sweep::{min_cost_sweep, minimal_sets_sweep, SweepConfig, SweepStats, WorkflowCosts};
 use sv_core::{worlds, CoreError, MemoSafetyOracle, StandaloneModule, WorkflowSweeper};
 use sv_relation::{AttrDef, AttrSet, Domain, Relation, Schema, Tuple};
 use sv_workflow::library::{fig1_workflow, one_one_chain};
@@ -20,6 +20,16 @@ use sv_workflow::{ModuleFn, Visibility, Workflow, WorkflowBuilder};
 /// A cold oracle over `m`: what a one-shot sweep probes.
 fn fresh(m: &StandaloneModule) -> MemoSafetyOracle {
     MemoSafetyOracle::new(m.clone())
+}
+
+/// An unseeded antichain sweep's members, in (popcount, mask) order.
+fn swept_sets(
+    oracle: &MemoSafetyOracle,
+    gamma: u128,
+    cfg: &SweepConfig,
+) -> (Vec<AttrSet>, SweepStats) {
+    let (frontier, stats) = minimal_sets_sweep(oracle, gamma, cfg, None).unwrap();
+    (frontier.iter().map(AttrSet::from_word).collect(), stats)
 }
 
 /// Random standalone module: `k ≤ k_max` attributes with domain sizes
@@ -94,7 +104,7 @@ fn parallel_sweep_equals_serial_reference_on_random_modules() {
                 let (found, s1) = min_cost_sweep(&fresh(&m), &costs, gamma, &cfg).unwrap();
                 assert_eq!(found, serial_min, "min_cost {ctx}");
                 assert_eq!(s1.visited + s1.pruned, s1.lattice);
-                let (sets, s2) = minimal_sets_sweep(&fresh(&m), gamma, &cfg).unwrap();
+                let (sets, s2) = swept_sets(&fresh(&m), gamma, &cfg);
                 assert_eq!(sets, serial_sets, "minimal {ctx}");
                 assert_eq!(s2.visited + s2.pruned, s2.lattice);
             }
@@ -117,7 +127,7 @@ fn no_safe_set_cases_are_consistent_everywhere() {
             let (found, stats) = min_cost_sweep(&fresh(&m), &vec![1; m.k()], gamma, &cfg).unwrap();
             assert!(found.is_none());
             assert_eq!(stats.visited, stats.lattice, "no bound ⇒ nothing pruned");
-            let (sets, _) = minimal_sets_sweep(&fresh(&m), gamma, &cfg).unwrap();
+            let (sets, _) = swept_sets(&fresh(&m), gamma, &cfg);
             assert!(sets.is_empty());
         }
     }
@@ -161,11 +171,7 @@ fn sweep_antichain_matches_bruteforce_worlds_on_tiny_modules() {
         let gammas = [2u128, 3, 4];
         let antichains: Vec<Vec<AttrSet>> = gammas
             .iter()
-            .map(|&g| {
-                minimal_sets_sweep(&fresh(&m), g, &SweepConfig::parallel(4))
-                    .unwrap()
-                    .0
-            })
+            .map(|&g| swept_sets(&fresh(&m), g, &SweepConfig::parallel(4)).0)
             .collect();
         for mask in 0u64..(1 << k) {
             let hidden = AttrSet::from_word(mask);
@@ -297,7 +303,7 @@ fn fresh_answers(
         modules,
         costs,
         |m, c| min_cost_sweep(&fresh(m), c, gamma, cfg).unwrap().0,
-        |m| minimal_sets_sweep(&fresh(m), gamma, cfg).unwrap().0,
+        |m| swept_sets(&fresh(m), gamma, cfg).0,
     )
 }
 

@@ -9,12 +9,8 @@
 //! privatization costs.
 
 use crate::exact;
-use sv_core::compose::ModuleLens;
-use sv_core::requirements::{
-    cardinality_constraints_from_frontier, cardinality_constraints_with, set_constraints_with,
-};
-use sv_core::safety::WorkflowOracles;
-use sv_core::sweep::{SweepStats, WorkflowSweeper};
+use sv_core::requirements::cardinality_constraints_from_frontier;
+use sv_core::sweep::{SweepConfig, SweepStats, WorkflowSweeper};
 use sv_core::CoreError;
 use sv_relation::AttrSet;
 use sv_workflow::Workflow;
@@ -23,11 +19,14 @@ use sv_workflow::Workflow;
 /// input/output attribute ids and the list
 /// `L_i = ⟨(α_i^1, β_i^1), …⟩` (hide at least `α` inputs and `β`
 /// outputs for some list entry).
+///
+/// Derived instances list `inputs` and `outputs` in ascending global-id
+/// order, whatever order the workflow module declares them in.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CardModule {
-    /// Input attribute ids `I_i` (global).
+    /// Input attribute ids `I_i` (global; ascending when derived).
     pub inputs: Vec<u32>,
-    /// Output attribute ids `O_i` (global).
+    /// Output attribute ids `O_i` (global; ascending when derived).
     pub outputs: Vec<u32>,
     /// Requirement list `⟨(α_i^j, β_i^j)⟩`.
     pub list: Vec<(usize, usize)>,
@@ -145,8 +144,8 @@ impl CardinalityInstance {
     /// module contributes its Pareto cardinality frontier for `gamma`.
     ///
     /// # Errors
-    /// Propagates requirement-derivation failures; fails if some module
-    /// has an empty frontier (no safe hiding exists).
+    /// Propagates module-materialization and sweep failures; fails if
+    /// some module has an empty frontier (no safe hiding exists).
     pub fn from_workflow(
         workflow: &Workflow,
         gamma: u128,
@@ -159,62 +158,19 @@ impl CardinalityInstance {
     /// Like [`from_workflow`](Self::from_workflow) but with a distinct
     /// privacy requirement `Γ_i` per private module (in
     /// `private_modules()` order) — the paper notes all results carry
-    /// over unchanged (§2.4, remark after Definition 5).
+    /// over unchanged (§2.4, remark after Definition 5). A one-shot
+    /// [`from_sweeper`](Self::from_sweeper) over a serial
+    /// [`WorkflowSweeper`].
     ///
     /// # Errors
-    /// Propagates requirement-derivation failures.
+    /// As [`from_workflow`](Self::from_workflow).
     pub fn from_workflow_with_gammas(
         workflow: &Workflow,
         gammas: &[u128],
         budget: u128,
     ) -> Result<Self, CoreError> {
-        let oracles = WorkflowOracles::for_workflow(workflow, budget)?;
-        Self::from_oracles(workflow, &oracles, gammas)
-    }
-
-    /// Like [`from_workflow_with_gammas`](Self::from_workflow_with_gammas)
-    /// but against caller-owned per-module safety oracles, so the
-    /// modules are materialized once and every probe already answered —
-    /// by this derivation, a sibling [`SetInstance`] derivation, or any
-    /// optimizer — is served from the memo.
-    ///
-    /// # Errors
-    /// Propagates requirement-derivation failures.
-    pub fn from_oracles(
-        workflow: &Workflow,
-        oracles: &WorkflowOracles,
-        gammas: &[u128],
-    ) -> Result<Self, CoreError> {
-        assert_eq!(gammas.len(), workflow.private_modules().len());
-        let n_attrs = workflow.schema().len();
-        let mut modules = Vec::new();
-        for (id, &gamma) in workflow.private_modules().iter().copied().zip(gammas) {
-            let oracle = oracles
-                .oracle(id)
-                .ok_or(CoreError::MissingOracle { module: id.index() })?;
-            let list: Vec<(usize, usize)> = cardinality_constraints_with(&*oracle, gamma)
-                .into_iter()
-                .map(|c| (c.alpha, c.beta))
-                .collect();
-            if list.is_empty() {
-                return Err(CoreError::BudgetExceeded {
-                    what: "module admits no safe hiding for gamma",
-                    required: gamma,
-                    budget: 0,
-                });
-            }
-            let m = workflow.module(id)?;
-            modules.push(CardModule {
-                inputs: m.inputs.iter().map(|a| a.0).collect(),
-                outputs: m.outputs.iter().map(|a| a.0).collect(),
-                list,
-            });
-        }
-        Ok(Self {
-            n_attrs,
-            costs: vec![1; n_attrs],
-            modules,
-        })
+        let sweeper = WorkflowSweeper::for_workflow(workflow, budget, SweepConfig::serial())?;
+        Self::from_sweeper(&sweeper, gammas).map(|(inst, _)| inst)
     }
 
     /// Derives the instance through a [`WorkflowSweeper`]: per module,
@@ -315,8 +271,8 @@ impl SetInstance {
     /// attribute ids).
     ///
     /// # Errors
-    /// Propagates requirement-derivation failures; fails on modules with
-    /// no safe hiding.
+    /// Propagates module-materialization and sweep failures; fails on
+    /// modules with no safe hiding.
     pub fn from_workflow(
         workflow: &Workflow,
         gamma: u128,
@@ -327,57 +283,19 @@ impl SetInstance {
     }
 
     /// Like [`from_workflow`](Self::from_workflow) but with a distinct
-    /// `Γ_i` per private module (in `private_modules()` order).
+    /// `Γ_i` per private module (in `private_modules()` order). A
+    /// one-shot [`from_sweeper`](Self::from_sweeper) over a serial
+    /// [`WorkflowSweeper`].
     ///
     /// # Errors
-    /// Propagates requirement-derivation failures.
+    /// As [`from_workflow`](Self::from_workflow).
     pub fn from_workflow_with_gammas(
         workflow: &Workflow,
         gammas: &[u128],
         budget: u128,
     ) -> Result<Self, CoreError> {
-        let oracles = WorkflowOracles::for_workflow(workflow, budget)?;
-        Self::from_oracles(workflow, &oracles, gammas)
-    }
-
-    /// Like [`from_workflow_with_gammas`](Self::from_workflow_with_gammas)
-    /// but against caller-owned per-module safety oracles (see
-    /// [`CardinalityInstance::from_oracles`]); the full-lattice sweep
-    /// here warms the memo every later consumer hits.
-    ///
-    /// # Errors
-    /// Propagates requirement-derivation failures.
-    pub fn from_oracles(
-        workflow: &Workflow,
-        oracles: &WorkflowOracles,
-        gammas: &[u128],
-    ) -> Result<Self, CoreError> {
-        assert_eq!(gammas.len(), workflow.private_modules().len());
-        let n_attrs = workflow.schema().len();
-        let mut modules = Vec::new();
-        for (id, &gamma) in workflow.private_modules().iter().copied().zip(gammas) {
-            let lens = ModuleLens::new(workflow, id)?;
-            let oracle = oracles
-                .oracle(id)
-                .ok_or(CoreError::MissingOracle { module: id.index() })?;
-            let list: Vec<AttrSet> = set_constraints_with(&*oracle, gamma)?
-                .into_iter()
-                .map(|r| lens.to_global(&r.hidden()))
-                .collect();
-            if list.is_empty() {
-                return Err(CoreError::BudgetExceeded {
-                    what: "module admits no safe hiding for gamma",
-                    required: gamma,
-                    budget: 0,
-                });
-            }
-            modules.push(SetModule { list });
-        }
-        Ok(Self {
-            n_attrs,
-            costs: vec![1; n_attrs],
-            modules,
-        })
+        let sweeper = WorkflowSweeper::for_workflow(workflow, budget, SweepConfig::serial())?;
+        Self::from_sweeper(&sweeper, gammas).map(|(inst, _)| inst)
     }
 
     /// Derives the instance through a [`WorkflowSweeper`]: each module's
@@ -473,34 +391,22 @@ impl GeneralInstance {
     }
 
     /// Derives the instance from a general workflow with the given
-    /// per-public-module privatization costs.
+    /// per-public-module privatization costs: the private modules'
+    /// requirement lists come from [`SetInstance::from_sweeper`] over a
+    /// serial [`WorkflowSweeper`].
     ///
     /// # Errors
-    /// Propagates requirement-derivation failures.
+    /// Propagates module-materialization and sweep failures; fails on
+    /// private modules with no safe hiding.
     pub fn from_workflow(
         workflow: &Workflow,
         gamma: u128,
         public_costs: &[u64],
         budget: u128,
     ) -> Result<Self, CoreError> {
-        let oracles = WorkflowOracles::for_workflow(workflow, budget)?;
-        Self::from_oracles(workflow, &oracles, gamma, public_costs)
-    }
-
-    /// Like [`from_workflow`](Self::from_workflow) but against
-    /// caller-owned per-module safety oracles (see
-    /// [`CardinalityInstance::from_oracles`]).
-    ///
-    /// # Errors
-    /// Propagates requirement-derivation failures.
-    pub fn from_oracles(
-        workflow: &Workflow,
-        oracles: &WorkflowOracles,
-        gamma: u128,
-        public_costs: &[u64],
-    ) -> Result<Self, CoreError> {
-        let gammas = vec![gamma; workflow.private_modules().len()];
-        let base = SetInstance::from_oracles(workflow, oracles, &gammas)?;
+        let sweeper = WorkflowSweeper::for_workflow(workflow, budget, SweepConfig::serial())?;
+        let gammas = vec![gamma; sweeper.module_ids().len()];
+        let (base, _) = SetInstance::from_sweeper(&sweeper, &gammas)?;
         let publics: Vec<PublicSpec> = workflow
             .public_modules()
             .into_iter()
@@ -584,29 +490,6 @@ mod tests {
         let hidden = AttrSet::from_indices(&[3, 4]);
         assert!(inst.modules[0].satisfied_by(&hidden));
         assert!(CardinalityInstance::from_workflow(&w, 4, 1 << 20).is_err());
-    }
-
-    #[test]
-    fn sweeper_derivations_match_oracle_derivations() {
-        let w = fig1_workflow();
-        let gammas = [2u128; 3];
-        for threads in [1usize, 4] {
-            let sweeper =
-                WorkflowSweeper::for_workflow(&w, 1 << 20, sv_core::SweepConfig::parallel(threads))
-                    .unwrap();
-            let (set_inst, s1) = SetInstance::from_sweeper(&sweeper, &gammas).unwrap();
-            let baseline = SetInstance::from_workflow(&w, 2, 1 << 20).unwrap();
-            assert_eq!(set_inst.modules, baseline.modules, "threads={threads}");
-            assert!(s1.visited + s1.pruned == s1.lattice && s1.lattice > 0);
-            let (card_inst, _) = CardinalityInstance::from_sweeper(&sweeper, &gammas).unwrap();
-            let baseline = CardinalityInstance::from_workflow(&w, 2, 1 << 20).unwrap();
-            assert_eq!(card_inst.modules, baseline.modules, "threads={threads}");
-        }
-        // Unsatisfiable Γ errors out, as the oracle path does.
-        let sweeper =
-            WorkflowSweeper::for_workflow(&w, 1 << 20, sv_core::SweepConfig::serial()).unwrap();
-        assert!(SetInstance::from_sweeper(&sweeper, &[4; 3]).is_err());
-        assert!(CardinalityInstance::from_sweeper(&sweeper, &[4; 3]).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! * [`instance`] — problem instances decoupled from concrete workflows:
 //!   cardinality constraints, set constraints, and general (public +
 //!   private) variants, plus converters from a [`sv_workflow::Workflow`]
-//!   via the requirement lists of `sv_core::requirements`;
+//!   whose requirement lists come from a `sv_core::WorkflowSweeper`;
 //! * [`cardinality`] — the Figure-3 IP, its LP relaxation, the
 //!   Algorithm-1 randomized rounding (`O(log n)`-approximation,
 //!   Theorem 5), and the B.4 ablation LPs with unbounded / `Ω(n)`

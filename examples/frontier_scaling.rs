@@ -6,8 +6,8 @@
 //! sweeps topped out around k = 20. The frontier engine stores the
 //! ⊆-minimal safe sets as a [`Frontier`]: a path-compressed bitwise
 //! trie (the canonical, ordered antichain) paired with a bitsliced
-//! occurrence index that certifies `covers`/`dominated_by` in a few
-//! hundred straight-line word ops regardless of antichain size. This
+//! occurrence index that certifies `covers` in a few hundred
+//! straight-line word ops regardless of antichain size. This
 //! example walks the engine on a one-one module over 8 boolean wires
 //! (k = 16, Γ = 16):
 //!
@@ -19,19 +19,18 @@
 //!    enumerates only the masks the antichain does not already cover,
 //!    so each layer costs its border, not its binomial — the mechanism
 //!    that lifted the sweeps from k = 24 to k = 28;
-//! 3. ask the frontier the sweep's two inner-loop questions, `covers`
-//!    (is this mask safe by Proposition 1?) and `dominated_by`, and
-//!    check them against explicit member scans;
-//! 4. combine frontiers with `union`/`intersect` — the up-set algebra
-//!    the workflow memo layer runs on — and pick the cheapest safe
-//!    hidden set with `min_cost_member`.
+//! 3. ask the frontier the sweep's inner-loop question, `covers` (is
+//!    this mask safe by Proposition 1?), and check it against explicit
+//!    member scans;
+//! 4. pick the cheapest safe hidden set with `min_cost_member`, the
+//!    query the workflow memo layer answers min-cost sweeps with.
 //!
 //! Run with: `cargo run --example frontier_scaling`
 //!
 //! [`Frontier`]: secure_view::privacy::Frontier
 
-use secure_view::privacy::sweep::{minimal_sets_sweep_frontier, SweepConfig};
-use secure_view::privacy::{Frontier, MemoSafetyOracle, StandaloneModule};
+use secure_view::privacy::sweep::{minimal_sets_sweep, SweepConfig};
+use secure_view::privacy::{MemoSafetyOracle, StandaloneModule};
 use secure_view::workflow::{library, ModuleId};
 
 /// Boolean wires of the one-one module (k = 2 × WIRES lattice bits).
@@ -48,7 +47,7 @@ fn main() {
 
     // ── 1. Sweep the lattice into a trie antichain ───────────────────
     let oracle = MemoSafetyOracle::new(m);
-    let (frontier, stats) = minimal_sets_sweep_frontier(&oracle, GAMMA, &SweepConfig::auto())
+    let (frontier, stats) = minimal_sets_sweep(&oracle, GAMMA, &SweepConfig::auto(), None)
         .expect("k = 16 is well inside the dense-sweep limit");
     println!(
         "swept {} masks: visited {} ({:.2}%), antichain {} members",
@@ -91,13 +90,13 @@ fn main() {
         assert_eq!(scan.runs.iter().map(|r| r.len).sum::<u64>(), scan.masks);
     }
     // Layer 7 is fully covered — the sweep's cutoff certificate — and
-    // `next_uncovered` is the same walk in successor-jumping form.
-    assert_eq!(frontier.next_uncovered(0, 7), None);
-    let first = frontier.next_uncovered(0, 5).expect("layer 5 has a border");
+    // a layer's first run starts at its smallest uncovered mask.
+    assert!(frontier.uncovered_in_layer(7).runs.is_empty());
+    let first = frontier.uncovered_in_layer(5).runs[0].first;
     assert!(!frontier.covers(first) && first.count_ones() == 5);
     println!("first uncovered layer-5 mask: {first:#06x}");
 
-    // ── 3. The sweep's inner-loop questions, answered sublinearly ────
+    // ── 3. The sweep's inner-loop question, answered sublinearly ─────
     let members: Vec<u64> = frontier.iter().collect();
     // Members come out in (popcount, mask) order — layer by layer.
     assert!(members
@@ -107,31 +106,19 @@ fn main() {
     let safe = members[members.len() / 2] | members[0]; // superset of a member
     assert!(frontier.covers(safe), "up-set membership ⇒ safe");
     assert!(!frontier.covers(0), "hiding nothing is never Γ-private");
-    let sub = members[0] & (members[0] - 1); // drop the lowest bit
-    assert!(frontier.dominated_by(sub), "a member sits above it");
-    // Spot-check both answers against explicit member scans.
-    assert_eq!(
-        frontier.covers(safe),
-        members.iter().any(|&m| m | safe == safe)
-    );
-    println!(
-        "covers/dominated_by agree with flat member scans ({} members)",
-        members.len()
-    );
+    let unsafe_mask = members[0] & (members[0] - 1); // drop the lowest bit
+                                                     // Spot-check the answers against explicit member scans.
+    for q in [safe, unsafe_mask] {
+        assert_eq!(frontier.covers(q), members.iter().any(|&m| m | q == q));
+    }
 
-    // ── 4. Up-set algebra and cost minimization ──────────────────────
-    let low = Frontier::from_masks(k, members.iter().copied().take(8));
-    let both = frontier.intersect(&low); // masks safe under both
-    let either = frontier.union(&low); // masks safe under either
-    assert_eq!(either.len(), frontier.len(), "low's up-set is contained");
-    assert!(both.iter().all(|m| frontier.covers(m) && low.covers(m)));
-
+    // ── 4. Cost minimization ─────────────────────────────────────────
     // Cheapest safe hidden set under an additive per-attribute cost.
     let costs: Vec<u64> = (0..k as u64).map(|a| 1 + a % 3).collect();
     let (mask, cost) = frontier
         .min_cost_member(&costs)
         .expect("non-empty antichain");
-    assert!(frontier.contains(mask));
+    assert!(members.contains(&mask));
     println!(
         "cheapest safe hidden set: mask {mask:#06x} (popcount {}) at cost {cost}",
         mask.count_ones()

@@ -52,7 +52,8 @@ fn main() {
     };
     let gamma = 4;
     let ids = sweeper.module_ids();
-    let (sets, _) = sweeper.module_minimal_sets(ids[0], gamma).unwrap();
+    let (frontier, _) = sweeper.module_minimal_frontier(ids[0], gamma).unwrap();
+    let sets: Vec<AttrSet> = frontier.iter().map(AttrSet::from_word).collect();
     println!(
         "before any execution: m1's minimal safe hidden sets = {sets:?} \
          (vacuously safe — nothing to protect yet)"
@@ -69,8 +70,8 @@ fn main() {
         let sweeps_before = sweeper.sweeps_performed();
         let mut antichain_sizes = Vec::new();
         for &id in &ids {
-            let (sets, _) = sweeper.module_minimal_sets(id, gamma).unwrap();
-            antichain_sizes.push(sets.len());
+            let (frontier, _) = sweeper.module_minimal_frontier(id, gamma).unwrap();
+            antichain_sizes.push(frontier.len());
         }
         let resweeps = sweeper.sweeps_performed() - sweeps_before;
         let epochs: Vec<u64> = store.epoch_snapshot().iter().map(|&(_, e)| e).collect();
@@ -96,7 +97,7 @@ fn main() {
     // Re-deriving now, with no new provenance, costs zero sweeps.
     let before = sweeper.sweeps_performed();
     for &id in &ids {
-        let _ = sweeper.module_minimal_sets(id, gamma).unwrap();
+        let _ = sweeper.module_minimal_frontier(id, gamma).unwrap();
     }
     println!(
         "\nsteady state: re-deriving all requirement lists performed {} new sweeps",
@@ -106,7 +107,7 @@ fn main() {
     // A duplicate execution changes nothing — memos stay warm.
     let added = ingest(&[0, 0]);
     for &id in &ids {
-        let _ = sweeper.module_minimal_sets(id, gamma).unwrap();
+        let _ = sweeper.module_minimal_frontier(id, gamma).unwrap();
     }
     println!(
         "duplicate execution: +{added} rows, {} new sweeps",
