@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sv_core::requirements::set_constraints_with;
+use sv_core::requirements::set_constraints;
 use sv_core::safety::NaiveOracle;
 use sv_core::StandaloneModule;
 use sv_gen::random::{random_general, InstanceParams};
@@ -35,7 +35,7 @@ fn bench_kernel_swap(c: &mut Criterion) {
             for id in wf.private_modules() {
                 let sm = StandaloneModule::from_workflow_module(&wf, id, 1 << 20).unwrap();
                 let o = NaiveOracle::new(sm);
-                total += set_constraints_with(&o, gamma).unwrap().len();
+                total += set_constraints(&o, gamma).unwrap().len();
             }
             total
         });

@@ -36,11 +36,12 @@
 //! mechanically by re-running this bench with `--save-baseline`.
 //!
 //! **Pair-pass ablation** (`…/pair_pass/{sort_reference,counting}`, ns
-//! per pass): the kernel's counting Lemma-4 pair pass against the
-//! sort-based pass it replaced ([`sv_bench::sortpass`]), both on warm
-//! groupings of `one_one_chain(2, 11)` module 0 (22 attributes, 2,048
-//! rows) over seeded visible sets hiding 1–7 attributes, answers
-//! asserted equal.
+//! per pass): the kernel's counting Lemma-4 pair pass
+//! ([`InternedRelation::min_group_distinct`], in the thread's pair-pass
+//! buffer) against the sort-based pass it replaced
+//! ([`sv_bench::sortpass`], in a caller buffer), both on warm groupings
+//! of `one_one_chain(2, 11)` module 0 (22 attributes, 2,048 rows) over
+//! seeded visible sets hiding 1–7 attributes, answers asserted equal.
 //!
 //! CI gates (see `docs/BENCHMARKS.md`): absolute 2× regression bound on
 //! the batched ns/probe, within-run `one_at_a_time / batched ≥ 3` and
@@ -278,7 +279,9 @@ fn run_batched_sharded(stream: &[Probe], wf: &Workflow, threads: usize) -> f64 {
 }
 
 /// One Lemma-4 pair pass for a `(key, probe)` word pair, resolving both
-/// groupings from the kernel's cache.
+/// groupings from the kernel's cache. The sort reference runs in the
+/// caller's buffer; the kernel's counting pass ignores it and runs in
+/// the thread's own pair-pass buffer.
 type PairPass = fn(&InternedRelation, (u64, u64), &mut Vec<u64>) -> usize;
 
 fn sort_reference_pass(ir: &InternedRelation, (k, p): (u64, u64), scratch: &mut Vec<u64>) -> usize {
@@ -286,8 +289,8 @@ fn sort_reference_pass(ir: &InternedRelation, (k, p): (u64, u64), scratch: &mut 
     sortpass::min_group_distinct(&ir.group_index(&key), &ir.group_index(&probe), scratch)
 }
 
-fn counting_pass(ir: &InternedRelation, (k, p): (u64, u64), scratch: &mut Vec<u64>) -> usize {
-    ir.min_group_distinct_with(&AttrSet::from_word(k), &AttrSet::from_word(p), scratch)
+fn counting_pass(ir: &InternedRelation, (k, p): (u64, u64), _: &mut Vec<u64>) -> usize {
+    ir.min_group_distinct(&AttrSet::from_word(k), &AttrSet::from_word(p))
 }
 
 /// The pair-pass ablation: ns per Lemma-4 pair pass for the sort-based
@@ -318,7 +321,7 @@ fn run_pair_pass_ablation() -> (f64, f64) {
     let mut answers = |pass: PairPass| -> Vec<usize> {
         pairs.iter().map(|&q| pass(ir, q, &mut scratch)).collect()
     };
-    // Warm-up (builds every grouping, grows the scratch) and the
+    // Warm-up (builds every grouping, grows both buffers) and the
     // correctness anchor.
     assert_eq!(
         answers(sort_reference_pass),

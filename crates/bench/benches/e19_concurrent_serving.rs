@@ -44,7 +44,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use sv_core::safety::{ProbeRequest, WorkflowOracles};
-use sv_core::{MemoSafetyOracle, StandaloneModule};
+use sv_core::{MemoSafetyOracle, SafetyOracle, StandaloneModule};
 use sv_relation::AttrSet;
 use sv_workflow::{library, ModuleId, Workflow};
 
@@ -248,10 +248,9 @@ fn run_concurrent_serving(_c: &mut Criterion) {
                 let oracle = &shared_oracle;
                 let range = shard(w);
                 s.spawn(move || {
-                    let mut scratch: Vec<u64> = Vec::new();
                     for mask in range {
                         let hidden = AttrSet::from_word(mask);
-                        let _ = oracle.is_safe_hidden_with(&hidden, gamma, &mut scratch);
+                        let _ = oracle.is_safe_hidden(&hidden, gamma);
                     }
                 });
             }
@@ -269,10 +268,9 @@ fn run_concurrent_serving(_c: &mut Criterion) {
                     let range = shard(w);
                     s.spawn(move || {
                         let oracle = MemoSafetyOracle::new(module);
-                        let mut scratch: Vec<u64> = Vec::new();
                         for mask in range {
                             let hidden = AttrSet::from_word(mask);
-                            let _ = oracle.is_safe_hidden_with(&hidden, gamma, &mut scratch);
+                            let _ = oracle.is_safe_hidden(&hidden, gamma);
                         }
                         oracle.misses()
                     })

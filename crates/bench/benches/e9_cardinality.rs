@@ -10,8 +10,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sv_core::requirements::{cardinality_constraints_with, set_constraints_with};
-use sv_core::safety::{KernelOracle, MemoSafetyOracle, NaiveOracle, SafetyOracle};
+use sv_core::requirements::{cardinality_constraints, set_constraints};
+use sv_core::safety::{MemoSafetyOracle, NaiveOracle, SafetyOracle};
 use sv_core::StandaloneModule;
 use sv_gen::random::{random_cardinality, InstanceParams};
 use sv_optimize::{cardinality, exact_cardinality, CardinalityInstance};
@@ -21,8 +21,8 @@ use sv_workflow::{library, ModuleId};
 /// references: the set-constraints lattice scan followed by the
 /// cardinality Pareto frontier, each probing the oracle under test.
 fn derive(oracle: &dyn SafetyOracle, gamma: u128) -> (usize, usize) {
-    let s = set_constraints_with(oracle, gamma).unwrap().len();
-    let c = cardinality_constraints_with(oracle, gamma).len();
+    let s = set_constraints(oracle, gamma).unwrap().len();
+    let c = cardinality_constraints(oracle, gamma).len();
     (s, c)
 }
 
@@ -41,10 +41,7 @@ fn bench_kernel_swap(c: &mut Criterion) {
         });
     });
     g.bench_function("derive_requirements/interned_kernel", |bch| {
-        bch.iter(|| {
-            let o = KernelOracle::new(&m);
-            derive(&o, gamma)
-        });
+        bch.iter(|| derive(&m, gamma));
     });
     g.bench_function("derive_requirements/interned_plus_memo", |bch| {
         bch.iter(|| {

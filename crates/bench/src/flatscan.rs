@@ -11,7 +11,7 @@
 //! which is how the k = 24 case is shown to be out of reach for the
 //! flat scan while the trie sweep finishes.
 
-use sv_core::{MemoSafetyOracle, StandaloneModule};
+use sv_core::{MemoSafetyOracle, SafetyOracle, StandaloneModule};
 use sv_relation::AttrSet;
 
 /// Deterministic counters of one budgeted flat-scan sweep.
@@ -42,7 +42,6 @@ pub fn flat_scan_minimal_sets(
 ) -> FlatScanOutcome {
     let k = module.k();
     let oracle = MemoSafetyOracle::new(module.clone());
-    let mut scratch: Vec<u64> = Vec::new();
     let mut members: Vec<u64> = Vec::new();
     let mut visited = 0u64;
     let mut scans = 0u64;
@@ -72,7 +71,7 @@ pub fn flat_scan_minimal_sets(
             if !covered {
                 uncovered += 1;
                 visited += 1;
-                if oracle.is_safe_hidden_with(&AttrSet::from_word(mask), gamma, &mut scratch) {
+                if oracle.is_safe_hidden(&AttrSet::from_word(mask), gamma) {
                     layer_found.push(mask);
                 }
             }

@@ -16,7 +16,7 @@
 //! of reach for exhaustive layer enumeration while the border sweep
 //! finishes under the same budget.
 
-use sv_core::{Frontier, MemoSafetyOracle, StandaloneModule};
+use sv_core::{Frontier, MemoSafetyOracle, SafetyOracle, StandaloneModule};
 use sv_relation::AttrSet;
 
 /// Deterministic counters of one budgeted layer-enumeration sweep.
@@ -49,7 +49,6 @@ pub fn layer_scan_minimal_sets(
 ) -> LayerScanOutcome {
     let k = module.k();
     let oracle = MemoSafetyOracle::new(module.clone());
-    let mut scratch: Vec<u64> = Vec::new();
     let mut frontier = Frontier::new(k);
     let mut visited = 0u64;
     let mut enumerated = 0u64;
@@ -71,7 +70,7 @@ pub fn layer_scan_minimal_sets(
             if !frontier.covers(mask) {
                 uncovered += 1;
                 visited += 1;
-                if oracle.is_safe_hidden_with(&AttrSet::from_word(mask), gamma, &mut scratch) {
+                if oracle.is_safe_hidden(&AttrSet::from_word(mask), gamma) {
                     layer_found.push(mask);
                 }
             }

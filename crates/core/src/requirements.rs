@@ -11,11 +11,15 @@
 //!   (the succinct form motivated by Example 6: one-one and majority
 //!   modules have exponentially many safe subsets but a two-pair
 //!   cardinality list).
+//!
+//! The oracle-probing derivations take any [`SafetyOracle`]: pass the
+//! [`crate::StandaloneModule`] itself for one-shot answers, or a shared
+//! [`crate::safety::MemoSafetyOracle`] so later derivations hit its
+//! memo. [`cardinality_constraints_from_frontier`] probes nothing.
 
 use crate::error::CoreError;
 use crate::frontier::Frontier;
-use crate::safety::{self, KernelOracle, SafetyOracle};
-use crate::standalone::StandaloneModule;
+use crate::safety::{self, SafetyOracle};
 use sv_relation::{AttrId, AttrSet};
 
 /// One set-constraint alternative: hide these inputs and outputs.
@@ -48,29 +52,16 @@ pub struct CardRequirement {
 /// Computes the module's set-constraints list: all ⊆-minimal safe hidden
 /// sets, split into input and output parts (module-local ids).
 ///
-/// One-shot form of [`set_constraints_with`]; callers deriving several
-/// requirement lists from the same module should share a
-/// [`crate::safety::MemoSafetyOracle`] instead.
-///
-/// # Errors
-/// Propagates enumeration limits from the standalone solver.
-pub fn set_constraints(
-    m: &StandaloneModule,
-    gamma: u128,
-) -> Result<Vec<SetRequirement>, CoreError> {
-    set_constraints_with(&KernelOracle::new(m), gamma)
-}
-
-/// [`set_constraints`] through an explicit safety oracle, so that
-/// repeated probes (and later derivations against the same oracle) hit
-/// the memo instead of the kernel. This serial scan is a reference:
-/// the property suites and the e9/e13 kernel-swap benches compare
-/// against it, while workflow instances derive their lists through
+/// `oracle` may be the module itself (every probe a kernel pass) or a
+/// [`crate::safety::MemoSafetyOracle`] shared across derivations, whose
+/// repeated probes hit the memo. This serial scan is a reference: the
+/// property suites and the e9/e13 kernel-swap benches compare against
+/// it, while workflow instances derive their lists through
 /// [`crate::sweep::WorkflowSweeper`].
 ///
 /// # Errors
 /// Propagates enumeration limits from the standalone solver.
-pub fn set_constraints_with(
+pub fn set_constraints(
     oracle: &dyn SafetyOracle,
     gamma: u128,
 ) -> Result<Vec<SetRequirement>, CoreError> {
@@ -89,12 +80,7 @@ pub fn set_constraints_with(
 /// Γ-standalone-privacy (checked over all
 /// `C(|I|, α) · C(|O|, β)` subset pairs).
 #[must_use]
-pub fn cardinality_valid(m: &StandaloneModule, alpha: usize, beta: usize, gamma: u128) -> bool {
-    cardinality_valid_with(&KernelOracle::new(m), alpha, beta, gamma)
-}
-
-/// [`cardinality_valid`] through an explicit safety oracle.
-pub fn cardinality_valid_with(
+pub fn cardinality_valid(
     oracle: &dyn SafetyOracle,
     alpha: usize,
     beta: usize,
@@ -126,25 +112,17 @@ pub fn cardinality_valid_with(
 /// coordinates, by Proposition 1).
 ///
 /// Returns an empty list iff even `(|I|, |O|)` (hide everything) fails.
-pub fn cardinality_constraints(m: &StandaloneModule, gamma: u128) -> Vec<CardRequirement> {
-    cardinality_constraints_with(&KernelOracle::new(m), gamma)
-}
-
-/// [`cardinality_constraints`] through an explicit safety oracle. When
-/// the oracle is a memoizing one that already served
-/// [`set_constraints_with`] (which sweeps the full subset lattice),
-/// every probe here is answered from the cache. Like
-/// [`set_constraints_with`], a reference for tests and benches;
-/// workflow instances recover this list from the swept frontier
-/// ([`cardinality_constraints_from_frontier`]) with zero probes.
-pub fn cardinality_constraints_with(
-    oracle: &dyn SafetyOracle,
-    gamma: u128,
-) -> Vec<CardRequirement> {
+/// When `oracle` is a memo that already served [`set_constraints`]
+/// (which sweeps the full subset lattice), every probe here is answered
+/// from the cache. Like [`set_constraints`], a reference for tests and
+/// benches; workflow instances recover this list from the swept
+/// frontier ([`cardinality_constraints_from_frontier`]) with zero
+/// probes.
+pub fn cardinality_constraints(oracle: &dyn SafetyOracle, gamma: u128) -> Vec<CardRequirement> {
     let ni = oracle.module().inputs().len();
     let no = oracle.module().outputs().len();
     pareto_frontier(ni, no, |alpha, beta| {
-        cardinality_valid_with(oracle, alpha, beta, gamma)
+        cardinality_valid(oracle, alpha, beta, gamma)
     })
 }
 
@@ -254,6 +232,7 @@ fn combinations(items: &[AttrId], size: usize) -> Vec<Vec<AttrId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StandaloneModule;
     use sv_workflow::{library, ModuleId, Visibility, WorkflowBuilder};
 
     fn m1() -> StandaloneModule {

@@ -18,12 +18,13 @@
 //!   `is_safe_hidden`, every one asked about an [`AttrSet`] (the dense
 //!   subset enumerations walk raw masks and convert with
 //!   [`AttrSet::from_word`], which never allocates);
-//! * [`KernelOracle`] — uninstrumented pass-through to the interned
-//!   columnar kernel (no memo; what the one-shot
-//!   [`StandaloneModule`] methods use);
-//! * [`MemoSafetyOracle`] — the memoizing oracle: one `V → level`
-//!   cache keyed by the canonical visible set makes repeated queries
-//!   O(1) lookups with zero allocation;
+//! * [`StandaloneModule`] — the uncached oracle: every probe runs one
+//!   Lemma-4 pass on the module's interned kernel (what the one-shot
+//!   §3 methods and the serial references use);
+//! * [`MemoSafetyOracle`] — the cached oracle: one `V → level` cache
+//!   keyed by the canonical visible set makes repeated queries O(1)
+//!   lookups with zero allocation, and it is the one oracle that counts
+//!   its probes ([`MemoSafetyOracle::calls`]);
 //! * [`NaiveOracle`] — the row-at-a-time seed semantics
 //!   (`ops::reference`), kept as the property-test specification and
 //!   benchmark baseline;
@@ -35,7 +36,8 @@
 //! ### One probe path
 //!
 //! Serving, sweeps and optimizers ask through the same memo path: a
-//! probe that misses the level cache computes one Lemma-4 pass and
+//! probe that misses the level cache computes one Lemma-4 pass (in the
+//! calling thread's pair-pass buffer, whichever thread that is) and
 //! stamps the level, so each distinct visible set costs one kernel
 //! evaluation per module epoch however many requests (or Γ values) ask
 //! about it. [`WorkflowOracles::probe_batch`] routes **mixed-module
@@ -139,26 +141,29 @@ fn memo_shard(set: &AttrSet) -> usize {
 /// threads — the serving tier shares a single warm instance across
 /// threads instead of cloning cold ones. The only mutating operations
 /// are the streaming appends (`&mut self` on the concrete types), which
-/// Rust's aliasing rules exclude from overlapping any probe.
-/// Implementations are instrumented (`calls`) so experiments can chart
-/// query counts.
+/// Rust's aliasing rules exclude from overlapping any probe. There is
+/// one implementation per caching policy: the module itself answers
+/// uncached, [`MemoSafetyOracle`] cached (and counts its probes).
 ///
 /// # Examples
 /// ```
-/// use sv_core::safety::{KernelOracle, SafetyOracle};
-/// use sv_core::StandaloneModule;
+/// use sv_core::safety::SafetyOracle;
+/// use sv_core::{MemoSafetyOracle, StandaloneModule};
 /// use sv_relation::AttrSet;
 /// use sv_workflow::{library::fig1_workflow, ModuleId};
 ///
 /// let m = StandaloneModule::from_workflow_module(&fig1_workflow(), ModuleId(0), 1 << 20)
 ///     .unwrap();
-/// let oracle = KernelOracle::new(&m);
+/// let memo = MemoSafetyOracle::new(m.clone());
 /// // Example 3 of the paper: V = {a1, a3, a5} is safe for Γ = 4 —
 /// // and the full privacy level answers every Γ at once.
 /// let v = AttrSet::from_indices(&[0, 2, 4]);
-/// assert!(oracle.is_safe(&v, 4));
-/// assert_eq!(oracle.privacy_level(&v), 4);
-/// assert_eq!(oracle.calls(), 2);
+/// for oracle in [&m as &dyn SafetyOracle, &memo] {
+///     assert!(oracle.is_safe(&v, 4));
+///     assert_eq!(oracle.privacy_level(&v), 4);
+/// }
+/// // The memo answered both questions from one kernel evaluation.
+/// assert_eq!((memo.calls(), memo.misses()), (2, 1));
 /// ```
 pub trait SafetyOracle {
     /// The module the oracle answers for.
@@ -194,46 +199,22 @@ pub trait SafetyOracle {
     fn relation_epoch(&self) -> u64 {
         self.module().epoch()
     }
-
-    /// Number of probes answered so far.
-    fn calls(&self) -> u64;
 }
 
-/// Uninstrumented pass-through oracle over the interned kernel —
-/// correct and fast, but re-evaluates every probe.
-pub struct KernelOracle<'a> {
-    module: &'a StandaloneModule,
-    calls: AtomicU64,
-}
-
-impl<'a> KernelOracle<'a> {
-    /// Borrows `module`.
-    #[must_use]
-    pub fn new(module: &'a StandaloneModule) -> Self {
-        Self {
-            module,
-            calls: AtomicU64::new(0),
-        }
-    }
-}
-
-impl SafetyOracle for KernelOracle<'_> {
+/// The uncached oracle: every probe runs one Lemma-4 pass on the
+/// module's kernel, through the module's own [`is_safe`](StandaloneModule::is_safe)
+/// and [`privacy_level`](StandaloneModule::privacy_level).
+impl SafetyOracle for StandaloneModule {
     fn module(&self) -> &StandaloneModule {
-        self.module
+        self
     }
 
     fn privacy_level(&self, visible: &AttrSet) -> u128 {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.module.privacy_level(visible)
+        StandaloneModule::privacy_level(self, visible)
     }
 
     fn is_safe(&self, visible: &AttrSet, gamma: u128) -> bool {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.module.is_safe(visible, gamma)
-    }
-
-    fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+        StandaloneModule::is_safe(self, visible, gamma)
     }
 }
 
@@ -248,7 +229,6 @@ impl SafetyOracle for KernelOracle<'_> {
 pub struct NaiveOracle {
     module: StandaloneModule,
     relation: Relation,
-    calls: AtomicU64,
 }
 
 impl NaiveOracle {
@@ -258,7 +238,6 @@ impl NaiveOracle {
         Self {
             relation: module.relation(),
             module,
-            calls: AtomicU64::new(0),
         }
     }
 }
@@ -269,7 +248,6 @@ impl SafetyOracle for NaiveOracle {
     }
 
     fn privacy_level(&self, visible: &AttrSet) -> u128 {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         let m = &self.module;
         let h = m.schema().domain_product(&m.outputs().difference(visible));
         sv_relation::ops::reference::group_count_distinct(
@@ -281,10 +259,6 @@ impl SafetyOracle for NaiveOracle {
         .map(|&d| (d as u128).saturating_mul(h))
         .min()
         .unwrap_or(u128::MAX)
-    }
-
-    fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
     }
 }
 
@@ -397,6 +371,15 @@ impl MemoSafetyOracle {
         &self.module
     }
 
+    /// Probes answered so far: every [`SafetyOracle::is_safe`],
+    /// [`SafetyOracle::is_safe_hidden`] and
+    /// [`SafetyOracle::privacy_level`] call counts exactly one, at every
+    /// Γ, whether the cache or the kernel answers it.
+    #[must_use]
+    pub fn calls(&self) -> u64 {
+        self.calls.load(Ordering::Relaxed)
+    }
+
     /// Probes that missed the cache (kernel evaluations).
     #[must_use]
     pub fn misses(&self) -> u64 {
@@ -453,26 +436,15 @@ impl MemoSafetyOracle {
     }
 
     /// Computes and epoch-stamps the level of a canonical visible set,
-    /// counting the miss (and the revalidation, when `stale`). The
-    /// kernel pass runs through `scratch` when the caller pins one,
-    /// else through a buffer from the kernel's pool, so concurrent
-    /// misses never contend on one scratch. Runs outside every shard
-    /// lock.
-    fn recompute_level(
-        &self,
-        visible: AttrSet,
-        stale: bool,
-        scratch: Option<&mut Vec<u64>>,
-    ) -> u128 {
+    /// counting the miss (and the revalidation, when `stale`). Runs
+    /// outside every shard lock.
+    fn recompute_level(&self, visible: AttrSet, stale: bool) -> u128 {
         if stale {
             self.revalidations.fetch_add(1, Ordering::Relaxed);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let epoch = self.module.epoch();
-        let level = match scratch {
-            Some(buf) => self.module.privacy_level_with(&visible, buf),
-            None => self.module.privacy_level(&visible),
-        };
+        let level = self.module.privacy_level(&visible);
         self.shards[memo_shard(&visible)]
             .write()
             .expect("memo shard lock")
@@ -484,7 +456,7 @@ impl MemoSafetyOracle {
     fn level(&self, visible: AttrSet) -> u128 {
         match self.cached(&visible) {
             Some((l, e)) if e == self.module.epoch() => l,
-            other => self.recompute_level(visible, other.is_some(), None),
+            other => self.recompute_level(visible, other.is_some()),
         }
     }
 
@@ -522,29 +494,12 @@ impl MemoSafetyOracle {
 
     /// `is_safe` on a canonical visible set, taking the monotone
     /// shortcut for stale entries when it is sound (see the type-level
-    /// docs). A miss runs the kernel pass through `scratch`, if pinned.
-    fn safe(&self, visible: AttrSet, gamma: u128, scratch: Option<&mut Vec<u64>>) -> bool {
+    /// docs).
+    fn safe(&self, visible: AttrSet, gamma: u128) -> bool {
         match self.probe_cache(&visible, gamma) {
             CacheProbe::Answer(a) => a,
-            CacheProbe::Compute { stale } => self.recompute_level(visible, stale, scratch) >= gamma,
+            CacheProbe::Compute { stale } => self.recompute_level(visible, stale) >= gamma,
         }
-    }
-
-    /// Hidden-set probe through a **caller-pinned** kernel scratch
-    /// buffer: identical to [`SafetyOracle::is_safe_hidden`], but a
-    /// cache miss runs the kernel pass through `scratch` instead of
-    /// borrowing from the kernel's pool. The parallel sweep gives each
-    /// worker its own buffer and shares one oracle, so shards share
-    /// every cached level while never contending on probe buffers.
-    #[must_use]
-    pub fn is_safe_hidden_with(
-        &self,
-        hidden: &AttrSet,
-        gamma: u128,
-        scratch: &mut Vec<u64>,
-    ) -> bool {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        gamma <= 1 || self.safe(hidden.complement(self.module.k()), gamma, Some(scratch))
     }
 }
 
@@ -560,11 +515,15 @@ impl SafetyOracle for MemoSafetyOracle {
 
     fn is_safe(&self, visible: &AttrSet, gamma: u128) -> bool {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        gamma <= 1 || self.safe(self.canonical(visible), gamma, None)
+        gamma <= 1 || self.safe(self.canonical(visible), gamma)
     }
 
-    fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+    /// Counts the call, then asks about the complement, which lies
+    /// inside the module's `k` attributes and so needs no
+    /// canonicalizing.
+    fn is_safe_hidden(&self, hidden: &AttrSet, gamma: u128) -> bool {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        gamma <= 1 || self.safe(hidden.complement(self.module.k()), gamma)
     }
 }
 
@@ -1250,7 +1209,7 @@ mod tests {
         let m = m1();
         let memo = MemoSafetyOracle::new(m.clone());
         let naive = NaiveOracle::new(m.clone());
-        let kernel = KernelOracle::new(&m);
+        let kernel: &dyn SafetyOracle = &m;
         for mask in 0u32..(1 << 5) {
             let visible = AttrSet::from_word(u64::from(mask));
             let a = memo.privacy_level(&visible);
@@ -1278,6 +1237,25 @@ mod tests {
         assert_eq!(memo.misses(), misses_after_first, "no further kernel work");
         assert!(memo.calls() > misses_after_first);
         assert_eq!(memo.cached_levels(), 1);
+    }
+
+    #[test]
+    fn every_memo_probe_counts_one_call_at_every_gamma() {
+        // Through `dyn`, as the serial enumerations ask: the trivial
+        // Γ ≤ 1 answers count like any other.
+        let memo = MemoSafetyOracle::new(m1());
+        let oracle: &dyn SafetyOracle = &memo;
+        let v = AttrSet::from_indices(&[0, 2, 4]);
+        let hidden = v.complement(5);
+        for gamma in [0u128, 1, 2, 4] {
+            let before = memo.calls();
+            let _ = oracle.is_safe(&v, gamma);
+            assert_eq!(memo.calls(), before + 1, "is_safe at Γ = {gamma}");
+            let _ = oracle.is_safe_hidden(&hidden, gamma);
+            assert_eq!(memo.calls(), before + 2, "is_safe_hidden at Γ = {gamma}");
+            let _ = oracle.privacy_level(&v);
+            assert_eq!(memo.calls(), before + 3, "privacy_level at Γ = {gamma}");
+        }
     }
 
     #[test]

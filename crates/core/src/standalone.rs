@@ -20,6 +20,12 @@
 //! module's width: a module of `k ≤ 64` attributes asks them all through
 //! inline one-word sets, so a warm probe allocates nothing, and wider
 //! modules take the same path.
+//!
+//! The module is also the uncached [`crate::safety::SafetyOracle`]:
+//! every probe runs one Lemma-4 pass on its kernel, so the two §3
+//! enumerations above are the serial [`crate::safety`] references asked
+//! through the module itself. [`crate::safety::MemoSafetyOracle`] wraps
+//! a module to cache its levels.
 
 use crate::error::CoreError;
 use std::sync::Arc;
@@ -343,10 +349,7 @@ impl StandaloneModule {
     /// are inline words.
     #[must_use]
     pub fn is_safe(&self, visible: &AttrSet, gamma: u128) -> bool {
-        gamma <= 1
-            || self.level(visible, gamma, |key, probe| {
-                self.kernel.min_group_distinct(key, probe)
-            }) >= gamma
+        gamma <= 1 || self.level(visible, gamma) >= gamma
     }
 
     /// Safety test phrased on the hidden set `V̄` (`V = A \ V̄`).
@@ -365,32 +368,15 @@ impl StandaloneModule {
     /// [`crate::safety::MemoSafetyOracle`] caches per visible set.
     #[must_use]
     pub fn privacy_level(&self, visible: &AttrSet) -> u128 {
-        self.level(visible, u128::MAX, |key, probe| {
-            self.kernel.min_group_distinct(key, probe)
-        })
+        self.level(visible, u128::MAX)
     }
 
-    /// [`privacy_level`](Self::privacy_level) through a caller-owned
-    /// probe scratch buffer — the pinned-buffer form for callers (sweep
-    /// workers) that keep one buffer per thread instead of borrowing
-    /// from the kernel's scratch pool.
-    #[must_use]
-    pub fn privacy_level_with(&self, visible: &AttrSet, scratch: &mut Vec<u64>) -> u128 {
-        self.level(visible, u128::MAX, |key, probe| {
-            self.kernel.min_group_distinct_with(key, probe, scratch)
-        })
-    }
-
-    /// The Lemma-4 level of `visible` with `min_group_distinct` as the
-    /// kernel pass: `u128::MAX` on an empty relation (no `x ∈ π_I(R)`,
-    /// so vacuously safe), and the hidden-output product alone, without
-    /// the pass, once that product reaches `enough`.
-    fn level(
-        &self,
-        visible: &AttrSet,
-        enough: u128,
-        min_group_distinct: impl FnOnce(&AttrSet, &AttrSet) -> usize,
-    ) -> u128 {
+    /// The Lemma-4 level of `visible` through the kernel's
+    /// [`InternedRelation::min_group_distinct`] pass: `u128::MAX` on an
+    /// empty relation (no `x ∈ π_I(R)`, so vacuously safe), and the
+    /// hidden-output product alone, without the pass, once that product
+    /// reaches `enough`.
+    fn level(&self, visible: &AttrSet, enough: u128) -> u128 {
         if self.kernel.n_rows() == 0 {
             return u128::MAX;
         }
@@ -400,7 +386,7 @@ impl StandaloneModule {
         if h >= enough {
             return h;
         }
-        let d = min_group_distinct(
+        let d = self.kernel.min_group_distinct(
             &self.inputs.intersection(visible),
             &self.outputs.intersection(visible),
         );
@@ -422,8 +408,7 @@ impl StandaloneModule {
         costs: &[u64],
         gamma: u128,
     ) -> Result<Option<(AttrSet, u64)>, CoreError> {
-        let oracle = crate::safety::KernelOracle::new(self);
-        crate::safety::min_cost_safe_hidden(&oracle, costs, gamma)
+        crate::safety::min_cost_safe_hidden(self, costs, gamma)
     }
 
     /// All ⊆-minimal safe hidden subsets — the module's set-constraints
@@ -434,8 +419,7 @@ impl StandaloneModule {
     /// # Errors
     /// [`CoreError::TooManyAttributes`] if `k > MAX_DENSE_ATTRS`.
     pub fn minimal_safe_hidden_sets(&self, gamma: u128) -> Result<Vec<AttrSet>, CoreError> {
-        let oracle = crate::safety::KernelOracle::new(self);
-        crate::safety::minimal_safe_hidden_sets(&oracle, gamma)
+        crate::safety::minimal_safe_hidden_sets(self, gamma)
     }
 
     /// All distinct inputs `π_I(R)`, in canonical order.

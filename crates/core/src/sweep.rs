@@ -37,11 +37,10 @@
 //!   whose strict subsets are all unsafe) lies inside the Γ′ border.
 //!   A min-cost sweep visits only border masks too, unless a zero-cost
 //!   attribute lets a racing bound update admit a mask above a safe set
-//!   the bound pruned. Each worker pins its **own kernel scratch
-//!   buffer** ([`MemoSafetyOracle::is_safe_hidden_with`]), so chunks
-//!   never contend on probe buffers. Masks stay raw `u64` words inside the
-//!   sweep and cross into the oracle as [`AttrSet::from_word`], which
-//!   never allocates.
+//!   the bound pruned. A miss runs its kernel pass in the worker
+//!   thread's own pair-pass buffer, so chunks never contend on probe
+//!   buffers. Masks stay raw `u64` words inside the sweep and cross
+//!   into the oracle as [`AttrSet::from_word`], which never allocates.
 //! * **Branch-and-bound** ([`min_cost_sweep`]). A shared `AtomicU64`
 //!   best-cost bound lets every worker skip masks that cannot improve
 //!   the optimum; a second atomic carries the best mask so tie-cost
@@ -395,7 +394,7 @@ pub fn min_cost_sweep(
         &mut frontier,
         config,
         |p| floor[p] > bound.load(Ordering::Acquire),
-        |mask, scratch| {
+        |mask| {
             // A mask is prunable iff it cannot beat the current best
             // under the (cost, mask) lexicographic order. The true
             // optimum (c*, m*) is never pruned: bound never drops below
@@ -407,7 +406,7 @@ pub fn min_cost_sweep(
             if cost > b || (cost == b && mask >= best_mask.load(Ordering::Acquire)) {
                 return None;
             }
-            let safe = oracle.is_safe_hidden_with(&AttrSet::from_word(mask), gamma, scratch);
+            let safe = oracle.is_safe_hidden(&AttrSet::from_word(mask), gamma);
             if safe {
                 let mut slot = best.lock().expect("lock");
                 let improves = match *slot {
@@ -443,7 +442,7 @@ fn sweep_layers(
     frontier: &mut Frontier,
     config: &SweepConfig,
     stop: impl Fn(usize) -> bool,
-    probe: impl Fn(u64, &mut Vec<u64>) -> Option<bool> + Sync,
+    probe: impl Fn(u64) -> Option<bool> + Sync,
 ) -> SweepStats {
     let k = frontier.k();
     // Masks of layers `p..=k`: what a cutoff before layer `p` prunes.
@@ -491,19 +490,18 @@ struct LayerProbes {
 }
 
 /// Probes one layer's `chunks` on up to `workers` threads: chunks are
-/// claimed off an atomic cursor, and `probe(mask, scratch)` answers
+/// claimed off an atomic cursor, and `probe(mask)` answers
 /// `None` for a mask it skips unprobed, else whether the mask is safe.
 /// A worker claims chunks in ascending order and masks ascend within a
 /// chunk, so each worker's safe masks come back as one ascending run.
 fn probe_layer(
     chunks: &[(u64, u64)],
     workers: usize,
-    probe: &(impl Fn(u64, &mut Vec<u64>) -> Option<bool> + Sync),
+    probe: &(impl Fn(u64) -> Option<bool> + Sync),
 ) -> LayerProbes {
     let cursor = AtomicU64::new(0);
     let out = Mutex::new(LayerProbes::default());
     run_workers(workers.min(chunks.len()), || {
-        let mut scratch: Vec<u64> = Vec::new();
         let mut visited = 0u64;
         let mut pruned = 0u64;
         let mut found: Vec<u64> = Vec::new();
@@ -514,7 +512,7 @@ fn probe_layer(
             };
             let mut mask = first;
             for j in 0..len {
-                match probe(mask, &mut scratch) {
+                match probe(mask) {
                     None => pruned += 1,
                     Some(safe) => {
                         visited += 1;
@@ -665,12 +663,11 @@ pub fn minimal_sets_sweep(
     check_k(k)?;
     let mut frontier = Frontier::new(k);
     if let Some(seeds) = seeds {
-        let mut scratch: Vec<u64> = Vec::new();
         let mut still_safe: Vec<u64> = seeds
             .iter()
             .filter(|&m| {
                 m.checked_shr(k as u32).unwrap_or(0) == 0
-                    && oracle.is_safe_hidden_with(&AttrSet::from_word(m), gamma, &mut scratch)
+                    && oracle.is_safe_hidden(&AttrSet::from_word(m), gamma)
             })
             .collect();
         // Seeds come from an antichain, so they are pairwise
@@ -685,7 +682,7 @@ pub fn minimal_sets_sweep(
         &mut frontier,
         config,
         |_| false,
-        |mask, scratch| Some(oracle.is_safe_hidden_with(&AttrSet::from_word(mask), gamma, scratch)),
+        |mask| Some(oracle.is_safe_hidden(&AttrSet::from_word(mask), gamma)),
     );
     Ok((frontier, stats))
 }
@@ -917,12 +914,6 @@ impl WorkflowSweeper {
     #[must_use]
     pub fn oracles(&self) -> &WorkflowOracles {
         &self.oracles
-    }
-
-    /// The sweep configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &SweepConfig {
-        &self.config
     }
 
     /// Lattice sweeps actually executed so far — cache misses plus
@@ -1252,7 +1243,7 @@ impl WorkflowSweeper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::safety::{self, IngestBatch, KernelOracle};
+    use crate::safety::{self, IngestBatch};
     use sv_relation::{AttrId, Tuple};
     use sv_workflow::library::{fig1_workflow, one_one_chain};
 
@@ -1308,8 +1299,7 @@ mod tests {
         let m = m1();
         for costs in [[1u64; 5], [10, 3, 9, 2, 9]] {
             for gamma in [2u128, 4, 8, 9] {
-                let serial =
-                    safety::min_cost_safe_hidden(&KernelOracle::new(&m), &costs, gamma).unwrap();
+                let serial = safety::min_cost_safe_hidden(&m, &costs, gamma).unwrap();
                 for threads in [1usize, 2, 4, 8] {
                     let cfg = SweepConfig::parallel(threads);
                     let (found, stats) = min_cost_sweep(&fresh(&m), &costs, gamma, &cfg).unwrap();
@@ -1324,7 +1314,7 @@ mod tests {
     fn minimal_sets_sweep_matches_serial_reference() {
         let m = m1();
         for gamma in [2u128, 4, 8, 9] {
-            let serial = safety::minimal_safe_hidden_sets(&KernelOracle::new(&m), gamma).unwrap();
+            let serial = safety::minimal_safe_hidden_sets(&m, gamma).unwrap();
             for threads in [1usize, 2, 4, 8] {
                 let cfg = SweepConfig::parallel(threads);
                 let (sets, stats) = minimal_sets_sweep(&fresh(&m), gamma, &cfg, None).unwrap();
@@ -1591,7 +1581,7 @@ mod tests {
             // module the store's probes answer from.
             let spec = {
                 let o = store.oracle(id).unwrap();
-                safety::minimal_safe_hidden_sets(&KernelOracle::new(o.module()), gamma).unwrap()
+                safety::minimal_safe_hidden_sets(o.module(), gamma).unwrap()
             };
             assert_eq!(members(&reswept[i]), spec, "{id:?}");
         }

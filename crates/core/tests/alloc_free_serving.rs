@@ -121,13 +121,12 @@ fn warm_memo_probes_allocate_nothing() {
     let memo = MemoSafetyOracle::new(module);
     let words: Vec<u64> = (0..64u64).map(|i| (i * 0x9E37_79B9) & 0xF_FFFF).collect();
     let gammas = [2u128, 8, 1 << 10];
-    // Warm-up: every level cached, every grouping built, the pinned
-    // buffer grown.
-    let mut scratch = Vec::new();
+    // Warm-up: every level cached, every grouping built, the thread's
+    // pair-pass buffer grown.
     for &w in &words {
         for &g in &gammas {
             let _ = memo.is_safe(&AttrSet::from_word(w), g);
-            let _ = memo.is_safe_hidden_with(&AttrSet::from_word(w), g, &mut scratch);
+            let _ = memo.is_safe_hidden(&AttrSet::from_word(w), g);
         }
     }
     let misses = memo.misses();
@@ -137,10 +136,8 @@ fn warm_memo_probes_allocate_nothing() {
         for &g in &gammas {
             let (n, _) = allocations_during(|| memo.is_safe(&AttrSet::from_word(w), g));
             assert_eq!(n, 0, "warm is_safe({w:#x}, {g}) allocated");
-            let (n, _) = allocations_during(|| {
-                memo.is_safe_hidden_with(&AttrSet::from_word(w), g, &mut scratch)
-            });
-            assert_eq!(n, 0, "warm is_safe_hidden_with({w:#x}, {g}) allocated");
+            let (n, _) = allocations_during(|| memo.is_safe_hidden(&AttrSet::from_word(w), g));
+            assert_eq!(n, 0, "warm is_safe_hidden({w:#x}, {g}) allocated");
         }
     }
     assert_eq!(memo.misses(), misses, "every counted probe was warm");

@@ -7,8 +7,8 @@
 //!   sequential reference instance fed the same appends — and like the
 //!   row-at-a-time naive oracle;
 //! * concurrent [`MemoSafetyOracle`] probes (mixed `is_safe`,
-//!   `is_safe_hidden`, and pinned-scratch `is_safe_hidden_with` forms)
-//!   from many threads agree with the naive reference, across appends;
+//!   `is_safe_hidden` and `privacy_level` forms) from many threads
+//!   agree with the naive reference, across appends;
 //! * [`ProbeRequest`] edge cases: the empty batch, duplicate
 //!   `(module, word)` requests inside one batch, and `StaleEpoch` for a
 //!   client whose epoch-conditioned batch raced a concurrent
@@ -111,21 +111,19 @@ fn concurrent_memo_probes_match_naive_across_appends() {
                         .enumerate()
                         .map(|(t, stream)| {
                             s.spawn(move || {
-                                let mut scratch: Vec<u64> = Vec::new();
                                 stream
                                     .iter()
                                     .enumerate()
                                     .map(|(i, &(w, gamma))| {
+                                        let visible = AttrSet::from_word(w);
                                         let hidden = AttrSet::from_word(!w & (space - 1));
                                         match (t + i) % 3 {
                                             // Mix every probe form across threads.
-                                            0 => memo.is_safe(&AttrSet::from_word(w), gamma),
+                                            0 => memo.is_safe(&visible, gamma),
                                             1 => memo.is_safe_hidden(&hidden, gamma),
-                                            _ => memo.is_safe_hidden_with(
-                                                &hidden,
-                                                gamma,
-                                                &mut scratch,
-                                            ),
+                                            _ => {
+                                                gamma <= 1 || memo.privacy_level(&visible) >= gamma
+                                            }
                                         }
                                     })
                                     .collect()

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sv_core::safety::{self, KernelOracle};
+use sv_core::safety;
 use sv_core::sweep::{minimal_sets_sweep, SweepConfig};
 use sv_core::{worlds, Frontier, MemoSafetyOracle, StandaloneModule};
 use sv_relation::{AttrDef, AttrSet, Domain, Relation, Schema};
@@ -150,7 +150,7 @@ fn trie_sweep_equals_serial_spec_on_random_modules() {
             .map(|a| u128::from(m.schema().attr(a).domain.size()))
             .product();
         for gamma in [2u128, 3, range.max(2), range.saturating_mul(4) + 1] {
-            let spec = safety::minimal_safe_hidden_sets(&KernelOracle::new(&m), gamma).unwrap();
+            let spec = safety::minimal_safe_hidden_sets(&m, gamma).unwrap();
             let spec_words: Vec<u64> = spec.iter().map(|s| s.as_word().expect("k <= 64")).collect();
             for threads in [1usize, 2, 4, 8] {
                 let cfg = SweepConfig::parallel(threads);
@@ -237,7 +237,7 @@ fn full_layer_cutoff_edge_is_exact() {
     // singletons, and nothing above layer 2.
     let m = identity_module(3);
     let k = m.k() as u64; // 6
-    let spec = safety::minimal_safe_hidden_sets(&KernelOracle::new(&m), 2).unwrap();
+    let spec = safety::minimal_safe_hidden_sets(&m, 2).unwrap();
     assert_eq!(spec.len(), k as usize, "one minimal set per attribute");
     for threads in [1usize, 4] {
         // The layer-2 walk finds the whole layer covered (zero masks
@@ -454,8 +454,7 @@ fn seeded_resweep_equals_fresh_sweep_after_appends() {
             // Also an unrelated random antichain: the adversarial case
             // revalidation must survive.
             let junk = Frontier::from_masks(k, random_masks(&mut rng, k as u32, 12));
-            let spec =
-                safety::minimal_safe_hidden_sets(&KernelOracle::new(&current), gamma).unwrap();
+            let spec = safety::minimal_safe_hidden_sets(&current, gamma).unwrap();
             let spec_words: Vec<u64> = spec.iter().map(|s| s.as_word().expect("k <= 64")).collect();
             for seeds in [stale_frontier, &junk] {
                 for threads in [1usize, 2, 4, 8] {

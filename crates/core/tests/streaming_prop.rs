@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use sv_core::safety::{self, KernelOracle, NaiveOracle, SafetyOracle};
+use sv_core::safety::{self, NaiveOracle, SafetyOracle};
 use sv_core::sweep::{min_cost_sweep, minimal_sets_sweep, SweepConfig};
 use sv_core::{CoreError, MemoSafetyOracle, StandaloneModule};
 use sv_relation::{AttrDef, AttrId, AttrSet, Domain, Relation, Schema, Tuple};
@@ -94,7 +94,6 @@ fn streamed_oracle_matches_fresh_oracles_after_every_batch() {
             // the same observed provenance.
             let rebuilt = StandaloneModule::new(expected, inputs.clone(), outputs.clone()).unwrap();
             let naive = NaiveOracle::new(rebuilt.clone());
-            let kernel = KernelOracle::new(&rebuilt);
             for mask in 0u64..(1 << 4) {
                 let v = AttrSet::from_word(mask);
                 // Mix probe styles so the memo's shortcut, revalidation
@@ -107,7 +106,7 @@ fn streamed_oracle_matches_fresh_oracles_after_every_batch() {
                     );
                 }
                 let level = memo.privacy_level(&v);
-                assert_eq!(level, kernel.privacy_level(&v), "case {case} step {step}");
+                assert_eq!(level, rebuilt.privacy_level(&v), "case {case} step {step}");
                 assert_eq!(level, naive.privacy_level(&v), "case {case} step {step}");
             }
             step += 1;
@@ -160,8 +159,7 @@ fn streamed_sweeps_match_sweeps_over_rebuilt_modules() {
                     minimal_sets_sweep(&streamed, gamma, &SweepConfig::serial(), None).unwrap();
                 assert_eq!(
                     swept.iter().map(AttrSet::from_word).collect::<Vec<_>>(),
-                    safety::minimal_safe_hidden_sets(&KernelOracle::new(rebuilt.module()), gamma)
-                        .unwrap(),
+                    safety::minimal_safe_hidden_sets(rebuilt.module(), gamma).unwrap(),
                 );
             }
         }
@@ -252,7 +250,6 @@ fn wide_streamed_oracle_matches_naive() {
         assert_eq!(memo.module().relation(), expected, "{when}");
         let naive =
             NaiveOracle::new(StandaloneModule::new(expected, ins.clone(), outs.clone()).unwrap());
-        let mut scratch = Vec::new();
         for v in &visible {
             // Safety first, so that after the append the stale
             // entries meet the monotone shortcut.
@@ -261,7 +258,7 @@ fn wide_streamed_oracle_matches_naive() {
                 assert_eq!(memo.is_safe(v, gamma), want, "{when}: {v:?} Γ={gamma}");
                 let hidden = v.complement(70);
                 assert_eq!(
-                    memo.is_safe_hidden_with(&hidden, gamma, &mut scratch),
+                    memo.is_safe_hidden(&hidden, gamma),
                     want,
                     "{when}: hidden {hidden:?} Γ={gamma}"
                 );

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sv_core::safety::{self, IngestBatch, KernelOracle};
+use sv_core::safety::{self, IngestBatch};
 use sv_core::sweep::{min_cost_sweep, minimal_sets_sweep, SweepConfig, SweepStats, WorkflowCosts};
 use sv_core::{worlds, CoreError, MemoSafetyOracle, StandaloneModule, WorkflowSweeper};
 use sv_relation::{AttrDef, AttrSet, Domain, Relation, Schema, Tuple};
@@ -94,10 +94,8 @@ fn parallel_sweep_equals_serial_reference_on_random_modules() {
         // Random costs with deliberate ties (range includes 0).
         let costs: Vec<u64> = (0..k).map(|_| rng.gen_range(0..=3)).collect();
         for gamma in gammas_for(&m) {
-            let serial_min =
-                safety::min_cost_safe_hidden(&KernelOracle::new(&m), &costs, gamma).unwrap();
-            let serial_sets =
-                safety::minimal_safe_hidden_sets(&KernelOracle::new(&m), gamma).unwrap();
+            let serial_min = safety::min_cost_safe_hidden(&m, &costs, gamma).unwrap();
+            let serial_sets = safety::minimal_safe_hidden_sets(&m, gamma).unwrap();
             for threads in [1usize, 2, 4, 8] {
                 let cfg = SweepConfig::parallel(threads);
                 let ctx = format!("trial={trial} k={k} gamma={gamma} threads={threads}");
@@ -143,8 +141,7 @@ fn tie_costs_resolve_deterministically_across_thread_counts() {
         // lexicographically smallest safe mask of minimum cost.
         for costs in [vec![1u64; m.k()], vec![0u64; m.k()]] {
             for gamma in gammas_for(&m) {
-                let serial =
-                    safety::min_cost_safe_hidden(&KernelOracle::new(&m), &costs, gamma).unwrap();
+                let serial = safety::min_cost_safe_hidden(&m, &costs, gamma).unwrap();
                 for _ in 0..3 {
                     let (found, _) =
                         min_cost_sweep(&fresh(&m), &costs, gamma, &SweepConfig::parallel(8))
@@ -318,8 +315,8 @@ fn serial_answers(
         sweeper,
         modules,
         costs,
-        |m, c| safety::min_cost_safe_hidden(&KernelOracle::new(m), c, gamma).unwrap(),
-        |m| safety::minimal_safe_hidden_sets(&KernelOracle::new(m), gamma).unwrap(),
+        |m, c| safety::min_cost_safe_hidden(m, c, gamma).unwrap(),
+        |m| safety::minimal_safe_hidden_sets(m, gamma).unwrap(),
     )
 }
 

@@ -110,18 +110,6 @@ impl LpProblem {
         self.cons.push(Constraint { terms: t, cmp, rhs });
     }
 
-    /// Number of variables.
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of constraints (excluding variable bounds).
-    #[must_use]
-    pub fn num_constraints(&self) -> usize {
-        self.cons.len()
-    }
-
     /// Solves the problem with two-phase primal simplex.
     ///
     /// # Errors

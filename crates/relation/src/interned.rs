@@ -23,9 +23,9 @@
 //! * [`InternedRelation::min_group_distinct`] — the entire Lemma-4 inner
 //!   loop — is one `O(rows)` **counting pass** over two cached id
 //!   columns: a counting sort buckets the rows by key group, and a stamp
-//!   array counts each bucket's distinct probe groups, all in one
-//!   reusable scratch buffer: **zero heap allocation per probe** once
-//!   the group indexes are warm.
+//!   array counts each bucket's distinct probe groups, all in the
+//!   calling thread's reusable pair-pass buffer: **zero heap allocation
+//!   per probe** once the group indexes are warm.
 //! * [`ValueInterner`] is the generic sub-tuple → dense-id map used by
 //!   the interned natural join (provenance assembly, §4) and by group
 //!   computation when mixed-radix codes would overflow `u64`.
@@ -45,9 +45,9 @@
 //! **sharded** (readers of different sets never touch the same lock)
 //! with **once-per-set publication** (a cold set is built by exactly
 //! one thread — racing readers block on that set's [`std::sync::OnceLock`]
-//! slot, not on the cache), and per-probe pair-pass buffers come from a
-//! [`ScratchPool`] so concurrent probes never serialize on one shared
-//! scratch. The only writer is [`InternedRelation::append_rows`]
+//! slot, not on the cache), and every thread runs its pair passes in a
+//! buffer of its own, so concurrent probes share no scratch and take no
+//! lock for it. The only writer is [`InternedRelation::append_rows`]
 //! (`&mut self`), which Rust's aliasing rules already exclude from
 //! overlapping any probe.
 //!
@@ -64,8 +64,9 @@ use crate::error::RelationError;
 use crate::relation::Relation;
 use crate::schema::{AttrDef, AttrId, Schema};
 use crate::tuple::Tuple;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Number of lock shards in each group cache. Concurrent readers
 /// resolving *different* attribute sets hash to different shards and
@@ -82,59 +83,24 @@ const GROUP_SHARDS: usize = 16;
 /// would cost more than sorting the row codes.
 const DIRECT_ADDRESS_FACTOR: u64 = 4;
 
-/// A pool of reusable `u64` probe buffers shared by concurrent readers.
-///
-/// The Lemma-4 pair pass needs one scratch buffer per *in-flight*
-/// probe, not per caller: [`with`](Self::with) pops a buffer (or makes a
-/// fresh one when all are in use), runs the closure, and returns the
-/// buffer to the pool. The pool mutex is held only for the pop and the
-/// push — never across the probe itself — so concurrent probes each get
-/// their own buffer instead of serializing on one shared scratch, and a
-/// warm pool allocates nothing.
-///
-/// This replaces the caller-threaded `&mut Vec<u64>` scratch as the
-/// *default* probe path; the explicit `_with` entry points remain for
-/// callers that pin one buffer per worker (the sweep shards).
-///
-/// Residency is bounded: at most `MAX_POOLED` buffers are retained —
-/// a burst of higher concurrency allocates fresh buffers that are
-/// simply dropped on return, so a transient spike cannot pin
-/// `concurrency × n_rows`-sized buffers for the relation's lifetime.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    pool: Mutex<Vec<Vec<u64>>>,
-}
-
-/// Maximum buffers a [`ScratchPool`] retains (each grows to at most
-/// three times the hot relation's row count: key-group bucket ends,
-/// bucketed rows, probe-group stamps): bounds idle residency at 8 buffers while
-/// still covering the serving/sweep thread counts the ROADMAP targets.
-const MAX_POOLED: usize = 8;
-
-impl ScratchPool {
-    /// Creates an empty pool.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs `f` with a pooled buffer, returning the buffer afterwards
-    /// (dropped instead if `MAX_POOLED` buffers are already pooled).
-    /// If `f` panics the buffer is dropped, not poisoned.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
-        let mut buf = self
-            .pool
-            .lock()
-            .expect("scratch pool lock")
-            .pop()
-            .unwrap_or_default();
-        let out = f(&mut buf);
-        let mut pool = self.pool.lock().expect("scratch pool lock");
-        if pool.len() < MAX_POOLED {
-            pool.push(buf);
-        }
-        out
-    }
+thread_local! {
+    /// This thread's Lemma-4 pair-pass buffer ([`pair_pass`]): key-group
+    /// bucket ends, bucketed rows and probe-group stamps, grown to the
+    /// largest pass the thread has run and reused by every later one, so
+    /// a warm probe allocates nothing and concurrent probes never share
+    /// a buffer or take a lock for one.
+    ///
+    /// It holds at most 3 × rows words of the largest relation the
+    /// thread probed, whichever relation that was, and is freed when the
+    /// thread exits. The threads that probe are bounded: sweep workers
+    /// are scoped threads, and the socket server runs a fixed number of
+    /// acceptors.
+    ///
+    /// No probe may run inside a pair pass: the pass holds the buffer's
+    /// `RefCell` borrow while it calls its `visit` closure, so a nested
+    /// probe on the same thread would panic. Every `visit` closure only
+    /// reads values.
+    static PAIR_PASS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The lock shard among `shards` an attribute set hashes to: Fibonacci
@@ -399,8 +365,8 @@ enum GroupLookup {
 /// one grouping pass — `O(attrs × rows)` by direct addressing when its
 /// code space is at most 4 × rows, `O(rows log rows)` by sorting above
 /// that — after which probes touching it are allocation-free (cache
-/// lookups borrow their keys, the pair-pass scratch comes from a pool)
-/// and cost one `O(rows)` counting pass. Streaming rows in through
+/// lookups borrow their keys, the pair pass runs in the thread's own
+/// buffer) and cost one `O(rows)` counting pass. Streaming rows in through
 /// [`append_rows`](Self::append_rows) extends the warm groupings
 /// instead of rebuilding them.
 ///
@@ -433,8 +399,6 @@ pub struct InternedRelation {
     /// Sharded group cache keyed by the schema-masked attribute set
     /// (once-per-set publication; see [`GroupCache`]).
     groups: GroupCache,
-    /// Pooled pair-pass buffers: concurrent probes each borrow their own.
-    scratch: ScratchPool,
 }
 
 impl Clone for InternedRelation {
@@ -445,7 +409,6 @@ impl Clone for InternedRelation {
             cols: self.cols.clone(),
             epoch: self.epoch,
             groups: self.groups.deep_clone(),
-            scratch: ScratchPool::new(),
         }
     }
 }
@@ -482,7 +445,6 @@ impl InternedRelation {
             cols,
             epoch: 0,
             groups: GroupCache::default(),
-            scratch: ScratchPool::new(),
         }
     }
 
@@ -524,7 +486,6 @@ impl InternedRelation {
             cols,
             epoch,
             groups: GroupCache::default(),
-            scratch: ScratchPool::new(),
         })
     }
 
@@ -822,34 +783,19 @@ impl InternedRelation {
     /// group, then a stamp array counting each bucket's distinct probe
     /// groups; it stops early once some group shows a single probe
     /// sub-tuple, the least possible). Allocation-free once both group
-    /// indexes are cached and the scratch pool is warm: the pass runs in
-    /// a pooled buffer ([`ScratchPool`]), so concurrent probes each hold
-    /// their own buffer and never serialize on a shared scratch.
-    /// Pinned-buffer callers (one buffer per sweep worker) can still use
-    /// [`min_group_distinct_with`](Self::min_group_distinct_with).
+    /// indexes are cached and the calling thread's pair-pass buffer has
+    /// grown to this relation: every thread runs the pass in a buffer of
+    /// its own, so concurrent probes never contend on one.
     #[must_use]
     pub fn min_group_distinct(&self, key: &AttrSet, probe: &AttrSet) -> usize {
         let kg = self.group_index(key);
         let pg = self.group_index(probe);
-        self.scratch
-            .with(|buf| min_group_distinct_in(&kg, &pg, buf))
-    }
-
-    /// [`min_group_distinct`](Self::min_group_distinct) through a
-    /// caller-owned scratch buffer. Group-index caches are still shared
-    /// (read-mostly `RwLock`), but the per-probe pair-pass buffer is the
-    /// caller's — the form the parallel lattice sweep uses, one buffer
-    /// per worker shard.
-    #[must_use]
-    pub fn min_group_distinct_with(
-        &self,
-        key: &AttrSet,
-        probe: &AttrSet,
-        scratch: &mut Vec<u64>,
-    ) -> usize {
-        let kg = self.group_index(key);
-        let pg = self.group_index(probe);
-        min_group_distinct_in(&kg, &pg, scratch)
+        let mut min = usize::MAX;
+        pair_pass(&kg, &pg, |_, distinct| {
+            min = min.min(distinct);
+            min > 1
+        });
+        min
     }
 
     /// Grouped distinct counting with materialized keys — the
@@ -862,13 +808,11 @@ impl InternedRelation {
         let pg = self.group_index(probe);
         let key_attrs: Vec<AttrId> = self.masked(key).iter().collect();
         let mut counts: HashMap<Tuple, usize> = HashMap::with_capacity(kg.n_groups as usize);
-        self.scratch.with(|scratch| {
-            pair_pass(&kg, &pg, scratch, |g, distinct| {
-                let row = kg.representative[g] as usize;
-                let key_tuple = Tuple::new(key_attrs.iter().map(|&a| self.value(row, a)).collect());
-                counts.insert(key_tuple, distinct);
-                true
-            });
+        pair_pass(&kg, &pg, |g, distinct| {
+            let row = kg.representative[g] as usize;
+            let key_tuple = Tuple::new(key_attrs.iter().map(|&a| self.value(row, a)).collect());
+            counts.insert(key_tuple, distinct);
+            true
         });
         counts
     }
@@ -1024,70 +968,57 @@ fn densify_sorted(codes: &[u64]) -> (Vec<u32>, Vec<u64>) {
 /// distinct `pg` groups among the rows of each `kg` group, in ascending
 /// key-group order, until `visit` returns `false`.
 ///
-/// `O(rows + groups)` and allocation-free once `scratch` (pooled or
-/// per-worker) has grown to `kg.n_groups + rows + pg.n_groups` words:
-/// a counting sort buckets the rows' probe groups by key group, then a
-/// stamp per probe group (the last bucket that counted it) counts each
-/// bucket's distinct probe groups.
-fn pair_pass(
-    kg: &GroupIndex,
-    pg: &GroupIndex,
-    scratch: &mut Vec<u64>,
-    mut visit: impl FnMut(usize, usize) -> bool,
-) {
+/// `O(rows + groups)` and allocation-free once the thread's
+/// [`PAIR_PASS`] buffer has grown to `kg.n_groups + rows + pg.n_groups`
+/// words: a counting sort buckets the rows' probe groups by key group,
+/// then a stamp per probe group (the last bucket that counted it)
+/// counts each bucket's distinct probe groups. `visit` runs while the
+/// buffer is borrowed, so it must not probe.
+fn pair_pass(kg: &GroupIndex, pg: &GroupIndex, mut visit: impl FnMut(usize, usize) -> bool) {
     let (kn, pn, n) = (
         kg.n_groups as usize,
         pg.n_groups as usize,
         kg.row_group.len(),
     );
-    if scratch.len() < kn + n + pn {
-        scratch.resize(kn + n + pn, 0);
-    }
-    let (ends, rest) = scratch.split_at_mut(kn);
-    let (bucketed, rest) = rest.split_at_mut(n);
-    let stamps = &mut rest[..pn];
-    // Counting sort: bucket sizes, then their starts, then scatter —
-    // after which `ends[k]` is the end of bucket `k`.
-    ends.fill(0);
-    for &k in &kg.row_group {
-        ends[k as usize] += 1;
-    }
-    let mut start = 0u64;
-    for e in ends.iter_mut() {
-        let size = *e;
-        *e = start;
-        start += size;
-    }
-    for (&k, &p) in kg.row_group.iter().zip(&pg.row_group) {
-        let at = &mut ends[k as usize];
-        bucketed[*at as usize] = u64::from(p);
-        *at += 1;
-    }
-    stamps.fill(u64::MAX);
-    let mut begin = 0usize;
-    for (k, &end) in ends.iter().enumerate() {
-        let mut distinct = 0usize;
-        for &p in &bucketed[begin..end as usize] {
-            let stamp = &mut stamps[p as usize];
-            distinct += usize::from(*stamp != k as u64);
-            *stamp = k as u64;
+    PAIR_PASS.with_borrow_mut(|buf| {
+        if buf.len() < kn + n + pn {
+            buf.resize(kn + n + pn, 0);
         }
-        begin = end as usize;
-        if !visit(k, distinct) {
-            return;
+        let (ends, rest) = buf.split_at_mut(kn);
+        let (bucketed, rest) = rest.split_at_mut(n);
+        let stamps = &mut rest[..pn];
+        // Counting sort: bucket sizes, then their starts, then scatter —
+        // after which `ends[k]` is the end of bucket `k`.
+        ends.fill(0);
+        for &k in &kg.row_group {
+            ends[k as usize] += 1;
         }
-    }
-}
-
-/// The Lemma-4 minimum over [`pair_pass`]: `usize::MAX` on an empty
-/// relation, and an early exit at 1, the least count a group can show.
-fn min_group_distinct_in(kg: &GroupIndex, pg: &GroupIndex, scratch: &mut Vec<u64>) -> usize {
-    let mut min = usize::MAX;
-    pair_pass(kg, pg, scratch, |_, distinct| {
-        min = min.min(distinct);
-        min > 1
+        let mut start = 0u64;
+        for e in ends.iter_mut() {
+            let size = *e;
+            *e = start;
+            start += size;
+        }
+        for (&k, &p) in kg.row_group.iter().zip(&pg.row_group) {
+            let at = &mut ends[k as usize];
+            bucketed[*at as usize] = u64::from(p);
+            *at += 1;
+        }
+        stamps.fill(u64::MAX);
+        let mut begin = 0usize;
+        for (k, &end) in ends.iter().enumerate() {
+            let mut distinct = 0usize;
+            for &p in &bucketed[begin..end as usize] {
+                let stamp = &mut stamps[p as usize];
+                distinct += usize::from(*stamp != k as u64);
+                *stamp = k as u64;
+            }
+            begin = end as usize;
+            if !visit(k, distinct) {
+                return;
+            }
+        }
     });
-    min
 }
 
 #[cfg(test)]
@@ -1187,9 +1118,6 @@ mod tests {
         let key = AttrSet::from_indices(&[0]);
         let probe = AttrSet::from_indices(&[1, 2]);
         assert_eq!(ir.min_group_distinct(&key, &probe), 2);
-        // Caller-owned scratch variants agree with the shared-scratch path.
-        let mut scratch = Vec::new();
-        assert_eq!(ir.min_group_distinct_with(&key, &probe, &mut scratch), 2);
         let counts = ir.group_count_distinct(&key, &probe);
         assert_eq!(
             counts,

@@ -60,7 +60,7 @@ pub use attrset::AttrSet;
 pub use domain::{Domain, Value};
 pub use error::RelationError;
 pub use fd::Fd;
-pub use interned::{hash_shard, GroupIndex, InternedRelation, ScratchPool, ValueInterner};
+pub use interned::{hash_shard, GroupIndex, InternedRelation, ValueInterner};
 pub use ops::{group_count_distinct, natural_join, project};
 pub use relation::Relation;
 pub use schema::{AttrDef, AttrId, Schema};

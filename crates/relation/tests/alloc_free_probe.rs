@@ -1,14 +1,14 @@
 //! The kernel's documented zero-allocation probe: once the group indexes
-//! a Lemma-4 probe touches are cached and its scratch buffer (pinned or
-//! pooled) has grown, the probe performs no heap allocation — building
-//! its key and probe sets with [`AttrSet::from_word`] included, since a
-//! set of attributes `< 64` is stored inline. A counting global
-//! allocator tallies allocations per thread, so the harness's own
-//! threads cannot disturb the count.
+//! a Lemma-4 probe touches are cached and the thread's pair-pass buffer
+//! has grown, the probe performs no heap allocation — building its key
+//! and probe sets with [`AttrSet::from_word`] included, since a set of
+//! attributes `< 64` is stored inline. A counting global allocator
+//! tallies allocations per thread, so the harness's own threads cannot
+//! disturb the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use sv_relation::{AttrSet, InternedRelation, Relation, Schema};
+use sv_relation::{ops, AttrSet, InternedRelation, Relation, Schema};
 
 struct CountingAlloc;
 
@@ -55,18 +55,24 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
+/// Every combination of `n` boolean attributes as a row: `2^n` rows.
+fn all_rows(n: u32) -> Relation {
+    let names: Vec<String> = (0..n).map(|a| format!("a{a}")).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let rows = (0..1u32 << n)
+        .map(|r| (0..n).map(|a| (r >> a) & 1).collect())
+        .collect();
+    Relation::from_values(Schema::booleans(&names), rows).expect("boolean rows")
+}
+
+fn probe(ir: &InternedRelation, (k, p): (u64, u64)) -> usize {
+    ir.min_group_distinct(&AttrSet::from_word(k), &AttrSet::from_word(p))
+}
+
 #[test]
 fn warm_probes_allocate_nothing() {
-    // Ten boolean attributes, every combination a row: 5 inputs, 5
-    // outputs, 1,024 rows.
-    let names: Vec<String> = (0..10).map(|a| format!("a{a}")).collect();
-    let names: Vec<&str> = names.iter().map(String::as_str).collect();
-    let rows = (0..1024u32)
-        .map(|r| (0..10).map(|a| (r >> a) & 1).collect())
-        .collect();
-    let ir = InternedRelation::from_relation(
-        &Relation::from_values(Schema::booleans(&names), rows).expect("boolean rows"),
-    );
+    // Ten boolean attributes: 5 inputs, 5 outputs, 1,024 rows.
+    let ir = InternedRelation::from_relation(&all_rows(10));
     // Key and probe words of every shape: empty, narrow, wide, equal,
     // the full row (a sorted grouping) against the empty set.
     let probes: Vec<(u64, u64)> = vec![
@@ -78,30 +84,53 @@ fn warm_probes_allocate_nothing() {
         (0b00000_00111, 0b00000_00111),
     ];
 
-    // Warm-up: builds every grouping, grows the pinned buffer and
-    // fills the pool.
-    let mut scratch = Vec::new();
-    let pinned = |k: u64, p: u64, scratch: &mut Vec<u64>| {
-        ir.min_group_distinct_with(&AttrSet::from_word(k), &AttrSet::from_word(p), scratch)
-    };
-    let pooled =
-        |k: u64, p: u64| ir.min_group_distinct(&AttrSet::from_word(k), &AttrSet::from_word(p));
-    let expected: Vec<(usize, usize)> = probes
-        .iter()
-        .map(|&(k, p)| (pinned(k, p, &mut scratch), pooled(k, p)))
-        .collect();
+    // Warm-up: builds every grouping and grows the thread's buffer.
+    let expected: Vec<usize> = probes.iter().map(|&q| probe(&ir, q)).collect();
 
     // The sets are built inside the counted closures.
-    for (&(k, p), &(on_pinned, on_pooled)) in probes.iter().zip(&expected) {
-        let (n, answer) = allocations_during(|| pinned(k, p, &mut scratch));
-        assert_eq!(answer, on_pinned);
-        assert_eq!(n, 0, "warm pinned probe {k:#b}/{p:#b} allocated");
-        let (n, answer) = allocations_during(|| pooled(k, p));
-        assert_eq!(answer, on_pooled);
-        assert_eq!(n, 0, "warm pooled probe {k:#b}/{p:#b} allocated");
+    for (&q, &answer) in probes.iter().zip(&expected) {
+        let (n, warm) = allocations_during(|| probe(&ir, q));
+        assert_eq!(warm, answer);
+        assert_eq!(n, 0, "warm probe {:#b}/{:#b} allocated", q.0, q.1);
     }
 
     // A cold grouping does allocate: the counter sees the kernel's heap.
-    let (n, _) = allocations_during(|| pooled(0b00000_00011, 0b00001_00000));
+    let (n, _) = allocations_during(|| probe(&ir, (0b00000_00011, 0b00001_00000)));
     assert!(n > 0, "a cold probe builds groupings");
+}
+
+#[test]
+fn one_buffer_serves_relations_of_every_size() {
+    // A 1,024-row relation, a 4-row one, then the large one again, all
+    // on this thread's one pair-pass buffer: a pass over the small
+    // relation uses a prefix of the buffer the large one grew, and the
+    // large one's next pass must not read what the small one left.
+    let large = all_rows(10);
+    let small = all_rows(2);
+    let (large_ir, small_ir) = (
+        InternedRelation::from_relation(&large),
+        InternedRelation::from_relation(&small),
+    );
+    let rounds: [(&Relation, &InternedRelation, (u64, u64)); 3] = [
+        (&large, &large_ir, (0b00000_10101, 0b10101_00000)),
+        (&small, &small_ir, (0b01, 0b10)),
+        (&large, &large_ir, (0b00000_00011, 0b00111_00000)),
+    ];
+    let reference = |r: &Relation, (k, p): (u64, u64)| {
+        ops::reference::group_count_distinct(r, &AttrSet::from_word(k), &AttrSet::from_word(p))
+            .into_values()
+            .min()
+            .unwrap_or(usize::MAX)
+    };
+    // The first round builds the groupings and grows the buffer; the
+    // second, warm round must allocate nothing.
+    for warm in [false, true] {
+        for (i, &(r, ir, q)) in rounds.iter().enumerate() {
+            let (n, answer) = allocations_during(|| probe(ir, q));
+            assert_eq!(answer, reference(r, q), "probe {i}, warm {warm}");
+            if warm {
+                assert_eq!(n, 0, "warm probe {i} allocated");
+            }
+        }
+    }
 }

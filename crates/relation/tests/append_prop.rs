@@ -59,7 +59,6 @@ fn assert_equivalent(
     let k = acc.schema().len();
     log.check_all(inc, cov, &format!("{ctx}, streamed"));
     BuildLog::new(k).check_all(&rebuilt, cov, &format!("{ctx}, rebuilt"));
-    let mut scratch = Vec::new();
     for key_mask in 0u64..(1 << k) {
         let key = AttrSet::from_word(key_mask);
         assert_eq!(
@@ -75,7 +74,7 @@ fn assert_equivalent(
         for probe_mask in 0u64..(1 << k) {
             let probe = AttrSet::from_word(probe_mask);
             assert_eq!(
-                inc.min_group_distinct_with(&key, &probe, &mut scratch),
+                inc.min_group_distinct(&key, &probe),
                 rebuilt.min_group_distinct(&key, &probe),
                 "{ctx}: min_group_distinct {key_mask:#b}/{probe_mask:#b}"
             );

@@ -1,9 +1,8 @@
 //! Property suite for **Lemma-4 probes over word-encoded sets**
 //! ([`AttrSet::from_word`]) in batches: on random relations and random probe batches (duplicate
 //! pairs, shared attribute sets, empty relations, streamed appends),
-//! the pooled-scratch probe and the pinned-scratch probe (one buffer
-//! reused across the whole batch) agree with the row-at-a-time
-//! reference semantics. Every grouping the probes run on —
+//! the probe (one thread's pair-pass buffer reused across the whole
+//! batch) agrees with the row-at-a-time reference semantics. Every grouping the probes run on —
 //! direct-addressed, sorted and interned, before and after appends —
 //! equals a naive densify of the column store.
 
@@ -28,7 +27,7 @@ fn random_rows(rng: &mut StdRng, schema: &Schema, max_rows: usize) -> Vec<Vec<u3
 
 /// A random probe batch over the schema's word space, with deliberate
 /// duplicate pairs and shared attribute sets, so probes land on group
-/// indexes and scratch contents earlier probes left behind.
+/// indexes and pair-pass buffer contents earlier probes left behind.
 fn random_batch(rng: &mut StdRng, k: usize, len: usize) -> Vec<(u64, u64)> {
     let space = 1u64 << k;
     let mut probes: Vec<(u64, u64)> = (0..len)
@@ -70,20 +69,13 @@ fn word_probes_equal_reference() {
         let len = rng.gen_range(0..25);
         let probes = random_batch(&mut rng, k, len);
 
-        // One pinned buffer serves the whole batch.
-        let mut scratch = Vec::new();
+        // The thread's one buffer serves the whole batch.
         for (i, &(kw, pw)) in probes.iter().enumerate() {
             let (key, probe) = (AttrSet::from_word(kw), AttrSet::from_word(pw));
-            let expected = reference_answer(&r, &key, &probe);
             assert_eq!(
                 ir.min_group_distinct(&key, &probe),
-                expected,
-                "trial {trial} probe {i}: pooled ≠ reference"
-            );
-            assert_eq!(
-                ir.min_group_distinct_with(&key, &probe, &mut scratch),
-                expected,
-                "trial {trial} probe {i}: pinned scratch ≠ reference"
+                reference_answer(&r, &key, &probe),
+                "trial {trial} probe {i}: kernel ≠ reference"
             );
         }
         BuildLog::new(k).check_all(&ir, &mut coverage, &format!("trial {trial}"));
@@ -155,13 +147,8 @@ fn word_probes_survive_streamed_appends() {
 fn empty_relations_answer_usize_max() {
     let r = Relation::empty(Schema::booleans(&["a", "b", "c"]));
     let ir = InternedRelation::from_relation(&r);
-    let mut scratch = Vec::new();
     for (kw, pw) in [(0b001, 0b110), (0, 0)] {
         let (key, probe) = (AttrSet::from_word(kw), AttrSet::from_word(pw));
         assert_eq!(ir.min_group_distinct(&key, &probe), usize::MAX);
-        assert_eq!(
-            ir.min_group_distinct_with(&key, &probe, &mut scratch),
-            usize::MAX
-        );
     }
 }

@@ -32,12 +32,6 @@ impl Client {
         })
     }
 
-    /// Wraps an already-open connection.
-    #[must_use]
-    pub fn from_connection(conn: Box<dyn Connection>) -> Self {
-        Self { conn }
-    }
-
     fn exchange(&mut self, payload: &[u8]) -> Result<Response, ServeError> {
         let reply = self.conn.request(payload)?;
         match Response::decode(&reply)? {

@@ -355,13 +355,6 @@ impl Workflow {
         Ok(Relation::from_rows(self.schema.clone(), rows).expect("execution rows are valid"))
     }
 
-    /// The visible attribute set `V` given hidden attributes `hidden`
-    /// (`V = A \ V̄`).
-    #[must_use]
-    pub fn visible_from_hidden(&self, hidden: &AttrSet) -> AttrSet {
-        hidden.complement(self.schema.len())
-    }
-
     /// Renders the workflow as Graphviz DOT: one node per module
     /// (private modules drawn as boxes, public ones as ellipses), one
     /// edge per produced-consumed attribute, labelled with the

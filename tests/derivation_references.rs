@@ -21,7 +21,7 @@ use secure_view::privacy::public::{
     assemble_general, greedy_general_solution, greedy_general_with_sweeper,
 };
 use secure_view::privacy::requirements::{cardinality_constraints, set_constraints};
-use secure_view::privacy::safety::{min_cost_safe_hidden, KernelOracle};
+use secure_view::privacy::safety::min_cost_safe_hidden;
 use secure_view::privacy::{CoreError, StandaloneModule, SweepConfig, WorkflowSweeper};
 use secure_view::relation::{AttrId, AttrSet};
 use secure_view::workflow::{library, ModuleId, Workflow};
@@ -116,7 +116,7 @@ fn reference_optimum(w: &Workflow, id: ModuleId, costs: &[u64], gamma: u128) -> 
     let (m, lens) = standalone(w, id);
     let attrs = w.module(id).unwrap().attr_set();
     let local: Vec<u64> = attrs.iter().map(|a| costs[a.index()]).collect();
-    let (hidden, _) = min_cost_safe_hidden(&KernelOracle::new(&m), &local, gamma).unwrap()?;
+    let (hidden, _) = min_cost_safe_hidden(&m, &local, gamma).unwrap()?;
     Some(lens.to_global(&hidden))
 }
 
