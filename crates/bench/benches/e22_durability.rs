@@ -143,7 +143,7 @@ fn play_tape(
                 applied += 1;
                 last_seq = outcome.log_seq;
             }
-            Err(sv_durable::DurableIngestError::Rejected { .. }) => rejected += 1,
+            Err(sv_serve::BatchIngestError::Rejected(_)) => rejected += 1,
             Err(e) => panic!("durable failure: {e}"),
         }
         if (frame + 1) % group == 0 {

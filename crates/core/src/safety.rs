@@ -55,14 +55,19 @@
 //! probes from any number of serving threads — and the sweep workers
 //! probing the same oracle — proceed in parallel on shard
 //! read-locks. [`WorkflowOracles::probe_batch`] is likewise `&self`.
-//! Writes are **sharded per module**: [`WorkflowOracles`] holds each
-//! module's oracle behind its own `RwLock`, so the batch-ingest path
+//! Writes are **sharded per module** and **serialized per store**:
+//! [`WorkflowOracles`] holds each module's oracle behind its own
+//! `RwLock`, and the batch-ingest path
 //! ([`WorkflowOracles::validate_batch`] →
-//! [`WorkflowOracles::apply_batch`]) validates a whole
-//! [`IngestBatch`] up front under read locks, then applies per-module
-//! mutations concurrently — a probe only waits for the one module
-//! currently being appended, never for the whole workflow. New epochs
-//! are published through a seqlock-style epoch pair
+//! [`WorkflowOracles::apply_batch`]) takes the store's one writer lock,
+//! checks a whole [`IngestBatch`] against the workflow schema and every
+//! module under read locks, then applies per-module mutations
+//! concurrently. The [`ValidatedBatch`] holds the writer lock until its
+//! epochs are published, so what validation proved still holds when
+//! the rows land, and a frame lands in every module or in none. A probe
+//! only waits for the one module currently being appended, never for
+//! the whole workflow. New epochs are published through a seqlock-style
+//! epoch pair
 //! ([`WorkflowOracles::epoch_snapshot`]), so epoch reads never block
 //! on an in-flight append, and epoch-conditioned requests
 //! ([`ProbeRequest::epoch`]) let clients detect an append that slipped
@@ -115,8 +120,8 @@ use crate::sweep::layer_masks;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard};
-use sv_relation::{AttrSet, Relation};
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use sv_relation::{AttrSet, Relation, Schema, Tuple};
 use sv_workflow::{ModuleId, Workflow};
 
 /// Number of lock shards in the memoized oracle's level caches.
@@ -281,10 +286,11 @@ impl SafetyOracle for NaiveOracle {
 /// identical epoch-stamped value, so correctness is unaffected and the
 /// instrumentation counters are upper bounds under contention —
 /// exact in any single-threaded run, which is what the counter-gated
-/// benches use). The only `&mut self` operation is
-/// [`append_execution`](Self::append_execution): Rust statically
-/// guarantees no probe overlaps an append, which is what keeps the
-/// epoch stamps race-free.
+/// benches use). The only mutation is an append, through
+/// [`append_execution`](Self::append_execution) or a
+/// [`WorkflowOracles`] store's validated batch, and both need `&mut`:
+/// Rust statically guarantees no probe overlaps an append, which is
+/// what keeps the epoch stamps race-free.
 ///
 /// ### Streaming: epoch-stamped entries and the monotone shortcut
 ///
@@ -668,6 +674,11 @@ pub struct ProbeOutcome {
 /// benches read its counters. This is what makes "identical safety
 /// queries are answered once per instance, regardless of which
 /// optimizer asks" true end-to-end.
+///
+/// The store serializes its own writers: a [`ValidatedBatch`] holds
+/// the writer lock from [`validate_batch`](Self::validate_batch) until
+/// [`apply_batch`](Self::apply_batch) has published, so any number of
+/// threads may ingest into one shared store.
 pub struct WorkflowOracles {
     entries: Vec<OracleEntry>,
     /// Module id → `entries` index, fixed at construction — the batch
@@ -678,6 +689,10 @@ pub struct WorkflowOracles {
     /// cut. [`epoch_snapshot`](Self::epoch_snapshot) spins on this
     /// instead of taking any module lock.
     epoch_seq: AtomicU64,
+    /// The workflow schema every ingested row is checked against.
+    schema: Schema,
+    /// The single-writer lock a [`ValidatedBatch`] holds.
+    writer: Mutex<()>,
 }
 
 /// One private module's oracle plus the global attribute set needed to
@@ -775,15 +790,18 @@ impl IngestBatch {
     }
 }
 
-/// Proof that an [`IngestBatch`] validated against every module of a
-/// [`WorkflowOracles`]: the per-module projections, ready to apply.
-/// Produced by [`WorkflowOracles::validate_batch`], consumed by
-/// [`WorkflowOracles::apply_batch`]; the validate→apply pair must be
-/// serialized against other writers of the same instance (the serving
-/// tier's per-tenant ingest lane provides exactly this).
-pub struct ValidatedBatch {
+/// Proof that an [`IngestBatch`] validated against the workflow schema
+/// and every module of a [`WorkflowOracles`]: the per-module
+/// projections, ready to apply. Produced by
+/// [`WorkflowOracles::validate_batch`], consumed by
+/// [`WorkflowOracles::apply_batch`]. It holds the store's writer lock,
+/// so no other batch validates or applies until this one has been
+/// applied and published, or dropped: what it proved stays true.
+pub struct ValidatedBatch<'a> {
+    store: &'a WorkflowOracles,
     /// Per `entries` index: the batch's projections, batch order.
-    projections: Vec<Vec<sv_relation::Tuple>>,
+    projections: Vec<Vec<Tuple>>,
+    _writer: MutexGuard<'a, ()>,
 }
 
 /// Batches at least this large (rows × modules) apply their per-module
@@ -808,7 +826,7 @@ impl WorkflowOracles {
                 MemoSafetyOracle::new(sm),
             ));
         }
-        Ok(Self::from_entries(entries))
+        Ok(Self::from_entries(workflow, entries))
     }
 
     /// The **streaming** constructor: every private module starts with
@@ -831,23 +849,35 @@ impl WorkflowOracles {
                 MemoSafetyOracle::new(sm),
             ));
         }
-        Ok(Self::from_entries(entries))
+        Ok(Self::from_entries(workflow, entries))
     }
 
-    fn from_entries(entries: Vec<OracleEntry>) -> Self {
+    fn from_entries(workflow: &Workflow, entries: Vec<OracleEntry>) -> Self {
         let by_id = entries.iter().enumerate().map(|(i, e)| (e.id, i)).collect();
         Self {
             entries,
             by_id,
             epoch_seq: AtomicU64::new(0),
+            schema: workflow.schema().clone(),
+            writer: Mutex::new(()),
         }
+    }
+
+    /// Checks every row against the workflow schema (arity, domains),
+    /// positioned at its index, so no projection reads past a row.
+    fn check_rows(&self, rows: &[Tuple]) -> Result<(), CoreError> {
+        for (i, row) in rows.iter().enumerate() {
+            self.schema
+                .check_row(row)
+                .map_err(|e| CoreError::from(e).at_row(i))?;
+        }
+        Ok(())
     }
 
     /// Re-reads every module's relation epoch and publishes the vector
     /// through the seqlock pair: bump to odd, store, bump back to even.
-    /// Callers must be serialized with each other (the single-writer
-    /// contract of the ingest lane, or `&mut` ownership for the restore
-    /// paths); concurrent [`epoch_snapshot`](Self::epoch_snapshot)
+    /// Callers hold the writer lock (through a [`ValidatedBatch`]) or
+    /// `&mut self`; concurrent [`epoch_snapshot`](Self::epoch_snapshot)
     /// readers retry instead of blocking.
     fn publish_epochs(&self) {
         self.epoch_seq.fetch_add(1, Ordering::AcqRel);
@@ -881,84 +911,81 @@ impl WorkflowOracles {
         }
     }
 
-    /// Validates a whole [`IngestBatch`] against every module under
-    /// **read** locks — recorded-relation and in-batch functional
-    /// dependencies, domains — without mutating anything. On success
-    /// the returned [`ValidatedBatch`] carries the per-module
-    /// projections for [`apply_batch`](Self::apply_batch).
+    /// Takes the store's writer lock, then validates a whole
+    /// [`IngestBatch`]: every row against the workflow schema (arity,
+    /// domains), then every module's projection against its recorded
+    /// and in-batch functional dependency, under **read** locks and
+    /// without mutating anything. On success the returned
+    /// [`ValidatedBatch`] carries the per-module projections for
+    /// [`apply_batch`](Self::apply_batch) and keeps the writer lock, so
+    /// a second writer waits here until this batch has been applied.
     ///
     /// # Errors
-    /// Propagates validation failures (domains, FD), row-indexed into
-    /// the batch; no module state was touched.
-    pub fn validate_batch(&self, batch: &IngestBatch) -> Result<ValidatedBatch, CoreError> {
+    /// Propagates validation failures (arity, domains, FD), row-indexed
+    /// into the batch; no module state was touched.
+    ///
+    /// # Panics
+    /// If the writer lock is poisoned (a writer panicked).
+    pub fn validate_batch(&self, batch: &IngestBatch) -> Result<ValidatedBatch<'_>, CoreError> {
+        let writer = self.writer.lock().expect("store writer lock poisoned");
+        self.check_rows(batch.rows())?;
         let mut projections = Vec::with_capacity(self.entries.len());
         for e in &self.entries {
-            let projs: Vec<sv_relation::Tuple> =
-                batch.rows().iter().map(|r| r.project(&e.attrs)).collect();
+            let projs: Vec<Tuple> = batch.rows().iter().map(|r| r.project(&e.attrs)).collect();
             e.read().module().validate_executions(&projs)?;
             projections.push(projs);
         }
-        Ok(ValidatedBatch { projections })
+        Ok(ValidatedBatch {
+            store: self,
+            projections,
+            _writer: writer,
+        })
     }
 
     /// Applies a validated batch: each module appends its projections
     /// under its **own** write lock — concurrently on scoped threads
     /// when the batch is large enough — then the new epochs are
-    /// published through the seqlock pair. Probes to modules not
-    /// currently under append proceed throughout.
-    ///
-    /// The validate→apply pair must be serialized against other writers
-    /// of this instance (the per-tenant ingest lane, or `&mut`
-    /// ownership). Returns the total number of new module rows.
+    /// published through the seqlock pair, and only then is the writer
+    /// lock released. Probes to modules not currently under append
+    /// proceed throughout. Returns the total number of new module rows.
     ///
     /// # Errors
-    /// Propagates an append failure — only reachable when a racing
-    /// writer violated the serialization contract between
-    /// [`validate_batch`](Self::validate_batch) and this call; modules
-    /// already applied are **not** rolled back.
-    pub fn apply_batch(&self, validated: ValidatedBatch) -> Result<usize, CoreError> {
-        let ValidatedBatch { projections } = validated;
-        let rows = projections.first().map_or(0, Vec::len);
-        let result =
-            if rows * self.entries.len() >= PARALLEL_APPLY_MIN_WORK && self.entries.len() > 1 {
-                std::thread::scope(|s| {
-                    let workers: Vec<_> = self
-                        .entries
-                        .iter()
-                        .zip(&projections)
-                        .map(|(e, projs)| {
-                            s.spawn(move || {
-                                e.oracle
-                                    .write()
-                                    .expect("module oracle lock poisoned")
-                                    .append_execution(projs)
-                            })
-                        })
-                        .collect();
-                    let mut added = 0usize;
-                    let mut first_err = None;
-                    for w in workers {
-                        match w.join().expect("apply worker panicked") {
-                            Ok(n) => added += n,
-                            Err(e) if first_err.is_none() => first_err = Some(e),
-                            Err(_) => {}
-                        }
-                    }
-                    first_err.map_or(Ok(added), Err)
-                })
-            } else {
-                let mut added = 0usize;
-                for (e, projs) in self.entries.iter().zip(&projections) {
-                    added += e
-                        .oracle
-                        .write()
-                        .expect("module oracle lock poisoned")
-                        .append_execution(projs)?;
-                }
-                Ok(added)
-            };
+    /// None: the batch was validated under the writer lock it still
+    /// holds, so every append succeeds. The `Result` keeps
+    /// [`validate_batch`](Self::validate_batch) and this call on one
+    /// error type.
+    ///
+    /// # Panics
+    /// If `validated` came from another store.
+    pub fn apply_batch(&self, validated: ValidatedBatch<'_>) -> Result<usize, CoreError> {
+        assert!(
+            std::ptr::eq(validated.store, self),
+            "batch validated by another store"
+        );
+        let work = validated.projections.first().map_or(0, Vec::len) * self.entries.len();
+        let append = |(e, projs): (&OracleEntry, &Vec<Tuple>)| {
+            e.oracle
+                .write()
+                .expect("module oracle lock poisoned")
+                .module
+                .append_validated(projs)
+        };
+        let modules = self.entries.iter().zip(&validated.projections);
+        let added = if work >= PARALLEL_APPLY_MIN_WORK && self.entries.len() > 1 {
+            std::thread::scope(|s| {
+                let workers: Vec<_> = modules.map(|m| s.spawn(move || append(m))).collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("apply worker panicked"))
+                    .sum()
+            })
+        } else {
+            modules.map(append).sum()
+        };
         self.publish_epochs();
-        result
+        // `validated` drops here, releasing the writer lock after the
+        // publication.
+        Ok(added)
     }
 
     /// Validates and applies one batch —
@@ -989,12 +1016,15 @@ impl WorkflowOracles {
     ///
     /// # Errors
     /// [`CoreError::MissingOracle`] for an unknown id or a module left
-    /// unlisted; propagates reconstruction failures.
+    /// unlisted; a row-indexed [`CoreError::RowRejected`] for a ledger
+    /// row outside the workflow schema; propagates reconstruction
+    /// failures.
     pub fn restore_ledger(
         &mut self,
-        rows: &[sv_relation::Tuple],
+        rows: &[Tuple],
         epochs: &[(ModuleId, u64)],
     ) -> Result<(), CoreError> {
+        self.check_rows(rows)?;
         let mut restored: Vec<(usize, StandaloneModule)> = Vec::with_capacity(epochs.len());
         let mut covered = vec![false; self.entries.len()];
         for &(id, epoch) in epochs {
@@ -1528,6 +1558,39 @@ mod tests {
         // The corrected row then lands everywhere.
         let row2 = w.run(&[0, 1]).unwrap();
         assert!(ingest(&row2).unwrap() > 0);
+    }
+
+    #[test]
+    fn ingest_checks_every_row_against_the_workflow_schema() {
+        // Short, long and out-of-domain rows are refused whole, named
+        // by their frame position, before any projection reads them.
+        let w = fig1_workflow();
+        let mut oracles = WorkflowOracles::for_workflow_streaming(&w).unwrap();
+        let valid = w.run(&[0, 0]).unwrap();
+        let mut bad_value = valid.values().to_vec();
+        bad_value[6] = 2;
+        for bad in [
+            &valid.values()[..3],
+            &[valid.values(), &[0]].concat(),
+            &bad_value,
+        ] {
+            let frame =
+                IngestBatch::new(vec![valid.clone(), sv_relation::Tuple::new(bad.to_vec())]);
+            let err = oracles.ingest_batch(&frame).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::RowRejected { index: 1, source }
+                    if matches!(**source, CoreError::Relation(_))),
+                "{err:?}"
+            );
+            assert!(oracles.epoch_snapshot().iter().all(|&(_, e)| e == 0));
+        }
+        // A ledger row outside the schema fails the restore, too.
+        let short = sv_relation::Tuple::new(vec![0]);
+        let epochs: Vec<_> = oracles.module_ids().into_iter().map(|id| (id, 1)).collect();
+        let err = oracles
+            .restore_ledger(&[valid, short], &epochs)
+            .unwrap_err();
+        assert_eq!(err.row_index(), Some(1));
     }
 
     /// Figure 1's `m1` as a workflow of its own: a one-module store

@@ -246,12 +246,17 @@ impl StandaloneModule {
     /// ```
     pub fn append_execution(&mut self, rows: &[Tuple]) -> Result<usize, CoreError> {
         self.validate_executions(rows)?;
-        // Nothing can fail past this point. Clones of this module share
-        // the kernel through the `Arc`; copy-on-write keeps their view
-        // frozen at their epoch.
-        Ok(Arc::make_mut(&mut self.kernel)
+        Ok(self.append_validated(rows))
+    }
+
+    /// Appends rows that [`validate_executions`](Self::validate_executions)
+    /// accepted against this module as it is now, so nothing can fail.
+    /// Clones of this module share the kernel through the `Arc`;
+    /// copy-on-write keeps their view frozen at their epoch.
+    pub(crate) fn append_validated(&mut self, rows: &[Tuple]) -> usize {
+        Arc::make_mut(&mut self.kernel)
             .append_rows(rows)
-            .expect("rows validated above"))
+            .expect("rows validated against this module")
     }
 
     /// The checks [`append_execution`](Self::append_execution) runs

@@ -111,11 +111,10 @@ pub enum Request {
         probes: Vec<ProbeRequest>,
     },
     /// Append ingest: full provenance rows over the tenant workflow's
-    /// schema, applied **frame-atomically** on the tenant's
-    /// single-writer lane (the whole batch is validated against every
-    /// private module before any module sees a row; an invalid row
-    /// fails the frame with [`ServeFault::Rejected`] and **nothing** is
-    /// applied).
+    /// schema, applied **frame-atomically** (the whole batch is checked
+    /// against the workflow schema and every private module before any
+    /// module sees a row; an invalid row fails the frame with
+    /// [`ServeFault::Rejected`] and **nothing** is applied).
     Ingest {
         /// The tenant the rows belong to.
         tenant: u64,
@@ -263,10 +262,13 @@ pub enum ServeFault {
         /// Decoder diagnostic.
         detail: String,
     },
-    /// An ingest row failed validation (domain or FD violation).
-    /// `applied` rows earlier in the frame had already landed.
+    /// An ingest frame failed: a row failed validation (arity, domain
+    /// or FD), the frame could not be logged, or the sync covering it
+    /// failed. Frames are all-or-nothing, so `applied` is 0 unless only
+    /// the covering sync failed; then it is the frame's added row
+    /// count, applied in memory but not confirmed durable.
     Rejected {
-        /// Rows of the frame applied before the failure.
+        /// 0, or the frame's added rows when only its sync failed.
         applied: u64,
         /// Validation diagnostic.
         detail: String,

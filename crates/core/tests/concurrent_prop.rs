@@ -12,7 +12,10 @@
 //! * [`ProbeRequest`] edge cases: the empty batch, duplicate
 //!   `(module, word)` requests inside one batch, and `StaleEpoch` for a
 //!   client whose epoch-conditioned batch raced a concurrent
-//!   `ingest_batch`.
+//!   `ingest_batch`;
+//! * racing writers on one store: the store's writer lock, held from
+//!   `validate_batch` until `apply_batch` has published, lands each
+//!   frame in every module or in none.
 //!
 //! The threading model under test: probes take `&self` and any number
 //! of reader threads share one instance; the one writer appends whole
@@ -24,9 +27,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::mpsc;
+use std::time::Duration;
 use sv_core::safety::{IngestBatch, NaiveOracle, ProbeRequest, WorkflowOracles};
 use sv_core::{CoreError, MemoSafetyOracle, SafetyOracle, StandaloneModule};
-use sv_relation::{AttrDef, AttrSet, Domain, Relation, Schema, Tuple};
+use sv_relation::{AttrDef, AttrId, AttrSet, Domain, Relation, Schema, Tuple};
 use sv_workflow::library::{fig1_workflow, one_one_chain};
 
 /// Random rows over a random schema, deduplicated on a random input
@@ -330,4 +335,62 @@ fn stale_epoch_raised_after_concurrent_ingest() {
             });
         }
     });
+}
+
+/// Two writers race on one Figure-1 store. Writer A validates frame a;
+/// writer B then starts on frame b, whose m1 projection is fresh and
+/// whose m2 projection contradicts a's, and applies only once A has
+/// applied. A's validated batch holds the store's writer lock until its
+/// epochs are published, so B cannot finish validating before A has
+/// applied, validates against a, and is rejected whole: every module,
+/// and the published epochs, show frame a only.
+#[test]
+fn racing_writers_land_each_frame_in_every_module_or_none() {
+    let w = fig1_workflow();
+    let store = WorkflowOracles::for_workflow_streaming(&w).unwrap();
+    let a = w.run(&[0, 0]).unwrap();
+    // fig1: a1,a2 → m1 → a3,a4,a5; a3,a4 → m2 → a6; a4,a5 → m3 → a7.
+    let mut b = a.clone();
+    b.set(AttrId(1), 1); // m1 input (0,0) → (0,1): fresh for m1
+    b.set(AttrId(5), 1 - a.get(AttrId(5))); // m2 output flipped
+    let (frame_a, frame_b) = (IngestBatch::new(vec![a.clone()]), IngestBatch::new(vec![b]));
+    let (started_tx, started_rx) = mpsc::channel();
+    let (validated_tx, validated_rx) = mpsc::channel();
+    let (applied_tx, applied_rx) = mpsc::channel::<()>();
+    let (b_validated_first, b_result) = std::thread::scope(|s| {
+        let validated_a = store.validate_batch(&frame_a).unwrap();
+        let (store, frame_b) = (&store, &frame_b);
+        let writer_b = s.spawn(move || {
+            started_tx.send(()).unwrap();
+            let validated_b = store.validate_batch(frame_b);
+            validated_tx.send(()).unwrap();
+            validated_b.and_then(|validated_b| {
+                applied_rx.recv().unwrap();
+                store.apply_batch(validated_b)
+            })
+        });
+        started_rx.recv().unwrap();
+        // B has started. Were its validation not held back by A's
+        // writer lock, it would report well within this wait.
+        let b_validated_first = validated_rx
+            .recv_timeout(Duration::from_millis(100))
+            .is_ok();
+        assert_eq!(store.apply_batch(validated_a).unwrap(), 3);
+        // A rejected B has already returned and dropped its receiver.
+        let _ = applied_tx.send(());
+        (b_validated_first, writer_b.join().unwrap())
+    });
+    assert_eq!(b_result, Err(CoreError::NotAFunction.at_row(0)));
+    for id in store.module_ids() {
+        let o = store.oracle(id).unwrap();
+        let attrs = w.module(id).unwrap().attr_set();
+        let rows = o.module().relation().rows().to_vec();
+        assert_eq!(rows, vec![a.project(&attrs)], "module {id:?} rows");
+        assert_eq!(o.relation_epoch(), 1, "module {id:?} epoch");
+    }
+    assert!(store.epoch_snapshot().iter().all(|&(_, epoch)| epoch == 1));
+    assert!(
+        !b_validated_first,
+        "B validated while A held the writer lock"
+    );
 }

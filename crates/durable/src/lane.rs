@@ -112,8 +112,8 @@ impl CommitLane {
 
     /// Appends one ingest frame (no sync), returning its sequence
     /// number. The caller owns ordering above this lane: per-tenant
-    /// frame order is the caller's single-writer discipline; the lane
-    /// only interleaves *across* tenants.
+    /// frame order is set by the tenant store's writer lock, held
+    /// across this call; the lane only interleaves *across* tenants.
     ///
     /// # Errors
     /// IO failures; [`DurableError::RecordTooLarge`].

@@ -42,7 +42,5 @@ pub mod snapshot;
 pub use error::{DurableError, LogTail};
 pub use lane::{CommitLane, LaneStats};
 pub use log::{fnv1a64, read_log, LogWriter, Record, MAX_RECORD_LEN, RECORD_HEADER_LEN};
-pub use registry::{
-    DurableIngestError, DurableRegistry, RecoveryReport, TenantDef, LOG_FILE, SNAPSHOT_FILE,
-};
+pub use registry::{DurableRegistry, RecoveryReport, TenantDef, LOG_FILE, SNAPSHOT_FILE};
 pub use snapshot::{Snapshot, TenantSnapshot};

@@ -132,16 +132,7 @@ impl Record {
                 out.extend_from_slice(&tenant.to_le_bytes());
                 out.extend_from_slice(&seq.to_le_bytes());
                 out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-                // One workflow schema per tenant: every row of a frame
-                // has the same arity, so it is stored once.
-                let arity = rows.first().map_or(0, Vec::len);
-                out.extend_from_slice(&(arity as u32).to_le_bytes());
-                for row in rows {
-                    debug_assert_eq!(row.len(), arity, "frame rows share one schema");
-                    for &v in row {
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
+                put_rows(&mut out, rows);
             }
             Self::Tombstone { tenant, seq, upto } => {
                 out.push(TAG_TOMBSTONE);
@@ -176,35 +167,19 @@ impl Record {
                 max: MAX_RECORD_LEN,
             });
         }
-        let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        Ok(out)
+        Ok(with_header(&payload))
     }
 
-    /// Total payload decoder: exact-length, every fault is `Err`.
-    fn decode_payload(buf: &[u8]) -> Result<Self, String> {
-        let mut r = PayloadReader { buf, pos: 0 };
-        let tag = r.u8()?;
-        let record = match tag {
+    /// Total payload decoder: exact-length; a fault is `Err` with its
+    /// payload offset.
+    fn decode_payload(buf: &[u8]) -> Result<Self, usize> {
+        let mut r = Reader::new(buf);
+        let record = match r.u8()? {
             TAG_INGEST_FRAME => {
                 let tenant = r.u64()?;
                 let seq = r.u64()?;
                 let nrows = r.u32()? as usize;
-                let arity = r.u32()? as usize;
-                let want = nrows.checked_mul(arity).ok_or("frame size overflows")?;
-                if want > r.remaining() / 4 {
-                    return Err(format!("frame of {nrows}x{arity} exceeds payload"));
-                }
-                let mut rows = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    let mut row = Vec::with_capacity(arity);
-                    for _ in 0..arity {
-                        row.push(r.u32()?);
-                    }
-                    rows.push(row);
-                }
+                let rows = r.rows(nrows)?;
                 Self::IngestFrame { tenant, seq, rows }
             }
             TAG_TOMBSTONE => Self::Tombstone {
@@ -217,49 +192,111 @@ impl Record {
                 seq: r.u64()?,
                 compaction_epoch: r.u64()?,
             },
-            other => return Err(format!("unknown record tag 0x{other:02x}")),
+            // An unknown tag, the retired 0x01 included.
+            _ => return Err(0),
         };
         if r.remaining() != 0 {
-            return Err(format!("{} trailing payload bytes", r.remaining()));
+            return Err(r.pos);
         }
         Ok(record)
     }
 }
 
-struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// `len:u32 LE | checksum:u64 LE | payload` — the header discipline the
+/// log's records and the snapshot file share.
+pub(crate) fn with_header(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
 }
 
-impl PayloadReader<'_> {
-    fn remaining(&self) -> usize {
+/// Appends `arity:u32 | value:u32 × (rows × arity)`. Every row shares
+/// the workflow schema's arity, so it is stored once.
+pub(crate) fn put_rows(out: &mut Vec<u8>, rows: &[Vec<Value>]) {
+    let arity = rows.first().map_or(0, Vec::len);
+    out.extend_from_slice(&(arity as u32).to_le_bytes());
+    for row in rows {
+        debug_assert_eq!(row.len(), arity, "rows share one schema");
+        for &v in row {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
+/// A little-endian cursor over a record payload, a record header or a
+/// snapshot. Every read is length-checked: running out of bytes is
+/// `Err(offset)`, never a panic.
+pub(crate) struct Reader<'a> {
+    buf: &'a [u8],
+    pub(crate) pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], usize> {
         if self.remaining() < n {
-            return Err("payload truncated".into());
+            return Err(self.pos);
         }
-        let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
-        Ok(s)
+        Ok(&self.buf[self.pos - n..self.pos])
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], usize> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    pub(crate) fn u8(&mut self) -> Result<u8, usize> {
+        self.array().map(u8::from_le_bytes)
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    pub(crate) fn u32(&mut self) -> Result<u32, usize> {
+        self.array().map(u32::from_le_bytes)
     }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, usize> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads what [`put_rows`] wrote for `nrows` rows, refusing a
+    /// shape larger than the bytes left before allocating for it.
+    pub(crate) fn rows(&mut self, nrows: usize) -> Result<Vec<Vec<Value>>, usize> {
+        let arity = self.u32()? as usize;
+        if nrows
+            .checked_mul(arity)
+            .is_none_or(|cells| cells > self.remaining() / 4)
+        {
+            return Err(self.pos);
+        }
+        (0..nrows)
+            .map(|_| (0..arity).map(|_| self.u32()).collect())
+            .collect()
+    }
+}
+
+/// Atomically replaces `path` with `bytes`: writes a sibling `.tmp`
+/// file, syncs it, and renames it over `path`, so a crash leaves the
+/// old contents or the new ones, never a torn mix.
+pub(crate) fn replace_file(path: &Path, bytes: &[u8]) -> Result<(), DurableError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut f = File::create(&tmp).map_err(|e| DurableError::io("create", &tmp, &e))?;
+    f.write_all(bytes)
+        .map_err(|e| DurableError::io("write", &tmp, &e))?;
+    f.sync_data()
+        .map_err(|e| DurableError::io("sync", &tmp, &e))?;
+    std::fs::rename(&tmp, path).map_err(|e| DurableError::io("rename", path, &e))
 }
 
 /// Scans a log image, returning the records of its longest valid
@@ -269,43 +306,31 @@ impl PayloadReader<'_> {
 pub fn scan(buf: &[u8]) -> (Vec<Record>, LogTail, u64) {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    loop {
-        let remaining = buf.len() - pos;
-        if remaining == 0 {
-            return (records, LogTail::Clean, pos as u64);
+    let tail = loop {
+        if pos == buf.len() {
+            break LogTail::Clean;
         }
-        if remaining < RECORD_HEADER_LEN {
-            return (records, LogTail::Torn { offset: pos as u64 }, pos as u64);
+        let offset = pos as u64;
+        let mut r = Reader::new(&buf[pos..]);
+        let (Ok(len), Ok(checksum)) = (r.u32(), r.u64()) else {
+            break LogTail::Torn { offset };
+        };
+        if len as usize > MAX_RECORD_LEN {
+            break LogTail::Corrupt { offset };
         }
-        let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]) as usize;
-        if len > MAX_RECORD_LEN {
-            return (records, LogTail::Corrupt { offset: pos as u64 }, pos as u64);
-        }
-        if remaining < RECORD_HEADER_LEN + len {
-            return (records, LogTail::Torn { offset: pos as u64 }, pos as u64);
-        }
-        let checksum = u64::from_le_bytes([
-            buf[pos + 4],
-            buf[pos + 5],
-            buf[pos + 6],
-            buf[pos + 7],
-            buf[pos + 8],
-            buf[pos + 9],
-            buf[pos + 10],
-            buf[pos + 11],
-        ]);
-        let payload = &buf[pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len];
+        let Ok(payload) = r.take(len as usize) else {
+            break LogTail::Torn { offset };
+        };
         if fnv1a64(payload) != checksum {
-            return (records, LogTail::Corrupt { offset: pos as u64 }, pos as u64);
+            break LogTail::Corrupt { offset };
         }
-        match Record::decode_payload(payload) {
-            Ok(r) => records.push(r),
-            Err(_) => {
-                return (records, LogTail::Corrupt { offset: pos as u64 }, pos as u64);
-            }
-        }
-        pos += RECORD_HEADER_LEN + len;
-    }
+        let Ok(record) = Record::decode_payload(payload) else {
+            break LogTail::Corrupt { offset };
+        };
+        records.push(record);
+        pos += r.pos;
+    };
+    (records, tail, pos as u64)
 }
 
 /// Reads and scans a log file.
@@ -504,20 +529,11 @@ impl LogWriter {
     /// # Errors
     /// IO failures; [`DurableError::RecordTooLarge`].
     pub fn rewrite(&mut self, records: &[Record]) -> Result<(), DurableError> {
-        let tmp = self.path.with_extension("log.tmp");
         let mut bytes = Vec::new();
         for r in records {
             bytes.extend_from_slice(&r.encode()?);
         }
-        {
-            let mut f = File::create(&tmp).map_err(|e| DurableError::io("create", &tmp, &e))?;
-            f.write_all(&bytes)
-                .map_err(|e| DurableError::io("write", &tmp, &e))?;
-            f.sync_data()
-                .map_err(|e| DurableError::io("sync", &tmp, &e))?;
-        }
-        std::fs::rename(&tmp, &self.path)
-            .map_err(|e| DurableError::io("rename", &self.path, &e))?;
+        replace_file(&self.path, &bytes)?;
         // Reopen the handle: the old descriptor points at the unlinked
         // pre-rewrite inode.
         self.file = OpenOptions::new()

@@ -7,10 +7,13 @@
 //!
 //! Every ingest frame goes through
 //! [`Tenant::ingest_batch_with`](sv_serve::Tenant::ingest_batch_with):
-//! the whole frame is **validated first**, then logged as one frame
-//! record, then applied and published — all-or-nothing. A frame in the
-//! log is by construction a frame that applies cleanly, so replay
-//! reconstructs the same state without re-running rejections.
+//! the whole frame is **validated first** (workflow schema, then every
+//! module), then logged as one frame record and appended to the
+//! tenant's ledger, then applied and published — all-or-nothing, and
+//! all under the tenant store's writer lock, so ledger order is log
+//! order. A frame in the log is by construction a frame that applies
+//! cleanly, so replay reconstructs the same state without re-running
+//! rejections.
 //!
 //! Durability is decoupled from application: [`DurableRegistry::submit`]
 //! appends and applies without waiting for the disk, and
@@ -47,16 +50,15 @@ use crate::lane::{CommitLane, LaneStats};
 use crate::log::{LogWriter, Record};
 use crate::snapshot::{Snapshot, TenantSnapshot};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 use sv_core::safety::{IngestBatch, SafetyOracle as _};
-use sv_core::CoreError;
+use sv_core::wire::ServeFault;
 use sv_relation::Tuple;
 use sv_serve::{
-    AdmissionLimits, BatchIngestError, BatchOutcome, IngestSink, IngestSinkError, IngestSubmission,
-    Tenant, TenantConfig, TenantId, TenantRegistry,
+    AdmissionLimits, BatchIngestError, BatchOutcome, IngestSink, Tenant, TenantConfig, TenantId,
+    TenantRegistry,
 };
 use sv_workflow::{ModuleId, Workflow};
 
@@ -92,45 +94,6 @@ pub struct RecoveryReport {
     pub rows_applied: u64,
     /// Highest sequence number in the recovered log.
     pub last_seq: u64,
-}
-
-/// An ingest through the durable registry failed. Frames are
-/// all-or-nothing: on either variant, **nothing** of the frame was
-/// applied or logged — except [`Durable`](Self::Durable) raised by
-/// [`DurableRegistry::wait_durable`], where the frame is applied in
-/// memory but its durability is unconfirmed.
-#[derive(Debug)]
-pub enum DurableIngestError {
-    /// A row failed validation (frame-positioned via
-    /// [`CoreError::row_index`]). The frame never reached the log.
-    Rejected {
-        /// The offending row's error.
-        error: CoreError,
-    },
-    /// The durability layer refused: log append failure, fsync
-    /// failure, or unknown tenant.
-    Durable {
-        /// The underlying fault.
-        error: DurableError,
-    },
-}
-
-impl fmt::Display for DurableIngestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Rejected { error } => write!(f, "ingest frame rejected: {error}"),
-            Self::Durable { error } => write!(f, "durable ingest failed: {error}"),
-        }
-    }
-}
-
-impl std::error::Error for DurableIngestError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Rejected { error } => Some(error),
-            Self::Durable { error } => Some(error),
-        }
-    }
 }
 
 struct TenantDurable {
@@ -308,11 +271,10 @@ impl DurableRegistry {
                                 td.ledger.extend_from_slice(batch.rows());
                                 report.rows_applied += rows.len() as u64;
                             }
-                            Err(failure) => {
+                            Err(e) => {
                                 return Err(DurableError::DefMismatch {
                                     detail: format!(
-                                        "logged frame for tenant {tenant} no longer applies: {}",
-                                        failure.error
+                                        "logged frame for tenant {tenant} no longer applies: {e}"
                                     ),
                                 })
                             }
@@ -411,29 +373,28 @@ impl DurableRegistry {
         self.lane.stats()
     }
 
-    /// Submits one ingest frame: validate → log (no fsync) → apply →
-    /// publish, all-or-nothing, returning the applied outcome whose
-    /// `log_seq` names the frame's position in the durability order.
-    /// The frame is **applied but not yet durable** — pass the
+    /// Submits one ingest frame: validate → log (no fsync) → ledger →
+    /// apply → publish, all-or-nothing, returning the applied outcome
+    /// whose `log_seq` names the frame's position in the durability
+    /// order. The frame is **applied but not yet durable** — pass the
     /// sequence to [`wait_durable`](Self::wait_durable) to block until
     /// a sync covers it, or use [`ingest`](Self::ingest) for both.
     ///
     /// Concurrent submits from different tenants proceed in parallel
-    /// (per-tenant ingest lanes, one shared log behind a short mutex).
+    /// (one writer lock per tenant store, one shared log behind a short
+    /// mutex).
     ///
     /// # Errors
-    /// [`DurableIngestError::Rejected`] when validation fails (nothing
-    /// logged, nothing applied); [`DurableIngestError::Durable`] when
-    /// the log append fails (nothing applied).
+    /// [`BatchIngestError::Rejected`] when validation fails (nothing
+    /// logged, nothing applied); [`BatchIngestError::Wal`] for an
+    /// unknown tenant or when the log append fails (nothing applied).
     pub fn submit(
         &self,
         id: TenantId,
         batch: &IngestBatch,
-    ) -> Result<BatchOutcome, DurableIngestError> {
+    ) -> Result<BatchOutcome, BatchIngestError<DurableError>> {
         let _data = self.control.read().expect("durable control poisoned");
-        let unknown = || DurableIngestError::Durable {
-            error: DurableError::UnknownTenant { tenant: id.0 },
-        };
+        let unknown = || BatchIngestError::Wal(DurableError::UnknownTenant { tenant: id.0 });
         let tenant = self.inner.get(id).ok_or_else(unknown)?;
         if !self
             .tenants
@@ -443,29 +404,20 @@ impl DurableRegistry {
         {
             return Err(unknown());
         }
-        tenant
-            .ingest_batch_with(
-                batch,
-                |b| {
-                    let rows: Vec<Vec<_>> = b.rows().iter().map(|t| t.values().to_vec()).collect();
-                    self.lane.append_frame(id.0, &rows)
-                },
-                |b, _added| {
-                    // Under the tenant's ingest lane, so ledger order ==
-                    // this tenant's log order.
-                    self.tenants
-                        .lock()
-                        .expect("durable tenants poisoned")
-                        .get_mut(&id.0)
-                        .expect("checked above")
-                        .ledger
-                        .extend_from_slice(b.rows());
-                },
-            )
-            .map_err(|e| match e {
-                BatchIngestError::Rejected(f) => DurableIngestError::Rejected { error: f.error },
-                BatchIngestError::Wal(error) => DurableIngestError::Durable { error },
-            })
+        tenant.ingest_batch_with(batch, |b| {
+            let rows: Vec<Vec<_>> = b.rows().iter().map(|t| t.values().to_vec()).collect();
+            let seq = self.lane.append_frame(id.0, &rows)?;
+            // Under the store's writer lock, so ledger order == this
+            // tenant's log order.
+            self.tenants
+                .lock()
+                .expect("durable tenants poisoned")
+                .get_mut(&id.0)
+                .expect("checked above")
+                .ledger
+                .extend_from_slice(b.rows());
+            Ok(seq)
+        })
     }
 
     /// Blocks until log sequence `seq` is covered by a successful
@@ -484,13 +436,18 @@ impl DurableRegistry {
     /// Returns the number of new module rows.
     ///
     /// # Errors
-    /// As [`submit`](Self::submit), plus
-    /// [`DurableIngestError::Durable`] when the covering sync fails.
-    pub fn ingest(&self, id: TenantId, rows: &[Tuple]) -> Result<u64, DurableIngestError> {
+    /// As [`submit`](Self::submit), plus [`BatchIngestError::Wal`] when
+    /// the covering sync fails (the frame is applied in memory but its
+    /// durability is unconfirmed).
+    pub fn ingest(
+        &self,
+        id: TenantId,
+        rows: &[Tuple],
+    ) -> Result<u64, BatchIngestError<DurableError>> {
         let batch = IngestBatch::new(rows.to_vec());
         let outcome = self.submit(id, &batch)?;
         self.wait_durable(outcome.log_seq)
-            .map_err(|error| DurableIngestError::Durable { error })?;
+            .map_err(BatchIngestError::Wal)?;
         Ok(outcome.added)
     }
 
@@ -634,26 +591,16 @@ impl DurableRegistry {
 }
 
 impl IngestSink for DurableRegistry {
-    fn submit(
-        &self,
-        tenant: &Arc<Tenant>,
-        batch: IngestBatch,
-    ) -> Result<IngestSubmission, IngestSinkError> {
-        let outcome =
-            DurableRegistry::submit(self, tenant.id(), &batch).map_err(|e| IngestSinkError {
-                applied: 0,
-                detail: e.to_string(),
-            })?;
-        Ok(IngestSubmission {
-            added: outcome.added,
-            epochs: outcome.epochs,
-            seq: outcome.log_seq,
+    fn submit(&self, tenant: &Arc<Tenant>, batch: IngestBatch) -> Result<BatchOutcome, ServeFault> {
+        DurableRegistry::submit(self, tenant.id(), &batch).map_err(|e| ServeFault::Rejected {
+            applied: 0,
+            detail: e.to_string(),
         })
     }
 
-    fn wait_durable(&self, submission: &IngestSubmission) -> Result<u64, IngestSinkError> {
-        DurableRegistry::wait_durable(self, submission.seq).map_err(|e| IngestSinkError {
-            applied: submission.added,
+    fn wait_durable(&self, outcome: &BatchOutcome) -> Result<u64, ServeFault> {
+        DurableRegistry::wait_durable(self, outcome.log_seq).map_err(|e| ServeFault::Rejected {
+            applied: outcome.added,
             detail: format!("group commit: {e}"),
         })
     }
@@ -805,7 +752,7 @@ mod tests {
             reg.register(id, TenantConfig::new(&wf)).unwrap();
             let err = reg.ingest(id, &[good.clone(), bad]).unwrap_err();
             match err {
-                DurableIngestError::Rejected { error } => {
+                BatchIngestError::Rejected(error) => {
                     assert_eq!(error.row_index(), Some(1), "frame-positioned");
                 }
                 other => panic!("expected Rejected, got {other}"),

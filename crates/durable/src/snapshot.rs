@@ -24,9 +24,9 @@
 //! records with `seq > last_seq`.
 
 use crate::error::DurableError;
-use crate::log::fnv1a64;
+use crate::log::{fnv1a64, put_rows, replace_file, with_header, Reader};
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::Path;
 use sv_relation::Value;
 
@@ -79,14 +79,7 @@ impl Snapshot {
                 out.extend_from_slice(&epoch.to_le_bytes());
             }
             out.extend_from_slice(&(t.ledger.len() as u64).to_le_bytes());
-            let arity = t.ledger.first().map_or(0, Vec::len) as u32;
-            out.extend_from_slice(&arity.to_le_bytes());
-            for row in &t.ledger {
-                debug_assert_eq!(row.len(), arity as usize, "ledger rows share one schema");
-                for &v in row {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            put_rows(&mut out, &t.ledger);
         }
         out
     }
@@ -100,7 +93,7 @@ impl Snapshot {
             offset: pos as u64,
             detail: detail.to_string(),
         };
-        let mut r = SnapReader { buf, pos: 0 };
+        let mut r = Reader::new(buf);
         let magic = r.take(8).map_err(|p| corrupt(p, "truncated magic"))?;
         if magic != MAGIC {
             return Err(corrupt(0, "bad magic"));
@@ -124,21 +117,9 @@ impl Snapshot {
                 module_epochs.push((idx, epoch));
             }
             let n_rows = r.u64().map_err(|p| corrupt(p, "truncated row count"))? as usize;
-            let arity = r.u32().map_err(|p| corrupt(p, "truncated arity"))? as usize;
-            if n_rows
-                .checked_mul(arity)
-                .is_none_or(|cells| cells > r.remaining() / 4)
-            {
-                return Err(corrupt(r.pos, "ledger size exceeds payload"));
-            }
-            let mut ledger = Vec::with_capacity(n_rows);
-            for _ in 0..n_rows {
-                let mut row = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    row.push(r.u32().map_err(|p| corrupt(p, "truncated ledger"))?);
-                }
-                ledger.push(row);
-            }
+            let ledger = r
+                .rows(n_rows)
+                .map_err(|p| corrupt(p, "truncated or oversized ledger"))?;
             tenants.push(TenantSnapshot {
                 tenant,
                 compaction_epoch,
@@ -155,12 +136,7 @@ impl Snapshot {
     /// The full file image (`len | checksum | payload`).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(12 + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        with_header(&self.encode_payload())
     }
 
     /// Writes the snapshot **atomically**: a sibling `.tmp` file is
@@ -170,17 +146,7 @@ impl Snapshot {
     /// # Errors
     /// IO failures.
     pub fn save(&self, path: &Path) -> Result<(), DurableError> {
-        let tmp = path.with_extension("svs.tmp");
-        let bytes = self.encode();
-        {
-            let mut f = File::create(&tmp).map_err(|e| DurableError::io("create", &tmp, &e))?;
-            f.write_all(&bytes)
-                .map_err(|e| DurableError::io("write", &tmp, &e))?;
-            f.sync_data()
-                .map_err(|e| DurableError::io("sync", &tmp, &e))?;
-        }
-        std::fs::rename(&tmp, path).map_err(|e| DurableError::io("rename", path, &e))?;
-        Ok(())
+        replace_file(path, &self.encode())
     }
 
     /// Loads and validates a snapshot; `Ok(None)` when the file does
@@ -199,23 +165,21 @@ impl Snapshot {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(DurableError::io("open snapshot", path, &e)),
         }
-        if buf.len() < 12 {
+        let mut r = Reader::new(&buf);
+        let (Ok(len), Ok(checksum)) = (r.u32(), r.u64()) else {
             return Err(DurableError::SnapshotCorrupt {
                 offset: 0,
                 detail: "file shorter than header".into(),
             });
-        }
-        let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        if len > MAX_SNAPSHOT_LEN || buf.len() != 12 + len {
+        };
+        let len = len as usize;
+        if len > MAX_SNAPSHOT_LEN || r.remaining() != len {
             return Err(DurableError::SnapshotCorrupt {
                 offset: 0,
                 detail: format!("length prefix {len} does not match file size {}", buf.len()),
             });
         }
-        let checksum = u64::from_le_bytes([
-            buf[4], buf[5], buf[6], buf[7], buf[8], buf[9], buf[10], buf[11],
-        ]);
-        let payload = &buf[12..];
+        let payload = &buf[r.pos..];
         if fnv1a64(payload) != checksum {
             return Err(DurableError::SnapshotCorrupt {
                 offset: 4,
@@ -223,38 +187,6 @@ impl Snapshot {
             });
         }
         Self::decode_payload(payload).map(Some)
-    }
-}
-
-struct SnapReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SnapReader<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], usize> {
-        if self.remaining() < n {
-            return Err(self.pos);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, usize> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, usize> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
     }
 }
 

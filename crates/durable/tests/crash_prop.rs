@@ -31,17 +31,19 @@
 //! bump), FD-violating rows (which reject their **whole frame** before
 //! it reaches the log — frame-atomic ingest), snapshots at random
 //! points, and compactions (which rewrite the log and strictly advance
-//! every epoch).
+//! every epoch). Rows of the wrong arity, sent through a durable
+//! server, are refused the same way.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use sv_core::safety::{IngestBatch, NaiveOracle, ProbeRequest, SafetyOracle};
+use sv_core::wire::{Request, Response, ServeFault};
 use sv_core::StandaloneModule;
 use sv_durable::{DurableRegistry, LogTail, TenantDef, LOG_FILE, SNAPSHOT_FILE};
 use sv_relation::{AttrSet, Relation, Tuple};
-use sv_serve::{AdmissionLimits, Tenant, TenantConfig, TenantId, TenantRegistry};
+use sv_serve::{AdmissionLimits, Server, Tenant, TenantConfig, TenantId, TenantRegistry};
 use sv_workflow::library::{fig1_workflow, one_one_chain};
 use sv_workflow::Workflow;
 
@@ -278,7 +280,7 @@ fn run_schedule(
                 ledgers[ti].extend(rows);
                 unsynced_seq = outcome.log_seq;
             }
-            Err(sv_durable::DurableIngestError::Rejected { .. }) => {}
+            Err(sv_serve::BatchIngestError::Rejected(_)) => {}
             Err(e) => panic!("unexpected durable failure: {e}"),
         }
         // Group commit: roughly every third frame leads a sync that
@@ -561,4 +563,56 @@ fn random_schedules_with_snapshots_recover_bit_for_bit() {
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&work).unwrap();
     }
+}
+
+#[test]
+fn wrong_arity_frames_are_rejected_before_the_log() {
+    let (chain, fig1) = workflows();
+    let dir = tmp_dir("arity");
+    let reg = Arc::new(DurableRegistry::create(&dir).expect("create durable dir"));
+    for def in defs(&chain, &fig1) {
+        reg.register(def.id, TenantConfig::new(def.workflow).limits(def.limits))
+            .expect("register");
+    }
+    let server = Server::with_ingest_sink(Arc::clone(reg.registry()), reg.clone());
+    let ingest = |rows: Vec<Vec<u32>>| {
+        let request = Request::Ingest {
+            tenant: TENANTS[0].0,
+            rows,
+        };
+        Response::decode(&server.handle_frame(&request.encode())).expect("typed answer")
+    };
+    let valid = chain_row(&chain, 0b0101).values().to_vec();
+    let short = valid[..valid.len() - 1].to_vec();
+    let long = [valid.clone(), vec![0]].concat();
+    // A short row, a long row, and a frame mixing a valid row with a
+    // long one: each is refused whole, naming its row, and never logged.
+    for (rows, bad) in [
+        (vec![short], 0),
+        (vec![long.clone()], 0),
+        (vec![valid.clone(), long], 1),
+    ] {
+        match ingest(rows) {
+            Response::Error(ServeFault::Rejected { applied: 0, detail }) => {
+                assert!(detail.contains(&format!("row {bad} rejected")), "{detail}");
+            }
+            other => panic!("expected a rejection naming row {bad}, got {other:?}"),
+        }
+        assert_eq!(reg.last_seq(), 0, "a rejected frame is never logged");
+    }
+    // Later frames are acked, and recovery replays every one of them
+    // from a clean log.
+    for (seq, bits) in [(1u64, 0b0101), (2, 0b1010)] {
+        match ingest(vec![chain_row(&chain, bits).values().to_vec()]) {
+            Response::Receipt(receipt) => assert_eq!(receipt.durable_seq, seq),
+            other => panic!("expected a receipt, got {other:?}"),
+        }
+    }
+    drop(server);
+    drop(reg);
+    let (rec, report) = DurableRegistry::recover(&dir, &defs(&chain, &fig1)).expect("recover");
+    assert_eq!(report.tail, LogTail::Clean);
+    assert_eq!((report.records_replayed, report.rows_applied), (2, 2));
+    assert_eq!(rec.ledger_len(TENANTS[0]), Some(2));
+    std::fs::remove_dir_all(&dir).unwrap();
 }

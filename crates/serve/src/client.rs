@@ -61,8 +61,8 @@ impl Client {
         }
     }
 
-    /// Ingests one frame of execution rows atomically on the tenant's
-    /// ingest lane; returns a [`IngestReceipt`] carrying the rows
+    /// Ingests one frame of execution rows atomically into the
+    /// tenant's store; returns a [`IngestReceipt`] carrying the rows
     /// added, the post-frame epochs, and the durable sequence covering
     /// the frame (`0` when the server has no durability configured).
     ///

@@ -69,11 +69,11 @@ mod transport;
 
 pub use client::Client;
 pub use error::ServeError;
-pub use server::{IngestSink, IngestSinkError, IngestSubmission, MemorySink, Server};
+pub use server::{IngestSink, MemorySink, Server};
 pub use sv_core::safety::IngestBatch;
 pub use tenant::{
-    AdmissionLimits, AdmissionPermit, BatchIngestError, BatchOutcome, IngestFailure, Tenant,
-    TenantConfig, TenantId, TenantRegistry, TenantStats, DEFAULT_MATERIALIZE_BUDGET,
+    AdmissionLimits, AdmissionPermit, BatchIngestError, BatchOutcome, Tenant, TenantConfig,
+    TenantId, TenantRegistry, TenantStats, DEFAULT_MATERIALIZE_BUDGET,
 };
 pub use transport::{Connection, LoopbackTransport, Transport};
 #[cfg(unix)]

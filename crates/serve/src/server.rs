@@ -7,100 +7,66 @@
 //! accept loop are *guaranteed* to serve identically — the property
 //! suite relies on this (`crates/serve/tests/tier_prop.rs`).
 
-use crate::tenant::{Tenant, TenantId, TenantRegistry};
+use crate::tenant::{BatchOutcome, Tenant, TenantId, TenantRegistry};
 use std::sync::Arc;
 use sv_core::safety::IngestBatch;
 use sv_core::wire::{IngestReceipt, Request, Response, ServeFault};
 use sv_core::CoreError;
 use sv_relation::Tuple;
 
-/// An ingest frame's failure as reported by an [`IngestSink`]: how many
-/// rows landed (always 0 under frame-atomic ingest), plus
-/// human-readable detail for the client's [`ServeFault::Rejected`]
-/// answer.
-#[derive(Debug)]
-pub struct IngestSinkError {
-    /// Rows of the frame applied before the failure — 0 under the
-    /// frame-atomic batch path.
-    pub applied: u64,
-    /// Why the frame stopped (rendered for the wire).
-    pub detail: String,
-}
-
-/// One frame accepted by an [`IngestSink`]: the application outcome
-/// plus the submission's position in the sink's durability order.
-/// `seq == 0` means the sink has no durability (loopback/in-memory).
-#[derive(Clone, Debug)]
-pub struct IngestSubmission {
-    /// New module rows the frame added.
-    pub added: u64,
-    /// Per-module epochs after the frame applied.
-    pub epochs: Vec<sv_core::wire::ModuleEpoch>,
-    /// The frame's last write-ahead-log sequence number (0 = sink is
-    /// not durable).
-    pub seq: u64,
-}
-
 /// The commit-lane contract every serving flavour shares — loopback,
 /// socket, and durable servers all route ingest through this pair:
 ///
 /// * [`submit`](Self::submit) runs validate → (log) → apply → publish
-///   for one frame on the tenant's single-writer lane and returns
-///   immediately — the frame is *applied* but not necessarily durable;
-/// * [`wait_durable`](Self::wait_durable) blocks until the submission
-///   is covered by a sync, returning the covering durable sequence.
+///   for one frame and returns immediately — the frame is *applied*
+///   but not necessarily durable;
+/// * [`wait_durable`](Self::wait_durable) blocks until the frame is
+///   covered by a sync, returning the covering durable sequence.
 ///
-/// The in-memory sink ([`MemorySink`]) applies and reports
-/// `durable_seq = 0` without waiting; the durable registry's sink
-/// coalesces concurrent submissions into one group-commit fsync.
+/// Both report a failure as the [`ServeFault`] the server sends the
+/// client, unchanged. The in-memory sink ([`MemorySink`]) applies and
+/// reports `durable_seq = 0` without waiting; the durable registry's
+/// sink coalesces concurrent submissions into one group-commit fsync.
 /// Probe and epoch traffic never touches the sink.
 pub trait IngestSink: Send + Sync {
-    /// Applies one ingest frame to `tenant`, returning its submission
-    /// (applied outcome + log position).
+    /// Applies one ingest frame to `tenant`, returning its outcome,
+    /// whose [`BatchOutcome::log_seq`] is the frame's position in the
+    /// sink's durability order (0 = the sink is not durable).
     ///
     /// # Errors
-    /// [`IngestSinkError`] when the frame is rejected (validation) or
-    /// the sink cannot log it; nothing was applied.
-    fn submit(
-        &self,
-        tenant: &Arc<Tenant>,
-        batch: IngestBatch,
-    ) -> Result<IngestSubmission, IngestSinkError>;
+    /// [`ServeFault::Rejected`] with `applied: 0` when the frame is
+    /// rejected (validation) or the sink cannot log it; nothing was
+    /// applied.
+    fn submit(&self, tenant: &Arc<Tenant>, batch: IngestBatch) -> Result<BatchOutcome, ServeFault>;
 
-    /// Blocks until `submission` is durable, returning the covering
-    /// durable sequence (`>= submission.seq`; 0 for non-durable sinks).
+    /// Blocks until `outcome`'s frame is durable, returning the
+    /// covering durable sequence (`>= outcome.log_seq`; 0 for
+    /// non-durable sinks).
     ///
     /// # Errors
-    /// [`IngestSinkError`] when the sync fails — the frame is applied
-    /// in memory but **not** durable.
-    fn wait_durable(&self, submission: &IngestSubmission) -> Result<u64, IngestSinkError>;
+    /// [`ServeFault::Rejected`] whose `applied` is the frame's `added`
+    /// when the sync fails — the frame is applied in memory but **not**
+    /// durable.
+    fn wait_durable(&self, outcome: &BatchOutcome) -> Result<u64, ServeFault>;
 }
 
-/// The default sink: plain in-memory apply on the tenant's ingest
-/// lane; `wait_durable` returns 0 immediately (nothing to sync).
+/// The default sink: plain in-memory apply through
+/// [`Tenant::ingest_batch`]; `wait_durable` returns 0 immediately
+/// (nothing to sync).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MemorySink;
 
 impl IngestSink for MemorySink {
-    fn submit(
-        &self,
-        tenant: &Arc<Tenant>,
-        batch: IngestBatch,
-    ) -> Result<IngestSubmission, IngestSinkError> {
-        let outcome = tenant
+    fn submit(&self, tenant: &Arc<Tenant>, batch: IngestBatch) -> Result<BatchOutcome, ServeFault> {
+        tenant
             .ingest_batch(&batch)
-            .map_err(|failure| IngestSinkError {
-                applied: failure.applied,
-                detail: failure.error.to_string(),
-            })?;
-        Ok(IngestSubmission {
-            added: outcome.added,
-            epochs: outcome.epochs,
-            seq: 0,
-        })
+            .map_err(|error| ServeFault::Rejected {
+                applied: 0,
+                detail: error.to_string(),
+            })
     }
 
-    fn wait_durable(&self, _submission: &IngestSubmission) -> Result<u64, IngestSinkError> {
+    fn wait_durable(&self, _outcome: &BatchOutcome) -> Result<u64, ServeFault> {
         Ok(0)
     }
 }
@@ -209,25 +175,19 @@ impl Server {
                     Err(reason) => return Response::Busy(reason),
                 };
                 let tuples: Vec<Tuple> = rows.into_iter().map(Tuple::new).collect();
-                let result =
-                    self.ingest
-                        .submit(&t, IngestBatch::new(tuples))
-                        .and_then(|submission| {
-                            let durable_seq = self.ingest.wait_durable(&submission)?;
-                            Ok((submission, durable_seq))
-                        });
+                let result = self
+                    .ingest
+                    .submit(&t, IngestBatch::new(tuples))
+                    .and_then(|outcome| {
+                        let durable_seq = self.ingest.wait_durable(&outcome)?;
+                        Ok(IngestReceipt {
+                            added: outcome.added,
+                            epochs: outcome.epochs,
+                            durable_seq,
+                        })
+                    });
                 drop(permit);
-                match result {
-                    Ok((submission, durable_seq)) => Response::Receipt(IngestReceipt {
-                        added: submission.added,
-                        epochs: submission.epochs,
-                        durable_seq,
-                    }),
-                    Err(failure) => Response::Error(ServeFault::Rejected {
-                        applied: failure.applied,
-                        detail: failure.detail,
-                    }),
-                }
+                result.map_or_else(Response::Error, Response::Receipt)
             }
             Request::Epochs { tenant } => match self.registry.get(TenantId(tenant)) {
                 Some(t) => Response::Epochs(t.epochs()),

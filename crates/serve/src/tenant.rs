@@ -2,14 +2,14 @@
 //!
 //! A **tenant** is one workflow's serving state — its warm
 //! [`WorkflowOracles`] (one memoized safety oracle per private module),
-//! its per-module relation epochs, its admission-control counters, and
-//! its single-writer ingest lane. The [`TenantRegistry`] multiplexes
-//! any number of tenants behind one [`Server`](crate::Server): probe
-//! traffic for different tenants shares nothing but the registry's
-//! read-mostly map, so tenants are isolated both for correctness
-//! (separate oracles, separate epochs) and for capacity (admission is
-//! bounded per tenant — one tenant's overload turns into `Busy`
-//! responses for *that* tenant, never latency for its neighbours).
+//! its per-module relation epochs, and its admission-control counters.
+//! The [`TenantRegistry`] multiplexes any number of tenants behind one
+//! [`Server`](crate::Server): probe traffic for different tenants
+//! shares nothing but the registry's read-mostly map, so tenants are
+//! isolated both for correctness (separate oracles, separate epochs)
+//! and for capacity (admission is bounded per tenant — one tenant's
+//! overload turns into `Busy` responses for *that* tenant, never
+//! latency for its neighbours).
 //!
 //! ## Locking discipline (per tenant)
 //!
@@ -18,24 +18,26 @@
 //!   own probe surface is `&self` (sharded once-publication caches and
 //!   per-module locks below), so the read guard adds one uncontended
 //!   atomic per frame, amortized over the whole batch.
-//! * **Ingest** goes through the **single-writer lane**
-//!   ([`Tenant::ingest_batch`]): a per-tenant mutex serializes ingest
-//!   frames, the whole [`IngestBatch`] is validated up front, and the
-//!   apply phase takes only **per-module** write locks — the tenant's
-//!   outer oracle lock stays in *read* mode, so warm probes proceed
-//!   during an append (a probe waits only for the one module currently
-//!   being mutated). New epochs are published through the oracle set's
+//! * **Ingest** ([`Tenant::ingest_batch`]) also holds the outer lock
+//!   in *read* mode. The store serializes its own writers: validating
+//!   an [`IngestBatch`] takes the store's writer lock, which is held
+//!   until the frame is applied and published. The apply phase takes
+//!   only **per-module** write locks, so warm probes proceed during an
+//!   append (a probe waits only for the one module currently being
+//!   mutated). New epochs are published through the oracle set's
 //!   seqlock pair, so [`Tenant::epochs`] never blocks on a writer.
 //! * **Control plane** ([`Tenant::with_oracles_mut`], recovery and
-//!   compaction) is the only taker of the outer write lock.
+//!   compaction) is the only taker of the outer write lock, which
+//!   waits for every in-flight ingest and probe.
 //! * **Admission** is lock-free: in-flight request/byte counts are
 //!   atomics, checked and rolled back without blocking
 //!   ([`Tenant::try_admit`]).
 
 use crate::error::ServeError;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use sv_core::safety::{IngestBatch, WorkflowOracles};
 use sv_core::wire::{BusyReason, ModuleEpoch};
 use sv_core::CoreError;
@@ -101,10 +103,6 @@ pub struct Tenant {
     id: TenantId,
     limits: AdmissionLimits,
     oracles: RwLock<WorkflowOracles>,
-    /// The single-writer ingest lane: at most one ingest frame per
-    /// tenant is applying rows at any time, so the oracle write lock is
-    /// only ever contended by *one* writer (against many readers).
-    ingest_lane: Mutex<()>,
     inflight_requests: AtomicU64,
     inflight_bytes: AtomicU64,
     probe_frames: AtomicU64,
@@ -133,22 +131,6 @@ impl Drop for AdmissionPermit<'_> {
     }
 }
 
-/// An ingest frame's failure. Frames are **all-or-nothing** since the
-/// batch-ingest redesign: validation covers the whole frame before any
-/// module is touched, so `applied` is always 0 on rejection (the field
-/// survives for the wire contract's `Rejected { applied }` shape). The
-/// error is frame-positioned: its [`CoreError::row_index`] names the
-/// offending row's index **within the frame**, so a client can repair
-/// and resubmit the exact row.
-#[derive(Debug)]
-pub struct IngestFailure {
-    /// Rows of the frame applied before the failure — always 0 under
-    /// frame-atomic ingest.
-    pub applied: u64,
-    /// Why the offending row was rejected.
-    pub error: CoreError,
-}
-
 /// Why an ingest frame was not applied
 /// ([`Tenant::ingest_batch_with`]): either validation rejected a row,
 /// or the caller's write-ahead hook refused the frame (e.g. the
@@ -156,26 +138,50 @@ pub struct IngestFailure {
 /// applied.
 #[derive(Debug)]
 pub enum BatchIngestError<E> {
-    /// A row failed domain/FD validation; no module was touched and
-    /// the frame was not logged.
-    Rejected(IngestFailure),
+    /// A row failed arity, domain or FD validation; no module was
+    /// touched and the frame was not logged. The error is
+    /// frame-positioned: its [`CoreError::row_index`] names the
+    /// offending row's index **within the frame**, so a client can
+    /// repair and resubmit the exact row.
+    Rejected(CoreError),
     /// The write-ahead hook failed after validation — the frame was
     /// neither logged nor applied.
     Wal(E),
 }
 
+impl<E: fmt::Display> fmt::Display for BatchIngestError<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Rejected(error) => write!(f, "ingest frame rejected: {error}"),
+            Self::Wal(error) => write!(f, "durable ingest failed: {error}"),
+        }
+    }
+}
+
+impl<E: std::error::Error + 'static> std::error::Error for BatchIngestError<E> {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Self::Rejected(error) => Some(error),
+            Self::Wal(error) => Some(error),
+        }
+    }
+}
+
 /// A successfully applied ingest frame, as reported by
-/// [`Tenant::ingest_batch`] / [`Tenant::ingest_batch_with`].
+/// [`Tenant::ingest_batch`] / [`Tenant::ingest_batch_with`] and by
+/// every [`IngestSink`](crate::IngestSink).
 #[derive(Clone, Debug)]
 pub struct BatchOutcome {
     /// Total **new** module rows across all private modules (a module
     /// already holding a row's projection contributes 0).
     pub added: u64,
     /// The per-module epochs after the frame was applied (published
-    /// through the seqlock pair — consistent cut, no lock taken).
+    /// through the seqlock pair — consistent cut, no lock taken; a
+    /// frame of the same tenant applied since may already show).
     pub epochs: Vec<ModuleEpoch>,
-    /// The write-ahead hook's sequence number for the frame (0 when no
-    /// durability hook ran).
+    /// The write-ahead hook's sequence number for the frame: its
+    /// position in the sink's durability order (0 when no durability
+    /// hook ran).
     pub log_seq: u64,
 }
 
@@ -185,7 +191,6 @@ impl Tenant {
             id,
             limits,
             oracles: RwLock::new(oracles),
-            ingest_lane: Mutex::new(()),
             inflight_requests: AtomicU64::new(0),
             inflight_bytes: AtomicU64::new(0),
             probe_frames: AtomicU64::new(0),
@@ -283,39 +288,38 @@ impl Tenant {
         })
     }
 
-    /// Applies one typed [`IngestBatch`] on the tenant's single-writer
-    /// lane: validate the whole frame up front, apply per-module
-    /// mutations (concurrently for large frames), publish epochs.
-    /// Probes proceed throughout — the outer oracle lock is held in
-    /// **read** mode; only the module currently under append blocks,
-    /// and only probes addressed to it.
+    /// Applies one typed [`IngestBatch`]: validate the whole frame up
+    /// front, apply per-module mutations (concurrently for large
+    /// frames), publish epochs. Probes proceed throughout — the outer
+    /// oracle lock is held in **read** mode; only the module currently
+    /// under append blocks, and only probes addressed to it.
     ///
     /// # Errors
-    /// [`IngestFailure`] when validation rejects the frame — nothing
-    /// was applied.
-    pub fn ingest_batch(&self, batch: &IngestBatch) -> Result<BatchOutcome, IngestFailure> {
-        self.ingest_batch_with(batch, |_| Ok::<u64, std::convert::Infallible>(0), |_, _| ())
+    /// The frame-positioned [`CoreError`] when validation rejects the
+    /// frame — nothing was applied.
+    pub fn ingest_batch(&self, batch: &IngestBatch) -> Result<BatchOutcome, CoreError> {
+        self.ingest_batch_with(batch, |_| Ok::<u64, std::convert::Infallible>(0))
             .map_err(|e| match e {
-                BatchIngestError::Rejected(failure) => failure,
+                BatchIngestError::Rejected(error) => error,
                 BatchIngestError::Wal(never) => match never {},
             })
     }
 
-    /// [`ingest_batch`](Self::ingest_batch) with durability hooks —
-    /// the write-through point for a commit lane. The pipeline, all
-    /// under the single-writer lane:
+    /// [`ingest_batch`](Self::ingest_batch) with a write-ahead hook —
+    /// the write-through point for a commit lane. The pipeline:
     ///
-    /// 1. **validate** the whole batch (read locks only; a rejection
-    ///    leaves nothing logged and nothing applied);
+    /// 1. **validate** the whole batch
+    ///    ([`WorkflowOracles::validate_batch`], which takes the store's
+    ///    writer lock; a rejection leaves nothing logged and nothing
+    ///    applied);
     /// 2. **`wal(batch)`** — the write-ahead hook logs the frame and
     ///    returns its log sequence (its error aborts the frame
-    ///    unapplied);
-    /// 3. **apply** per-module mutations (cannot fail for a validated
-    ///    batch under the lane);
-    /// 4. **publish** the new epochs (seqlock);
-    /// 5. **`committed(batch, added)`** — still under the lane, so a
-    ///    durability layer can append the frame to its replay ledger in
-    ///    exactly log order.
+    ///    unapplied). It runs under the writer lock, so frames reach
+    ///    the hook in the order they apply, and a durability layer can
+    ///    extend its replay ledger right after the log append;
+    /// 3. **apply** per-module mutations and **publish** the new epochs
+    ///    ([`WorkflowOracles::apply_batch`], which cannot fail for a
+    ///    validated batch), then release the writer lock.
     ///
     /// Because validation precedes logging, a frame in the log is by
     /// construction a frame that applied — replay never re-rejects.
@@ -328,23 +332,16 @@ impl Tenant {
         &self,
         batch: &IngestBatch,
         wal: impl FnOnce(&IngestBatch) -> Result<u64, E>,
-        committed: impl FnOnce(&IngestBatch, u64),
     ) -> Result<BatchOutcome, BatchIngestError<E>> {
-        let _lane = self
-            .ingest_lane
-            .lock()
-            .expect("tenant ingest lane poisoned");
-        let guard = self.oracles.read().expect("tenant oracle lock poisoned");
+        let guard = self.oracles();
         let validated = guard
             .validate_batch(batch)
-            .map_err(|error| BatchIngestError::Rejected(IngestFailure { applied: 0, error }))?;
+            .map_err(BatchIngestError::Rejected)?;
         let log_seq = wal(batch).map_err(BatchIngestError::Wal)?;
         let added = guard
             .apply_batch(validated)
-            .map_err(|error| BatchIngestError::Rejected(IngestFailure { applied: 0, error }))?
-            as u64;
+            .map_err(BatchIngestError::Rejected)? as u64;
         let epochs = Self::epochs_from(&guard);
-        committed(batch, added);
         self.ingest_frames.fetch_add(1, Ordering::Relaxed);
         self.rows_ingested.fetch_add(added, Ordering::Relaxed);
         Ok(BatchOutcome {
@@ -362,19 +359,15 @@ impl Tenant {
             .collect()
     }
 
-    /// Exclusive access to the tenant's oracles, serialized behind the
-    /// single-writer ingest lane — the recovery/compaction control
-    /// path. While `f` runs, no ingest frame can interleave and no
-    /// probe can observe a half-restored oracle set (the write lock is
-    /// held for the whole closure).
+    /// Exclusive access to the tenant's oracles — the
+    /// recovery/compaction control path. Taking the outer write lock
+    /// waits for every in-flight ingest and probe (each holds the read
+    /// side), and while `f` runs no ingest frame can interleave and no
+    /// probe can observe a half-restored oracle set.
     ///
     /// # Panics
-    /// If either lock is poisoned.
+    /// If the lock is poisoned.
     pub fn with_oracles_mut<R>(&self, f: impl FnOnce(&mut WorkflowOracles) -> R) -> R {
-        let _lane = self
-            .ingest_lane
-            .lock()
-            .expect("tenant ingest lane poisoned");
         let mut guard = self.oracles.write().expect("tenant oracle lock poisoned");
         f(&mut guard)
     }
@@ -706,10 +699,9 @@ mod tests {
         let other = wf.run(&[1, 0]).unwrap();
         let mut bad = good.values().to_vec();
         bad[2] ^= 1; // flip one output bit -> FD violation
-        let failure = ingest(&[other.clone(), Tuple::new(bad)])
+        let error = ingest(&[other.clone(), Tuple::new(bad)])
             .expect_err("FD violation must fail the frame");
-        assert_eq!(failure.applied, 0, "frame-atomic: nothing applied");
-        assert_eq!(failure.error.row_index(), Some(1), "offending row named");
+        assert_eq!(error.row_index(), Some(1), "offending row named");
         assert_eq!(t.epochs(), epochs_before, "no epoch moved");
         // The valid row alone still lands.
         assert_eq!(ingest(std::slice::from_ref(&other)).unwrap().added, 1);
@@ -724,7 +716,7 @@ mod tests {
             .unwrap();
         let batch = IngestBatch::new(vec![wf.run(&[0, 1]).unwrap()]);
         let err = t
-            .ingest_batch_with(&batch, |_| Err::<u64, &str>("disk full"), |_, _| ())
+            .ingest_batch_with(&batch, |_| Err::<u64, &str>("disk full"))
             .expect_err("wal refusal aborts the frame");
         assert!(matches!(err, BatchIngestError::Wal("disk full")));
         assert!(t.epochs().iter().all(|me| me.epoch == 0));
@@ -734,11 +726,9 @@ mod tests {
         bad[2] ^= 1;
         let bad_batch = IngestBatch::new(vec![wf.run(&[1, 0]).unwrap(), Tuple::new(bad)]);
         let err = t
-            .ingest_batch_with(
-                &bad_batch,
-                |_| -> Result<u64, &str> { panic!("wal hook must not run for invalid frames") },
-                |_, _| (),
-            )
+            .ingest_batch_with(&bad_batch, |_| -> Result<u64, &str> {
+                panic!("wal hook must not run for invalid frames")
+            })
             .expect_err("invalid frame");
         assert!(matches!(err, BatchIngestError::Rejected(_)));
     }

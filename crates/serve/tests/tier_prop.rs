@@ -99,7 +99,7 @@ fn serve_equivalence_under_ingest(client_threads: usize) {
                 let mut client = Client::connect(transport).unwrap();
                 let mut last_epoch = 0u64;
                 // Rotate through batch sizes so frames of different
-                // shapes race the ingest lane.
+                // shapes race the ingest writer.
                 let mut start = t % probes.len();
                 while done.load(Ordering::Acquire) == 0 {
                     let len = (1 + start % 5).min(probes.len() - start);

@@ -18,16 +18,22 @@
 //!
 //! The decoders are *total* by construction (length-guarded counts, no
 //! unchecked indexing); this suite is the regression net that keeps
-//! them that way.
+//! them that way. A fourth check carries the request corpus past the
+//! decoder: every request payload, and every truncation or bit flip of
+//! it, is served by [`Server::handle_frame`], which must answer with a
+//! decodable response and leave every tenant able to ingest.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
+use std::sync::Arc;
 use sv_core::safety::{ProbeOutcome, ProbeRequest};
 use sv_core::wire::{
     frame, unframe, BusyReason, IngestReceipt, ModuleEpoch, Request, Response, ServeFault,
 };
 use sv_relation::AttrSet;
+use sv_serve::{Server, TenantConfig, TenantId, TenantRegistry};
+use sv_workflow::library::fig1_workflow;
 use sv_workflow::ModuleId;
 
 fn corpus_dir() -> PathBuf {
@@ -264,5 +270,53 @@ fn seeded_multi_flip_sweep_never_panics() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn every_request_variant_is_served_without_a_panic() {
+    // Streaming Figure-1 tenants at every tenant id the corpus names.
+    let wf = fig1_workflow();
+    let registry = Arc::new(TenantRegistry::new());
+    let tenants = [0, 1, 3, 7, 42, u64::MAX];
+    for id in tenants {
+        registry
+            .create(TenantId(id), TenantConfig::new(&wf).streaming(true))
+            .unwrap();
+    }
+    let server = Server::new(registry);
+    let serve = |payload: &[u8]| {
+        let answer = server.handle_frame(payload);
+        Response::decode(&answer).expect("every answer decodes")
+    };
+    for (name, bytes) in corpus() {
+        if !name.starts_with("req_") {
+            continue;
+        }
+        let payload = unframe(&bytes).unwrap();
+        serve(payload);
+        for cut in 0..payload.len() {
+            serve(&payload[..cut]);
+        }
+        for byte in 0..payload.len() {
+            for bit in 0..8 {
+                let mut damaged = payload.to_vec();
+                damaged[byte] ^= 1 << bit;
+                serve(&damaged);
+            }
+        }
+    }
+    // No frame poisoned a tenant: each still ingests a valid row.
+    let row = wf.run(&[0, 0]).unwrap().values().to_vec();
+    for tenant in tenants {
+        let ingest = Request::Ingest {
+            tenant,
+            rows: vec![row.clone()],
+        };
+        let answer = serve(&ingest.encode());
+        assert!(
+            matches!(answer, Response::Receipt(_)),
+            "tenant {tenant}: {answer:?}"
+        );
     }
 }
