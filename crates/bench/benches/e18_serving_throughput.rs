@@ -36,12 +36,14 @@
 //! mechanically by re-running this bench with `--save-baseline`.
 //!
 //! **Pair-pass ablation** (`…/pair_pass/{sort_reference,counting}`, ns
-//! per pass): the kernel's counting Lemma-4 pair pass
+//! per pass): the kernel's Lemma-4 pair pass
 //! ([`InternedRelation::min_group_distinct`], in the thread's pair-pass
-//! buffer) against the sort-based pass it replaced
-//! ([`sv_bench::sortpass`], in a caller buffer), both on warm groupings
-//! of `one_one_chain(2, 11)` module 0 (22 attributes, 2,048 rows) over
-//! seeded visible sets hiding 1–7 attributes, answers asserted equal.
+//! buffer, by pair marking or counting sort as the kernel's bound picks;
+//! the row keeps its `counting` name) against the sort-based pass the
+//! counting sort replaced ([`sv_bench::sortpass`], in a caller buffer),
+//! both on warm groupings of `one_one_chain(2, 11)` module 0 (22
+//! attributes, 2,048 rows) over seeded visible sets hiding 1–7
+//! attributes, answers asserted equal.
 //!
 //! CI gates (see `docs/BENCHMARKS.md`): absolute 2× regression bound on
 //! the batched ns/probe, within-run `one_at_a_time / batched ≥ 3` and
@@ -280,8 +282,8 @@ fn run_batched_sharded(stream: &[Probe], wf: &Workflow, threads: usize) -> f64 {
 
 /// One Lemma-4 pair pass for a `(key, probe)` word pair, resolving both
 /// groupings from the kernel's cache. The sort reference runs in the
-/// caller's buffer; the kernel's counting pass ignores it and runs in
-/// the thread's own pair-pass buffer.
+/// caller's buffer; the kernel's pass ignores it and runs in the
+/// thread's own pair-pass buffer.
 type PairPass = fn(&InternedRelation, (u64, u64), &mut Vec<u64>) -> usize;
 
 fn sort_reference_pass(ir: &InternedRelation, (k, p): (u64, u64), scratch: &mut Vec<u64>) -> usize {
@@ -294,7 +296,7 @@ fn counting_pass(ir: &InternedRelation, (k, p): (u64, u64), _: &mut Vec<u64>) ->
 }
 
 /// The pair-pass ablation: ns per Lemma-4 pair pass for the sort-based
-/// reference and the kernel's counting pass, on the same warm groupings
+/// reference and the kernel's pass, on the same warm groupings
 /// and `(key, probe)` words. Both variants resolve their two groupings
 /// from the kernel's cache on every pass, so they differ only in the
 /// pass. Returns (sort reference ns, counting ns).

@@ -1,7 +1,8 @@
 //! Retained **sort-based pair-pass reference** for the Lemma-4 kernel —
 //! the pass `InternedRelation::min_group_distinct` ran before the
 //! counting pair pass replaced it, kept so `e18_serving_throughput` can
-//! measure the counting pass against the exact code path it replaced
+//! measure the kernel's pair pass (now pair marking or the counting
+//! sort) against the exact code path it replaced
 //! (`pair_pass/{sort_reference,counting}`).
 //!
 //! It reads only the public [`GroupIndex`] columns: each row's

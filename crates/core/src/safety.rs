@@ -1187,6 +1187,12 @@ impl WorkflowOracles {
         Ok(out)
     }
 
+    /// The workflow schema every ingested row is checked against.
+    #[must_use]
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
     /// The covered module ids, in `private_modules()` order.
     #[must_use]
     pub fn module_ids(&self) -> Vec<ModuleId> {

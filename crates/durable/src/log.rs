@@ -269,12 +269,16 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads what [`put_rows`] wrote for `nrows` rows, refusing a
-    /// shape larger than the bytes left before allocating for it.
+    /// shape larger than the bytes left before allocating for it. Rows
+    /// of arity 0 take no bytes, so the bytes left cannot bound their
+    /// count: since no tenant's workflow has an empty schema
+    /// (registration refuses one), any such row is corruption.
     pub(crate) fn rows(&mut self, nrows: usize) -> Result<Vec<Vec<Value>>, usize> {
         let arity = self.u32()? as usize;
-        if nrows
-            .checked_mul(arity)
-            .is_none_or(|cells| cells > self.remaining() / 4)
+        if (arity == 0 && nrows > 0)
+            || nrows
+                .checked_mul(arity)
+                .is_none_or(|cells| cells > self.remaining() / 4)
         {
             return Err(self.pos);
         }
@@ -665,12 +669,7 @@ mod tests {
 
     #[test]
     fn frame_records_roundtrip_edge_shapes() {
-        for rows in [
-            vec![],
-            vec![vec![]],
-            vec![vec![9]; 7],
-            vec![vec![0, 1, 2, 3]; 3],
-        ] {
+        for rows in [vec![], vec![vec![9]; 7], vec![vec![0, 1, 2, 3]; 3]] {
             let r = Record::IngestFrame {
                 tenant: 42,
                 seq: 1,
@@ -682,6 +681,27 @@ mod tests {
             assert_eq!(len, buf.len() as u64);
             assert_eq!(got, vec![r]);
         }
+    }
+
+    #[test]
+    fn zero_arity_rows_scan_as_corrupt() {
+        // A correctly checksummed frame claiming 1,000,000 rows of arity
+        // 0 in a 37-byte record: its bytes cannot bound the row count,
+        // so the decoder must refuse it rather than allocate the rows.
+        let mut payload = vec![TAG_INGEST_FRAME];
+        payload.extend_from_slice(&42u64.to_le_bytes());
+        payload.extend_from_slice(&5u64.to_le_bytes());
+        payload.extend_from_slice(&1_000_000u32.to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        let records = sample_records();
+        let mut buf = encode_all(&records);
+        let offset = buf.len() as u64;
+        buf.extend_from_slice(&with_header(&payload));
+        assert_eq!(buf.len() as u64 - offset, 37);
+        let (got, tail, len) = scan(&buf);
+        assert_eq!(got, records, "the valid records before it are kept");
+        assert_eq!(tail, LogTail::Corrupt { offset });
+        assert_eq!(len, offset);
     }
 
     #[test]

@@ -662,6 +662,26 @@ mod tests {
     }
 
     #[test]
+    fn empty_workflows_are_not_registered() {
+        let dir = tmp_dir("emptywf");
+        let wf = sv_workflow::WorkflowBuilder::new().build().unwrap();
+        let reg = DurableRegistry::create(&dir).unwrap();
+        let Err(err) = reg.register(TenantId(8), TenantConfig::new(&wf)) else {
+            panic!("an empty workflow registered");
+        };
+        assert!(
+            matches!(
+                err,
+                DurableError::Serve(sv_serve::ServeError::EmptyWorkflow { tenant: 8 })
+            ),
+            "{err}"
+        );
+        assert!(reg.tenant(TenantId(8)).is_none());
+        assert_eq!(reg.ledger_len(TenantId(8)), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn snapshot_then_tail_replay() {
         let dir = tmp_dir("snaptail");
         let wf = one_one_chain(1, 4);

@@ -234,6 +234,29 @@ mod tests {
     }
 
     #[test]
+    fn zero_arity_ledger_rows_are_corrupt() {
+        // One tenant, no modules, a ledger claiming 1,000,000 rows of
+        // arity 0: nothing in the payload bounds that count.
+        let mut payload = MAGIC.to_vec();
+        payload.extend_from_slice(&7u64.to_le_bytes()); // last_seq
+        payload.extend_from_slice(&1u32.to_le_bytes()); // tenants
+        payload.extend_from_slice(&3u64.to_le_bytes()); // tenant id
+        payload.extend_from_slice(&0u64.to_le_bytes()); // compaction epoch
+        payload.extend_from_slice(&0u32.to_le_bytes()); // modules
+        payload.extend_from_slice(&1_000_000u64.to_le_bytes()); // rows
+        payload.extend_from_slice(&0u32.to_le_bytes()); // arity
+        let dir = std::env::temp_dir().join(format!("sv-durable-snap0-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snapshot.svs");
+        std::fs::write(&path, with_header(&payload)).unwrap();
+        assert!(matches!(
+            Snapshot::load(&path),
+            Err(DurableError::SnapshotCorrupt { .. })
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn every_bit_flip_is_a_typed_fault() {
         let dir = std::env::temp_dir().join(format!("sv-durable-snapflip-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -9,8 +9,9 @@
 //!
 //! * [`LpProblem`] — model builder (minimization, `≤ / ≥ / =` rows,
 //!   per-variable bounds);
-//! * a **dense two-phase primal simplex** with Bland's anti-cycling rule
-//!   ([`LpProblem::solve`]);
+//! * a **dense-tableau two-phase primal simplex** with Bland's
+//!   anti-cycling rule, whose pivots eliminate over the pivot row's
+//!   nonzero columns only ([`LpProblem::solve`]);
 //! * [`solve_integer`] — branch-and-bound over the LP relaxation for the
 //!   exact (exponential-time) baselines the benchmarks compare against.
 //!

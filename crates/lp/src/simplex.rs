@@ -1,4 +1,5 @@
-//! Dense two-phase primal simplex with Bland's anti-cycling rule.
+//! Dense-tableau two-phase primal simplex with Bland's anti-cycling
+//! rule and a sparse pivot row.
 //!
 //! Structure:
 //! 1. shift variables by their (finite) lower bounds so all variables
@@ -14,6 +15,13 @@
 //! Bland's rule (lowest-index entering column, lowest-basis-index ratio
 //! tie-break) guarantees termination; an iteration cap converts any
 //! numerical pathology into an explicit error rather than a hang.
+//!
+//! The tableau is stored dense, but each pivot eliminates only over the
+//! nonzero columns of the normalized pivot row, in the constraint rows
+//! and in the cost row. The rows of the paper's LPs (Figure 3) are
+//! mostly zeros, so this cuts a pivot's work to the pivot row's support
+//! without changing one comparison: a skipped column would have had
+//! `f · 0` subtracted from it.
 
 use crate::model::{Cmp, LpProblem, LpSolution};
 use std::fmt;
@@ -53,35 +61,45 @@ struct Tableau {
     /// Columns allowed to enter the basis.
     allowed: Vec<bool>,
     ncols: usize,
+    /// The normalized pivot row's nonzero entries, `(column, value)`,
+    /// reused by every pivot.
+    pivot_nz: Vec<(usize, f64)>,
 }
 
 impl Tableau {
+    /// Pivots column `c` into the basis at row `r`: normalizes row `r`,
+    /// then eliminates column `c` from every other row and the cost row
+    /// over the normalized row's nonzero columns only. A skipped column
+    /// would have had `f · (±0)` subtracted, which leaves a finite entry
+    /// equal under `==` (only a zero's sign may differ), so every
+    /// comparison, Bland's pivot sequence and the solution are those of
+    /// the dense elimination.
     fn pivot(&mut self, r: usize, c: usize) {
         let piv = self.rows[r][c];
         debug_assert!(piv.abs() > EPS);
-        for v in self.rows[r].iter_mut() {
+        self.pivot_nz.clear();
+        for (j, v) in self.rows[r].iter_mut().enumerate() {
             *v /= piv;
-        }
-        let pivot_row = self.rows[r].clone();
-        for (i, row) in self.rows.iter_mut().enumerate() {
-            if i == r {
-                continue;
+            if *v != 0.0 {
+                self.pivot_nz.push((j, *v));
             }
+        }
+        let nz = &self.pivot_nz;
+        let eliminate = |row: &mut [f64]| {
             let f = row[c];
             if f.abs() > EPS {
-                for (v, pv) in row.iter_mut().zip(pivot_row.iter()) {
-                    *v -= f * pv;
+                for &(j, pv) in nz {
+                    row[j] -= f * pv;
                 }
                 row[c] = 0.0; // exact
             }
-        }
-        let f = self.cost[c];
-        if f.abs() > EPS {
-            for (v, pv) in self.cost.iter_mut().zip(pivot_row.iter()) {
-                *v -= f * pv;
+        };
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            if i != r {
+                eliminate(row);
             }
-            self.cost[c] = 0.0;
         }
+        eliminate(&mut self.cost);
         self.basis[r] = c;
     }
 
@@ -101,34 +119,44 @@ impl Tableau {
         }
     }
 
-    /// Runs simplex iterations to optimality (Bland's rule).
-    fn optimize(&mut self) -> Result<(), LpError> {
-        let max_iter = 2000 + 200 * (self.rows.len() + self.ncols);
-        for _ in 0..max_iter {
-            // Entering: lowest-index allowed column with negative
-            // reduced cost.
-            let Some(c) = (0..self.ncols).find(|&j| self.allowed[j] && self.cost[j] < -EPS) else {
-                return Ok(());
-            };
-            // Leaving: min ratio, ties by lowest basis index.
-            let mut best: Option<(usize, f64)> = None;
-            for (i, row) in self.rows.iter().enumerate() {
-                if row[c] > EPS {
-                    let ratio = row[self.ncols] / row[c];
-                    match best {
-                        None => best = Some((i, ratio)),
-                        Some((bi, br)) => {
-                            if ratio < br - EPS
-                                || (ratio < br + EPS && self.basis[i] < self.basis[bi])
-                            {
-                                best = Some((i, ratio));
-                            }
+    /// Bland's choice of the next pivot `(row, column)`: the lowest-
+    /// index allowed column with negative reduced cost enters, and the
+    /// row of minimum ratio leaves, ties by lowest basis index.
+    /// `Ok(None)` at an optimum.
+    fn next_pivot(&self) -> Result<Option<(usize, usize)>, LpError> {
+        // Entering: lowest-index allowed column with negative reduced
+        // cost.
+        let Some(c) = (0..self.ncols).find(|&j| self.allowed[j] && self.cost[j] < -EPS) else {
+            return Ok(None);
+        };
+        // Leaving: min ratio, ties by lowest basis index.
+        let mut best: Option<(usize, f64)> = None;
+        for (i, row) in self.rows.iter().enumerate() {
+            if row[c] > EPS {
+                let ratio = row[self.ncols] / row[c];
+                match best {
+                    None => best = Some((i, ratio)),
+                    Some((bi, br)) => {
+                        if ratio < br - EPS || (ratio < br + EPS && self.basis[i] < self.basis[bi])
+                        {
+                            best = Some((i, ratio));
                         }
                     }
                 }
             }
-            let Some((r, _)) = best else {
-                return Err(LpError::Unbounded);
+        }
+        let Some((r, _)) = best else {
+            return Err(LpError::Unbounded);
+        };
+        Ok(Some((r, c)))
+    }
+
+    /// Runs simplex iterations to optimality (Bland's rule).
+    fn optimize(&mut self) -> Result<(), LpError> {
+        let max_iter = 2000 + 200 * (self.rows.len() + self.ncols);
+        for _ in 0..max_iter {
+            let Some((r, c)) = self.next_pivot()? else {
+                return Ok(());
             };
             self.pivot(r, c);
         }
@@ -210,6 +238,7 @@ pub(crate) fn solve(p: &LpProblem) -> Result<LpSolution, LpError> {
         basis: vec![usize::MAX; m],
         allowed: vec![true; ncols],
         ncols,
+        pivot_nz: Vec::new(),
     };
     let mut next_slack = n;
     let mut next_surplus = n + n_slack;
@@ -294,8 +323,140 @@ pub(crate) fn solve(p: &LpProblem) -> Result<LpSolution, LpError> {
 
 #[cfg(test)]
 mod tests {
-    use super::LpError;
+    use super::{LpError, Tableau, EPS};
     use crate::model::{Cmp, LpProblem};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The dense elimination [`Tableau::pivot`] replaced: every column
+    /// of every row, kept as the sparse pivot's reference.
+    fn dense_pivot(t: &mut Tableau, r: usize, c: usize) {
+        let piv = t.rows[r][c];
+        for v in t.rows[r].iter_mut() {
+            *v /= piv;
+        }
+        let pivot_row = t.rows[r].clone();
+        for (i, row) in t.rows.iter_mut().enumerate() {
+            if i == r {
+                continue;
+            }
+            let f = row[c];
+            if f.abs() > EPS {
+                for (v, pv) in row.iter_mut().zip(pivot_row.iter()) {
+                    *v -= f * pv;
+                }
+                row[c] = 0.0;
+            }
+        }
+        let f = t.cost[c];
+        if f.abs() > EPS {
+            for (v, pv) in t.cost.iter_mut().zip(pivot_row.iter()) {
+                *v -= f * pv;
+            }
+            t.cost[c] = 0.0;
+        }
+        t.basis[r] = c;
+    }
+
+    fn tableau(rows: Vec<Vec<f64>>, cost: Vec<f64>, basis: Vec<usize>) -> Tableau {
+        let ncols = cost.len() - 1;
+        Tableau {
+            rows,
+            cost,
+            basis,
+            allowed: vec![true; ncols],
+            ncols,
+            pivot_nz: Vec::new(),
+        }
+    }
+
+    fn copy(t: &Tableau) -> Tableau {
+        tableau(t.rows.clone(), t.cost.clone(), t.basis.clone())
+    }
+
+    /// Asserts both tableaus agree under `==` entry by entry (a zero's
+    /// sign may differ) and in their basis.
+    fn assert_equal(sparse: &Tableau, dense: &Tableau, ctx: &str) {
+        assert_eq!(sparse.rows, dense.rows, "{ctx}: rows");
+        assert_eq!(sparse.cost, dense.cost, "{ctx}: cost row");
+        assert_eq!(sparse.basis, dense.basis, "{ctx}: basis");
+    }
+
+    /// An entry of a random tableau: zeros of both signs, small
+    /// integers, and fractions.
+    fn entry(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0u32..6) {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            3 => f64::from(rng.gen_range(0u32..7)) - 3.0,
+            _ => f64::from(rng.gen_range(0u32..10_000)) / 997.0 - 5.0,
+        }
+    }
+
+    #[test]
+    fn sparse_pivot_equals_dense_on_random_tableaus() {
+        let mut rng = StdRng::seed_from_u64(0x5A_12CE);
+        let mut signed_zeros = 0usize;
+        for case in 0..200 {
+            let (m, ncols) = (rng.gen_range(1usize..7), rng.gen_range(1usize..10));
+            let rows = (0..m)
+                .map(|_| (0..=ncols).map(|_| entry(&mut rng)).collect())
+                .collect();
+            let cost = (0..=ncols).map(|_| entry(&mut rng)).collect();
+            let mut sparse = tableau(rows, cost, vec![usize::MAX; m]);
+            let mut dense = copy(&sparse);
+            for step in 0..8 {
+                // Any entry of magnitude above EPS may pivot, negative
+                // ones included (phase 1 drives artificials out on them).
+                let candidates: Vec<(usize, usize)> = (0..m)
+                    .flat_map(|r| (0..ncols).map(move |c| (r, c)))
+                    .filter(|&(r, c)| sparse.rows[r][c].abs() > EPS)
+                    .collect();
+                if candidates.is_empty() {
+                    break;
+                }
+                let (r, c) = candidates[rng.gen_range(0..candidates.len())];
+                sparse.pivot(r, c);
+                dense_pivot(&mut dense, r, c);
+                assert_equal(&sparse, &dense, &format!("case {case} step {step}"));
+                signed_zeros += sparse
+                    .rows
+                    .iter()
+                    .chain([&sparse.cost])
+                    .flatten()
+                    .filter(|v| **v == 0.0 && v.is_sign_negative())
+                    .count();
+            }
+        }
+        assert!(signed_zeros > 0, "the tableaus carried −0.0 entries");
+    }
+
+    #[test]
+    fn sparse_pivot_equals_dense_at_every_beale_pivot() {
+        // The Beale instance of `beale_cycling_instance_terminates`, as
+        // its phase-2 tableau: columns x4..x7, three slacks, rhs.
+        let mut sparse = tableau(
+            vec![
+                vec![0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0, 0.0],
+                vec![0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0, 0.0],
+                vec![0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+            ],
+            vec![-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0, 0.0],
+            vec![4, 5, 6],
+        );
+        let mut dense = copy(&sparse);
+        let mut pivots = 0;
+        while let Some((r, c)) = sparse.next_pivot().unwrap() {
+            assert_eq!(dense.next_pivot().unwrap(), Some((r, c)), "Bland's choice");
+            sparse.pivot(r, c);
+            dense_pivot(&mut dense, r, c);
+            pivots += 1;
+            assert_equal(&sparse, &dense, &format!("pivot {pivots}"));
+        }
+        assert_eq!(dense.next_pivot().unwrap(), None);
+        assert!(pivots > 0);
+        assert!((sparse.cost[sparse.ncols] - 0.05).abs() < 1e-7);
+    }
 
     /// Classic Beale cycling example — Bland's rule must terminate.
     #[test]

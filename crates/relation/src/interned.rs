@@ -14,18 +14,21 @@
 //!   per-set [`GroupIndex`] is computed once and memoized in one cache,
 //!   keyed by the set restricted to the schema (an inline one-word
 //!   [`AttrSet`] for schemas of ≤ 64 attributes). A grouping is
-//!   numbered by **direct addressing** (`O(rows)`, no sort) when its
-//!   mixed-radix code space is at most 4 × rows; larger code spaces —
-//!   the full-row dedup grouping, most high-cardinality sets — sort the
-//!   row codes instead (`O(rows log rows)`), because a table the size of
-//!   the code space would then cost more to clear and scan than the
-//!   sort.
+//!   numbered by **direct addressing** (`O(rows)`, no sort, `u32` row
+//!   codes) when its mixed-radix code space is at most 4 × rows; larger
+//!   code spaces — the full-row dedup grouping, most high-cardinality
+//!   sets — sort their `u64` row codes instead (`O(rows log rows)`),
+//!   because a table the size of the code space would then cost more to
+//!   clear and scan than the sort.
 //! * [`InternedRelation::min_group_distinct`] — the entire Lemma-4 inner
-//!   loop — is one `O(rows)` **counting pass** over two cached id
-//!   columns: a counting sort buckets the rows by key group, and a stamp
-//!   array counts each bucket's distinct probe groups, all in the
-//!   calling thread's reusable pair-pass buffer: **zero heap allocation
-//!   per probe** once the group indexes are warm.
+//!   loop — is one `O(rows)` **pair pass** over two cached id columns.
+//!   When the (key group, probe group) pair space is small against the
+//!   row count, the pass marks each row's pair in a bit set and counts a
+//!   key group's first mark of each pair; above that bound a counting
+//!   sort buckets the rows by key group and a stamp array counts each
+//!   bucket's distinct probe groups. Both run in the calling thread's
+//!   reusable pair-pass buffer: **zero heap allocation per probe** once
+//!   the group indexes are warm.
 //! * [`ValueInterner`] is the generic sub-tuple → dense-id map used by
 //!   the interned natural join (provenance assembly, §4) and by group
 //!   computation when mixed-radix codes would overflow `u64`.
@@ -77,24 +80,45 @@ const GROUP_SHARDS: usize = 16;
 /// Groupings whose mixed-radix code space is at most this many times the
 /// row count are numbered by direct addressing; larger ones sort. The
 /// addressing table holds one `u32` per code and is cleared and scanned
-/// once, so the factor keeps it within twice the size of the `u64` row
-/// codes the grouping computes anyway. Beyond it (the full-row grouping
-/// of a 22-attribute module spans 2²² codes for 2,048 rows) the table
-/// would cost more than sorting the row codes.
+/// once, so the factor keeps it within four times the size of the row
+/// codes. Beyond it (the full-row grouping of a 22-attribute module
+/// spans 2²² codes for 2,048 rows) the table would cost more than
+/// sorting the row codes.
+///
+/// A direct-addressed code is below 4 × rows, so (with an explicit
+/// `space ≤ u32::MAX` guard) its row codes are computed as `u32`: the
+/// baseline x86-64 target has no 64-bit lane multiply, and over 10
+/// boolean columns × 4,096 rows the `u32` code loop took 16–17 µs
+/// against 33–36 µs as `u64` (medians of 2,000 runs, 2-vCPU host). The
+/// sorted path keeps `u64` codes.
 const DIRECT_ADDRESS_FACTOR: u64 = 4;
 
+/// [`pair_pass`] marks `(key group, probe group)` pairs in a bit set
+/// when the pair space is at most this many bits per row, and counting-
+/// sorts the rows above it; clearing and scanning the bit set then
+/// costs at most 4 words per row. The bound sits at the measured
+/// crossover: over 5,000 warm probes of module 0 of `one_one_chain(2,
+/// 11)` and `one_one_chain(4, 10)` (2-vCPU x86-64 host), marking took
+/// 0.65–0.76 × the counting sort's time up to 128 bits per row, 0.85 ×
+/// at 129–256, 1.08–1.10 × at 257–512 and 1.6–3.0 × above. Under it,
+/// 98.8 % of `perfbench secureview`'s pair passes mark pairs.
+const PAIR_MARK_BITS_PER_ROW: u64 = 256;
+
 thread_local! {
-    /// This thread's Lemma-4 pair-pass buffer ([`pair_pass`]): key-group
-    /// bucket ends, bucketed rows and probe-group stamps, grown to the
-    /// largest pass the thread has run and reused by every later one, so
-    /// a warm probe allocates nothing and concurrent probes never share
-    /// a buffer or take a lock for one.
+    /// This thread's Lemma-4 pair-pass buffer ([`pair_pass`]): per-key-
+    /// group counts and the pair bit set on the pair-marking path, or
+    /// key-group bucket ends, bucketed rows and probe-group stamps on
+    /// the counting-sort path. It is grown to the largest pass the
+    /// thread has run and reused by every later one, so a warm probe
+    /// allocates nothing and concurrent probes never share a buffer or
+    /// take a lock for one.
     ///
-    /// It holds at most 3 × rows words of the largest relation the
-    /// thread probed, whichever relation that was, and is freed when the
-    /// thread exits. The threads that probe are bounded: sweep workers
-    /// are scoped threads, and the socket server runs a fixed number of
-    /// acceptors.
+    /// It holds at most 5 × rows words of the largest relation the
+    /// thread probed, whichever relation that was (the larger of the
+    /// marking path's rows + 4 × rows and the counting sort's 3 × rows),
+    /// and is freed when the thread exits. The threads that probe are
+    /// bounded: sweep workers are scoped threads, and the socket server
+    /// runs a fixed number of acceptors.
     ///
     /// No probe may run inside a pair pass: the pass holds the buffer's
     /// `RefCell` borrow while it calls its `visit` closure, so a nested
@@ -366,7 +390,7 @@ enum GroupLookup {
 /// code space is at most 4 × rows, `O(rows log rows)` by sorting above
 /// that — after which probes touching it are allocation-free (cache
 /// lookups borrow their keys, the pair pass runs in the thread's own
-/// buffer) and cost one `O(rows)` counting pass. Streaming rows in through
+/// buffer) and cost one `O(rows)` pair pass. Streaming rows in through
 /// [`append_rows`](Self::append_rows) extends the warm groupings
 /// instead of rebuilding them.
 ///
@@ -550,6 +574,23 @@ impl InternedRelation {
         (sizes, product <= u128::from(u64::MAX))
     }
 
+    /// Each row's mixed-radix code over the attributes of `key`, built
+    /// column by column. The caller picks a code type that holds the
+    /// code space; every intermediate code is below the final one.
+    fn row_codes<C>(&self, key: &AttrSet) -> Vec<C>
+    where
+        C: Copy + Default + From<u32> + std::ops::Mul<Output = C> + std::ops::Add<Output = C>,
+    {
+        let mut codes = vec![C::default(); self.n_rows];
+        for a in key.iter() {
+            let s = C::from(self.schema.attr(a).domain.size());
+            for (c, &v) in codes.iter_mut().zip(&self.cols[a.index()]) {
+                *c = *c * s + C::from(v);
+            }
+        }
+        codes
+    }
+
     /// Computes the dense grouping for the attributes of `key` (a
     /// schema-masked set).
     fn compute_group(&self, key: &AttrSet) -> GroupIndex {
@@ -557,28 +598,15 @@ impl InternedRelation {
         // The radix/wide decision of `radix_sizes`: the code space must
         // fit a `u64`.
         if let Ok(space) = u64::try_from(self.schema.domain_product(key)) {
-            // Mixed-radix fast path: one u64 code per row, built column
-            // by column.
-            let mut codes = vec![0u64; n];
-            for a in key.iter() {
-                let s = u64::from(self.schema.attr(a).domain.size());
-                for (c, &v) in codes.iter_mut().zip(&self.cols[a.index()]) {
-                    *c = *c * s + u64::from(v);
-                }
-            }
-            // Densify: group id = rank of the row's code.
-            let (row_group, base) = if space <= DIRECT_ADDRESS_FACTOR.saturating_mul(n as u64) {
-                densify_direct(&codes, space)
-            } else {
-                densify_sorted(&codes)
+            // Mixed-radix fast path, densified to group id = rank of the
+            // row's code: a direct-addressed space also fits `u32` codes.
+            let direct = u32::try_from(space)
+                .ok()
+                .filter(|&s| u64::from(s) <= DIRECT_ADDRESS_FACTOR.saturating_mul(n as u64));
+            let (row_group, base, representative) = match direct {
+                Some(space) => densify_direct(&self.row_codes::<u32>(key), space),
+                None => densify_sorted(&self.row_codes::<u64>(key)),
             };
-            let mut representative = vec![u32::MAX; base.len()];
-            for (row, &g) in row_group.iter().enumerate() {
-                let slot = &mut representative[g as usize];
-                if *slot == u32::MAX {
-                    *slot = row as u32;
-                }
-            }
             GroupIndex {
                 row_group,
                 n_groups: base.len() as u32,
@@ -779,13 +807,14 @@ impl InternedRelation {
     /// of distinct `probe` sub-tuples, or `usize::MAX` on an empty
     /// relation.
     ///
-    /// One `O(rows)` counting pass (a counting sort of the rows by key
-    /// group, then a stamp array counting each bucket's distinct probe
-    /// groups; it stops early once some group shows a single probe
-    /// sub-tuple, the least possible). Allocation-free once both group
-    /// indexes are cached and the calling thread's pair-pass buffer has
-    /// grown to this relation: every thread runs the pass in a buffer of
-    /// its own, so concurrent probes never contend on one.
+    /// One `O(rows)` pair pass (pair marking in a bit set when the
+    /// group-pair space is small against the rows, else a counting sort
+    /// of the rows by key group; the visit stops once some group shows
+    /// a single probe sub-tuple, the least possible). Allocation-free
+    /// once both group indexes are cached and the calling thread's
+    /// pair-pass buffer has grown to this relation: every thread runs
+    /// the pass in a buffer of its own, so concurrent probes never
+    /// contend on one.
     #[must_use]
     pub fn min_group_distinct(&self, key: &AttrSet, probe: &AttrSet) -> usize {
         let kg = self.group_index(key);
@@ -801,7 +830,7 @@ impl InternedRelation {
     /// Grouped distinct counting with materialized keys — the
     /// compatibility form of the Lemma-4 condition
     /// (`π_key`-group → number of distinct `π_probe` values), through
-    /// the same counting pair pass as the probes.
+    /// the same pair pass as the probes.
     #[must_use]
     pub fn group_count_distinct(&self, key: &AttrSet, probe: &AttrSet) -> HashMap<Tuple, usize> {
         let kg = self.group_index(key);
@@ -924,43 +953,56 @@ fn extend_gid<F: Fn(usize) -> Value>(
     row_group.push(gid);
 }
 
+/// A densified grouping: each row's group id, the distinct codes in
+/// ascending order (group id = rank, allocated at exactly their count)
+/// and each group's first row.
+type Densified = (Vec<u32>, Vec<u64>, Vec<u32>);
+
 /// Densifies row codes from a code space of `space` codes by direct
-/// addressing: returns each row's group id (the rank of its code among
-/// the distinct codes) and the distinct codes in ascending order,
-/// allocated at exactly their count.
-fn densify_direct(codes: &[u64], space: u64) -> (Vec<u32>, Vec<u64>) {
-    // `slot[code]`: `u32::MAX` while absent, `0` once seen, then the
-    // code's group id after the ascending numbering pass.
+/// addressing.
+fn densify_direct(codes: &[u32], space: u32) -> Densified {
+    // `slot[code]`: `u32::MAX` while absent, else the first row with
+    // that code (the backward scan's last write), then the code's group
+    // id after the ascending numbering pass.
     let mut slot = vec![u32::MAX; space as usize];
-    for &c in codes {
-        slot[c as usize] = 0;
+    for (row, &c) in codes.iter().enumerate().rev() {
+        slot[c as usize] = row as u32;
     }
-    let distinct = slot.iter().filter(|&&s| s == 0).count();
+    let distinct = slot.iter().filter(|&&s| s != u32::MAX).count();
     let mut base = Vec::with_capacity(distinct);
+    let mut representative = Vec::with_capacity(distinct);
     for (code, s) in slot.iter_mut().enumerate() {
-        if *s == 0 {
+        if *s != u32::MAX {
+            representative.push(*s);
             *s = base.len() as u32;
             base.push(code as u64);
         }
     }
     let row_group = codes.iter().map(|&c| slot[c as usize]).collect();
-    (row_group, base)
+    (row_group, base, representative)
 }
 
 /// [`densify_direct`] for code spaces too large to address: sorts the
 /// codes and ranks each row by binary search.
-fn densify_sorted(codes: &[u64]) -> (Vec<u32>, Vec<u64>) {
+fn densify_sorted(codes: &[u64]) -> Densified {
     let mut base = codes.to_vec();
     base.sort_unstable();
     base.dedup();
     // Retained as the grouping's lookup: keep the group count, not the
     // row count.
     base.shrink_to_fit();
-    let row_group = codes
+    let row_group: Vec<u32> = codes
         .iter()
         .map(|c| base.binary_search(c).expect("own code") as u32)
         .collect();
-    (row_group, base)
+    let mut representative = vec![u32::MAX; base.len()];
+    for (row, &g) in row_group.iter().enumerate() {
+        let slot = &mut representative[g as usize];
+        if *slot == u32::MAX {
+            *slot = row as u32;
+        }
+    }
+    (row_group, base, representative)
 }
 
 /// The Lemma-4 pair pass over two cached group-id columns of one
@@ -969,18 +1011,51 @@ fn densify_sorted(codes: &[u64]) -> (Vec<u32>, Vec<u64>) {
 /// key-group order, until `visit` returns `false`.
 ///
 /// `O(rows + groups)` and allocation-free once the thread's
-/// [`PAIR_PASS`] buffer has grown to `kg.n_groups + rows + pg.n_groups`
-/// words: a counting sort buckets the rows' probe groups by key group,
-/// then a stamp per probe group (the last bucket that counted it)
-/// counts each bucket's distinct probe groups. `visit` runs while the
-/// buffer is borrowed, so it must not probe.
+/// [`PAIR_PASS`] buffer has grown, by one of two paths with identical
+/// visits:
+/// * **Pair marking**, when the pair space `kg.n_groups × pg.n_groups`
+///   is at most [`PAIR_MARK_BITS_PER_ROW`] bits per row: one pass over
+///   the two id columns sets each `(key group, probe group)` pair's bit,
+///   and a key group's count goes up on the first mark of each pair. It
+///   uses `kg.n_groups` counts and the pair space's bit words, at most
+///   `rows + 4 × rows` words.
+/// * **Counting sort**, above that: bucket the rows' probe groups by
+///   key group, then a stamp per probe group (the last bucket that
+///   counted it) counts each bucket's distinct probe groups, in
+///   `kg.n_groups + rows + pg.n_groups` ≤ 3 × rows words.
+///
+/// `visit` runs while the buffer is borrowed, so it must not probe.
 fn pair_pass(kg: &GroupIndex, pg: &GroupIndex, mut visit: impl FnMut(usize, usize) -> bool) {
     let (kn, pn, n) = (
         kg.n_groups as usize,
         pg.n_groups as usize,
         kg.row_group.len(),
     );
+    // Group and row counts are below 2³², so neither side overflows.
+    let marking = (kn as u64) * (pn as u64) <= PAIR_MARK_BITS_PER_ROW * n as u64;
     PAIR_PASS.with_borrow_mut(|buf| {
+        if marking {
+            let words = (kn * pn).div_ceil(64);
+            if buf.len() < kn + words {
+                buf.resize(kn + words, 0);
+            }
+            let (counts, rest) = buf.split_at_mut(kn);
+            let marks = &mut rest[..words];
+            counts.fill(0);
+            marks.fill(0);
+            for (&k, &p) in kg.row_group.iter().zip(&pg.row_group) {
+                let pair = k as usize * pn + p as usize;
+                let (word, bit) = (&mut marks[pair / 64], 1u64 << (pair % 64));
+                counts[k as usize] += u64::from(*word & bit == 0);
+                *word |= bit;
+            }
+            for (k, &distinct) in counts.iter().enumerate() {
+                if !visit(k, distinct as usize) {
+                    return;
+                }
+            }
+            return;
+        }
         if buf.len() < kn + n + pn {
             buf.resize(kn + n + pn, 0);
         }

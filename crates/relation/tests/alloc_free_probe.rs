@@ -69,12 +69,26 @@ fn probe(ir: &InternedRelation, (k, p): (u64, u64)) -> usize {
     ir.min_group_distinct(&AttrSet::from_word(k), &AttrSet::from_word(p))
 }
 
+/// The kernel's pair-marking bound: a probe whose key groups × probe
+/// groups fit this many bits per row marks pairs; a larger one
+/// counting-sorts its rows.
+const PAIR_MARK_BITS_PER_ROW: u64 = 256;
+
+/// Whether the kernel's pair pass for `q` marks pairs (else it
+/// counting-sorts), by the documented rule.
+fn marks_pairs(ir: &InternedRelation, (k, p): (u64, u64)) -> bool {
+    let groups = |w| u64::from(ir.group_index(&AttrSet::from_word(w)).n_groups);
+    groups(k) * groups(p) <= PAIR_MARK_BITS_PER_ROW * ir.n_rows() as u64
+}
+
 #[test]
 fn warm_probes_allocate_nothing() {
     // Ten boolean attributes: 5 inputs, 5 outputs, 1,024 rows.
     let ir = InternedRelation::from_relation(&all_rows(10));
     // Key and probe words of every shape: empty, narrow, wide, equal,
-    // the full row (a sorted grouping) against the empty set.
+    // the full row (a sorted grouping) against the empty set, and the
+    // full row against eight attributes (1,024 × 256 pairs, the
+    // pair-marking bound) and nine (past it: the counting sort).
     let probes: Vec<(u64, u64)> = vec![
         (0b00000_00001, 0b00011_00000),
         (0b00000_11111, 0b11111_00000),
@@ -82,10 +96,17 @@ fn warm_probes_allocate_nothing() {
         (0b00000_10101, 0b10101_00000),
         (0b11111_11111, 0b00000_00000),
         (0b00000_00111, 0b00000_00111),
+        (0b11111_11111, 0b11111_11100),
+        (0b11111_11111, 0b11111_11110),
     ];
 
     // Warm-up: builds every grouping and grows the thread's buffer.
     let expected: Vec<usize> = probes.iter().map(|&q| probe(&ir, q)).collect();
+    let marking = probes.iter().filter(|&&q| marks_pairs(&ir, q)).count();
+    assert!(
+        marking > 0 && marking < probes.len(),
+        "both pair-pass paths are probed"
+    );
 
     // The sets are built inside the counted closures.
     for (&q, &answer) in probes.iter().zip(&expected) {
@@ -101,21 +122,28 @@ fn warm_probes_allocate_nothing() {
 
 #[test]
 fn one_buffer_serves_relations_of_every_size() {
-    // A 1,024-row relation, a 4-row one, then the large one again, all
-    // on this thread's one pair-pass buffer: a pass over the small
-    // relation uses a prefix of the buffer the large one grew, and the
-    // large one's next pass must not read what the small one left.
+    // A 1,024-row relation, a 4-row one, then the large one again on
+    // both pair-pass paths, all on this thread's one pair-pass buffer: a
+    // pass over the small relation uses a prefix of the buffer the large
+    // one grew, and no later pass may read what an earlier one left.
     let large = all_rows(10);
     let small = all_rows(2);
     let (large_ir, small_ir) = (
         InternedRelation::from_relation(&large),
         InternedRelation::from_relation(&small),
     );
-    let rounds: [(&Relation, &InternedRelation, (u64, u64)); 3] = [
+    let rounds: [(&Relation, &InternedRelation, (u64, u64)); 5] = [
         (&large, &large_ir, (0b00000_10101, 0b10101_00000)),
         (&small, &small_ir, (0b01, 0b10)),
+        (&large, &large_ir, (0b11111_11111, 0b01111_11111)),
         (&large, &large_ir, (0b00000_00011, 0b00111_00000)),
+        (&small, &small_ir, (0b11, 0b10)),
     ];
+    assert_eq!(
+        rounds.map(|(_, ir, q)| marks_pairs(ir, q)),
+        [true, true, false, true, true],
+        "the third round counting-sorts"
+    );
     let reference = |r: &Relation, (k, p): (u64, u64)| {
         ops::reference::group_count_distinct(r, &AttrSet::from_word(k), &AttrSet::from_word(p))
             .into_values()

@@ -2,7 +2,9 @@
 //! ([`AttrSet::from_word`]) in batches: on random relations and random probe batches (duplicate
 //! pairs, shared attribute sets, empty relations, streamed appends),
 //! the probe (one thread's pair-pass buffer reused across the whole
-//! batch) agrees with the row-at-a-time reference semantics. Every grouping the probes run on —
+//! batch) agrees with the row-at-a-time reference semantics, on both
+//! pair-pass paths — pair marking and the counting sort — and at the
+//! bound between them. Every grouping the probes run on —
 //! direct-addressed, sorted and interned, before and after appends —
 //! equals a naive densify of the column store.
 
@@ -11,10 +13,16 @@ mod common;
 use common::{random_schema, random_value, BuildLog, Coverage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sv_relation::{ops, AttrSet, InternedRelation, Relation, Schema, Tuple};
+use std::ops::RangeInclusive;
+use sv_relation::{ops, AttrDef, AttrSet, Domain, InternedRelation, Relation, Schema, Tuple};
 
-fn random_rows(rng: &mut StdRng, schema: &Schema, max_rows: usize) -> Vec<Vec<u32>> {
-    let n = rng.gen_range(0..=max_rows);
+/// The kernel's pair-marking bound: a probe whose pair space, key
+/// groups × probe groups, is at most this many bits per row marks
+/// pairs; a larger one counting-sorts its rows.
+const PAIR_MARK_BITS_PER_ROW: u64 = 256;
+
+fn random_rows(rng: &mut StdRng, schema: &Schema, rows: RangeInclusive<usize>) -> Vec<Vec<u32>> {
+    let n = rng.gen_range(rows);
     (0..n)
         .map(|_| {
             schema
@@ -45,56 +53,206 @@ fn random_batch(rng: &mut StdRng, k: usize, len: usize) -> Vec<(u64, u64)> {
     probes
 }
 
-/// The reference answer: minimum over key groups of the distinct
-/// probe-sub-tuple count, straight from the row-at-a-time semantics.
-fn reference_answer(r: &Relation, key: &AttrSet, probe: &AttrSet) -> usize {
-    ops::reference::group_count_distinct(r, key, probe)
-        .values()
-        .copied()
-        .min()
-        .unwrap_or(usize::MAX)
+/// The schema of a relation with hundreds of distinct rows, on which
+/// near-full-row probes cross the pair-marking bound: ten booleans, or
+/// eight attributes whose first three are wide (interner groupings).
+fn large_schema(rng: &mut StdRng, wide: bool) -> Schema {
+    if wide {
+        random_schema(rng, 8, true)
+    } else {
+        let names: Vec<String> = (0..10).map(|a| format!("b{a}")).collect();
+        Schema::booleans(&names.iter().map(String::as_str).collect::<Vec<_>>())
+    }
+}
+
+/// Probes pairing the full row with itself and with the full row less
+/// one or two attributes: on hundreds of distinct rows both sides have
+/// about one group per row, past the pair-marking bound.
+fn full_row_probes(k: usize) -> Vec<(u64, u64)> {
+    let all = (1u64 << k) - 1;
+    vec![
+        (all, all),
+        (all, all & !1),
+        (all & !1, all),
+        (all & !2, all & !1),
+    ]
+}
+
+/// Tallies the pair-pass paths the suite compared with the reference,
+/// re-derived from the documented rule, so a generator change cannot
+/// silently drop one side of the bound.
+#[derive(Debug, Default)]
+struct PairCoverage {
+    marking: usize,
+    counting: usize,
+    /// Marking probes on rows whose pair space is exactly the bound.
+    at_bound: usize,
+    /// Counting probes that one probe group fewer would have marked.
+    past_bound: usize,
+    wide_marking: usize,
+    wide_counting: usize,
+    empty: usize,
+}
+
+impl PairCoverage {
+    /// Checks one probe of `ir` (a kernel over `r`) against the
+    /// reference semantics — the minimum, and every key group's count
+    /// through `group_count_distinct` — and records the path the
+    /// kernel's rule picks for it.
+    fn check(&mut self, ir: &InternedRelation, r: &Relation, (kw, pw): (u64, u64), ctx: &str) {
+        let (key, probe) = (AttrSet::from_word(kw), AttrSet::from_word(pw));
+        let expected = ops::reference::group_count_distinct(r, &key, &probe);
+        let min = expected.values().copied().min().unwrap_or(usize::MAX);
+        assert_eq!(
+            ir.min_group_distinct(&key, &probe),
+            min,
+            "{ctx} {kw:#b}/{pw:#b}: minimum"
+        );
+        assert_eq!(
+            ir.group_count_distinct(&key, &probe),
+            expected,
+            "{ctx} {kw:#b}/{pw:#b}: group counts"
+        );
+        let kn = u64::from(ir.group_index(&key).n_groups);
+        let pn = u64::from(ir.group_index(&probe).n_groups);
+        let bound = PAIR_MARK_BITS_PER_ROW * ir.n_rows() as u64;
+        let wide = ir.schema().iter().any(|(_, d)| d.domain.size() == u32::MAX);
+        if kn * pn <= bound {
+            self.marking += 1;
+            self.at_bound += usize::from(kn * pn == bound && bound > 0);
+            self.wide_marking += usize::from(wide);
+        } else {
+            self.counting += 1;
+            self.past_bound += usize::from(kn * (pn - 1) <= bound);
+            self.wide_counting += usize::from(wide);
+        }
+        self.empty += usize::from(ir.n_rows() == 0);
+    }
+
+    fn assert_complete(&self) {
+        let tallies = [
+            self.marking,
+            self.counting,
+            self.at_bound,
+            self.past_bound,
+            self.wide_marking,
+            self.wide_counting,
+            self.empty,
+        ];
+        assert!(tallies.iter().all(|&t| t > 0), "{self:?}");
+    }
+}
+
+/// Shapes at the bound, checked into `pairs`: 300 rows `(i, i mod m)`
+/// keyed by `i` (300 groups) against `i mod m` — exactly the bound's
+/// 76,800 pairs at `m = 256`, one probe group past it at `m = 257` —
+/// on both sides; every combination of ten booleans, whose full row
+/// (1,024 groups) meets the bound against eight attributes (256
+/// groups) and crosses it against nine; and empty relations.
+fn check_bound_shapes(pairs: &mut PairCoverage) {
+    let attr = |name: &str, size: u32| AttrDef {
+        name: name.to_string(),
+        domain: Domain::new(size),
+    };
+    for m in [256u32, 257] {
+        let schema = Schema::new(vec![attr("i", 300), attr("p", 257)]);
+        let rows = (0..300).map(|i| vec![i, i % m]).collect();
+        let r = Relation::from_values(schema, rows).expect("in-domain rows");
+        let ir = InternedRelation::from_relation(&r);
+        for q in [(0b01, 0b10), (0b10, 0b01), (0b01, 0b11), (0b10, 0b10)] {
+            pairs.check(&ir, &r, q, &format!("i mod {m}"));
+        }
+    }
+    let names: Vec<String> = (0..10).map(|a| format!("b{a}")).collect();
+    let schema = Schema::booleans(&names.iter().map(String::as_str).collect::<Vec<_>>());
+    let rows = (0..1u32 << 10)
+        .map(|r| (0..10).map(|a| (r >> a) & 1).collect())
+        .collect();
+    let r = Relation::from_values(schema, rows).expect("boolean rows");
+    let ir = InternedRelation::from_relation(&r);
+    for q in [(0x3FF, 0xFF), (0x3FF, 0x1FF), (0xFF, 0x3FF), (0x3FF, 0x3FF)] {
+        pairs.check(&ir, &r, q, "all 1,024 boolean rows");
+    }
+    let mut rng = StdRng::seed_from_u64(0xB0);
+    for schema in [
+        Schema::booleans(&["a", "b", "c"]),
+        random_schema(&mut rng, 4, true),
+    ] {
+        let r = Relation::empty(schema);
+        let ir = InternedRelation::from_relation(&r);
+        for q in [(0b001, 0b110), (0, 0), (0b1111, 0b1111)] {
+            pairs.check(&ir, &r, q, "empty relation");
+        }
+    }
 }
 
 #[test]
 fn word_probes_equal_reference() {
     let mut rng = StdRng::seed_from_u64(0xE18);
     let mut coverage = Coverage::default();
-    for trial in 0..30 {
-        let n = rng.gen_range(3usize..=8);
-        let schema = random_schema(&mut rng, n, trial % 3 == 0);
+    let mut pairs = PairCoverage::default();
+    let large_from = 30;
+    for trial in 0..large_from + 4 {
+        let large = trial >= large_from;
+        let (schema, rows) = if large {
+            let schema = large_schema(&mut rng, trial % 2 == 1);
+            let rows = random_rows(&mut rng, &schema, 400..=700);
+            (schema, rows)
+        } else {
+            let n = rng.gen_range(3usize..=8);
+            let schema = random_schema(&mut rng, n, trial % 3 == 0);
+            let rows = random_rows(&mut rng, &schema, 0..=40);
+            (schema, rows)
+        };
         let k = schema.len();
-        let rows = random_rows(&mut rng, &schema, 40);
         let r = Relation::from_values(schema, rows).expect("rows fit the schema");
         let ir = InternedRelation::from_relation(&r);
         let len = rng.gen_range(0..25);
-        let probes = random_batch(&mut rng, k, len);
+        let mut probes = random_batch(&mut rng, k, len);
+        if large {
+            probes.extend(full_row_probes(k));
+        }
 
         // The thread's one buffer serves the whole batch.
-        for (i, &(kw, pw)) in probes.iter().enumerate() {
-            let (key, probe) = (AttrSet::from_word(kw), AttrSet::from_word(pw));
-            assert_eq!(
-                ir.min_group_distinct(&key, &probe),
-                reference_answer(&r, &key, &probe),
-                "trial {trial} probe {i}: kernel ≠ reference"
-            );
+        for (i, &q) in probes.iter().enumerate() {
+            pairs.check(&ir, &r, q, &format!("trial {trial} probe {i}"));
         }
-        BuildLog::new(k).check_all(&ir, &mut coverage, &format!("trial {trial}"));
+        // The naive densify is quadratic in the rows: check the small
+        // relations' groupings only.
+        if !large {
+            BuildLog::new(k).check_all(&ir, &mut coverage, &format!("trial {trial}"));
+        }
     }
+    check_bound_shapes(&mut pairs);
     coverage.assert_complete(false);
+    pairs.assert_complete();
 }
 
 #[test]
 fn word_probes_survive_streamed_appends() {
     let mut rng = StdRng::seed_from_u64(0x5E21E);
     let mut coverage = Coverage::default();
-    for trial in 0..15 {
-        let n = rng.gen_range(3usize..=8);
-        let schema = random_schema(&mut rng, n, trial % 3 == 0);
+    let mut pairs = PairCoverage::default();
+    let large_from = 15;
+    for trial in 0..large_from + 2 {
+        let large = trial >= large_from;
+        let (schema, base, batch_rows) = if large {
+            let schema = large_schema(&mut rng, trial % 2 == 1);
+            let base = random_rows(&mut rng, &schema, 300..=500);
+            (schema, base, 0..=40)
+        } else {
+            let n = rng.gen_range(3usize..=8);
+            let schema = random_schema(&mut rng, n, trial % 3 == 0);
+            let base = random_rows(&mut rng, &schema, 0..=20);
+            (schema, base, 0..=8)
+        };
         let k = schema.len();
-        let base = random_rows(&mut rng, &schema, 20);
         let mut acc = Relation::from_values(schema.clone(), base).expect("valid base");
         let mut ir = InternedRelation::from_relation(&acc);
-        let probes = random_batch(&mut rng, k, 12);
+        let mut probes = random_batch(&mut rng, k, 12);
+        if large {
+            probes.extend(full_row_probes(k));
+        }
         // Warm the batch, plus every single-attribute and empty grouping
         // (small code spaces: direct-addressed), so appends must extend
         // the group indexes already built.
@@ -115,7 +273,7 @@ fn word_probes_survive_streamed_appends() {
         log.note(&ir, ir.n_rows());
 
         for step in 0..3 {
-            let batch: Vec<Tuple> = random_rows(&mut rng, &schema, 8)
+            let batch: Vec<Tuple> = random_rows(&mut rng, &schema, batch_rows.clone())
                 .into_iter()
                 .map(Tuple::new)
                 .collect();
@@ -136,11 +294,25 @@ fn word_probes_survive_streamed_appends() {
                 "trial {trial} step {step}: streamed ≠ rebuilt"
             );
             let ctx = format!("trial {trial} step {step}");
-            log.check_all(&ir, &mut coverage, &format!("{ctx}, streamed"));
-            BuildLog::new(k).check_all(&rebuilt, &mut coverage, &format!("{ctx}, rebuilt"));
+            for (i, &q) in probes.iter().enumerate() {
+                pairs.check(&ir, &acc, q, &format!("{ctx} probe {i}, streamed"));
+            }
+            // The naive densify is quadratic in the rows: check the small
+            // relations' groupings only.
+            if !large {
+                log.check_all(&ir, &mut coverage, &format!("{ctx}, streamed"));
+                BuildLog::new(k).check_all(&rebuilt, &mut coverage, &format!("{ctx}, rebuilt"));
+            }
         }
     }
     coverage.assert_complete(true);
+    // Streamed kernels cross the bound too; its exact shapes are
+    // checked on fresh builds in `word_probes_equal_reference`.
+    assert!(pairs.marking > 0 && pairs.counting > 0, "{pairs:?}");
+    assert!(
+        pairs.wide_marking > 0 && pairs.wide_counting > 0,
+        "{pairs:?}"
+    );
 }
 
 #[test]

@@ -9,8 +9,8 @@ use sv_relation::{AttrDef, AttrId, AttrSet, Domain, InternedRelation, Schema, Va
 
 /// Which kernel path builds a grouping: the kernel numbers mixed-radix
 /// codes by direct addressing when the code space is at most
-/// `DIRECT_ADDRESS_FACTOR` × rows, sorts them above that, and interns
-/// sub-tuples whose codes overflow `u64`.
+/// `DIRECT_ADDRESS_FACTOR` × rows (and fits `u32` codes), sorts them
+/// above that, and interns sub-tuples whose codes overflow `u64`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum GroupingPath {
     Direct,
@@ -37,7 +37,7 @@ fn grouping_path(schema: &Schema, word: u64, rows: usize) -> GroupingPath {
         .fold(1u128, u128::saturating_mul);
     if space > u128::from(u64::MAX) {
         GroupingPath::Interned
-    } else if space <= DIRECT_ADDRESS_FACTOR * rows as u128 {
+    } else if space <= DIRECT_ADDRESS_FACTOR * rows as u128 && space <= u128::from(u32::MAX) {
         GroupingPath::Direct
     } else {
         GroupingPath::Sorted

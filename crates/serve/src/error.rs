@@ -31,6 +31,13 @@ pub enum ServeError {
         /// The already-registered tenant id.
         tenant: u64,
     },
+    /// [`TenantRegistry::create`](crate::TenantRegistry::create) was
+    /// asked to serve a workflow with no attributes, whose every row
+    /// would be empty.
+    EmptyWorkflow {
+        /// The tenant id the registration named.
+        tenant: u64,
+    },
     /// The server applied backpressure: admission control rejected the
     /// frame without touching tenant state.
     Busy(BusyReason),
@@ -50,6 +57,12 @@ impl fmt::Display for ServeError {
             Self::Core(e) => write!(f, "core error: {e}"),
             Self::DuplicateTenant { tenant } => {
                 write!(f, "tenant {tenant} is already registered")
+            }
+            Self::EmptyWorkflow { tenant } => {
+                write!(
+                    f,
+                    "tenant {tenant}: a workflow with no attributes cannot be served"
+                )
             }
             Self::Busy(reason) => write!(f, "server busy: {reason}"),
             Self::Fault(fault) => write!(f, "server fault: {fault}"),

@@ -535,6 +535,7 @@ impl TenantRegistry {
     ///
     /// # Errors
     /// [`ServeError::DuplicateTenant`] if `id` is taken;
+    /// [`ServeError::EmptyWorkflow`] for a workflow with no attributes;
     /// [`ServeError::Core`] if oracle construction fails
     /// (materialization budget, structural workflow errors).
     pub fn create(
@@ -549,6 +550,11 @@ impl TenantRegistry {
             }
             TenantSource::Workflow(wf) => WorkflowOracles::for_workflow(wf, config.budget)?,
         };
+        // Its ingest rows would be empty, and the durable log cannot
+        // bound a count of empty rows by its bytes.
+        if oracles.schema().is_empty() {
+            return Err(ServeError::EmptyWorkflow { tenant: id.0 });
+        }
         self.insert_oracles(id, oracles, config.limits)
     }
 
@@ -764,5 +770,28 @@ mod tests {
             .create(TenantId(3), TenantConfig::prebuilt(oracles))
             .unwrap();
         assert_eq!(registry.len(), 3);
+    }
+
+    #[test]
+    fn workflows_without_attributes_are_refused() {
+        // An empty workflow builds, and its store would accept an empty
+        // row, so registration is where it must stop.
+        let wf = sv_workflow::WorkflowBuilder::new().build().unwrap();
+        let oracles = sv_core::safety::WorkflowOracles::for_workflow_streaming(&wf).unwrap();
+        let registry = TenantRegistry::new();
+        for (id, config) in [
+            (4, TenantConfig::new(&wf)),
+            (5, TenantConfig::new(&wf).streaming(true)),
+            (6, TenantConfig::prebuilt(oracles)),
+        ] {
+            let Err(err) = registry.create(TenantId(id), config) else {
+                panic!("tenant {id} registered");
+            };
+            assert!(
+                matches!(err, ServeError::EmptyWorkflow { tenant } if tenant == id),
+                "{err}"
+            );
+        }
+        assert!(registry.is_empty());
     }
 }
