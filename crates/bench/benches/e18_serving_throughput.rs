@@ -38,12 +38,13 @@
 //! **Pair-pass ablation** (`…/pair_pass/{sort_reference,counting}`, ns
 //! per pass): the kernel's Lemma-4 pair pass
 //! ([`InternedRelation::min_group_distinct`], in the thread's pair-pass
-//! buffer, by pair marking or counting sort as the kernel's bound picks;
-//! the row keeps its `counting` name) against the sort-based pass the
-//! counting sort replaced ([`sv_bench::sortpass`], in a caller buffer),
-//! both on warm groupings of `one_one_chain(2, 11)` module 0 (22
-//! attributes, 2,048 rows) over seeded visible sets hiding 1–7
-//! attributes, answers asserted equal.
+//! buffer, as the sweeps run it: the stamp scan over each key's cached
+//! buckets, the keys being built by the kernel's pass first, and no
+//! pass for a degenerate shape; the row keeps its `counting` name)
+//! against the sort-based pass the counting sort replaced
+//! ([`sv_bench::sortpass`], in a caller buffer), both on warm groupings
+//! of `one_one_chain(2, 11)` module 0 (22 attributes, 2,048 rows) over
+//! seeded visible sets hiding 1–7 attributes, answers asserted equal.
 //!
 //! CI gates (see `docs/BENCHMARKS.md`): absolute 2× regression bound on
 //! the batched ns/probe, within-run `one_at_a_time / batched ≥ 3` and
@@ -299,7 +300,9 @@ fn counting_pass(ir: &InternedRelation, (k, p): (u64, u64), _: &mut Vec<u64>) ->
 /// reference and the kernel's pass, on the same warm groupings
 /// and `(key, probe)` words. Both variants resolve their two groupings
 /// from the kernel's cache on every pass, so they differ only in the
-/// pass. Returns (sort reference ns, counting ns).
+/// pass: the kernel's, as the sweeps run it, reads bucketed keys and
+/// answers degenerate shapes without a pass. Returns (sort reference
+/// ns, counting ns).
 fn run_pair_pass_ablation() -> (f64, f64) {
     let wf = library::one_one_chain(2, PAIR_WIRES);
     let m = StandaloneModule::from_workflow_module(&wf, ModuleId(0), BUDGET).unwrap();
@@ -324,12 +327,12 @@ fn run_pair_pass_ablation() -> (f64, f64) {
         pairs.iter().map(|&q| pass(ir, q, &mut scratch)).collect()
     };
     // Warm-up (builds every grouping, grows both buffers) and the
-    // correctness anchor.
-    assert_eq!(
-        answers(sort_reference_pass),
-        answers(counting_pass),
-        "pair passes disagree"
-    );
+    // correctness anchor. The kernel's pass goes first, so that every
+    // key grouping is built as a key (bucketed), the layout the sweeps'
+    // passes read; the sort reference then reads per-row ids, derived
+    // once from the buckets.
+    let kernel = answers(counting_pass);
+    assert_eq!(answers(sort_reference_pass), kernel, "pair passes disagree");
     let mut round = |pass: PairPass| {
         let start = Instant::now();
         for &q in &pairs {

@@ -1,11 +1,13 @@
 //! Retained **sort-based pair-pass reference** for the Lemma-4 kernel —
 //! the pass `InternedRelation::min_group_distinct` ran before the
 //! counting pair pass replaced it, kept so `e18_serving_throughput` can
-//! measure the kernel's pair pass (now pair marking or the counting
-//! sort) against the exact code path it replaced
+//! measure the kernel's pair pass (now a stamp scan over a key's cached
+//! buckets, pair marking or the counting sort) against the exact code
+//! path it replaced
 //! (`pair_pass/{sort_reference,counting}`).
 //!
-//! It reads only the public [`GroupIndex`] columns: each row's
+//! It reads only the public [`GroupIndex`] per-row ids (`row_group()`,
+//! derived once from a bucketed key grouping's buckets): each row's
 //! `(key group, probe group)` pair becomes one `u64` code, the codes are
 //! sorted and deduplicated — `O(rows log rows)` per pass — and the
 //! shortest run of codes sharing a key group is the answer.
@@ -18,15 +20,15 @@ use sv_relation::GroupIndex;
 /// same relation.
 #[must_use]
 pub fn min_group_distinct(kg: &GroupIndex, pg: &GroupIndex, scratch: &mut Vec<u64>) -> usize {
-    if kg.row_group.is_empty() {
+    if kg.row_group().is_empty() {
         return usize::MAX;
     }
-    let pn = u64::from(pg.n_groups);
+    let pn = u64::from(pg.n_groups());
     scratch.clear();
     scratch.extend(
-        kg.row_group
+        kg.row_group()
             .iter()
-            .zip(&pg.row_group)
+            .zip(pg.row_group())
             .map(|(&k, &p)| u64::from(k) * pn + u64::from(p)),
     );
     scratch.sort_unstable();

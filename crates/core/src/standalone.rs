@@ -83,7 +83,7 @@ impl StandaloneModule {
                 reason: "inputs ∪ outputs must cover the schema".into(),
             });
         }
-        if kernel.group_index(&inputs).n_groups as usize != kernel.n_rows() {
+        if kernel.group_index(&inputs).n_groups() as usize != kernel.n_rows() {
             return Err(CoreError::NotAFunction);
         }
         Ok(Self {
@@ -347,8 +347,8 @@ impl StandaloneModule {
     /// assignments.
     ///
     /// Runs on the interned kernel: after the per-attribute-set group
-    /// indexes are warm, a probe is two cache lookups plus one pass over
-    /// dense `u32` id columns — **zero heap allocation** for every
+    /// indexes are warm, a probe is two cache lookups plus at most one
+    /// pass over dense `u32` row ids — **zero heap allocation** for every
     /// module of `k ≤ 64` attributes (which [`MAX_DENSE_ATTRS`]
     /// guarantees for every enumerable module), whose attribute sets
     /// are inline words.

@@ -20,22 +20,35 @@
 //!   sets — sort their `u64` row codes instead (`O(rows log rows)`),
 //!   because a table the size of the code space would then cost more to
 //!   clear and scan than the sort.
+//! * A grouping is held in one of two **layouts**, chosen by the first
+//!   request for its set and kept until an append: a set first
+//!   requested as a Lemma-4 key (the `key` of
+//!   [`InternedRelation::min_group_distinct`] or
+//!   [`InternedRelation::group_count_distinct`]) keeps its rows
+//!   **bucketed** by group, as TANE's stripped partitions do (Huhtala et
+//!   al., Computer Journal 1999); every other set keeps each row's group
+//!   id. Both number the groups alike, and a bucketed grouping derives
+//!   the per-row ids once, the first time something reads them.
 //! * [`InternedRelation::min_group_distinct`] — the entire Lemma-4 inner
-//!   loop — is one `O(rows)` **pair pass** over two cached id columns.
-//!   When the (key group, probe group) pair space is small against the
-//!   row count, the pass marks each row's pair in a bit set and counts a
-//!   key group's first mark of each pair; above that bound a counting
-//!   sort buckets the rows by key group and a stamp array counts each
-//!   bucket's distinct probe groups. Both run in the calling thread's
-//!   reusable pair-pass buffer: **zero heap allocation per probe** once
-//!   the group indexes are warm.
+//!   loop — is one `O(rows)` **pair pass** over two cached groupings.
+//!   On a bucketed key it is a stamp scan alone: a stamp per probe group
+//!   counts each bucket's distinct probe groups. On a per-row key, when
+//!   the (key group, probe group) pair space is small against the row
+//!   count, the pass marks each row's pair in a bit set and counts a key
+//!   group's first mark of each pair; above that bound a counting sort
+//!   buckets the rows by key group for that pass, and the stamp scan
+//!   counts them. Shapes whose answer the group counts decide (one key
+//!   group, one probe group, a group per row) take no pass. Every pass
+//!   runs in the calling thread's reusable pair-pass buffer: **zero heap
+//!   allocation per probe** once the group indexes are warm.
 //! * [`ValueInterner`] is the generic sub-tuple → dense-id map used by
 //!   the interned natural join (provenance assembly, §4) and by group
 //!   computation when mixed-radix codes would overflow `u64`.
 //! * [`InternedRelation::append_rows`] supports **streaming
 //!   provenance**: rows arriving after the build extend the column
 //!   store and every memoized [`GroupIndex`] in place (new sub-tuples
-//!   take the next free dense id) instead of triggering a rebuild. The
+//!   take the next free dense id; a bucketed grouping is first rewritten
+//!   per row) instead of triggering a rebuild. The
 //!   [`InternedRelation::epoch`] generation counter ticks once per
 //!   row-adding append, so memoized consumers upstream (the `sv-core`
 //!   safety oracles and sweep caches) can invalidate lazily — and keep
@@ -100,23 +113,27 @@ const DIRECT_ADDRESS_FACTOR: u64 = 4;
 /// crossover: over 5,000 warm probes of module 0 of `one_one_chain(2,
 /// 11)` and `one_one_chain(4, 10)` (2-vCPU x86-64 host), marking took
 /// 0.65–0.76 × the counting sort's time up to 128 bits per row, 0.85 ×
-/// at 129–256, 1.08–1.10 × at 257–512 and 1.6–3.0 × above. Under it,
-/// 98.8 % of `perfbench secureview`'s pair passes mark pairs.
+/// at 129–256, 1.08–1.10 × at 257–512 and 1.6–3.0 × above. Only a
+/// per-row key is subject to it: a bucketed key always takes the stamp
+/// scan, so no `perfbench secureview` pass marks pairs, against 74 % of
+/// `ingest_mixed`'s, most of whose keys appends have rewritten per row.
 const PAIR_MARK_BITS_PER_ROW: u64 = 256;
 
 thread_local! {
-    /// This thread's Lemma-4 pair-pass buffer ([`pair_pass`]): per-key-
-    /// group counts and the pair bit set on the pair-marking path, or
-    /// key-group bucket ends, bucketed rows and probe-group stamps on
-    /// the counting-sort path. It is grown to the largest pass the
-    /// thread has run and reused by every later one, so a warm probe
-    /// allocates nothing and concurrent probes never share a buffer or
-    /// take a lock for one.
+    /// This thread's Lemma-4 pair-pass buffer ([`pair_pass`]): the
+    /// probe-group stamps of the stamp scan over a bucketed key; per-key-
+    /// group counts and the pair bit set on the pair-marking path; key-
+    /// group bucket ends, bucketed rows and probe-group stamps on the
+    /// counting-sort path; or the key-group sizes [`smallest_group`]
+    /// counts. It is grown to the largest pass the thread has run and
+    /// reused by every later one, so a warm probe allocates nothing and
+    /// concurrent probes never share a buffer or take a lock for one.
     ///
     /// It holds at most 5 × rows words of the largest relation the
-    /// thread probed, whichever relation that was (the larger of the
-    /// marking path's rows + 4 × rows and the counting sort's 3 × rows),
-    /// and is freed when the thread exits. The threads that probe are
+    /// thread probed, whichever relation that was (the largest of the
+    /// marking path's rows + 4 × rows, the counting sort's 3 × rows, and
+    /// the stamp scan's and the group sizes' rows), and is freed when the
+    /// thread exits. The threads that probe are
     /// bounded: sweep workers are scoped threads, and the socket server
     /// runs a fixed number of acceptors.
     ///
@@ -335,14 +352,29 @@ impl ValueInterner {
 /// instead, so after an append the id order is first-seen, not sorted
 /// (consumers that need sorted output — [`InternedRelation::project`] —
 /// re-canonicalize through [`Relation::from_rows`]).
+///
+/// The rows are held in one of two layouts, fixed by the first request
+/// for the set and equal in every answer:
+/// * **bucketed**, for a set first requested as a Lemma-4 key (the `key`
+///   of [`InternedRelation::min_group_distinct`] or
+///   [`InternedRelation::group_count_distinct`]): the row ids of each
+///   group in one bucket, ascending, behind `n_groups + 1` bucket
+///   bounds — `rows + n_groups + 1` words, so the pair pass reads each
+///   group's rows without sorting them;
+/// * **per row**, for every other set: each row's group id and each
+///   group's first row, `rows + n_groups` words.
+///
+/// [`row_group`](Self::row_group) and
+/// [`representative`](Self::representative) read the per-row form; on a
+/// bucketed grouping the first read derives it once and keeps it. An
+/// append rewrites a bucketed grouping into the per-row form before it
+/// extends it.
 #[derive(Clone, Debug)]
 pub struct GroupIndex {
-    /// `row_group[row]` = the row's dense group id (`0..n_groups`).
-    pub row_group: Vec<u32>,
     /// Number of distinct projected sub-tuples.
-    pub n_groups: u32,
-    /// `representative[group]` = index of the first row of the group.
-    pub representative: Vec<u32>,
+    n_groups: u32,
+    /// The grouped rows.
+    layout: Layout,
     /// Sub-tuple → group-id lookup state, kept so appends extend the
     /// index instead of forcing a rebuild.
     lookup: GroupLookup,
@@ -361,6 +393,147 @@ impl GroupIndex {
     #[must_use]
     pub fn new_group_epoch(&self) -> u64 {
         self.new_group_epoch
+    }
+
+    /// Number of distinct projected sub-tuples.
+    #[must_use]
+    pub fn n_groups(&self) -> u32 {
+        self.n_groups
+    }
+
+    /// `row_group()[row]` = the row's dense group id (`0..n_groups`).
+    #[must_use]
+    pub fn row_group(&self) -> &[u32] {
+        &self.row_ids().row_group
+    }
+
+    /// `representative()[group]` = index of the first row of the group.
+    #[must_use]
+    pub fn representative(&self) -> &[u32] {
+        &self.row_ids().representative
+    }
+
+    /// Whether the rows are held bucketed by group, the layout of a set
+    /// first requested as a Lemma-4 key (see the type docs); the pair
+    /// pass keyed on it reads the buckets as they are.
+    #[must_use]
+    pub fn is_bucketed(&self) -> bool {
+        matches!(self.layout, Layout::Buckets { .. })
+    }
+
+    /// The per-row form, derived once from the buckets of a bucketed
+    /// grouping.
+    fn row_ids(&self) -> &RowIds {
+        match &self.layout {
+            Layout::Rows(ids) => ids,
+            Layout::Buckets {
+                bounds,
+                rows,
+                row_ids,
+            } => row_ids.get_or_init(|| Box::new(RowIds::from_buckets(bounds, rows))),
+        }
+    }
+
+    /// The first row of group `g`, read from either layout as it is.
+    fn head(&self, g: usize) -> u32 {
+        match &self.layout {
+            Layout::Rows(ids) => ids.representative[g],
+            Layout::Buckets { bounds, rows, .. } => rows[bounds[g] as usize],
+        }
+    }
+
+    /// The per-row form for an append to extend: a bucketed grouping is
+    /// rewritten into it first, in `O(rows)`, once.
+    fn row_ids_mut(&mut self) -> &mut RowIds {
+        if let Layout::Buckets {
+            bounds,
+            rows,
+            row_ids,
+        } = &mut self.layout
+        {
+            let ids = row_ids
+                .take()
+                .map_or_else(|| RowIds::from_buckets(bounds, rows), |ids| *ids);
+            self.layout = Layout::Rows(ids);
+        }
+        match &mut self.layout {
+            Layout::Rows(ids) => ids,
+            Layout::Buckets { .. } => unreachable!("rewritten above"),
+        }
+    }
+}
+
+/// The rows of a [`GroupIndex`], in the layout its first request chose.
+#[derive(Clone, Debug)]
+enum Layout {
+    /// The per-row form.
+    Rows(RowIds),
+    /// Group `g`'s rows are `rows[bounds[g]..bounds[g + 1]]`, ascending,
+    /// so a bucket's first row is its group's representative. `row_ids`
+    /// holds the per-row form once something has read it.
+    Buckets {
+        bounds: Box<[u32]>,
+        rows: Box<[u32]>,
+        row_ids: OnceLock<Box<RowIds>>,
+    },
+}
+
+impl Layout {
+    /// Buckets the rows by their group ids (`ids[row]`, each below
+    /// `n_groups`): one counting pass sizes the buckets and one scatter
+    /// fills them, rows ascending within each.
+    fn buckets(ids: &[u32], n_groups: usize) -> Self {
+        let mut bounds = vec![0u32; n_groups + 1];
+        for &g in ids {
+            bounds[g as usize + 1] += 1;
+        }
+        for g in 1..=n_groups {
+            bounds[g] += bounds[g - 1];
+        }
+        // `bounds[g]` is bucket `g`'s next free slot while scattering,
+        // its end afterwards; shifting by one makes it the start again.
+        let mut rows = vec![0u32; ids.len()];
+        for (row, &g) in ids.iter().enumerate() {
+            let at = &mut bounds[g as usize];
+            rows[*at as usize] = row as u32;
+            *at += 1;
+        }
+        bounds.copy_within(..n_groups, 1);
+        bounds[0] = 0;
+        Self::Buckets {
+            bounds: bounds.into_boxed_slice(),
+            rows: rows.into_boxed_slice(),
+            row_ids: OnceLock::new(),
+        }
+    }
+}
+
+/// The per-row form of a grouping.
+#[derive(Clone, Debug)]
+struct RowIds {
+    /// Each row's group id.
+    row_group: Vec<u32>,
+    /// Each group's first row.
+    representative: Vec<u32>,
+}
+
+impl RowIds {
+    /// The per-row form of a bucketed grouping (see [`Layout::Buckets`]).
+    fn from_buckets(bounds: &[u32], rows: &[u32]) -> Self {
+        let mut row_group = vec![0u32; rows.len()];
+        for (g, bucket) in bounds.windows(2).enumerate() {
+            for &row in &rows[bucket[0] as usize..bucket[1] as usize] {
+                row_group[row as usize] = g as u32;
+            }
+        }
+        let representative = bounds[..bounds.len() - 1]
+            .iter()
+            .map(|&start| rows[start as usize])
+            .collect();
+        Self {
+            row_group,
+            representative,
+        }
     }
 }
 
@@ -410,7 +583,7 @@ enum GroupLookup {
 /// let probe = AttrSet::from_indices(&[1, 2]);
 /// assert_eq!(ir.min_group_distinct(&key, &probe), 2);
 /// // The grouping passes are memoized: repeating the probe is two
-/// // cache lookups plus one pass over dense id columns.
+/// // cache lookups plus one pass over the key's row buckets.
 /// assert_eq!(ir.cached_groupings(), 2);
 /// ```
 pub struct InternedRelation {
@@ -592,67 +765,79 @@ impl InternedRelation {
     }
 
     /// Computes the dense grouping for the attributes of `key` (a
-    /// schema-masked set).
-    fn compute_group(&self, key: &AttrSet) -> GroupIndex {
+    /// schema-masked set), bucketed when `bucketed` is set and per row
+    /// otherwise. Both layouts number the groups alike.
+    fn compute_group(&self, key: &AttrSet, bucketed: bool) -> GroupIndex {
         let n = self.n_rows;
         // The radix/wide decision of `radix_sizes`: the code space must
         // fit a `u64`.
-        if let Ok(space) = u64::try_from(self.schema.domain_product(key)) {
-            // Mixed-radix fast path, densified to group id = rank of the
-            // row's code: a direct-addressed space also fits `u32` codes.
-            let direct = u32::try_from(space)
-                .ok()
-                .filter(|&s| u64::from(s) <= DIRECT_ADDRESS_FACTOR.saturating_mul(n as u64));
-            let (row_group, base, representative) = match direct {
-                Some(space) => densify_direct(&self.row_codes::<u32>(key), space),
-                None => densify_sorted(&self.row_codes::<u64>(key)),
-            };
-            GroupIndex {
-                row_group,
-                n_groups: base.len() as u32,
-                representative,
-                lookup: GroupLookup::Radix {
+        let (row_group, representative, lookup) =
+            if let Ok(space) = u64::try_from(self.schema.domain_product(key)) {
+                // Mixed-radix fast path, densified to group id = rank of
+                // the row's code: a direct-addressed space also fits `u32`
+                // codes, which are numbered in place.
+                let direct = u32::try_from(space)
+                    .ok()
+                    .filter(|&s| u64::from(s) <= DIRECT_ADDRESS_FACTOR.saturating_mul(n as u64));
+                let (row_group, base, representative) = match direct {
+                    Some(space) => {
+                        let mut codes = self.row_codes::<u32>(key);
+                        let (base, representative) = densify_direct(&mut codes, space);
+                        (codes, base, representative)
+                    }
+                    None => densify_sorted(&self.row_codes::<u64>(key)),
+                };
+                let lookup = GroupLookup::Radix {
                     base,
                     appended: HashMap::new(),
-                },
-                new_group_epoch: self.epoch,
-            }
-        } else {
-            // Wide-domain fallback: intern the materialized sub-tuples.
-            // Interner ids are assigned in first-seen row order and are
-            // used as the group ids directly.
-            let mut interner = ValueInterner::new();
-            let mut buf: Vec<Value> = Vec::with_capacity(key.len());
-            let mut row_group: Vec<u32> = Vec::with_capacity(n);
-            let mut representative: Vec<u32> = Vec::new();
-            for row in 0..n {
-                buf.clear();
-                buf.extend(key.iter().map(|a| self.cols[a.index()][row]));
-                let gid = interner.intern(&buf);
-                if gid as usize == representative.len() {
-                    representative.push(row as u32);
+                };
+                (row_group, representative, lookup)
+            } else {
+                // Wide-domain fallback: intern the materialized sub-tuples.
+                // Interner ids are assigned in first-seen row order and are
+                // used as the group ids directly.
+                let mut interner = ValueInterner::new();
+                let mut buf: Vec<Value> = Vec::with_capacity(key.len());
+                let mut row_group: Vec<u32> = Vec::with_capacity(n);
+                let mut representative: Vec<u32> = Vec::new();
+                for row in 0..n {
+                    buf.clear();
+                    buf.extend(key.iter().map(|a| self.cols[a.index()][row]));
+                    let gid = interner.intern(&buf);
+                    if gid as usize == representative.len() {
+                        representative.push(row as u32);
+                    }
+                    row_group.push(gid);
                 }
-                row_group.push(gid);
-            }
-            GroupIndex {
-                row_group,
-                n_groups: representative.len() as u32,
-                representative,
-                lookup: GroupLookup::Wide { interner },
-                new_group_epoch: self.epoch,
-            }
+                (row_group, representative, GroupLookup::Wide { interner })
+            };
+        let n_groups = representative.len();
+        GroupIndex {
+            n_groups: n_groups as u32,
+            layout: if bucketed {
+                Layout::buckets(&row_group, n_groups)
+            } else {
+                Layout::Rows(RowIds {
+                    row_group,
+                    representative,
+                })
+            },
+            lookup,
+            new_group_epoch: self.epoch,
         }
     }
 
     /// Appends `rows` **incrementally**: the column store grows in
     /// place, and every memoized [`GroupIndex`] is *extended* — new
     /// sub-tuples take the next free dense group id — instead of being
-    /// discarded and rebuilt. Duplicate rows (against the existing
-    /// relation or within the batch) are skipped, preserving set
-    /// semantics; the [`epoch`](Self::epoch) counter is bumped iff at
-    /// least one genuinely new row landed.
+    /// discarded and rebuilt. A bucketed grouping is first rewritten
+    /// into the per-row form, once, and stays per row. Duplicate rows
+    /// (against the existing relation or within the batch) are skipped,
+    /// preserving set semantics; the [`epoch`](Self::epoch) counter is
+    /// bumped iff at least one genuinely new row landed.
     ///
-    /// Cost: `O(batch × (attrs + cached groupings × log groups))` — the
+    /// Cost: `O(batch × (attrs + cached groupings × log groups))`, plus
+    /// `O(rows)` for each bucketed grouping the append rewrites — the
     /// streaming alternative to rebuilding every cached grouping, which
     /// costs `O(rows)` per grouping with a code space of at most
     /// 4 × rows and `O(rows log rows)` per larger one. Returns the
@@ -775,7 +960,7 @@ impl InternedRelation {
         let (sizes, _) = self.radix_sizes(&attrs);
         let mut buf: Vec<Value> = Vec::with_capacity(attrs.len());
         let gid = gid_of(&g, &attrs, &sizes, &mut buf, |a| row_values[a])?;
-        Some(g.representative[gid as usize] as usize)
+        Some(g.head(gid as usize) as usize)
     }
 
     /// The [`GroupIndex::new_group_epoch`] of the **cached** grouping
@@ -790,7 +975,7 @@ impl InternedRelation {
     }
 
     /// The (memoized) group index for `set` (ids beyond the schema are
-    /// ignored).
+    /// ignored), built per row when cold.
     ///
     /// Safe to call from any number of concurrent reader threads: the
     /// cache is sharded by set hash, and a cold set is built by
@@ -798,27 +983,51 @@ impl InternedRelation {
     /// publication slot only, never on unrelated sets).
     #[must_use]
     pub fn group_index(&self, set: &AttrSet) -> Arc<GroupIndex> {
+        self.grouping(set, false)
+    }
+
+    /// The memoized grouping for `set`, built bucketed when cold and
+    /// `bucketed` is set: the layout of a set's first request stands.
+    fn grouping(&self, set: &AttrSet, bucketed: bool) -> Arc<GroupIndex> {
         let key = self.masked(set);
         self.groups
-            .get_or_publish(&key, || self.compute_group(&key))
+            .get_or_publish(&key, || self.compute_group(&key, bucketed))
     }
 
     /// Lemma-4 inner loop: over the `key` groups, the **minimum** number
     /// of distinct `probe` sub-tuples, or `usize::MAX` on an empty
     /// relation.
     ///
-    /// One `O(rows)` pair pass (pair marking in a bit set when the
-    /// group-pair space is small against the rows, else a counting sort
-    /// of the rows by key group; the visit stops once some group shows
-    /// a single probe sub-tuple, the least possible). Allocation-free
-    /// once both group indexes are cached and the calling thread's
-    /// pair-pass buffer has grown to this relation: every thread runs
-    /// the pass in a buffer of its own, so concurrent probes never
-    /// contend on one.
+    /// One `O(rows)` pair pass, which stops once some group shows a
+    /// single probe sub-tuple, the least possible: a stamp scan over the
+    /// key's buckets when `key` was first requested as a key, else pair
+    /// marking or a counting sort (see the module docs). A degenerate
+    /// shape takes no pass: a single probe group or a key group per row
+    /// answers 1, a single key group answers the probe group count, and
+    /// a probe group per row the smallest key group. The `key` grouping
+    /// is built bucketed when cold, the `probe` grouping per row.
+    /// Allocation-free once both group indexes are cached and the
+    /// calling thread's pair-pass buffer has grown to this relation:
+    /// every thread runs the pass in a buffer of its own, so concurrent
+    /// probes never contend on one.
     #[must_use]
     pub fn min_group_distinct(&self, key: &AttrSet, probe: &AttrSet) -> usize {
-        let kg = self.group_index(key);
+        let kg = self.grouping(key, true);
         let pg = self.group_index(probe);
+        let n = self.n_rows;
+        if n == 0 {
+            return usize::MAX;
+        }
+        let (kn, pn) = (kg.n_groups as usize, pg.n_groups as usize);
+        if pn <= 1 || kn == n {
+            return 1;
+        }
+        if kn == 1 {
+            return pn;
+        }
+        if pn == n {
+            return smallest_group(&kg);
+        }
         let mut min = usize::MAX;
         pair_pass(&kg, &pg, |_, distinct| {
             min = min.min(distinct);
@@ -833,12 +1042,12 @@ impl InternedRelation {
     /// the same pair pass as the probes.
     #[must_use]
     pub fn group_count_distinct(&self, key: &AttrSet, probe: &AttrSet) -> HashMap<Tuple, usize> {
-        let kg = self.group_index(key);
+        let kg = self.grouping(key, true);
         let pg = self.group_index(probe);
         let key_attrs: Vec<AttrId> = self.masked(key).iter().collect();
         let mut counts: HashMap<Tuple, usize> = HashMap::with_capacity(kg.n_groups as usize);
         pair_pass(&kg, &pg, |g, distinct| {
-            let row = kg.representative[g] as usize;
+            let row = kg.head(g) as usize;
             let key_tuple = Tuple::new(key_attrs.iter().map(|&a| self.value(row, a)).collect());
             counts.insert(key_tuple, distinct);
             true
@@ -858,10 +1067,11 @@ impl InternedRelation {
                 .collect::<Vec<AttrDef>>(),
         );
         let g = self.group_index(set);
-        let rows: Vec<Tuple> = g
-            .representative
-            .iter()
-            .map(|&row| Tuple::new(attrs.iter().map(|&a| self.value(row as usize, a)).collect()))
+        let rows: Vec<Tuple> = (0..g.n_groups as usize)
+            .map(|group| {
+                let row = g.head(group) as usize;
+                Tuple::new(attrs.iter().map(|&a| self.value(row, a)).collect())
+            })
             .collect();
         Relation::from_rows(schema, rows).expect("projection preserves validity")
     }
@@ -903,7 +1113,8 @@ fn gid_of<F: Fn(usize) -> Value>(
 
 /// Appends `row` (values read through `get`) to `gi`, assigning the next
 /// free dense group id if its sub-tuple is unseen; stamps
-/// `new_group_epoch` with `epoch` when a new group is created.
+/// `new_group_epoch` with `epoch` when a new group is created. A
+/// bucketed `gi` is first rewritten into the per-row form.
 fn extend_gid<F: Fn(usize) -> Value>(
     gi: &mut GroupIndex,
     attrs: &[usize],
@@ -913,14 +1124,8 @@ fn extend_gid<F: Fn(usize) -> Value>(
     epoch: u64,
     get: F,
 ) {
-    let GroupIndex {
-        row_group,
-        n_groups,
-        representative,
-        lookup,
-        new_group_epoch,
-    } = gi;
-    let (gid, is_new) = match lookup {
+    let n_groups = gi.n_groups;
+    let (gid, is_new) = match &mut gi.lookup {
         GroupLookup::Radix { base, appended } => {
             let mut c: u64 = 0;
             for (&a, &s) in attrs.iter().zip(sizes.iter()) {
@@ -931,9 +1136,8 @@ fn extend_gid<F: Fn(usize) -> Value>(
                 Err(_) => match appended.entry(c) {
                     std::collections::hash_map::Entry::Occupied(e) => (*e.get(), false),
                     std::collections::hash_map::Entry::Vacant(v) => {
-                        let id = *n_groups;
-                        v.insert(id);
-                        (id, true)
+                        v.insert(n_groups);
+                        (n_groups, true)
                     }
                 },
             }
@@ -942,15 +1146,18 @@ fn extend_gid<F: Fn(usize) -> Value>(
             buf.clear();
             buf.extend(attrs.iter().map(|&a| get(a)));
             let id = interner.intern(buf);
-            (id, id == *n_groups)
+            (id, id == n_groups)
         }
     };
     if is_new {
-        *n_groups += 1;
-        representative.push(row);
-        *new_group_epoch = epoch;
+        gi.n_groups += 1;
+        gi.new_group_epoch = epoch;
     }
-    row_group.push(gid);
+    let ids = gi.row_ids_mut();
+    if is_new {
+        ids.representative.push(row);
+    }
+    ids.row_group.push(gid);
 }
 
 /// A densified grouping: each row's group id, the distinct codes in
@@ -959,8 +1166,9 @@ fn extend_gid<F: Fn(usize) -> Value>(
 type Densified = (Vec<u32>, Vec<u64>, Vec<u32>);
 
 /// Densifies row codes from a code space of `space` codes by direct
-/// addressing.
-fn densify_direct(codes: &[u32], space: u32) -> Densified {
+/// addressing, replacing each row's code by its group id in place: the
+/// rest of a [`Densified`] grouping is returned.
+fn densify_direct(codes: &mut [u32], space: u32) -> (Vec<u64>, Vec<u32>) {
     // `slot[code]`: `u32::MAX` while absent, else the first row with
     // that code (the backward scan's last write), then the code's group
     // id after the ascending numbering pass.
@@ -978,8 +1186,10 @@ fn densify_direct(codes: &[u32], space: u32) -> Densified {
             base.push(code as u64);
         }
     }
-    let row_group = codes.iter().map(|&c| slot[c as usize]).collect();
-    (row_group, base, representative)
+    for c in codes.iter_mut() {
+        *c = slot[*c as usize];
+    }
+    (base, representative)
 }
 
 /// [`densify_direct`] for code spaces too large to address: sorts the
@@ -1005,95 +1215,164 @@ fn densify_sorted(codes: &[u64]) -> Densified {
     (row_group, base, representative)
 }
 
-/// The Lemma-4 pair pass over two cached group-id columns of one
-/// relation: calls `visit(key_group, distinct)` with the number of
-/// distinct `pg` groups among the rows of each `kg` group, in ascending
-/// key-group order, until `visit` returns `false`.
+/// The Lemma-4 pair pass over two cached groupings of one relation:
+/// calls `visit(key_group, distinct)` with the number of distinct `pg`
+/// groups among the rows of each `kg` group, in ascending key-group
+/// order, until `visit` returns `false`.
 ///
 /// `O(rows + groups)` and allocation-free once the thread's
-/// [`PAIR_PASS`] buffer has grown, by one of two paths with identical
-/// visits:
-/// * **Pair marking**, when the pair space `kg.n_groups × pg.n_groups`
-///   is at most [`PAIR_MARK_BITS_PER_ROW`] bits per row: one pass over
-///   the two id columns sets each `(key group, probe group)` pair's bit,
-///   and a key group's count goes up on the first mark of each pair. It
-///   uses `kg.n_groups` counts and the pair space's bit words, at most
-///   `rows + 4 × rows` words.
-/// * **Counting sort**, above that: bucket the rows' probe groups by
-///   key group, then a stamp per probe group (the last bucket that
-///   counted it) counts each bucket's distinct probe groups, in
+/// [`PAIR_PASS`] buffer has grown. It reads `pg` per row, and keeps two
+/// scans with identical visits:
+/// * **Stamp scan over buckets**, for a bucketed `kg`: its buckets are
+///   read as they are cached, and a stamp per probe group (the last
+///   bucket that counted it) counts each bucket's distinct probe groups
+///   ([`stamp_scan`]), in `pg.n_groups` ≤ rows words.
+/// * For a per-row `kg`, **pair marking** when the pair space
+///   `kg.n_groups × pg.n_groups` is at most [`PAIR_MARK_BITS_PER_ROW`]
+///   bits per row: one pass over the two id columns sets each
+///   `(key group, probe group)` pair's bit, and a key group's count goes
+///   up on the first mark of each pair, in `kg.n_groups` counts and the
+///   pair space's bit words, at most `rows + 4 × rows` words. Above the
+///   bound, a counting sort buckets the rows' probe groups by key group
+///   for this pass alone and the stamp scan counts them, in
 ///   `kg.n_groups + rows + pg.n_groups` ≤ 3 × rows words.
 ///
 /// `visit` runs while the buffer is borrowed, so it must not probe.
-fn pair_pass(kg: &GroupIndex, pg: &GroupIndex, mut visit: impl FnMut(usize, usize) -> bool) {
-    let (kn, pn, n) = (
-        kg.n_groups as usize,
-        pg.n_groups as usize,
-        kg.row_group.len(),
-    );
-    // Group and row counts are below 2³², so neither side overflows.
-    let marking = (kn as u64) * (pn as u64) <= PAIR_MARK_BITS_PER_ROW * n as u64;
-    PAIR_PASS.with_borrow_mut(|buf| {
-        if marking {
-            let words = (kn * pn).div_ceil(64);
-            if buf.len() < kn + words {
-                buf.resize(kn + words, 0);
+fn pair_pass(kg: &GroupIndex, pg: &GroupIndex, visit: impl FnMut(usize, usize) -> bool) {
+    let probe_ids = pg.row_group();
+    let (kn, pn, n) = (kg.n_groups as usize, pg.n_groups as usize, probe_ids.len());
+    PAIR_PASS.with_borrow_mut(|buf| match &kg.layout {
+        Layout::Buckets { bounds, rows, .. } => {
+            if buf.len() < pn {
+                buf.resize(pn, 0);
             }
-            let (counts, rest) = buf.split_at_mut(kn);
-            let marks = &mut rest[..words];
-            counts.fill(0);
-            marks.fill(0);
-            for (&k, &p) in kg.row_group.iter().zip(&pg.row_group) {
-                let pair = k as usize * pn + p as usize;
-                let (word, bit) = (&mut marks[pair / 64], 1u64 << (pair % 64));
-                counts[k as usize] += u64::from(*word & bit == 0);
-                *word |= bit;
-            }
-            for (k, &distinct) in counts.iter().enumerate() {
-                if !visit(k, distinct as usize) {
-                    return;
-                }
-            }
-            return;
+            let buckets = bounds.windows(2).map(|b| {
+                rows[b[0] as usize..b[1] as usize]
+                    .iter()
+                    .map(|&row| probe_ids[row as usize] as usize)
+            });
+            stamp_scan(buckets, &mut buf[..pn], visit);
         }
-        if buf.len() < kn + n + pn {
-            buf.resize(kn + n + pn, 0);
-        }
-        let (ends, rest) = buf.split_at_mut(kn);
-        let (bucketed, rest) = rest.split_at_mut(n);
-        let stamps = &mut rest[..pn];
-        // Counting sort: bucket sizes, then their starts, then scatter —
-        // after which `ends[k]` is the end of bucket `k`.
-        ends.fill(0);
-        for &k in &kg.row_group {
-            ends[k as usize] += 1;
-        }
-        let mut start = 0u64;
-        for e in ends.iter_mut() {
-            let size = *e;
-            *e = start;
-            start += size;
-        }
-        for (&k, &p) in kg.row_group.iter().zip(&pg.row_group) {
-            let at = &mut ends[k as usize];
-            bucketed[*at as usize] = u64::from(p);
-            *at += 1;
-        }
-        stamps.fill(u64::MAX);
-        let mut begin = 0usize;
-        for (k, &end) in ends.iter().enumerate() {
-            let mut distinct = 0usize;
-            for &p in &bucketed[begin..end as usize] {
-                let stamp = &mut stamps[p as usize];
-                distinct += usize::from(*stamp != k as u64);
-                *stamp = k as u64;
-            }
-            begin = end as usize;
-            if !visit(k, distinct) {
+        Layout::Rows(ids) => {
+            let key_ids = &ids.row_group;
+            // Group and row counts are below 2³², so neither side
+            // overflows.
+            if (kn as u64) * (pn as u64) <= PAIR_MARK_BITS_PER_ROW * n as u64 {
+                mark_pairs(key_ids, probe_ids, kn, pn, buf, visit);
                 return;
             }
+            if buf.len() < kn + n + pn {
+                buf.resize(kn + n + pn, 0);
+            }
+            let (ends, rest) = buf.split_at_mut(kn);
+            let (bucketed, rest) = rest.split_at_mut(n);
+            // Counting sort: bucket sizes, then their starts, then
+            // scatter — after which `ends[k]` is the end of bucket `k`.
+            ends.fill(0);
+            for &k in key_ids {
+                ends[k as usize] += 1;
+            }
+            let mut start = 0u64;
+            for e in ends.iter_mut() {
+                let size = *e;
+                *e = start;
+                start += size;
+            }
+            for (&k, &p) in key_ids.iter().zip(probe_ids) {
+                let at = &mut ends[k as usize];
+                bucketed[*at as usize] = u64::from(p);
+                *at += 1;
+            }
+            let bucketed: &[u64] = bucketed;
+            let mut begin = 0usize;
+            let buckets = ends.iter().map(|&end| {
+                let bucket = &bucketed[begin..end as usize];
+                begin = end as usize;
+                bucket.iter().map(|&p| p as usize)
+            });
+            stamp_scan(buckets, &mut rest[..pn], visit);
         }
     });
+}
+
+/// The pair-marking scan of [`pair_pass`] over two per-row id columns
+/// with `kn` and `pn` groups, in `buf`.
+fn mark_pairs(
+    key_ids: &[u32],
+    probe_ids: &[u32],
+    kn: usize,
+    pn: usize,
+    buf: &mut Vec<u64>,
+    mut visit: impl FnMut(usize, usize) -> bool,
+) {
+    let words = (kn * pn).div_ceil(64);
+    if buf.len() < kn + words {
+        buf.resize(kn + words, 0);
+    }
+    let (counts, rest) = buf.split_at_mut(kn);
+    let marks = &mut rest[..words];
+    counts.fill(0);
+    marks.fill(0);
+    for (&k, &p) in key_ids.iter().zip(probe_ids) {
+        let pair = k as usize * pn + p as usize;
+        let (word, bit) = (&mut marks[pair / 64], 1u64 << (pair % 64));
+        counts[k as usize] += u64::from(*word & bit == 0);
+        *word |= bit;
+    }
+    for (k, &distinct) in counts.iter().enumerate() {
+        if !visit(k, distinct as usize) {
+            return;
+        }
+    }
+}
+
+/// The stamp scan of [`pair_pass`]: each bucket yields its rows' probe
+/// groups, each below `stamps.len()`, and one stamp per probe group —
+/// the last bucket that counted it — counts the bucket's distinct ones.
+/// Calls `visit(bucket, distinct)` in bucket order until it returns
+/// `false`.
+fn stamp_scan<B: Iterator<Item = usize>>(
+    buckets: impl Iterator<Item = B>,
+    stamps: &mut [u64],
+    mut visit: impl FnMut(usize, usize) -> bool,
+) {
+    stamps.fill(u64::MAX);
+    for (k, bucket) in buckets.enumerate() {
+        let mut distinct = 0usize;
+        for p in bucket {
+            let stamp = &mut stamps[p];
+            distinct += usize::from(*stamp != k as u64);
+            *stamp = k as u64;
+        }
+        if !visit(k, distinct) {
+            return;
+        }
+    }
+}
+
+/// The row count of `kg`'s smallest group (`kg` has rows): its smallest
+/// bucket, or one counting pass over a per-row grouping's ids in the
+/// thread's [`PAIR_PASS`] buffer.
+fn smallest_group(kg: &GroupIndex) -> usize {
+    match &kg.layout {
+        Layout::Buckets { bounds, .. } => bounds
+            .windows(2)
+            .map(|b| (b[1] - b[0]) as usize)
+            .min()
+            .expect("a grouping of rows has a group"),
+        Layout::Rows(ids) => PAIR_PASS.with_borrow_mut(|buf| {
+            let kn = kg.n_groups as usize;
+            if buf.len() < kn {
+                buf.resize(kn, 0);
+            }
+            let sizes = &mut buf[..kn];
+            sizes.fill(0);
+            for &k in &ids.row_group {
+                sizes[k as usize] += 1;
+            }
+            *sizes.iter().min().expect("a grouping of rows has a group") as usize
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -1127,16 +1406,16 @@ mod tests {
         );
         let ir = InternedRelation::from_relation(&r);
         let g = ir.group_index(&AttrSet::from_indices(&[0]));
-        assert_eq!(g.n_groups, 2);
-        assert_eq!(g.row_group, vec![0, 0, 1, 1]);
+        assert_eq!(g.n_groups(), 2);
+        assert_eq!(g.row_group(), vec![0, 0, 1, 1]);
         // Representatives are the first rows of each group.
-        assert_eq!(g.representative, vec![0, 2]);
+        assert_eq!(g.representative(), vec![0, 2]);
         // Full-set grouping: every row its own group.
         let g = ir.group_index(&AttrSet::from_indices(&[0, 1, 2]));
-        assert_eq!(g.n_groups, 4);
+        assert_eq!(g.n_groups(), 4);
         // Empty set: one group holding everything.
         let g = ir.group_index(&AttrSet::new());
-        assert_eq!(g.n_groups, 1);
+        assert_eq!(g.n_groups(), 1);
     }
 
     #[test]
@@ -1164,7 +1443,7 @@ mod tests {
         let sorted: Vec<u32> = (0..14).collect();
         for ids in [direct, sorted] {
             let g = ir.group_index(&AttrSet::from_indices(&ids));
-            assert_eq!(g.n_groups, 8);
+            assert_eq!(g.n_groups(), 8);
             let GroupLookup::Radix { base, .. } = &g.lookup else {
                 panic!("boolean codes fit the radix path");
             };
@@ -1239,7 +1518,7 @@ mod tests {
         let mut set = AttrSet::from_indices(&[0]);
         set.insert(AttrId(70));
         let g = ir.group_index(&set);
-        assert_eq!(g.n_groups, 2, "bit 70 is outside the schema and dropped");
+        assert_eq!(g.n_groups(), 2, "bit 70 is outside the schema and dropped");
     }
 
     #[test]
@@ -1268,10 +1547,10 @@ mod tests {
         // New key group {i=1} has a single distinct probe sub-tuple.
         assert_eq!(ir.min_group_distinct(&key, &probe), 1);
         let kg = ir.group_index(&key);
-        assert_eq!(kg.n_groups, 2);
-        assert_eq!(kg.row_group, vec![0, 0, 1]);
+        assert_eq!(kg.n_groups(), 2);
+        assert_eq!(kg.row_group(), vec![0, 0, 1]);
         assert_eq!(kg.new_group_epoch(), 1, "append created a key group");
-        assert_eq!(kg_before.n_groups, 1, "pre-append snapshot unshared");
+        assert_eq!(kg_before.n_groups(), 1, "pre-append snapshot unshared");
 
         // Everything agrees with a from-scratch rebuild.
         let full = rel(
@@ -1368,7 +1647,8 @@ mod tests {
         let key = AttrSet::from_indices(&[0]);
         let probe = AttrSet::from_indices(&[1, 2]);
         assert_eq!(
-            ir.group_index(&AttrSet::from_indices(&[0, 1, 2])).n_groups,
+            ir.group_index(&AttrSet::from_indices(&[0, 1, 2]))
+                .n_groups(),
             3
         );
         assert_eq!(ir.min_group_distinct(&key, &probe), 1);

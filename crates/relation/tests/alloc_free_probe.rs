@@ -1,8 +1,9 @@
 //! The kernel's documented zero-allocation probe: once the group indexes
 //! a Lemma-4 probe touches are cached and the thread's pair-pass buffer
-//! has grown, the probe performs no heap allocation — building its key
-//! and probe sets with [`AttrSet::from_word`] included, since a set of
-//! attributes `< 64` is stored inline. A counting global allocator
+//! has grown, the probe performs no heap allocation — on every scan,
+//! keyed on bucketed and on per-row groupings alike, and building its
+//! key and probe sets with [`AttrSet::from_word`] included, since a set
+//! of attributes `< 64` is stored inline. A counting global allocator
 //! tallies allocations per thread, so the harness's own threads cannot
 //! disturb the count.
 
@@ -69,43 +70,102 @@ fn probe(ir: &InternedRelation, (k, p): (u64, u64)) -> usize {
     ir.min_group_distinct(&AttrSet::from_word(k), &AttrSet::from_word(p))
 }
 
-/// The kernel's pair-marking bound: a probe whose key groups × probe
-/// groups fit this many bits per row marks pairs; a larger one
-/// counting-sorts its rows.
+/// A kernel over `r` whose groupings by `per_row_keys` are built per
+/// row first, as a probe builds them; every other key is built bucketed
+/// on its first probe.
+fn kernel(r: &Relation, per_row_keys: &[u64]) -> InternedRelation {
+    let ir = InternedRelation::from_relation(r);
+    for &w in per_row_keys {
+        let _ = ir.group_index(&AttrSet::from_word(w));
+    }
+    ir
+}
+
+/// The kernel's pair-marking bound: a probe keyed on a per-row grouping
+/// whose key groups × probe groups fit this many bits per row marks
+/// pairs; a larger one counting-sorts its rows.
 const PAIR_MARK_BITS_PER_ROW: u64 = 256;
 
-/// Whether the kernel's pair pass for `q` marks pairs (else it
-/// counting-sorts), by the documented rule.
-fn marks_pairs(ir: &InternedRelation, (k, p): (u64, u64)) -> bool {
-    let groups = |w| u64::from(ir.group_index(&AttrSet::from_word(w)).n_groups);
-    groups(k) * groups(p) <= PAIR_MARK_BITS_PER_ROW * ir.n_rows() as u64
+/// What `min_group_distinct` runs for a probe.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Scan {
+    /// One key group, a key group per row or one probe group: no pass.
+    NoPass,
+    /// A probe group per row: the smallest key group, from the buckets
+    /// or by one counting pass over per-row ids.
+    SmallestGroup,
+    /// The stamp scan over a bucketed key's buckets.
+    Buckets,
+    /// Pair marking over a per-row key.
+    Marking,
+    /// The counting sort of a per-row key's rows, then the stamp scan.
+    CountingSort,
+}
+
+/// The scan the kernel runs for `q` (both groupings cached), by the
+/// documented rule.
+fn scan(ir: &InternedRelation, (k, p): (u64, u64)) -> Scan {
+    let kg = ir.group_index(&AttrSet::from_word(k));
+    let (kn, pn, n) = (
+        u64::from(kg.n_groups()),
+        u64::from(ir.group_index(&AttrSet::from_word(p)).n_groups()),
+        ir.n_rows() as u64,
+    );
+    if pn <= 1 || kn == n || kn == 1 {
+        Scan::NoPass
+    } else if pn == n {
+        Scan::SmallestGroup
+    } else if kg.is_bucketed() {
+        Scan::Buckets
+    } else if kn * pn <= PAIR_MARK_BITS_PER_ROW * n {
+        Scan::Marking
+    } else {
+        Scan::CountingSort
+    }
 }
 
 #[test]
 fn warm_probes_allocate_nothing() {
-    // Ten boolean attributes: 5 inputs, 5 outputs, 1,024 rows.
-    let ir = InternedRelation::from_relation(&all_rows(10));
+    // Eleven boolean attributes: 5 inputs, 6 outputs, 2,048 rows (the
+    // words below group the bits 10 | 9–5 | 4–0).
+    let r = all_rows(11);
     // Key and probe words of every shape: empty, narrow, wide, equal,
-    // the full row (a sorted grouping) against the empty set, and the
-    // full row against eight attributes (1,024 × 256 pairs, the
-    // pair-marking bound) and nine (past it: the counting sort).
+    // the full row against the empty set, ten attributes against ten
+    // (1,024 × 1,024 pairs, past the pair-marking bound) and keys
+    // against the full row, keyed on bucketed and on per-row groupings.
+    let per_row_keys = [0b0_00000_10101, 0b0_11111_11111, 0b0_00011_11111];
     let probes: Vec<(u64, u64)> = vec![
-        (0b00000_00001, 0b00011_00000),
-        (0b00000_11111, 0b11111_00000),
-        (0b00000_00000, 0b11111_00000),
-        (0b00000_10101, 0b10101_00000),
-        (0b11111_11111, 0b00000_00000),
-        (0b00000_00111, 0b00000_00111),
-        (0b11111_11111, 0b11111_11100),
-        (0b11111_11111, 0b11111_11110),
+        (0b0_00000_00001, 0b0_00011_00000),
+        (0b0_00000_11111, 0b0_11111_00000),
+        (0b0_00000_00000, 0b0_11111_00000),
+        (0b0_00000_10101, 0b0_10101_00000),
+        (0b1_11111_11111, 0b0_00000_00000),
+        (0b0_00000_00111, 0b0_00000_00111),
+        (0b0_11111_11111, 0b1_11111_11110),
+        (0b0_00011_11111, 0b1_11111_11111),
+        (0b0_00001_11111, 0b1_11111_11111),
     ];
+    let ir = kernel(&r, &per_row_keys);
 
     // Warm-up: builds every grouping and grows the thread's buffer.
     let expected: Vec<usize> = probes.iter().map(|&q| probe(&ir, q)).collect();
-    let marking = probes.iter().filter(|&&q| marks_pairs(&ir, q)).count();
+    let scans: Vec<Scan> = probes.iter().map(|&q| scan(&ir, q)).collect();
+    for s in [
+        Scan::NoPass,
+        Scan::SmallestGroup,
+        Scan::Buckets,
+        Scan::Marking,
+        Scan::CountingSort,
+    ] {
+        assert!(scans.contains(&s), "no probe runs {s:?}: {scans:?}");
+    }
+    let bucketed = probes
+        .iter()
+        .filter(|&&(k, _)| ir.group_index(&AttrSet::from_word(k)).is_bucketed())
+        .count();
     assert!(
-        marking > 0 && marking < probes.len(),
-        "both pair-pass paths are probed"
+        bucketed > 0 && bucketed < probes.len(),
+        "both layouts are keys"
     );
 
     // The sets are built inside the counted closures.
@@ -116,34 +176,30 @@ fn warm_probes_allocate_nothing() {
     }
 
     // A cold grouping does allocate: the counter sees the kernel's heap.
-    let (n, _) = allocations_during(|| probe(&ir, (0b00000_00011, 0b00001_00000)));
+    let (n, _) = allocations_during(|| probe(&ir, (0b0_00000_00011, 0b0_00001_00000)));
     assert!(n > 0, "a cold probe builds groupings");
 }
 
 #[test]
 fn one_buffer_serves_relations_of_every_size() {
-    // A 1,024-row relation, a 4-row one, then the large one again on
-    // both pair-pass paths, all on this thread's one pair-pass buffer: a
-    // pass over the small relation uses a prefix of the buffer the large
-    // one grew, and no later pass may read what an earlier one left.
-    let large = all_rows(10);
+    // A 2,048-row relation, a 4-row one, then the large one again on
+    // every scan, all on this thread's one pair-pass buffer: a pass over
+    // the small relation uses a prefix of the buffer the large one grew,
+    // and no later pass may read what an earlier one left.
+    let large = all_rows(11);
     let small = all_rows(2);
     let (large_ir, small_ir) = (
-        InternedRelation::from_relation(&large),
-        InternedRelation::from_relation(&small),
+        kernel(&large, &[0b0_00000_10101, 0b0_11111_11111]),
+        kernel(&small, &[0b10]),
     );
-    let rounds: [(&Relation, &InternedRelation, (u64, u64)); 5] = [
-        (&large, &large_ir, (0b00000_10101, 0b10101_00000)),
+    let rounds: [(&Relation, &InternedRelation, (u64, u64)); 6] = [
+        (&large, &large_ir, (0b0_00000_10101, 0b0_10101_00000)),
         (&small, &small_ir, (0b01, 0b10)),
-        (&large, &large_ir, (0b11111_11111, 0b01111_11111)),
-        (&large, &large_ir, (0b00000_00011, 0b00111_00000)),
-        (&small, &small_ir, (0b11, 0b10)),
+        (&large, &large_ir, (0b0_11111_11111, 0b1_11111_11110)),
+        (&large, &large_ir, (0b0_00000_00011, 0b0_00111_00000)),
+        (&small, &small_ir, (0b10, 0b01)),
+        (&large, &large_ir, (0b0_00001_11111, 0b1_11111_11111)),
     ];
-    assert_eq!(
-        rounds.map(|(_, ir, q)| marks_pairs(ir, q)),
-        [true, true, false, true, true],
-        "the third round counting-sorts"
-    );
     let reference = |r: &Relation, (k, p): (u64, u64)| {
         ops::reference::group_count_distinct(r, &AttrSet::from_word(k), &AttrSet::from_word(p))
             .into_values()
@@ -161,4 +217,15 @@ fn one_buffer_serves_relations_of_every_size() {
             }
         }
     }
+    assert_eq!(
+        rounds.map(|(_, ir, q)| scan(ir, q)),
+        [
+            Scan::Marking,
+            Scan::Buckets,
+            Scan::CountingSort,
+            Scan::Buckets,
+            Scan::Marking,
+            Scan::SmallestGroup,
+        ],
+    );
 }

@@ -2,10 +2,12 @@
 //! ([`AttrSet::from_word`]) in batches: on random relations and random probe batches (duplicate
 //! pairs, shared attribute sets, empty relations, streamed appends),
 //! the probe (one thread's pair-pass buffer reused across the whole
-//! batch) agrees with the row-at-a-time reference semantics, on both
-//! pair-pass paths — pair marking and the counting sort — and at the
-//! bound between them. Every grouping the probes run on —
-//! direct-addressed, sorted and interned, before and after appends —
+//! batch) agrees with the row-at-a-time reference semantics, on every
+//! pair-pass path — the stamp scan over a bucketed key's cached
+//! buckets, and for a per-row key pair marking and the counting sort,
+//! at the bound between them too — and on every shape answered without
+//! a pass. Every grouping the probes run on — direct-addressed, sorted
+//! and interned, bucketed and per row, before and after appends —
 //! equals a naive densify of the column store.
 
 mod common;
@@ -16,9 +18,9 @@ use rand::{Rng, SeedableRng};
 use std::ops::RangeInclusive;
 use sv_relation::{ops, AttrDef, AttrSet, Domain, InternedRelation, Relation, Schema, Tuple};
 
-/// The kernel's pair-marking bound: a probe whose pair space, key
-/// groups × probe groups, is at most this many bits per row marks
-/// pairs; a larger one counting-sorts its rows.
+/// The kernel's pair-marking bound: a probe keyed on a per-row grouping
+/// whose pair space, key groups × probe groups, is at most this many
+/// bits per row marks pairs; a larger one counting-sorts its rows.
 const PAIR_MARK_BITS_PER_ROW: u64 = 256;
 
 fn random_rows(rng: &mut StdRng, schema: &Schema, rows: RangeInclusive<usize>) -> Vec<Vec<u32>> {
@@ -78,17 +80,22 @@ fn full_row_probes(k: usize) -> Vec<(u64, u64)> {
     ]
 }
 
-/// Tallies the pair-pass paths the suite compared with the reference,
-/// re-derived from the documented rule, so a generator change cannot
-/// silently drop one side of the bound.
+/// Tallies the pair-pass paths the suite compared with the reference —
+/// the pass `group_count_distinct` runs, read from the key grouping's
+/// layout and, for a per-row key, re-derived from the documented rule —
+/// so a generator change cannot silently drop one layout or one side of
+/// the bound.
 #[derive(Debug, Default)]
 struct PairCoverage {
+    /// Stamp scans over a bucketed key's cached buckets.
+    bucketed: usize,
     marking: usize,
     counting: usize,
     /// Marking probes on rows whose pair space is exactly the bound.
     at_bound: usize,
     /// Counting probes that one probe group fewer would have marked.
     past_bound: usize,
+    wide_bucketed: usize,
     wide_marking: usize,
     wide_counting: usize,
     empty: usize,
@@ -113,11 +120,15 @@ impl PairCoverage {
             expected,
             "{ctx} {kw:#b}/{pw:#b}: group counts"
         );
-        let kn = u64::from(ir.group_index(&key).n_groups);
-        let pn = u64::from(ir.group_index(&probe).n_groups);
+        let kg = ir.group_index(&key);
+        let kn = u64::from(kg.n_groups());
+        let pn = u64::from(ir.group_index(&probe).n_groups());
         let bound = PAIR_MARK_BITS_PER_ROW * ir.n_rows() as u64;
         let wide = ir.schema().iter().any(|(_, d)| d.domain.size() == u32::MAX);
-        if kn * pn <= bound {
+        if kg.is_bucketed() {
+            self.bucketed += 1;
+            self.wide_bucketed += usize::from(wide);
+        } else if kn * pn <= bound {
             self.marking += 1;
             self.at_bound += usize::from(kn * pn == bound && bound > 0);
             self.wide_marking += usize::from(wide);
@@ -131,10 +142,12 @@ impl PairCoverage {
 
     fn assert_complete(&self) {
         let tallies = [
+            self.bucketed,
             self.marking,
             self.counting,
             self.at_bound,
             self.past_bound,
+            self.wide_bucketed,
             self.wide_marking,
             self.wide_counting,
             self.empty,
@@ -143,35 +156,64 @@ impl PairCoverage {
     }
 }
 
-/// Shapes at the bound, checked into `pairs`: 300 rows `(i, i mod m)`
-/// keyed by `i` (300 groups) against `i mod m` — exactly the bound's
-/// 76,800 pairs at `m = 256`, one probe group past it at `m = 257` —
-/// on both sides; every combination of ten booleans, whose full row
-/// (1,024 groups) meets the bound against eight attributes (256
-/// groups) and crosses it against nine; and empty relations.
+/// A kernel over `r` with every grouping of the schema's first `attrs`
+/// attributes built first: per row (as a probe builds it) when
+/// `per_row` is set, else bucketed (as a key builds it).
+fn kernel(r: &Relation, attrs: usize, per_row: bool) -> InternedRelation {
+    let ir = InternedRelation::from_relation(r);
+    for w in 0..1u64 << attrs {
+        let set = AttrSet::from_word(w);
+        if per_row {
+            let _ = ir.group_index(&set);
+        } else {
+            let _ = ir.min_group_distinct(&set, &AttrSet::new());
+        }
+    }
+    ir
+}
+
+/// Shapes at the bound, checked into `pairs` on per-row and on
+/// bucketed keys: 300 rows `(i, i mod m)` keyed by `i` (300 groups)
+/// against `i mod m` — exactly the bound's 76,800 pairs at `m = 256`,
+/// one probe group past it at `m = 257` — on both sides; every
+/// combination of ten booleans, whose full row (1,024 groups) meets the
+/// bound against eight attributes (256 groups) and crosses it against
+/// nine; and empty relations.
 fn check_bound_shapes(pairs: &mut PairCoverage) {
     let attr = |name: &str, size: u32| AttrDef {
         name: name.to_string(),
         domain: Domain::new(size),
     };
-    for m in [256u32, 257] {
-        let schema = Schema::new(vec![attr("i", 300), attr("p", 257)]);
-        let rows = (0..300).map(|i| vec![i, i % m]).collect();
-        let r = Relation::from_values(schema, rows).expect("in-domain rows");
-        let ir = InternedRelation::from_relation(&r);
-        for q in [(0b01, 0b10), (0b10, 0b01), (0b01, 0b11), (0b10, 0b10)] {
-            pairs.check(&ir, &r, q, &format!("i mod {m}"));
+    for per_row in [true, false] {
+        for m in [256u32, 257] {
+            let schema = Schema::new(vec![attr("i", 300), attr("p", 257)]);
+            let rows = (0..300).map(|i| vec![i, i % m]).collect();
+            let r = Relation::from_values(schema, rows).expect("in-domain rows");
+            let ir = kernel(&r, 2, per_row);
+            for q in [(0b01, 0b10), (0b10, 0b01), (0b01, 0b11), (0b10, 0b10)] {
+                pairs.check(&ir, &r, q, &format!("i mod {m}, per row {per_row}"));
+            }
         }
-    }
-    let names: Vec<String> = (0..10).map(|a| format!("b{a}")).collect();
-    let schema = Schema::booleans(&names.iter().map(String::as_str).collect::<Vec<_>>());
-    let rows = (0..1u32 << 10)
-        .map(|r| (0..10).map(|a| (r >> a) & 1).collect())
-        .collect();
-    let r = Relation::from_values(schema, rows).expect("boolean rows");
-    let ir = InternedRelation::from_relation(&r);
-    for q in [(0x3FF, 0xFF), (0x3FF, 0x1FF), (0xFF, 0x3FF), (0x3FF, 0x3FF)] {
-        pairs.check(&ir, &r, q, "all 1,024 boolean rows");
+        let names: Vec<String> = (0..10).map(|a| format!("b{a}")).collect();
+        let schema = Schema::booleans(&names.iter().map(String::as_str).collect::<Vec<_>>());
+        let rows = (0..1u32 << 10)
+            .map(|r| (0..10).map(|a| (r >> a) & 1).collect())
+            .collect();
+        let r = Relation::from_values(schema, rows).expect("boolean rows");
+        let ir = InternedRelation::from_relation(&r);
+        if per_row {
+            for w in [0x3FF, 0xFF] {
+                let _ = ir.group_index(&AttrSet::from_word(w));
+            }
+        }
+        for q in [(0x3FF, 0xFF), (0x3FF, 0x1FF), (0xFF, 0x3FF), (0x3FF, 0x3FF)] {
+            pairs.check(
+                &ir,
+                &r,
+                q,
+                &format!("all 1,024 boolean rows, per row {per_row}"),
+            );
+        }
     }
     let mut rng = StdRng::seed_from_u64(0xB0);
     for schema in [
@@ -211,6 +253,14 @@ fn word_probes_equal_reference() {
         let mut probes = random_batch(&mut rng, k, len);
         if large {
             probes.extend(full_row_probes(k));
+        }
+        // Half the trials build every key per row first, as a probe
+        // would, so their passes mark pairs or counting-sort; the rest
+        // build each cold key bucketed on its first probe.
+        if trial % 4 < 2 {
+            for &(kw, _) in &probes {
+                let _ = ir.group_index(&AttrSet::from_word(kw));
+            }
         }
 
         // The thread's one buffer serves the whole batch.
@@ -307,8 +357,12 @@ fn word_probes_survive_streamed_appends() {
     }
     coverage.assert_complete(true);
     // Streamed kernels cross the bound too; its exact shapes are
-    // checked on fresh builds in `word_probes_equal_reference`.
-    assert!(pairs.marking > 0 && pairs.counting > 0, "{pairs:?}");
+    // checked on fresh builds in `word_probes_equal_reference`. Keys
+    // warmed bucketed before an append are rewritten per row by it.
+    assert!(
+        pairs.bucketed > 0 && pairs.marking > 0 && pairs.counting > 0,
+        "{pairs:?}"
+    );
     assert!(
         pairs.wide_marking > 0 && pairs.wide_counting > 0,
         "{pairs:?}"
@@ -323,4 +377,85 @@ fn empty_relations_answer_usize_max() {
         let (key, probe) = (AttrSet::from_word(kw), AttrSet::from_word(pw));
         assert_eq!(ir.min_group_distinct(&key, &probe), usize::MAX);
     }
+}
+
+/// The shapes `min_group_distinct` answers without a pair pass, by the
+/// documented rule, tallied so that each is checked on the layouts it
+/// reads.
+#[derive(Debug, Default)]
+struct ShapeCoverage {
+    /// At most one probe group: the answer is 1.
+    one_probe_group: usize,
+    /// A key group per row: the answer is 1.
+    key_group_per_row: usize,
+    /// One key group: the answer is the probe group count.
+    one_key_group: usize,
+    /// A probe group per row: the smallest bucket of a bucketed key.
+    probe_group_per_row_bucketed: usize,
+    /// A probe group per row: one counting pass over a per-row key.
+    probe_group_per_row_per_row: usize,
+    /// Every other shape runs a pair pass.
+    pass: usize,
+}
+
+#[test]
+fn degenerate_shapes_equal_reference() {
+    let mut rng = StdRng::seed_from_u64(0xDE6E);
+    let boolean = Schema::booleans(&["a", "b", "c", "d", "e"]);
+    let wide = random_schema(&mut rng, 4, true);
+    let relations = [
+        (boolean.clone(), random_rows(&mut rng, &boolean, 12..=12)),
+        (wide.clone(), random_rows(&mut rng, &wide, 10..=10)),
+        (boolean.clone(), random_rows(&mut rng, &boolean, 1..=1)),
+        (wide.clone(), random_rows(&mut rng, &wide, 1..=1)),
+    ];
+    let mut shapes = ShapeCoverage::default();
+    for (i, (schema, rows)) in relations.into_iter().enumerate() {
+        let k = schema.len();
+        let r = Relation::from_values(schema, rows).expect("rows fit the schema");
+        let n = r.len();
+        for per_row in [false, true] {
+            let ir = kernel(&r, k, per_row);
+            for kw in 0..1u64 << k {
+                for pw in 0..1u64 << k {
+                    let (key, probe) = (AttrSet::from_word(kw), AttrSet::from_word(pw));
+                    let expected = ops::reference::group_count_distinct(&r, &key, &probe)
+                        .into_values()
+                        .min()
+                        .unwrap_or(usize::MAX);
+                    assert_eq!(
+                        ir.min_group_distinct(&key, &probe),
+                        expected,
+                        "relation {i}, per row {per_row}: {kw:#b}/{pw:#b}"
+                    );
+                    let kg = ir.group_index(&key);
+                    let kn = kg.n_groups() as usize;
+                    let pn = ir.group_index(&probe).n_groups() as usize;
+                    let tally = if pn <= 1 {
+                        &mut shapes.one_probe_group
+                    } else if kn == n {
+                        &mut shapes.key_group_per_row
+                    } else if kn == 1 {
+                        &mut shapes.one_key_group
+                    } else if pn == n && kg.is_bucketed() {
+                        &mut shapes.probe_group_per_row_bucketed
+                    } else if pn == n {
+                        &mut shapes.probe_group_per_row_per_row
+                    } else {
+                        &mut shapes.pass
+                    };
+                    *tally += 1;
+                }
+            }
+        }
+    }
+    let tallies = [
+        shapes.one_probe_group,
+        shapes.key_group_per_row,
+        shapes.one_key_group,
+        shapes.probe_group_per_row_bucketed,
+        shapes.probe_group_per_row_per_row,
+        shapes.pass,
+    ];
+    assert!(tallies.iter().all(|&t| t > 0), "{shapes:?}");
 }

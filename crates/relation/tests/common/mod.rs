@@ -1,7 +1,9 @@
 //! Shared by the kernel property suites: the naive grouping model every
-//! [`GroupIndex`](sv_relation::GroupIndex) is checked against, the
-//! classification of a grouping by the path that builds it, and the
-//! value generator for wide (interner) domains.
+//! [`GroupIndex`](sv_relation::GroupIndex) is checked against, in both
+//! layouts (bucketed, for a set first built as a Lemma-4 key, and per
+//! row, for a set first built as a probe), the classification of a
+//! grouping by the path that builds it, and the value generator for
+//! wide (interner) domains.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -72,13 +74,20 @@ pub fn random_value(rng: &mut StdRng, size: u32) -> Value {
 }
 
 /// Asserts the kernel's grouping by `word` equals a naive densify of
-/// its column store, and returns the path that built it: sub-tuples of
+/// its column store, and returns the path that built it and whether it
+/// is bucketed (its per-row ids are then derived from the buckets):
+/// sub-tuples of
 /// the first `built_rows` rows (those present when the grouping was
 /// built) rank in ascending order (mixed-radix codes order exactly like
 /// sub-tuples compared attribute by attribute) or, on the interner
 /// path, take ids in first-seen order; sub-tuples first seen in later,
 /// appended rows take the next ids in first-seen order.
-fn assert_grouping(ir: &InternedRelation, word: u64, built_rows: usize, ctx: &str) -> GroupingPath {
+fn assert_grouping(
+    ir: &InternedRelation,
+    word: u64,
+    built_rows: usize,
+    ctx: &str,
+) -> (GroupingPath, bool) {
     let attrs = attrs_of(ir.schema(), word);
     let sub = |row: usize| -> Vec<Value> {
         attrs
@@ -116,16 +125,17 @@ fn assert_grouping(ir: &InternedRelation, word: u64, built_rows: usize, ctx: &st
         .collect();
     let g = ir.group_index(&AttrSet::from_word(word));
     assert_eq!(
-        g.n_groups as usize,
+        g.n_groups() as usize,
         ids.len(),
         "{ctx}: n_groups of {word:#b}"
     );
-    assert_eq!(g.row_group, row_group, "{ctx}: row_group of {word:#b}");
+    assert_eq!(g.row_group(), row_group, "{ctx}: row_group of {word:#b}");
     assert_eq!(
-        g.representative, representative,
+        g.representative(),
+        representative,
         "{ctx}: representative of {word:#b}"
     );
-    path
+    (path, g.is_bucketed())
 }
 
 /// The row count each of a kernel's groupings was built over, read
@@ -163,26 +173,29 @@ impl BuildLog {
     pub fn check_all(&mut self, ir: &InternedRelation, cov: &mut Coverage, ctx: &str) {
         for (word, built) in self.built.iter_mut().enumerate() {
             let rows = *built.get_or_insert(ir.n_rows());
-            let path = assert_grouping(ir, word as u64, rows, ctx);
-            cov.record(path, ir.n_rows() > rows);
+            let (path, bucketed) = assert_grouping(ir, word as u64, rows, ctx);
+            cov.record(path, ir.n_rows() > rows, bucketed);
         }
     }
 }
 
-/// Tallies the grouping paths a suite exercised, so a generator change
-/// cannot silently drop one side of the cutoff.
+/// Tallies the grouping paths and layouts a suite exercised, so a
+/// generator change cannot silently drop one side of the cutoff or one
+/// layout.
 #[derive(Debug, Default)]
 pub struct Coverage {
     direct: usize,
     sorted: usize,
     interned: usize,
     appended_direct: usize,
+    bucketed: usize,
+    per_row: usize,
 }
 
 impl Coverage {
     /// Records one checked grouping; `appended` when rows arrived after
-    /// it was built.
-    fn record(&mut self, path: GroupingPath, appended: bool) {
+    /// it was built, `bucketed` when it is held bucketed.
+    fn record(&mut self, path: GroupingPath, appended: bool, bucketed: bool) {
         match path {
             GroupingPath::Direct => self.direct += 1,
             GroupingPath::Sorted => self.sorted += 1,
@@ -191,15 +204,21 @@ impl Coverage {
         if appended && path == GroupingPath::Direct {
             self.appended_direct += 1;
         }
+        if bucketed {
+            self.bucketed += 1;
+        } else {
+            self.per_row += 1;
+        }
     }
 
-    /// Asserts every path was checked, and direct-addressed groupings
-    /// after appends when `appends` is set.
+    /// Asserts every path and both layouts were checked, and
+    /// direct-addressed groupings after appends when `appends` is set.
     pub fn assert_complete(&self, appends: bool) {
         assert!(
             self.direct > 0 && self.sorted > 0 && self.interned > 0,
             "{self:?}"
         );
+        assert!(self.bucketed > 0 && self.per_row > 0, "{self:?}");
         assert!(!appends || self.appended_direct > 0, "{self:?}");
     }
 }

@@ -14,9 +14,9 @@
 //! 2. fire mixed-module [`ProbeRequest`] batches from 4 serving threads
 //!    at the **same** instance (no locks, no clones — just `&shared`),
 //!    asserting every answer equals a sequential reference;
-//! 3. show the cache economics: the distinct questions of the whole
-//!    concurrent phase cost one kernel evaluation each, however many
-//!    threads asked;
+//! 3. show the cache economics: the memo keeps one level per distinct
+//!    question of the whole concurrent phase, however many threads
+//!    asked;
 //! 4. ingest a new execution through the one write path
 //!    ([`IngestBatch`], `&self`, each module behind its own lock) and
 //!    show epoch-conditioned clients detecting the change
@@ -105,12 +105,16 @@ fn main() {
     println!("         every answer matches the sequential reference oracle");
 
     // ── 3. Cache economics ───────────────────────────────────────────
+    // The memo holds one level per distinct question, whatever the
+    // schedule. Racing threads may each evaluate a question that is
+    // still cold, so the miss count is only bounded by it.
+    let distinct: usize = shared.iter().map(|(_, o)| o.cached_levels()).sum();
     println!(
-        "         cache: {} probes answered, {} kernel evaluations (distinct questions only)\n",
+        "         cache: {} probes answered, {distinct} distinct questions cached\n",
         shared.total_calls(),
-        shared.total_misses()
     );
-    assert!(shared.total_misses() <= 32 * ids.len() as u64);
+    let misses = shared.total_misses();
+    assert!(misses >= distinct as u64 && misses <= 32 * ids.len() as u64);
 
     // ── 4. The single writer: append + epoch-conditioned clients ────
     // Each module has its own epoch (duplicate projections don't tick
