@@ -38,7 +38,9 @@
 //!   group's first mark of each pair; above that bound a counting sort
 //!   buckets the rows by key group for that pass, and the stamp scan
 //!   counts them. Shapes whose answer the group counts decide (one key
-//!   group, one probe group, a group per row) take no pass. Every pass
+//!   group, one probe group, a key group per row) take no pass, nor
+//!   does a probe group per row over a bucketed key, which its smallest
+//!   bucket answers. Every pass
 //!   runs in the calling thread's reusable pair-pass buffer: **zero heap
 //!   allocation per probe** once the group indexes are warm.
 //! * [`ValueInterner`] is the generic sub-tuple → dense-id map used by
@@ -122,20 +124,19 @@ const PAIR_MARK_BITS_PER_ROW: u64 = 256;
 thread_local! {
     /// This thread's Lemma-4 pair-pass buffer ([`pair_pass`]): the
     /// probe-group stamps of the stamp scan over a bucketed key; per-key-
-    /// group counts and the pair bit set on the pair-marking path; key-
-    /// group bucket ends, bucketed rows and probe-group stamps on the
-    /// counting-sort path; or the key-group sizes [`smallest_group`]
-    /// counts. It is grown to the largest pass the thread has run and
+    /// group counts and the pair bit set on the pair-marking path; or
+    /// key-group bucket ends, bucketed rows and probe-group stamps on the
+    /// counting-sort path. It is grown to the largest pass the thread has
+    /// run and
     /// reused by every later one, so a warm probe allocates nothing and
     /// concurrent probes never share a buffer or take a lock for one.
     ///
     /// It holds at most 5 × rows words of the largest relation the
     /// thread probed, whichever relation that was (the largest of the
     /// marking path's rows + 4 × rows, the counting sort's 3 × rows, and
-    /// the stamp scan's and the group sizes' rows), and is freed when the
-    /// thread exits. The threads that probe are
-    /// bounded: sweep workers are scoped threads, and the socket server
-    /// runs a fixed number of acceptors.
+    /// the stamp scan's rows), and is freed when the thread exits. The
+    /// threads that probe are bounded: sweep workers are scoped threads,
+    /// and the socket server runs a fixed number of acceptors.
     ///
     /// No probe may run inside a pair pass: the pass holds the buffer's
     /// `RefCell` borrow while it calls its `visit` closure, so a nested
@@ -414,8 +415,10 @@ impl GroupIndex {
     }
 
     /// Whether the rows are held bucketed by group, the layout of a set
-    /// first requested as a Lemma-4 key (see the type docs); the pair
-    /// pass keyed on it reads the buckets as they are.
+    /// first requested as a Lemma-4 key (see the type docs). Not part of
+    /// the kernel's interface: the layout is an internal choice, read
+    /// only by the property suites to tally the paths they checked.
+    #[doc(hidden)]
     #[must_use]
     pub fn is_bucketed(&self) -> bool {
         matches!(self.layout, Layout::Buckets { .. })
@@ -1004,7 +1007,8 @@ impl InternedRelation {
     /// marking or a counting sort (see the module docs). A degenerate
     /// shape takes no pass: a single probe group or a key group per row
     /// answers 1, a single key group answers the probe group count, and
-    /// a probe group per row the smallest key group. The `key` grouping
+    /// a probe group per row over a bucketed key its smallest bucket (a
+    /// per-row key runs its pass for that shape). The `key` grouping
     /// is built bucketed when cold, the `probe` grouping per row.
     /// Allocation-free once both group indexes are cached and the
     /// calling thread's pair-pass buffer has grown to this relation:
@@ -1026,7 +1030,15 @@ impl InternedRelation {
             return pn;
         }
         if pn == n {
-            return smallest_group(&kg);
+            if let Layout::Buckets { bounds, .. } = &kg.layout {
+                // Each row its own probe group: a key group's distinct
+                // count is its size.
+                return bounds
+                    .windows(2)
+                    .map(|b| (b[1] - b[0]) as usize)
+                    .min()
+                    .expect("a grouping of rows has a group");
+            }
         }
         let mut min = usize::MAX;
         pair_pass(&kg, &pg, |_, distinct| {
@@ -1347,31 +1359,6 @@ fn stamp_scan<B: Iterator<Item = usize>>(
         if !visit(k, distinct) {
             return;
         }
-    }
-}
-
-/// The row count of `kg`'s smallest group (`kg` has rows): its smallest
-/// bucket, or one counting pass over a per-row grouping's ids in the
-/// thread's [`PAIR_PASS`] buffer.
-fn smallest_group(kg: &GroupIndex) -> usize {
-    match &kg.layout {
-        Layout::Buckets { bounds, .. } => bounds
-            .windows(2)
-            .map(|b| (b[1] - b[0]) as usize)
-            .min()
-            .expect("a grouping of rows has a group"),
-        Layout::Rows(ids) => PAIR_PASS.with_borrow_mut(|buf| {
-            let kn = kg.n_groups as usize;
-            if buf.len() < kn {
-                buf.resize(kn, 0);
-            }
-            let sizes = &mut buf[..kn];
-            sizes.fill(0);
-            for &k in &ids.row_group {
-                sizes[k as usize] += 1;
-            }
-            *sizes.iter().min().expect("a grouping of rows has a group") as usize
-        }),
     }
 }
 

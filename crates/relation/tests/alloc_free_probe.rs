@@ -91,8 +91,7 @@ const PAIR_MARK_BITS_PER_ROW: u64 = 256;
 enum Scan {
     /// One key group, a key group per row or one probe group: no pass.
     NoPass,
-    /// A probe group per row: the smallest key group, from the buckets
-    /// or by one counting pass over per-row ids.
+    /// A probe group per row over a bucketed key: its smallest bucket.
     SmallestGroup,
     /// The stamp scan over a bucketed key's buckets.
     Buckets,
@@ -113,7 +112,7 @@ fn scan(ir: &InternedRelation, (k, p): (u64, u64)) -> Scan {
     );
     if pn <= 1 || kn == n || kn == 1 {
         Scan::NoPass
-    } else if pn == n {
+    } else if kg.is_bucketed() && pn == n {
         Scan::SmallestGroup
     } else if kg.is_bucketed() {
         Scan::Buckets
@@ -131,9 +130,12 @@ fn warm_probes_allocate_nothing() {
     let r = all_rows(11);
     // Key and probe words of every shape: empty, narrow, wide, equal,
     // the full row against the empty set, ten attributes against ten
-    // (1,024 × 1,024 pairs, past the pair-marking bound) and keys
-    // against the full row, keyed on bucketed and on per-row groupings.
+    // (1,024 × 1,024 pairs, past the pair-marking bound), ten against
+    // nine (1,024 × 512 pairs, exactly at it: the largest marking pass,
+    // which grows the buffer furthest) and keys against the full row,
+    // keyed on bucketed and on per-row groupings.
     let per_row_keys = [0b0_00000_10101, 0b0_11111_11111, 0b0_00011_11111];
+    let at_bound = (0b0_11111_11111, 0b1_11111_11100);
     let probes: Vec<(u64, u64)> = vec![
         (0b0_00000_00001, 0b0_00011_00000),
         (0b0_00000_11111, 0b0_11111_00000),
@@ -142,6 +144,7 @@ fn warm_probes_allocate_nothing() {
         (0b1_11111_11111, 0b0_00000_00000),
         (0b0_00000_00111, 0b0_00000_00111),
         (0b0_11111_11111, 0b1_11111_11110),
+        at_bound,
         (0b0_00011_11111, 0b1_11111_11111),
         (0b0_00001_11111, 0b1_11111_11111),
     ];
@@ -159,6 +162,13 @@ fn warm_probes_allocate_nothing() {
     ] {
         assert!(scans.contains(&s), "no probe runs {s:?}: {scans:?}");
     }
+    let groups = |w| u64::from(ir.group_index(&AttrSet::from_word(w)).n_groups());
+    assert_eq!(scan(&ir, at_bound), Scan::Marking);
+    assert_eq!(
+        groups(at_bound.0) * groups(at_bound.1),
+        PAIR_MARK_BITS_PER_ROW * ir.n_rows() as u64,
+        "the marking probe sits at the bound"
+    );
     let bucketed = probes
         .iter()
         .filter(|&&(k, _)| ir.group_index(&AttrSet::from_word(k)).is_bucketed())

@@ -392,9 +392,8 @@ struct ShapeCoverage {
     one_key_group: usize,
     /// A probe group per row: the smallest bucket of a bucketed key.
     probe_group_per_row_bucketed: usize,
-    /// A probe group per row: one counting pass over a per-row key.
-    probe_group_per_row_per_row: usize,
-    /// Every other shape runs a pair pass.
+    /// Every other shape, a probe group per row over a per-row key
+    /// included, runs a pair pass.
     pass: usize,
 }
 
@@ -439,8 +438,6 @@ fn degenerate_shapes_equal_reference() {
                         &mut shapes.one_key_group
                     } else if pn == n && kg.is_bucketed() {
                         &mut shapes.probe_group_per_row_bucketed
-                    } else if pn == n {
-                        &mut shapes.probe_group_per_row_per_row
                     } else {
                         &mut shapes.pass
                     };
@@ -454,7 +451,6 @@ fn degenerate_shapes_equal_reference() {
         shapes.key_group_per_row,
         shapes.one_key_group,
         shapes.probe_group_per_row_bucketed,
-        shapes.probe_group_per_row_per_row,
         shapes.pass,
     ];
     assert!(tallies.iter().all(|&t| t > 0), "{shapes:?}");
