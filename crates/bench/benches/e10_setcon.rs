@@ -11,7 +11,6 @@ use sv_optimize::{exact_set, setcon};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e10_setcon");
-    g.sample_size(10);
     for n in [3usize, 5, 6] {
         let p = InstanceParams {
             n_modules: n,

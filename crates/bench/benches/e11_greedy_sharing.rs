@@ -11,7 +11,6 @@ use sv_optimize::greedy::{greedy_cardinality, greedy_set};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e11_greedy_sharing");
-    g.sample_size(20);
     for shared in [0usize, 2] {
         let p = InstanceParams {
             n_modules: 8,

@@ -20,7 +20,6 @@ use sv_workflow::library;
 
 fn bench_kernel_swap(c: &mut Criterion) {
     let mut g = c.benchmark_group("e13_kernel_swap");
-    g.sample_size(10);
     // Example-8 chain over 4 wires: the private one-one module has
     // k = 8 (2^8 subsets, N = 16 rows); two public modules.
     let wf = library::example8_chain(4);
@@ -54,7 +53,6 @@ fn bench_kernel_swap(c: &mut Criterion) {
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e13_general");
-    g.sample_size(10);
     for n in [3usize, 4, 5] {
         let inst = random_general(
             &mut StdRng::seed_from_u64(n as u64),

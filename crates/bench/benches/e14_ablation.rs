@@ -9,7 +9,6 @@ use sv_optimize::cardinality::{build_lp, CardLpVariant};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e14_ablation");
-    g.sample_size(10);
     let p = InstanceParams {
         n_modules: 5,
         attrs_per_module: 4,

@@ -45,7 +45,6 @@ fn bench_thread_scaling(c: &mut Criterion) {
     let m = one_one_module(10);
     let costs = vec![1u64; m.k()];
     let mut g = c.benchmark_group("e16_parallel_sweep");
-    g.sample_size(10);
     for threads in THREADS {
         g.bench_with_input(
             BenchmarkId::new("min_cost/threads", threads),
@@ -88,7 +87,6 @@ fn bench_thread_scaling(c: &mut Criterion) {
 
 fn bench_k_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("e16_parallel_sweep/scale_k");
-    g.sample_size(10);
     for wires in [6usize, 8, 10] {
         let m = one_one_module(wires);
         let costs = vec![1u64; m.k()];

@@ -116,7 +116,6 @@ fn bench_covers_microbench(c: &mut Criterion) {
     );
 
     let mut g = c.benchmark_group("e20_frontier_scaling");
-    g.sample_size(10);
     g.bench_with_input(
         BenchmarkId::new("covers_microbench", "flat"),
         &queries,
@@ -192,7 +191,6 @@ fn bench_border_microbench(c: &mut Criterion) {
 
     let queries = layer_masks(k, *layers.start(), *layers.end());
     let mut g = c.benchmark_group("e20_frontier_scaling");
-    g.sample_size(10);
     g.bench_with_input(
         BenchmarkId::new("border_microbench", "layer"),
         &queries,

@@ -9,7 +9,6 @@ use sv_workflow::ModuleFn;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e2_thm1_supplier_calls");
-    g.sample_size(10);
     for n in [256usize, 1024, 4096] {
         let a: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
         let b: Vec<bool> = (0..n).map(|i| i % 2 == 1).collect();

@@ -22,7 +22,6 @@ fn xor_module(k: usize) -> StandaloneModule {
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e4_alg2_standalone");
-    g.sample_size(10);
     for k in [6usize, 8, 10, 12] {
         let m = xor_module(k);
         let costs = vec![1u64; k + 1];

@@ -8,7 +8,6 @@ use sv_workflow::library::one_one_chain;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e7_thm4_compose");
-    g.sample_size(10);
     for n in [2usize, 4, 8] {
         let w = one_one_chain(n, 2);
         let costs = vec![1u64; w.schema().len()];

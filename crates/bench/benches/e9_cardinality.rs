@@ -28,7 +28,6 @@ fn derive(oracle: &dyn SafetyOracle, gamma: u128) -> (usize, usize) {
 
 fn bench_kernel_swap(c: &mut Criterion) {
     let mut g = c.benchmark_group("e9_kernel_swap");
-    g.sample_size(10);
     // A k = 10 one-one module (5 boolean wires in/out, N = 32 rows):
     // 2^10 subsets probed by the lattice sweep.
     let wf = library::one_one_chain(1, 5);
@@ -59,7 +58,6 @@ fn bench_kernel_swap(c: &mut Criterion) {
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e9_cardinality");
-    g.sample_size(10);
     for n in [3usize, 5, 6] {
         let p = InstanceParams {
             n_modules: n,

@@ -7,6 +7,7 @@
 //! (`pair_pass/{sort_reference,counting}`).
 //!
 //! It reads only the public [`GroupIndex`] per-row ids (`row_group()`,
+//! an iterator of `u32` over ids the kernel stores as `u16` or `u32`,
 //! derived once from a bucketed key grouping's buckets): each row's
 //! `(key group, probe group)` pair becomes one `u64` code, the codes are
 //! sorted and deduplicated — `O(rows log rows)` per pass — and the
@@ -20,16 +21,16 @@ use sv_relation::GroupIndex;
 /// same relation.
 #[must_use]
 pub fn min_group_distinct(kg: &GroupIndex, pg: &GroupIndex, scratch: &mut Vec<u64>) -> usize {
-    if kg.row_group().is_empty() {
+    // A relation with rows has a group.
+    if kg.n_groups() == 0 {
         return usize::MAX;
     }
     let pn = u64::from(pg.n_groups());
     scratch.clear();
     scratch.extend(
         kg.row_group()
-            .iter()
             .zip(pg.row_group())
-            .map(|(&k, &p)| u64::from(k) * pn + u64::from(p)),
+            .map(|(k, p)| u64::from(k) * pn + u64::from(p)),
     );
     scratch.sort_unstable();
     scratch.dedup();

@@ -174,11 +174,6 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Accepted for API compatibility; the adaptive harness ignores it.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
     /// Benchmarks `f` with an input parameter baked into the id.
     pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
     where
@@ -323,7 +318,6 @@ mod tests {
     fn bencher_measures_something() {
         let mut c = Criterion::default();
         let mut g = c.benchmark_group("shim");
-        g.sample_size(10);
         let mut ran = false;
         g.bench_with_input(BenchmarkId::new("t", 1), &1u32, |b, &x| {
             b.iter(|| black_box(x) + 1);

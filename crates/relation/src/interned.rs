@@ -10,7 +10,7 @@
 //!
 //! * [`InternedRelation`] stores the relation **columnar**
 //!   (`cols[attr][row]`) and maps, per attribute set `S`, each row's
-//!   projected sub-tuple `π_S(t)` to a **dense `u32` group id**. The
+//!   projected sub-tuple `π_S(t)` to a **dense group id**. The
 //!   per-set [`GroupIndex`] is computed once and memoized in one cache,
 //!   keyed by the set restricted to the schema (an inline one-word
 //!   [`AttrSet`] for schemas of ≤ 64 attributes). A grouping is
@@ -29,6 +29,13 @@
 //!   al., Computer Journal 1999); every other set keeps each row's group
 //!   id. Both number the groups alike, and a bucketed grouping derives
 //!   the per-row ids once, the first time something reads them.
+//! * Every row index, group id and bucket bound a grouping stores has
+//!   its relation's **width**: a `u16` while the relation has at most
+//!   65,535 rows, a `u32` above, so a narrow grouping holds half the
+//!   bytes. Every algorithm over a grouping's rows is written once,
+//!   generic over that index type, behind one match on the width. An
+//!   append that takes the relation past 65,535 rows widens every
+//!   grouping before extending it; nothing narrows again.
 //! * [`InternedRelation::min_group_distinct`] — the entire Lemma-4 inner
 //!   loop — is one `O(rows)` **pair pass** over two cached groupings.
 //!   On a bucketed key it is a stamp scan alone: a stamp per probe group
@@ -50,7 +57,8 @@
 //!   provenance**: rows arriving after the build extend the column
 //!   store and every memoized [`GroupIndex`] in place (new sub-tuples
 //!   take the next free dense id; a bucketed grouping is first rewritten
-//!   per row) instead of triggering a rebuild. The
+//!   per row, and widened if the rows pass 65,535) instead of triggering
+//!   a rebuild. The
 //!   [`InternedRelation::epoch`] generation counter ticks once per
 //!   row-adding append, so memoized consumers upstream (the `sv-core`
 //!   safety oracles and sweep caches) can invalidate lazily — and keep
@@ -120,6 +128,111 @@ const DIRECT_ADDRESS_FACTOR: u64 = 4;
 /// scan, so no `perfbench secureview` pass marks pairs, against 74 % of
 /// `ingest_mixed`'s, most of whose keys appends have rewritten per row.
 const PAIR_MARK_BITS_PER_ROW: u64 = 256;
+
+/// The most rows a relation may have while its groupings store their
+/// row indexes as `u16` (see [`GroupIndex`]): a bucket bound holds
+/// values up to the row count.
+const NARROW_ROWS: usize = u16::MAX as usize;
+
+/// A row index, group id or bucket bound as a grouping stores it: `u16`
+/// on a relation of at most [`NARROW_ROWS`] rows, `u32` above. Every
+/// algorithm over a grouping's rows is written once, generic over it,
+/// behind one match on the grouping's [`Width`].
+trait RowIdx: Copy + Default {
+    /// `v`, which this width holds.
+    fn new(v: usize) -> Self;
+    /// The index as a `usize`.
+    fn get(self) -> usize;
+    /// `ids` read as `u32`s.
+    fn u32s(ids: &[Self]) -> U32s<'_>;
+    /// Each of `codes` replaced by its group id, `slot[code]`: in the
+    /// code buffer itself at the width of `u32`, in a buffer of this
+    /// width otherwise.
+    fn number(codes: Vec<u32>, slot: &[u32]) -> Vec<Self>;
+}
+
+impl RowIdx for u16 {
+    fn new(v: usize) -> Self {
+        debug_assert!(v <= NARROW_ROWS, "{v} overflows a narrow index");
+        v as u16
+    }
+
+    fn get(self) -> usize {
+        usize::from(self)
+    }
+
+    fn u32s(ids: &[Self]) -> U32s<'_> {
+        U32s::Narrow(ids.iter())
+    }
+
+    fn number(codes: Vec<u32>, slot: &[u32]) -> Vec<Self> {
+        codes
+            .iter()
+            .map(|&c| Self::new(slot[c as usize] as usize))
+            .collect()
+    }
+}
+
+impl RowIdx for u32 {
+    fn new(v: usize) -> Self {
+        debug_assert!(u32::try_from(v).is_ok(), "{v} overflows a wide index");
+        v as u32
+    }
+
+    fn get(self) -> usize {
+        self as usize
+    }
+
+    fn u32s(ids: &[Self]) -> U32s<'_> {
+        U32s::Wide(ids.iter())
+    }
+
+    fn number(mut codes: Vec<u32>, slot: &[u32]) -> Vec<Self> {
+        for c in &mut codes {
+            *c = slot[*c as usize];
+        }
+        codes
+    }
+}
+
+/// A grouping's row indexes read as `u32`s, at either width.
+enum U32s<'a> {
+    Narrow(std::slice::Iter<'a, u16>),
+    Wide(std::slice::Iter<'a, u32>),
+}
+
+impl Iterator for U32s<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Self::Narrow(ids) => ids.next().map(|&i| u32::from(i)),
+            Self::Wide(ids) => ids.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Self::Narrow(ids) => ids.size_hint(),
+            Self::Wide(ids) => ids.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for U32s<'_> {}
+
+/// `$body` with `$l` bound to the [`Layout`] of `$width` (a `&Width` or
+/// `&mut Width`) at its index type: the one match by which each
+/// algorithm over a grouping's rows, written once, runs at either
+/// width.
+macro_rules! at_width {
+    ($width:expr, $l:ident => $body:expr) => {
+        match $width {
+            Width::Narrow($l) => $body,
+            Width::Wide($l) => $body,
+        }
+    };
+}
 
 thread_local! {
     /// This thread's Lemma-4 pair-pass buffer ([`pair_pass`]): the
@@ -291,11 +404,12 @@ fn slot_mut(slot: &mut GroupSlot) -> Option<&mut GroupIndex> {
 ///
 /// Ids are assigned in first-seen order; [`resolve`](Self::resolve)
 /// recovers the slice. Lookups with [`get`](Self::get) borrow the probe
-/// buffer — no allocation on the probe path.
+/// buffer — no allocation on the probe path. Each sub-tuple is stored
+/// once, shared by the map's key and the id's entry.
 #[derive(Clone, Debug, Default)]
 pub struct ValueInterner {
-    map: HashMap<Box<[Value]>, u32>,
-    rev: Vec<Box<[Value]>>,
+    map: HashMap<Arc<[Value]>, u32>,
+    rev: Vec<Arc<[Value]>>,
 }
 
 impl ValueInterner {
@@ -311,9 +425,9 @@ impl ValueInterner {
             return id;
         }
         let id = u32::try_from(self.rev.len()).expect("more than u32::MAX distinct sub-tuples");
-        let boxed: Box<[Value]> = key.into();
-        self.rev.push(boxed.clone());
-        self.map.insert(boxed, id);
+        let shared: Arc<[Value]> = key.into();
+        self.rev.push(Arc::clone(&shared));
+        self.map.insert(shared, id);
         id
     }
 
@@ -360,22 +474,33 @@ impl ValueInterner {
 ///   of [`InternedRelation::min_group_distinct`] or
 ///   [`InternedRelation::group_count_distinct`]): the row ids of each
 ///   group in one bucket, ascending, behind `n_groups + 1` bucket
-///   bounds — `rows + n_groups + 1` words, so the pair pass reads each
+///   bounds — `rows + n_groups + 1` indexes, so the pair pass reads each
 ///   group's rows without sorting them;
 /// * **per row**, for every other set: each row's group id and each
-///   group's first row, `rows + n_groups` words.
+///   group's first row, `rows + n_groups` indexes.
+///
+/// Every such index is stored at its relation's **width**: a `u16`
+/// (2 bytes) while the relation has at most 65,535 rows, so that a
+/// bucket bound, at most the row count, fits; a `u32` (4 bytes) above.
+/// A 4,096-row grouping into 512 groups thus holds 9,218 bytes bucketed
+/// or 9,216 per row, against 18,436 or 18,432 on a wide relation, plus
+/// its lookup (8 bytes per build-time code on the mixed-radix path) and
+/// 152 bytes of its own; a bucketed grouping that is also read per row
+/// keeps the derived per-row form beside its buckets. An append that
+/// takes the relation past 65,535 rows widens every grouping before
+/// extending it, and nothing narrows again.
 ///
 /// [`row_group`](Self::row_group) and
-/// [`representative`](Self::representative) read the per-row form; on a
-/// bucketed grouping the first read derives it once and keeps it. An
-/// append rewrites a bucketed grouping into the per-row form before it
-/// extends it.
+/// [`representative`](Self::representative) read the per-row form as
+/// `u32`s at either width; on a bucketed grouping the first read derives
+/// it once and keeps it. An append rewrites a bucketed grouping into the
+/// per-row form before it extends it.
 #[derive(Clone, Debug)]
 pub struct GroupIndex {
     /// Number of distinct projected sub-tuples.
     n_groups: u32,
-    /// The grouped rows.
-    layout: Layout,
+    /// The grouped rows, at the relation's width.
+    layout: Width,
     /// Sub-tuple → group-id lookup state, kept so appends extend the
     /// index instead of forcing a rebuild.
     lookup: GroupLookup,
@@ -402,16 +527,14 @@ impl GroupIndex {
         self.n_groups
     }
 
-    /// `row_group()[row]` = the row's dense group id (`0..n_groups`).
-    #[must_use]
-    pub fn row_group(&self) -> &[u32] {
-        &self.row_ids().row_group
+    /// Each row's dense group id (`0..n_groups`), in row order.
+    pub fn row_group(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        at_width!(&self.layout, l => RowIdx::u32s(&l.row_ids().row_group))
     }
 
-    /// `representative()[group]` = index of the first row of the group.
-    #[must_use]
-    pub fn representative(&self) -> &[u32] {
-        &self.row_ids().representative
+    /// Each group's first row, in group order.
+    pub fn representative(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        at_width!(&self.layout, l => RowIdx::u32s(&l.row_ids().representative))
     }
 
     /// Whether the rows are held bucketed by group, the layout of a set
@@ -421,15 +544,102 @@ impl GroupIndex {
     #[doc(hidden)]
     #[must_use]
     pub fn is_bucketed(&self) -> bool {
-        matches!(self.layout, Layout::Buckets { .. })
+        at_width!(&self.layout, l => l.is_bucketed())
+    }
+
+    /// The first row of group `g`.
+    fn head(&self, g: usize) -> usize {
+        at_width!(&self.layout, l => l.head(g))
+    }
+
+    /// The size of the smallest group, if the rows are bucketed.
+    fn smallest_bucket(&self) -> Option<usize> {
+        at_width!(&self.layout, l => l.smallest_bucket())
+    }
+
+    /// Appends `row` to group `gid`, a new group when `is_new`; a
+    /// bucketed grouping is first rewritten per row.
+    fn push_row(&mut self, row: usize, gid: usize, is_new: bool) {
+        at_width!(&mut self.layout, l => l.row_ids_mut().push(row, gid, is_new));
+    }
+
+    /// Stores a narrow grouping's rows wide, per row: the append that
+    /// takes the relation past [`NARROW_ROWS`] rows calls this before it
+    /// extends the grouping. A wide grouping is left as it is.
+    fn widen(&mut self) {
+        if let Width::Narrow(l) = &mut self.layout {
+            let ids = l.row_ids_mut();
+            let wide = RowIds {
+                row_group: ids.row_group.iter().map(|&g| g.into()).collect(),
+                representative: ids.representative.iter().map(|&r| r.into()).collect(),
+            };
+            self.layout = Width::Wide(Box::new(Layout::Rows(wide)));
+        }
+    }
+}
+
+/// The rows of a [`GroupIndex`] at its relation's width. The wide form
+/// is boxed, so that it costs a grouping no bytes of its own.
+#[derive(Clone, Debug)]
+enum Width {
+    /// At most [`NARROW_ROWS`] rows.
+    Narrow(Layout<u16>),
+    /// More rows.
+    Wide(Box<Layout<u32>>),
+}
+
+/// The rows of a [`GroupIndex`], in the layout its first request chose,
+/// as indexes of type `I`.
+#[derive(Clone, Debug)]
+enum Layout<I> {
+    /// The per-row form.
+    Rows(RowIds<I>),
+    /// Group `g`'s rows are `rows[bounds[g]..bounds[g + 1]]`, ascending,
+    /// so a bucket's first row is its group's representative. `row_ids`
+    /// holds the per-row form once something has read it.
+    Buckets {
+        bounds: Box<[I]>,
+        rows: Box<[I]>,
+        row_ids: OnceLock<Box<RowIds<I>>>,
+    },
+}
+
+impl<I: RowIdx> Layout<I> {
+    /// Buckets the rows by their group ids (`ids[row]`, each below
+    /// `n_groups`): one counting pass sizes the buckets and one scatter
+    /// fills them, rows ascending within each.
+    fn buckets<J: RowIdx>(ids: &[J], n_groups: usize) -> Self {
+        let mut bounds = vec![I::default(); n_groups + 1];
+        for &g in ids {
+            let end = &mut bounds[g.get() + 1];
+            *end = I::new(end.get() + 1);
+        }
+        for g in 1..=n_groups {
+            bounds[g] = I::new(bounds[g].get() + bounds[g - 1].get());
+        }
+        // `bounds[g]` is bucket `g`'s next free slot while scattering,
+        // its end afterwards; shifting by one makes it the start again.
+        let mut rows = vec![I::default(); ids.len()];
+        for (row, &g) in ids.iter().enumerate() {
+            let at = &mut bounds[g.get()];
+            rows[at.get()] = I::new(row);
+            *at = I::new(at.get() + 1);
+        }
+        bounds.copy_within(..n_groups, 1);
+        bounds[0] = I::default();
+        Self::Buckets {
+            bounds: bounds.into_boxed_slice(),
+            rows: rows.into_boxed_slice(),
+            row_ids: OnceLock::new(),
+        }
     }
 
     /// The per-row form, derived once from the buckets of a bucketed
     /// grouping.
-    fn row_ids(&self) -> &RowIds {
-        match &self.layout {
-            Layout::Rows(ids) => ids,
-            Layout::Buckets {
+    fn row_ids(&self) -> &RowIds<I> {
+        match self {
+            Self::Rows(ids) => ids,
+            Self::Buckets {
                 bounds,
                 rows,
                 row_ids,
@@ -437,106 +647,84 @@ impl GroupIndex {
         }
     }
 
-    /// The first row of group `g`, read from either layout as it is.
-    fn head(&self, g: usize) -> u32 {
-        match &self.layout {
-            Layout::Rows(ids) => ids.representative[g],
-            Layout::Buckets { bounds, rows, .. } => rows[bounds[g] as usize],
-        }
-    }
-
     /// The per-row form for an append to extend: a bucketed grouping is
     /// rewritten into it first, in `O(rows)`, once.
-    fn row_ids_mut(&mut self) -> &mut RowIds {
-        if let Layout::Buckets {
+    fn row_ids_mut(&mut self) -> &mut RowIds<I> {
+        if let Self::Buckets {
             bounds,
             rows,
             row_ids,
-        } = &mut self.layout
+        } = self
         {
             let ids = row_ids
                 .take()
                 .map_or_else(|| RowIds::from_buckets(bounds, rows), |ids| *ids);
-            self.layout = Layout::Rows(ids);
+            *self = Self::Rows(ids);
         }
-        match &mut self.layout {
-            Layout::Rows(ids) => ids,
-            Layout::Buckets { .. } => unreachable!("rewritten above"),
+        match self {
+            Self::Rows(ids) => ids,
+            Self::Buckets { .. } => unreachable!("rewritten above"),
         }
     }
-}
 
-/// The rows of a [`GroupIndex`], in the layout its first request chose.
-#[derive(Clone, Debug)]
-enum Layout {
-    /// The per-row form.
-    Rows(RowIds),
-    /// Group `g`'s rows are `rows[bounds[g]..bounds[g + 1]]`, ascending,
-    /// so a bucket's first row is its group's representative. `row_ids`
-    /// holds the per-row form once something has read it.
-    Buckets {
-        bounds: Box<[u32]>,
-        rows: Box<[u32]>,
-        row_ids: OnceLock<Box<RowIds>>,
-    },
-}
+    /// Whether the rows are bucketed.
+    fn is_bucketed(&self) -> bool {
+        matches!(self, Self::Buckets { .. })
+    }
 
-impl Layout {
-    /// Buckets the rows by their group ids (`ids[row]`, each below
-    /// `n_groups`): one counting pass sizes the buckets and one scatter
-    /// fills them, rows ascending within each.
-    fn buckets(ids: &[u32], n_groups: usize) -> Self {
-        let mut bounds = vec![0u32; n_groups + 1];
-        for &g in ids {
-            bounds[g as usize + 1] += 1;
+    /// The first row of group `g`, read from either layout as it is.
+    fn head(&self, g: usize) -> usize {
+        match self {
+            Self::Rows(ids) => ids.representative[g].get(),
+            Self::Buckets { bounds, rows, .. } => rows[bounds[g].get()].get(),
         }
-        for g in 1..=n_groups {
-            bounds[g] += bounds[g - 1];
-        }
-        // `bounds[g]` is bucket `g`'s next free slot while scattering,
-        // its end afterwards; shifting by one makes it the start again.
-        let mut rows = vec![0u32; ids.len()];
-        for (row, &g) in ids.iter().enumerate() {
-            let at = &mut bounds[g as usize];
-            rows[*at as usize] = row as u32;
-            *at += 1;
-        }
-        bounds.copy_within(..n_groups, 1);
-        bounds[0] = 0;
-        Self::Buckets {
-            bounds: bounds.into_boxed_slice(),
-            rows: rows.into_boxed_slice(),
-            row_ids: OnceLock::new(),
+    }
+
+    /// The size of the smallest bucket, or `None` per row.
+    fn smallest_bucket(&self) -> Option<usize> {
+        match self {
+            Self::Rows(_) => None,
+            Self::Buckets { bounds, .. } => {
+                bounds.windows(2).map(|b| b[1].get() - b[0].get()).min()
+            }
         }
     }
 }
 
 /// The per-row form of a grouping.
 #[derive(Clone, Debug)]
-struct RowIds {
+struct RowIds<I> {
     /// Each row's group id.
-    row_group: Vec<u32>,
+    row_group: Vec<I>,
     /// Each group's first row.
-    representative: Vec<u32>,
+    representative: Vec<I>,
 }
 
-impl RowIds {
+impl<I: RowIdx> RowIds<I> {
     /// The per-row form of a bucketed grouping (see [`Layout::Buckets`]).
-    fn from_buckets(bounds: &[u32], rows: &[u32]) -> Self {
-        let mut row_group = vec![0u32; rows.len()];
+    fn from_buckets(bounds: &[I], rows: &[I]) -> Self {
+        let mut row_group = vec![I::default(); rows.len()];
         for (g, bucket) in bounds.windows(2).enumerate() {
-            for &row in &rows[bucket[0] as usize..bucket[1] as usize] {
-                row_group[row as usize] = g as u32;
+            for &row in &rows[bucket[0].get()..bucket[1].get()] {
+                row_group[row.get()] = I::new(g);
             }
         }
         let representative = bounds[..bounds.len() - 1]
             .iter()
-            .map(|&start| rows[start as usize])
+            .map(|&start| rows[start.get()])
             .collect();
         Self {
             row_group,
             representative,
         }
+    }
+
+    /// Appends `row` to group `gid`, whose first row it is when `is_new`.
+    fn push(&mut self, row: usize, gid: usize, is_new: bool) {
+        if is_new {
+            self.representative.push(I::new(row));
+        }
+        self.row_group.push(I::new(gid));
     }
 }
 
@@ -769,64 +957,88 @@ impl InternedRelation {
 
     /// Computes the dense grouping for the attributes of `key` (a
     /// schema-masked set), bucketed when `bucketed` is set and per row
-    /// otherwise. Both layouts number the groups alike.
+    /// otherwise, at the relation's width. Both layouts number the
+    /// groups alike.
     fn compute_group(&self, key: &AttrSet, bucketed: bool) -> GroupIndex {
+        let (n_groups, layout, lookup) = if self.n_rows <= NARROW_ROWS {
+            let (n_groups, layout, lookup) = self.group_rows(key, bucketed);
+            (n_groups, Width::Narrow(layout), lookup)
+        } else {
+            let (n_groups, layout, lookup) = self.group_rows(key, bucketed);
+            (n_groups, Width::Wide(Box::new(layout)), lookup)
+        };
+        GroupIndex {
+            n_groups,
+            layout,
+            lookup,
+            new_group_epoch: self.epoch,
+        }
+    }
+
+    /// The group count, rows and lookup of
+    /// [`compute_group`](Self::compute_group), with indexes of type `I`.
+    /// A bucketed grouping numbers its rows as `u32`s, in the code
+    /// buffer on the direct-addressing path, and scatters them into
+    /// buckets of type `I`; a per-row grouping numbers them as `I`.
+    fn group_rows<I: RowIdx>(
+        &self,
+        key: &AttrSet,
+        bucketed: bool,
+    ) -> (u32, Layout<I>, GroupLookup) {
+        if bucketed {
+            let (ids, representative, lookup) = self.number_rows::<u32>(key);
+            let n_groups = representative.len();
+            (n_groups as u32, Layout::buckets(&ids, n_groups), lookup)
+        } else {
+            let (row_group, representative, lookup) = self.number_rows::<I>(key);
+            let n_groups = representative.len() as u32;
+            let ids = RowIds {
+                row_group,
+                representative,
+            };
+            (n_groups, Layout::Rows(ids), lookup)
+        }
+    }
+
+    /// Each row's dense group id over the attributes of `key`, each
+    /// group's first row and the lookup, with indexes of type `J`.
+    fn number_rows<J: RowIdx>(&self, key: &AttrSet) -> (Vec<J>, Vec<J>, GroupLookup) {
         let n = self.n_rows;
         // The radix/wide decision of `radix_sizes`: the code space must
         // fit a `u64`.
-        let (row_group, representative, lookup) =
-            if let Ok(space) = u64::try_from(self.schema.domain_product(key)) {
-                // Mixed-radix fast path, densified to group id = rank of
-                // the row's code: a direct-addressed space also fits `u32`
-                // codes, which are numbered in place.
-                let direct = u32::try_from(space)
-                    .ok()
-                    .filter(|&s| u64::from(s) <= DIRECT_ADDRESS_FACTOR.saturating_mul(n as u64));
-                let (row_group, base, representative) = match direct {
-                    Some(space) => {
-                        let mut codes = self.row_codes::<u32>(key);
-                        let (base, representative) = densify_direct(&mut codes, space);
-                        (codes, base, representative)
-                    }
-                    None => densify_sorted(&self.row_codes::<u64>(key)),
-                };
-                let lookup = GroupLookup::Radix {
-                    base,
-                    appended: HashMap::new(),
-                };
-                (row_group, representative, lookup)
-            } else {
-                // Wide-domain fallback: intern the materialized sub-tuples.
-                // Interner ids are assigned in first-seen row order and are
-                // used as the group ids directly.
-                let mut interner = ValueInterner::new();
-                let mut buf: Vec<Value> = Vec::with_capacity(key.len());
-                let mut row_group: Vec<u32> = Vec::with_capacity(n);
-                let mut representative: Vec<u32> = Vec::new();
-                for row in 0..n {
-                    buf.clear();
-                    buf.extend(key.iter().map(|a| self.cols[a.index()][row]));
-                    let gid = interner.intern(&buf);
-                    if gid as usize == representative.len() {
-                        representative.push(row as u32);
-                    }
-                    row_group.push(gid);
-                }
-                (row_group, representative, GroupLookup::Wide { interner })
+        if let Ok(space) = u64::try_from(self.schema.domain_product(key)) {
+            // Mixed-radix fast path, densified to group id = rank of the
+            // row's code: a direct-addressed space also fits `u32` codes.
+            let direct = u32::try_from(space)
+                .ok()
+                .filter(|&s| u64::from(s) <= DIRECT_ADDRESS_FACTOR.saturating_mul(n as u64));
+            let (row_group, base, representative) = match direct {
+                Some(space) => densify_direct(self.row_codes::<u32>(key), space),
+                None => densify_sorted(&self.row_codes::<u64>(key)),
             };
-        let n_groups = representative.len();
-        GroupIndex {
-            n_groups: n_groups as u32,
-            layout: if bucketed {
-                Layout::buckets(&row_group, n_groups)
-            } else {
-                Layout::Rows(RowIds {
-                    row_group,
-                    representative,
-                })
-            },
-            lookup,
-            new_group_epoch: self.epoch,
+            let lookup = GroupLookup::Radix {
+                base,
+                appended: HashMap::new(),
+            };
+            (row_group, representative, lookup)
+        } else {
+            // Wide-domain fallback: intern the materialized sub-tuples.
+            // Interner ids are assigned in first-seen row order and are
+            // used as the group ids directly.
+            let mut interner = ValueInterner::new();
+            let mut buf: Vec<Value> = Vec::with_capacity(key.len());
+            let mut row_group: Vec<J> = Vec::with_capacity(n);
+            let mut representative: Vec<J> = Vec::new();
+            for row in 0..n {
+                buf.clear();
+                buf.extend(key.iter().map(|a| self.cols[a.index()][row]));
+                let gid = interner.intern(&buf) as usize;
+                if gid == representative.len() {
+                    representative.push(J::new(row));
+                }
+                row_group.push(J::new(gid));
+            }
+            (row_group, representative, GroupLookup::Wide { interner })
         }
     }
 
@@ -834,13 +1046,16 @@ impl InternedRelation {
     /// place, and every memoized [`GroupIndex`] is *extended* — new
     /// sub-tuples take the next free dense group id — instead of being
     /// discarded and rebuilt. A bucketed grouping is first rewritten
-    /// into the per-row form, once, and stays per row. Duplicate rows
+    /// into the per-row form, once, and stays per row; when the rows
+    /// pass 65,535, every grouping is widened to `u32` indexes first
+    /// (the full-row grouping at the row that crosses). Duplicate rows
     /// (against the existing relation or within the batch) are skipped,
     /// preserving set semantics; the [`epoch`](Self::epoch) counter is
     /// bumped iff at least one genuinely new row landed.
     ///
     /// Cost: `O(batch × (attrs + cached groupings × log groups))`, plus
-    /// `O(rows)` for each bucketed grouping the append rewrites — the
+    /// `O(rows)` for each bucketed grouping the append rewrites or
+    /// grouping it widens — the
     /// streaming alternative to rebuilding every cached grouping, which
     /// costs `O(rows)` per grouping with a code space of at most
     /// 4 × rows and `O(rows log rows)` per larger one. Returns the
@@ -901,11 +1116,14 @@ impl InternedRelation {
                 if gid_of(full, &attrs, &sizes, &mut buf, |a| t.values()[a]).is_some() {
                     continue; // duplicate of an existing or just-appended row
                 }
-                let row = self.n_rows as u32;
+                let row = self.n_rows;
                 for (col, &v) in self.cols.iter_mut().zip(t.values()) {
                     col.push(v);
                 }
                 self.n_rows += 1;
+                if self.n_rows > NARROW_ROWS {
+                    full.widen();
+                }
                 extend_gid(full, &attrs, &sizes, &mut buf, row, next_epoch, |a| {
                     t.values()[a]
                 });
@@ -913,10 +1131,11 @@ impl InternedRelation {
         }
 
         // Phase 2: extend every other published grouping with the new
-        // rows; unpublished slots are dropped rather than extended.
+        // rows, widened first if they took the relation past the narrow
+        // width; unpublished slots are dropped rather than extended.
         let appended = self.n_rows - start_row;
         if appended > 0 {
-            let new_rows: Vec<u32> = (start_row..self.n_rows).map(|r| r as u32).collect();
+            let wide = self.n_rows > NARROW_ROWS;
             for shard in cache.iter_mut() {
                 shard.retain(|set, slot| {
                     if *set == all {
@@ -925,8 +1144,11 @@ impl InternedRelation {
                     let Some(gi) = slot_mut(slot) else {
                         return false;
                     };
+                    if wide {
+                        gi.widen();
+                    }
                     let attrs: Vec<usize> = set.iter().map(AttrId::index).collect();
-                    self.extend_index(gi, &attrs, &new_rows, next_epoch);
+                    self.extend_index(gi, &attrs, start_row..self.n_rows, next_epoch);
                     true
                 });
             }
@@ -938,12 +1160,18 @@ impl InternedRelation {
 
     /// Extends one cached group index with the rows in `new_rows`
     /// (already present in the column store).
-    fn extend_index(&self, gi: &mut GroupIndex, attrs: &[usize], new_rows: &[u32], epoch: u64) {
+    fn extend_index(
+        &self,
+        gi: &mut GroupIndex,
+        attrs: &[usize],
+        new_rows: std::ops::Range<usize>,
+        epoch: u64,
+    ) {
         let (sizes, _) = self.radix_sizes(attrs);
         let mut buf: Vec<Value> = Vec::with_capacity(attrs.len());
-        for &row in new_rows {
+        for row in new_rows {
             extend_gid(gi, attrs, &sizes, &mut buf, row, epoch, |a| {
-                self.cols[a][row as usize]
+                self.cols[a][row]
             });
         }
     }
@@ -963,7 +1191,7 @@ impl InternedRelation {
         let (sizes, _) = self.radix_sizes(&attrs);
         let mut buf: Vec<Value> = Vec::with_capacity(attrs.len());
         let gid = gid_of(&g, &attrs, &sizes, &mut buf, |a| row_values[a])?;
-        Some(g.head(gid as usize) as usize)
+        Some(g.head(gid as usize))
     }
 
     /// The [`GroupIndex::new_group_epoch`] of the **cached** grouping
@@ -1030,14 +1258,10 @@ impl InternedRelation {
             return pn;
         }
         if pn == n {
-            if let Layout::Buckets { bounds, .. } = &kg.layout {
-                // Each row its own probe group: a key group's distinct
-                // count is its size.
-                return bounds
-                    .windows(2)
-                    .map(|b| (b[1] - b[0]) as usize)
-                    .min()
-                    .expect("a grouping of rows has a group");
+            // Each row its own probe group: a key group's distinct count
+            // is its size, which a bucketed key holds.
+            if let Some(min) = kg.smallest_bucket() {
+                return min;
             }
         }
         let mut min = usize::MAX;
@@ -1059,7 +1283,7 @@ impl InternedRelation {
         let key_attrs: Vec<AttrId> = self.masked(key).iter().collect();
         let mut counts: HashMap<Tuple, usize> = HashMap::with_capacity(kg.n_groups as usize);
         pair_pass(&kg, &pg, |g, distinct| {
-            let row = kg.head(g) as usize;
+            let row = kg.head(g);
             let key_tuple = Tuple::new(key_attrs.iter().map(|&a| self.value(row, a)).collect());
             counts.insert(key_tuple, distinct);
             true
@@ -1081,7 +1305,7 @@ impl InternedRelation {
         let g = self.group_index(set);
         let rows: Vec<Tuple> = (0..g.n_groups as usize)
             .map(|group| {
-                let row = g.head(group) as usize;
+                let row = g.head(group);
                 Tuple::new(attrs.iter().map(|&a| self.value(row, a)).collect())
             })
             .collect();
@@ -1126,13 +1350,14 @@ fn gid_of<F: Fn(usize) -> Value>(
 /// Appends `row` (values read through `get`) to `gi`, assigning the next
 /// free dense group id if its sub-tuple is unseen; stamps
 /// `new_group_epoch` with `epoch` when a new group is created. A
-/// bucketed `gi` is first rewritten into the per-row form.
+/// bucketed `gi` is first rewritten into the per-row form. `gi` must
+/// hold `row` at its width (see [`GroupIndex::widen`]).
 fn extend_gid<F: Fn(usize) -> Value>(
     gi: &mut GroupIndex,
     attrs: &[usize],
     sizes: &[u64],
     buf: &mut Vec<Value>,
-    row: u32,
+    row: usize,
     epoch: u64,
     get: F,
 ) {
@@ -1165,22 +1390,18 @@ fn extend_gid<F: Fn(usize) -> Value>(
         gi.n_groups += 1;
         gi.new_group_epoch = epoch;
     }
-    let ids = gi.row_ids_mut();
-    if is_new {
-        ids.representative.push(row);
-    }
-    ids.row_group.push(gid);
+    gi.push_row(row, gid as usize, is_new);
 }
 
 /// A densified grouping: each row's group id, the distinct codes in
 /// ascending order (group id = rank, allocated at exactly their count)
 /// and each group's first row.
-type Densified = (Vec<u32>, Vec<u64>, Vec<u32>);
+type Densified<I> = (Vec<I>, Vec<u64>, Vec<I>);
 
 /// Densifies row codes from a code space of `space` codes by direct
-/// addressing, replacing each row's code by its group id in place: the
-/// rest of a [`Densified`] grouping is returned.
-fn densify_direct(codes: &mut [u32], space: u32) -> (Vec<u64>, Vec<u32>) {
+/// addressing; the ids are numbered in the code buffer when `I` is
+/// `u32` (see [`RowIdx::number`]).
+fn densify_direct<I: RowIdx>(codes: Vec<u32>, space: u32) -> Densified<I> {
     // `slot[code]`: `u32::MAX` while absent, else the first row with
     // that code (the backward scan's last write), then the code's group
     // id after the ascending numbering pass.
@@ -1193,36 +1414,31 @@ fn densify_direct(codes: &mut [u32], space: u32) -> (Vec<u64>, Vec<u32>) {
     let mut representative = Vec::with_capacity(distinct);
     for (code, s) in slot.iter_mut().enumerate() {
         if *s != u32::MAX {
-            representative.push(*s);
+            representative.push(I::new(*s as usize));
             *s = base.len() as u32;
             base.push(code as u64);
         }
     }
-    for c in codes.iter_mut() {
-        *c = slot[*c as usize];
-    }
-    (base, representative)
+    (I::number(codes, &slot), base, representative)
 }
 
 /// [`densify_direct`] for code spaces too large to address: sorts the
 /// codes and ranks each row by binary search.
-fn densify_sorted(codes: &[u64]) -> Densified {
+fn densify_sorted<I: RowIdx>(codes: &[u64]) -> Densified<I> {
     let mut base = codes.to_vec();
     base.sort_unstable();
     base.dedup();
     // Retained as the grouping's lookup: keep the group count, not the
     // row count.
     base.shrink_to_fit();
-    let row_group: Vec<u32> = codes
+    let row_group: Vec<I> = codes
         .iter()
-        .map(|c| base.binary_search(c).expect("own code") as u32)
+        .map(|c| I::new(base.binary_search(c).expect("own code")))
         .collect();
-    let mut representative = vec![u32::MAX; base.len()];
-    for (row, &g) in row_group.iter().enumerate() {
-        let slot = &mut representative[g as usize];
-        if *slot == u32::MAX {
-            *slot = row as u32;
-        }
+    // A backward scan: each group's last write is its first row.
+    let mut representative = vec![I::default(); base.len()];
+    for (row, &g) in row_group.iter().enumerate().rev() {
+        representative[g.get()] = I::new(row);
     }
     (row_group, base, representative)
 }
@@ -1251,22 +1467,39 @@ fn densify_sorted(codes: &[u64]) -> Densified {
 ///
 /// `visit` runs while the buffer is borrowed, so it must not probe.
 fn pair_pass(kg: &GroupIndex, pg: &GroupIndex, visit: impl FnMut(usize, usize) -> bool) {
-    let probe_ids = pg.row_group();
-    let (kn, pn, n) = (kg.n_groups as usize, pg.n_groups as usize, probe_ids.len());
-    PAIR_PASS.with_borrow_mut(|buf| match &kg.layout {
+    let (kn, pn) = (kg.n_groups as usize, pg.n_groups as usize);
+    match (&kg.layout, &pg.layout) {
+        (Width::Narrow(k), Width::Narrow(p)) => scan_pairs(k, p, kn, pn, visit),
+        (Width::Wide(k), Width::Wide(p)) => scan_pairs(k, p, kn, pn, visit),
+        _ => unreachable!("the groupings of one relation share its width"),
+    }
+}
+
+/// [`pair_pass`] over the rows of a key and a probe grouping with `kn`
+/// and `pn` groups, whose indexes are of type `I`.
+fn scan_pairs<I: RowIdx>(
+    kl: &Layout<I>,
+    pl: &Layout<I>,
+    kn: usize,
+    pn: usize,
+    visit: impl FnMut(usize, usize) -> bool,
+) {
+    let probe_ids = &pl.row_ids().row_group[..];
+    let n = probe_ids.len();
+    PAIR_PASS.with_borrow_mut(|buf| match kl {
         Layout::Buckets { bounds, rows, .. } => {
             if buf.len() < pn {
                 buf.resize(pn, 0);
             }
             let buckets = bounds.windows(2).map(|b| {
-                rows[b[0] as usize..b[1] as usize]
+                rows[b[0].get()..b[1].get()]
                     .iter()
-                    .map(|&row| probe_ids[row as usize] as usize)
+                    .map(|&row| probe_ids[row.get()].get())
             });
             stamp_scan(buckets, &mut buf[..pn], visit);
         }
         Layout::Rows(ids) => {
-            let key_ids = &ids.row_group;
+            let key_ids = &ids.row_group[..];
             // Group and row counts are below 2³², so neither side
             // overflows.
             if (kn as u64) * (pn as u64) <= PAIR_MARK_BITS_PER_ROW * n as u64 {
@@ -1282,7 +1515,7 @@ fn pair_pass(kg: &GroupIndex, pg: &GroupIndex, visit: impl FnMut(usize, usize) -
             // scatter — after which `ends[k]` is the end of bucket `k`.
             ends.fill(0);
             for &k in key_ids {
-                ends[k as usize] += 1;
+                ends[k.get()] += 1;
             }
             let mut start = 0u64;
             for e in ends.iter_mut() {
@@ -1291,8 +1524,8 @@ fn pair_pass(kg: &GroupIndex, pg: &GroupIndex, visit: impl FnMut(usize, usize) -
                 start += size;
             }
             for (&k, &p) in key_ids.iter().zip(probe_ids) {
-                let at = &mut ends[k as usize];
-                bucketed[*at as usize] = u64::from(p);
+                let at = &mut ends[k.get()];
+                bucketed[*at as usize] = p.get() as u64;
                 *at += 1;
             }
             let bucketed: &[u64] = bucketed;
@@ -1309,9 +1542,9 @@ fn pair_pass(kg: &GroupIndex, pg: &GroupIndex, visit: impl FnMut(usize, usize) -
 
 /// The pair-marking scan of [`pair_pass`] over two per-row id columns
 /// with `kn` and `pn` groups, in `buf`.
-fn mark_pairs(
-    key_ids: &[u32],
-    probe_ids: &[u32],
+fn mark_pairs<I: RowIdx>(
+    key_ids: &[I],
+    probe_ids: &[I],
     kn: usize,
     pn: usize,
     buf: &mut Vec<u64>,
@@ -1326,9 +1559,9 @@ fn mark_pairs(
     counts.fill(0);
     marks.fill(0);
     for (&k, &p) in key_ids.iter().zip(probe_ids) {
-        let pair = k as usize * pn + p as usize;
+        let pair = k.get() * pn + p.get();
         let (word, bit) = (&mut marks[pair / 64], 1u64 << (pair % 64));
-        counts[k as usize] += u64::from(*word & bit == 0);
+        counts[k.get()] += u64::from(*word & bit == 0);
         *word |= bit;
     }
     for (k, &distinct) in counts.iter().enumerate() {
@@ -1394,9 +1627,9 @@ mod tests {
         let ir = InternedRelation::from_relation(&r);
         let g = ir.group_index(&AttrSet::from_indices(&[0]));
         assert_eq!(g.n_groups(), 2);
-        assert_eq!(g.row_group(), vec![0, 0, 1, 1]);
+        assert!(g.row_group().eq([0, 0, 1, 1]));
         // Representatives are the first rows of each group.
-        assert_eq!(g.representative(), vec![0, 2]);
+        assert!(g.representative().eq([0, 2]));
         // Full-set grouping: every row its own group.
         let g = ir.group_index(&AttrSet::from_indices(&[0, 1, 2]));
         assert_eq!(g.n_groups(), 4);
@@ -1436,6 +1669,13 @@ mod tests {
             };
             assert_eq!(base.capacity(), 8, "{} attributes", ids.len());
         }
+    }
+
+    #[test]
+    fn group_index_does_not_grow() {
+        // Every resident grouping pays these bytes; the wide form is
+        // boxed so that it adds none.
+        assert!(std::mem::size_of::<GroupIndex>() <= 152);
     }
 
     #[test]
@@ -1535,7 +1775,7 @@ mod tests {
         assert_eq!(ir.min_group_distinct(&key, &probe), 1);
         let kg = ir.group_index(&key);
         assert_eq!(kg.n_groups(), 2);
-        assert_eq!(kg.row_group(), vec![0, 0, 1]);
+        assert!(kg.row_group().eq([0, 0, 1]));
         assert_eq!(kg.new_group_epoch(), 1, "append created a key group");
         assert_eq!(kg_before.n_groups(), 1, "pre-append snapshot unshared");
 

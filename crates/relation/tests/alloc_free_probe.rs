@@ -1,7 +1,8 @@
 //! The kernel's documented zero-allocation probe: once the group indexes
 //! a Lemma-4 probe touches are cached and the thread's pair-pass buffer
 //! has grown, the probe performs no heap allocation — on every scan,
-//! keyed on bucketed and on per-row groupings alike, and building its
+//! keyed on bucketed and on per-row groupings alike, on relations whose
+//! groupings store `u16` and `u32` row indexes, and building its
 //! key and probe sets with [`AttrSet::from_word`] included, since a set
 //! of attributes `< 64` is stored inline. A counting global allocator
 //! tallies allocations per thread, so the harness's own threads cannot
@@ -123,32 +124,18 @@ fn scan(ir: &InternedRelation, (k, p): (u64, u64)) -> Scan {
     }
 }
 
-#[test]
-fn warm_probes_allocate_nothing() {
-    // Eleven boolean attributes: 5 inputs, 6 outputs, 2,048 rows (the
-    // words below group the bits 10 | 9–5 | 4–0).
-    let r = all_rows(11);
-    // Key and probe words of every shape: empty, narrow, wide, equal,
-    // the full row against the empty set, ten attributes against ten
-    // (1,024 × 1,024 pairs, past the pair-marking bound), ten against
-    // nine (1,024 × 512 pairs, exactly at it: the largest marking pass,
-    // which grows the buffer furthest) and keys against the full row,
-    // keyed on bucketed and on per-row groupings.
-    let per_row_keys = [0b0_00000_10101, 0b0_11111_11111, 0b0_00011_11111];
-    let at_bound = (0b0_11111_11111, 0b1_11111_11100);
-    let probes: Vec<(u64, u64)> = vec![
-        (0b0_00000_00001, 0b0_00011_00000),
-        (0b0_00000_11111, 0b0_11111_00000),
-        (0b0_00000_00000, 0b0_11111_00000),
-        (0b0_00000_10101, 0b0_10101_00000),
-        (0b1_11111_11111, 0b0_00000_00000),
-        (0b0_00000_00111, 0b0_00000_00111),
-        (0b0_11111_11111, 0b1_11111_11110),
-        at_bound,
-        (0b0_00011_11111, 0b1_11111_11111),
-        (0b0_00001_11111, 0b1_11111_11111),
-    ];
-    let ir = kernel(&r, &per_row_keys);
+/// Asserts that, once warm, each of `probes` over every row of `n`
+/// boolean attributes allocates nothing, that together they run every
+/// [`Scan`] on keys of both layouts (the sets `per_row_keys` built per
+/// row, the rest bucketed), and that `at_bound` marks pairs at the
+/// pair-marking bound.
+fn assert_warm_probes_allocate_nothing(
+    n: u32,
+    per_row_keys: &[u64],
+    probes: &[(u64, u64)],
+    at_bound: (u64, u64),
+) {
+    let ir = kernel(&all_rows(n), per_row_keys);
 
     // Warm-up: builds every grouping and grows the thread's buffer.
     let expected: Vec<usize> = probes.iter().map(|&q| probe(&ir, q)).collect();
@@ -163,6 +150,7 @@ fn warm_probes_allocate_nothing() {
         assert!(scans.contains(&s), "no probe runs {s:?}: {scans:?}");
     }
     let groups = |w| u64::from(ir.group_index(&AttrSet::from_word(w)).n_groups());
+    assert!(probes.contains(&at_bound));
     assert_eq!(scan(&ir, at_bound), Scan::Marking);
     assert_eq!(
         groups(at_bound.0) * groups(at_bound.1),
@@ -186,8 +174,64 @@ fn warm_probes_allocate_nothing() {
     }
 
     // A cold grouping does allocate: the counter sees the kernel's heap.
-    let (n, _) = allocations_during(|| probe(&ir, (0b0_00000_00011, 0b0_00001_00000)));
+    let (n, _) = allocations_during(|| probe(&ir, (0b11, 0b10_0000)));
     assert!(n > 0, "a cold probe builds groupings");
+}
+
+#[test]
+fn warm_probes_allocate_nothing() {
+    // Eleven boolean attributes: 5 inputs, 6 outputs, 2,048 rows (the
+    // words below group the bits 10 | 9–5 | 4–0), whose groupings store
+    // `u16` indexes. Key and probe words of every shape: empty, narrow,
+    // wide, equal, the full row against the empty set, ten attributes
+    // against ten (1,024 × 1,024 pairs, past the pair-marking bound),
+    // ten against nine (1,024 × 512 pairs, exactly at it: the largest
+    // marking pass, which grows the buffer furthest) and keys against
+    // the full row, keyed on bucketed and on per-row groupings.
+    let at_bound = (0b0_11111_11111, 0b1_11111_11100);
+    assert_warm_probes_allocate_nothing(
+        11,
+        &[0b0_00000_10101, 0b0_11111_11111, 0b0_00011_11111],
+        &[
+            (0b0_00000_00001, 0b0_00011_00000),
+            (0b0_00000_11111, 0b0_11111_00000),
+            (0b0_00000_00000, 0b0_11111_00000),
+            (0b0_00000_10101, 0b0_10101_00000),
+            (0b1_11111_11111, 0b0_00000_00000),
+            (0b0_00000_00111, 0b0_00000_00111),
+            (0b0_11111_11111, 0b1_11111_11110),
+            at_bound,
+            (0b0_00011_11111, 0b1_11111_11111),
+            (0b0_00001_11111, 0b1_11111_11111),
+        ],
+        at_bound,
+    );
+}
+
+#[test]
+fn warm_probes_on_a_wide_relation_allocate_nothing() {
+    // Seventeen boolean attributes, 131,072 rows (the words below group
+    // the bits 16 | 15–8 | 7–0): past 65,535 rows, every grouping stores
+    // `u32` indexes. The same shapes as on the narrow relation; sixteen
+    // attributes against nine (65,536 × 512 pairs) sit at the bound.
+    let at_bound = (0xFFFF, 0x1_FF00);
+    assert_warm_probes_allocate_nothing(
+        17,
+        &[0x55, 0xFFFF, 0x3F],
+        &[
+            (0x1, 0x300),
+            (0xFF, 0xFF00),
+            (0x0, 0xFF00),
+            (0x55, 0x5500),
+            (0x1_FFFF, 0x0),
+            (0x7, 0x7),
+            (0xFFFF, 0x1_FFFE),
+            at_bound,
+            (0x3F, 0x1_FFFF),
+            (0x7F, 0x1_FFFF),
+        ],
+        at_bound,
+    );
 }
 
 #[test]

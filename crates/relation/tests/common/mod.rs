@@ -5,8 +5,12 @@
 //! grouping by the path that builds it, and the value generator for
 //! wide (interner) domains.
 
+// Each suite that includes this module uses a different part of it.
+#![allow(dead_code)]
+
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::{HashMap, HashSet};
 use sv_relation::{AttrDef, AttrId, AttrSet, Domain, InternedRelation, Schema, Value};
 
 /// Which kernel path builds a grouping: the kernel numbers mixed-radix
@@ -25,7 +29,10 @@ const DIRECT_ADDRESS_FACTOR: u128 = 4;
 
 /// Domain size of the wide attributes: three of them overflow a `u64`
 /// mixed-radix code, so their groupings take the interner path.
-const WIDE_DOMAIN: u32 = u32::MAX;
+pub const WIDE_DOMAIN: u32 = u32::MAX;
+
+/// The values [`random_value`] draws for a wide attribute.
+pub const WIDE_VALUES: [Value; 4] = [0, 1, 1_000_000_000, 4_000_000_000];
 
 fn attrs_of(schema: &Schema, word: u64) -> Vec<usize> {
     (0..schema.len()).filter(|&a| word >> a & 1 == 1).collect()
@@ -67,7 +74,7 @@ pub fn random_schema(rng: &mut StdRng, n: usize, wide: bool) -> Schema {
 /// handful of spread-out values so their groups still share rows.
 pub fn random_value(rng: &mut StdRng, size: u32) -> Value {
     if size == WIDE_DOMAIN {
-        [0, 1, 1_000_000_000, 4_000_000_000][rng.gen_range(0usize..4)]
+        WIDE_VALUES[rng.gen_range(0usize..4)]
     } else {
         rng.gen_range(0..size)
     }
@@ -96,10 +103,11 @@ fn assert_grouping(
             .collect()
     };
     let path = grouping_path(ir.schema(), word, built_rows);
+    let mut seen: HashSet<Vec<Value>> = HashSet::new();
     let mut ids: Vec<Vec<Value>> = Vec::new();
     for row in 0..built_rows {
         let s = sub(row);
-        if !ids.contains(&s) {
+        if seen.insert(s.clone()) {
             ids.push(s);
         }
     }
@@ -108,20 +116,25 @@ fn assert_grouping(
     }
     for row in built_rows..ir.n_rows() {
         let s = sub(row);
-        if !ids.contains(&s) {
+        if seen.insert(s.clone()) {
             ids.push(s);
         }
     }
-    let row_group: Vec<u32> = (0..ir.n_rows())
-        .map(|row| {
-            let s = sub(row);
-            ids.iter()
-                .position(|t| *t == s)
-                .expect("every row has a group") as u32
-        })
+    let id_of: HashMap<&[Value], u32> = ids
+        .iter()
+        .enumerate()
+        .map(|(g, s)| (s.as_slice(), g as u32))
         .collect();
-    let representative: Vec<u32> = (0..ids.len() as u32)
-        .map(|g| row_group.iter().position(|&r| r == g).expect("dense ids") as u32)
+    let row_group: Vec<u32> = (0..ir.n_rows())
+        .map(|row| id_of[sub(row).as_slice()])
+        .collect();
+    let mut representative: Vec<Option<u32>> = vec![None; ids.len()];
+    for (row, &g) in row_group.iter().enumerate() {
+        representative[g as usize].get_or_insert(row as u32);
+    }
+    let representative: Vec<u32> = representative
+        .into_iter()
+        .map(|r| r.expect("dense ids"))
         .collect();
     let g = ir.group_index(&AttrSet::from_word(word));
     assert_eq!(
@@ -129,9 +142,13 @@ fn assert_grouping(
         ids.len(),
         "{ctx}: n_groups of {word:#b}"
     );
-    assert_eq!(g.row_group(), row_group, "{ctx}: row_group of {word:#b}");
     assert_eq!(
-        g.representative(),
+        g.row_group().collect::<Vec<_>>(),
+        row_group,
+        "{ctx}: row_group of {word:#b}"
+    );
+    assert_eq!(
+        g.representative().collect::<Vec<_>>(),
         representative,
         "{ctx}: representative of {word:#b}"
     );
@@ -142,14 +159,19 @@ fn assert_grouping(
 /// through the kernel's public cache probe, so that groupings warmed
 /// before appends are checked as extended and cold ones as fresh builds.
 pub struct BuildLog {
-    built: Vec<Option<usize>>,
+    built: Vec<(u64, Option<usize>)>,
 }
 
 impl BuildLog {
-    /// An empty log for a schema of `k` attributes.
+    /// An empty log of every set of a schema of `k` attributes.
     pub fn new(k: usize) -> Self {
+        Self::of_words(0..1 << k)
+    }
+
+    /// An empty log of the sets `words`.
+    pub fn of_words(words: impl IntoIterator<Item = u64>) -> Self {
         Self {
-            built: vec![None; 1 << k],
+            built: words.into_iter().map(|w| (w, None)).collect(),
         }
     }
 
@@ -157,10 +179,10 @@ impl BuildLog {
     /// over `rows` rows: call after each kernel call that can build
     /// groupings, with the row count before that call.
     pub fn note(&mut self, ir: &InternedRelation, rows: usize) {
-        for (word, built) in self.built.iter_mut().enumerate() {
+        for (word, built) in &mut self.built {
             if built.is_none()
                 && ir
-                    .group_new_group_epoch(&AttrSet::from_word(word as u64))
+                    .group_new_group_epoch(&AttrSet::from_word(*word))
                     .is_some()
             {
                 *built = Some(rows);
@@ -171,9 +193,9 @@ impl BuildLog {
     /// Checks every grouping of `ir` with [`assert_grouping`], building
     /// the missing ones over the current rows, and tallies their paths.
     pub fn check_all(&mut self, ir: &InternedRelation, cov: &mut Coverage, ctx: &str) {
-        for (word, built) in self.built.iter_mut().enumerate() {
+        for (word, built) in &mut self.built {
             let rows = *built.get_or_insert(ir.n_rows());
-            let (path, bucketed) = assert_grouping(ir, word as u64, rows, ctx);
+            let (path, bucketed) = assert_grouping(ir, *word, rows, ctx);
             cov.record(path, ir.n_rows() > rows, bucketed);
         }
     }
